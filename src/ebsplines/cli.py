@@ -114,6 +114,8 @@ def _fit_payload(res) -> dict:
         "q_star": res.q_star,
         "sigma2_hat": res.sigma2_hat,
         "boundary": bool(res.boundary),
+        "all_nonpositive": bool(res.selection.all_nonpositive),
+        "all_positive_warning": bool(res.selection.all_positive_warning),
         "per_q": [{"q": d.q, "lambda_hat": d.lambda_hat,
                    "t_q": d.t_q_value, "boundary": bool(d.boundary)}
                   for d in res.selection.per_q],
@@ -143,7 +145,7 @@ def _cmd_credible(args) -> int:
     payload["center_inside"] = bool(ball.contains(ball.center))
     _emit(payload, args.out, args)
     if args.draws > 0 and args.samples_csv:
-        # stream disjoint from the radius bank's
+        # a child stream of --seed (spawn key 1), so curves replay unchanged
         curve_seed = np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))
         curves = sample_posterior(res, args.draws, seed=curve_seed)
         xs = x if x is not None else grid.x
@@ -187,6 +189,8 @@ def _cmd_compare(args) -> int:
     if args.seed is not None:
         d["seed"] = args.seed
     gen = Generator.from_dict(d["generator"])
+    # "mc_draws" and "radius_seed" configure only the Monte Carlo radius
+    # oracle; they are still validated so existing configs keep loading
     spec = RadiusSpec(alpha=float(d.get("alpha", 0.05)),
                       mc_draws=int(d.get("mc_draws", 10_000)),
                       seed=int(d.get("radius_seed", d.get("seed", 0))))
@@ -271,8 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples-csv", default=None)
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--L", type=float, default=2.0)
-    sp.add_argument("--mc-draws", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--mc-draws", type=int, default=10_000,
+                    help="draws of the Monte Carlo radius oracle (>= 1000); "
+                         "the exact radius does not use them")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the posterior curves")
     sp.add_argument("--draws", type=int, default=0,
                     help="posterior curves written to --samples-csv")
     add_fit_flags(sp)

@@ -3,23 +3,33 @@
 Under the marginal posterior, the squared distance of the regression function
 from the fitted values, scaled by the noise estimate, is distributed like
 
-    (1/N) sum_i eps_i^2 / (1 + lam * n*eta_i),   eps ~ N(0, I_n),  N ~ chi^2_n,
+    (1/N) sum_i w_i eps_i^2,   w_i = 1 / (1 + lam * n*eta_i),
+    eps ~ N(0, I_n),  N ~ chi^2_n  independent,
 
-in the rms norm.  ``radius`` estimates the (1-alpha) quantile r_n(lam, q) of
-that law by seeded Monte Carlo; the empirical credible ball has center at the
-fit and radius sigma_hat * L * r_n(lambda_hat, q_hat).  ``sample_posterior``
-draws whole curves from the fitted posterior (a multivariate t realized as a
-Gaussian scale mixture in the spectral domain), and ``coverage_experiment``
-measures how often the ball captures the true function.
+in the rms norm.  Its (1-alpha) quantile r_n(lam, q)^2 is the root in r of
+
+    P(Q_r <= 0) = 1 - alpha,   Q_r = sum_i w_i chi^2_1 - r chi^2_n,
+
+a quadratic form in independent chi-squares.  ``radius`` computes that
+probability exactly by inverting the characteristic function of Q_r (Imhof
+1961; Davies 1980) with the trapezoid rule, to an error below 1e-10, and
+solves for r to a relative 1e-10.  The result is deterministic, needs O(n)
+memory and has no Monte Carlo error; ``oracles.mc_radius`` keeps the seeded
+Monte Carlo quantile as the independent check.  The empirical credible ball
+has center at the fit and radius sigma_hat * L * r_n(lambda_hat, q_hat).
+``sample_posterior`` draws whole curves from the fitted posterior (a
+multivariate t realized as a Gaussian scale mixture in the spectral domain),
+and ``coverage_experiment`` measures how often the ball captures the true
+function.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import fdtri
 
 from .errors import EbsplinesError
 from .selection import FitResult, ModelFamily, fit
@@ -28,7 +38,12 @@ from .spectral import ANALYTIC, SpectralModel, design_grid, rms_norm, smoother_w
 
 @dataclass(frozen=True)
 class RadiusSpec:
-    """Monte Carlo settings for the posterior-quantile radius."""
+    """Settings of the posterior-quantile radius.
+
+    ``alpha`` sets the level.  ``mc_draws`` and ``seed`` configure only the
+    Monte Carlo oracle ``oracles.mc_radius``; the exact ``radius`` does not
+    read them.
+    """
 
     alpha: float = 0.05
     mc_draws: int = 10_000
@@ -41,50 +56,143 @@ class RadiusSpec:
             raise EbsplinesError("need at least 1000 draws for a stable quantile")
 
 
-class _RadiusSampler:
-    """Shared bank of squared-Gaussian draws; radius(lam) is then a matvec.
+# Deviation level x of the Laurent-Massart chi-square bounds: Q_r leaves
+# E Q_r +- (2 sqrt(x) (|w|_2 + r sqrt(n)) + 2 x max(w_max, r)) with probability
+# below 4 e^-x ~ 1e-15, which sets the node step; the integral is truncated
+# where the modulus exceeds e^x.
+_TAIL = 36.0
+# Weights with w * u below this on every node enter through sum w and sum w^2
+# (arctan(x) ~ x, log1p(x^2) ~ x^2): with thousands of weights just below it,
+# the probability moved by less than 4e-14 against summing them in full.
+_FOLD = 1e-3
+# The weight sums run over blocks of nodes holding at most _BLOCK node x
+# weight entries and _MAX_NODES nodes; the last block may run past the
+# truncation point by up to _MAX_NODES nodes.
+_BLOCK = 1 << 16
+_MAX_NODES = 1024
+_RTOL = 1e-10
 
-    Using common random numbers across lambda values makes the radius a
-    deterministic, monotone function of lambda for a fixed spec.
+
+class _DistanceLaw:
+    """P(Q_r <= 0) for r in [r_lo, r_hi], on one trapezoid grid u_k = k h.
+
+    Imhof's form is P(Q_r <= 0) = 1/2 - (1/pi) int_0^inf sin th(u) / (u rho(u)) du
+    with th(u) = (1/2) sum arctan(w_i u) - (n/2) arctan(r u) and
+    log rho(u) = (1/4) sum log1p(w_i^2 u^2) + (n/4) log1p(r^2 u^2).  The weight
+    parts do not depend on r and are summed once; each ``cdf`` is then O(nodes).
+    The integrand is even and analytic, so the trapezoid rule's only error is
+    aliasing, bounded by the mass of Q_r beyond 4 pi / h: below 4 e^-36 for
+    this step.
     """
 
-    def __init__(self, n: int, draws: int, seed: int):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((draws, n))
-        self.e2 = z * z
-        self.chi2 = rng.chisquare(n, size=draws)
+    def __init__(self, w: np.ndarray, n: int, r_lo: float, r_hi: float):
+        ones = int(np.count_nonzero(w == 1.0))  # null space; all of it at lam = 0
+        rest = w[(w != 1.0) & (w > 0.0)]
         self.n = n
+        self.s1 = ones + float(np.sum(rest))
+        s2 = ones + float(np.dot(rest, rest))
+        w_max = 1.0 if ones else float(np.max(rest))
+        mean_gap = max(abs(self.s1 - n * r_lo), abs(self.s1 - n * r_hi))
+        span = (mean_gap + 2.0 * math.sqrt(_TAIL) * (math.sqrt(s2) + r_hi * math.sqrt(n))
+                + 2.0 * _TAIL * max(w_max, r_hi))
+        # Imhof's u is twice the characteristic-function argument
+        self.h = 4.0 * math.pi / span
+        # the chi^2_n factor alone pushes the modulus past e^_TAIL here
+        u_max = math.sqrt(math.expm1(4.0 * _TAIL / n)) / r_lo
+        small = rest * u_max < _FOLD
+        p1, p2 = float(np.sum(rest[small])), float(np.dot(rest[small], rest[small]))
+        active = rest[~small]
+        step = max(1, min(_MAX_NODES, _BLOCK // max(1, active.size)))
+        phase, log_mod = [], []
+        k = 1
+        while True:
+            u = self.h * np.arange(k, k + step, dtype=float)
+            wu = np.multiply.outer(u, active)
+            u2 = u * u
+            phase.append(0.5 * (ones * np.arctan(u) + np.arctan(wu).sum(axis=1)
+                                + p1 * u))
+            log_mod.append(0.25 * (ones * np.log1p(u2) + np.log1p(wu * wu).sum(axis=1)
+                                   + p2 * u2))
+            k += step
+            if (log_mod[-1][-1] + 0.25 * n * math.log1p((r_lo * u[-1]) ** 2) >= _TAIL
+                    or u[-1] > u_max):
+                break
+        self.u = self.h * np.arange(1, k, dtype=float)
+        self.phase = np.concatenate(phase)
+        self.log_mod = np.concatenate(log_mod)
 
-    def quantile(self, weights: np.ndarray, alpha: float) -> float:
-        stats = (self.e2 @ weights) / self.chi2
-        return float(np.quantile(stats, 1.0 - alpha))
+    def cdf(self, r: float) -> float:
+        ru = r * self.u
+        th = self.phase - 0.5 * self.n * np.arctan(ru)
+        log_rho = self.log_mod + 0.25 * self.n * np.log1p(ru * ru)
+        tail = float(np.sum(np.sin(th) * np.exp(-log_rho) / self.u))
+        # the u = 0 node carries half of th'(0) = (s1 - n r) / 2
+        return 0.5 - self.h / math.pi * (0.25 * (self.s1 - self.n * r) + tail)
 
 
-_samplers: dict[tuple[int, int, int], _RadiusSampler] = {}
-_sampler_lock = threading.Lock()
-
-
-def _sampler(n: int, draws: int, seed: int) -> _RadiusSampler:
-    key = (n, draws, seed)
-    with _sampler_lock:
-        s = _samplers.get(key)
-    if s is None:
-        s = _RadiusSampler(n, draws, seed)
-        with _sampler_lock:
-            _samplers[key] = s
-            while len(_samplers) > 2:
-                _samplers.pop(next(iter(_samplers)))
-    return s
+def _illinois(f, a: float, b: float, fa: float, fb: float, rtol: float) -> float:
+    """Root of an increasing f bracketed by fa <= 0 <= fb (Illinois variant of
+    regula falsi), to a relative bracket width rtol."""
+    side = 0
+    for _ in range(200):
+        if b - a <= rtol * b:
+            break
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if fc < 0.0:
+            a, fa = c, fc
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return 0.5 * (a + b)
 
 
 def radius(model: SpectralModel, lam: float, spec: RadiusSpec) -> float:
-    """r_n(lam, q): square root of the (1-alpha) Monte Carlo quantile of the
-    posterior distance law.  Deterministic given (n, lam, q, spec)."""
+    """r_n(lam, q): square root of the exact (1-alpha) quantile of the
+    posterior distance law.
+
+    The distribution function is inverted from the characteristic function
+    with an error below 1e-10 and the quantile is solved to a relative 1e-10,
+    so the radius depends on (n, lam, q, alpha) only, not on
+    ``spec.mc_draws`` or ``spec.seed``.  The search starts from a bracket of
+    +-25% around the Satterthwaite approximation (sum w_i chi^2_1 as a scaled
+    chi-square with matched mean and variance, an F quantile) and widens it
+    by doubling when needed.  Memory is O(n).
+    """
     if lam < 0:
         raise EbsplinesError(f"need lambda >= 0, got {lam}")
     w = smoother_weights(model.eigen, lam)
-    s = _sampler(model.n, spec.mc_draws, spec.seed)
-    return math.sqrt(s.quantile(w, spec.alpha))
+    n = model.n
+    s1 = float(np.sum(w))
+    if s1 == 0.0:
+        return 0.0
+    p = 1.0 - spec.alpha
+    r0 = s1 / n * float(fdtri(s1 * s1 / float(np.dot(w, w)), n, p))
+    if not (math.isfinite(r0) and r0 > 0.0):
+        r0 = s1 / n
+    lo, hi = r0 / 1.25, r0 * 1.25
+    for _ in range(64):
+        law = _DistanceLaw(w, n, lo, hi)
+        f_lo, f_hi = law.cdf(lo) - p, law.cdf(hi) - p
+        if f_lo > 0.0:
+            lo, hi = 0.5 * lo, lo
+        elif f_hi < 0.0:
+            lo, hi = hi, 2.0 * hi
+        else:
+            break
+    else:
+        raise ArithmeticError(f"no bracket for the radius quantile near {r0:.3g}")
+    r = _illinois(lambda x: law.cdf(x) - p, lo, hi, f_lo, f_hi, _RTOL)
+    return math.sqrt(r)
 
 
 @dataclass(frozen=True)

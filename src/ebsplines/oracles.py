@@ -10,6 +10,8 @@ with u_i = lam * n*eta_{q,i}.  These constants drive the oracle smoothing
 parameter, the expected estimating equations and the asymptotic variances of
 the empirical-Bayes and GCV selectors.  ``polished_tail_check`` verifies the
 tail-regularity condition under which order selection is consistent.
+``mc_radius`` is the seeded Monte Carlo quantile of the credible-ball distance
+law, the independent check of the exact ``credible.radius``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .credible import RadiusSpec
 from .errors import EbsplinesError
-from .spectral import eigenvalues, penalty_eigenvalues
+from .spectral import SpectralModel, eigenvalues, penalty_eigenvalues, smoother_weights
 
 
 def kappa(q: float, m: int, l: int) -> float:
@@ -275,3 +278,33 @@ def asymptotic_variances(q: float) -> SelectorVariances:
     eb = 2.0 * kappa(q, 2, 2) / (3.0 * kappa(q, 0, 2) - 2.0 * kappa(q, 0, 3)) ** 2
     gcv = 2.0 * kappa(q, 4, 2) / (4.0 * kappa(q, 1, 2) - 3.0 * kappa(q, 1, 3)) ** 2
     return SelectorVariances(eb=eb, gcv=gcv, ratio=gcv / eb)
+
+
+# Draws per block of the Monte Carlo distance law: bounds its memory at
+# _MC_BLOCK * n floats instead of mc_draws * n.
+_MC_BLOCK = 500
+
+
+def mc_distances(model: SpectralModel, lam: float, spec: RadiusSpec) -> np.ndarray:
+    """``spec.mc_draws`` seeded draws of the posterior distance law
+    (1/N) sum_i w_i eps_i^2, eps ~ N(0, I_n), N ~ chi^2_n.
+
+    The normals are drawn row by row in blocks and the chi-squares after all
+    of them, so the draws are those of one (mc_draws x n) bank from
+    ``default_rng(spec.seed)``.
+    """
+    w = smoother_weights(model.eigen, lam)
+    n = model.n
+    rng = np.random.default_rng(spec.seed)
+    num = np.empty(spec.mc_draws)
+    for start in range(0, spec.mc_draws, _MC_BLOCK):
+        z = rng.standard_normal((min(_MC_BLOCK, spec.mc_draws - start), n))
+        num[start:start + len(z)] = (z * z) @ w
+    return num / rng.chisquare(n, size=spec.mc_draws)
+
+
+def mc_radius(model: SpectralModel, lam: float, spec: RadiusSpec) -> float:
+    """Monte Carlo r_n(lam, q): square root of the empirical (1-alpha)
+    quantile of ``mc_distances``.  Deterministic given (n, lam, q, spec)."""
+    return math.sqrt(float(np.quantile(mc_distances(model, lam, spec),
+                                       1.0 - spec.alpha)))

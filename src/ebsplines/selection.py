@@ -373,6 +373,25 @@ def smooth(model: SpectralModel, y, lam: float) -> np.ndarray:
     return model.basis.inverse(w * x)
 
 
+# Relative spread max(y) - min(y) at or below which data are constant to
+# rounding, in units of their largest magnitude (64 ulps).
+_CONSTANT_SPREAD = 64.0 * np.finfo(float).eps
+
+
+def _check_data(y: np.ndarray, n: int) -> None:
+    """Input contract of ``fit``: n finite values that are not all equal."""
+    if y.shape != (n,):
+        raise EbsplinesError(f"expected {n} data values, got shape {y.shape}")
+    lo, hi = float(np.min(y)), float(np.max(y))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        i = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise EbsplinesError(f"y[{i}] = {y[i]} is not finite")
+    if hi - lo <= _CONSTANT_SPREAD * max(abs(lo), abs(hi)):
+        raise DegenerateDataError(
+            "data are constant to rounding: every spectral coefficient beyond "
+            "the constant vanishes")
+
+
 def fit(family: ModelFamily, y, qgrid=None, policy: str = "integer",
         lam_range: tuple[float, float] = (LAMBDA_MIN, LAMBDA_MAX),
         lambda_override: float | None = None,
@@ -382,11 +401,16 @@ def fit(family: ModelFamily, y, qgrid=None, policy: str = "integer",
     ``lambda_override`` and ``q_override`` bypass the corresponding selection
     step (test hooks; lambda_override accepts 0 and inf for the interpolation
     and null-space-projection limits).
+
+    Raises ``EbsplinesError`` when y is not n finite values, naming the first
+    non-finite index, and ``DegenerateDataError`` when y is constant to
+    rounding.
     """
     y = np.asarray(y, dtype=float)
     n = family.grid.n
     if n < 8:
         raise EbsplinesError(f"need n >= 8 for a fit, got {n}")
+    _check_data(y, n)
     if qgrid is None:
         qgrid = default_q_grid(n)
 

@@ -51,15 +51,31 @@ class TestFitCommand:
         out = tmp_path / "fit.json"
         assert main(["fit", str(p), "--design", "right", "--out", str(out)]) == 0
 
-    def test_constant_column_flags_boundary_and_grid_max(self, tmp_path):
+    def test_constant_column_exits_2(self, tmp_path, capsys):
+        # nothing beyond the constant: DegenerateDataError, not a fit
         p = tmp_path / "const.csv"
         _write_y_csv(p, np.full(128, 3.25))
         out = tmp_path / "fit.json"
-        rc = main(["fit", str(p), "--out", str(out)])
-        assert rc == 0
+        assert main(["fit", str(p), "--out", str(out)]) == 2
+        assert "constant" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("signal, flag", [
+        # pure noise: T_q <= 0 at every order, q_hat is the grid maximum
+        (lambda x: 0.0 * x, "all_nonpositive"),
+        # a square wave: T_q > 0 already at q = 1
+        (lambda x: np.sign(np.sin(6 * np.pi * x)), "all_positive_warning"),
+    ])
+    def test_selection_branch_flags_reported(self, tmp_path, signal, flag):
+        g = e.design_grid(128)
+        y = signal(g.x) + 0.05 * np.random.default_rng(1).standard_normal(128)
+        p = tmp_path / "d.csv"
+        _write_y_csv(p, y)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(p), "--qmax", "3", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["boundary"] is True
-        assert payload["q_hat"] == 4.0  # grid capped at log(n) for n = 128
+        assert payload[flag] is True
+        assert payload["q_hat"] == (3.0 if flag == "all_nonpositive" else 1.0)
 
     def test_empty_file_exits_2(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -103,6 +119,20 @@ class TestCredibleCommand:
         assert payload["center_inside"] is True
         header = samples.read_text().splitlines()[0]
         assert header == "x,s1,s2,s3,s4,s5"
+
+    def test_constant_column_exits_2(self, tmp_path):
+        p = tmp_path / "const.csv"
+        _write_y_csv(p, np.full(200, -1.5))
+        out = tmp_path / "ball.json"
+        assert main(["credible", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_selection_flags_in_fit_payload(self, tmp_path, sample_csv):
+        out = tmp_path / "ball.json"
+        assert main(["credible", str(sample_csv), "--out", str(out)]) == 0
+        fit = json.loads(out.read_text())["fit"]
+        assert fit["all_nonpositive"] is True
+        assert fit["all_positive_warning"] is False
 
     def test_seed_replay_identical(self, tmp_path, sample_csv):
         outs = []

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import f as f_dist
 
 import ebsplines as e
 from ebsplines.errors import EbsplinesError
+from ebsplines.oracles import mc_distances, mc_radius
 
 
 def _fit_smooth(n=64, sigma=0.05, seed=0):
@@ -48,6 +51,116 @@ class TestRadius:
     def test_small_draw_count_rejected(self):
         with pytest.raises(EbsplinesError):
             e.RadiusSpec(mc_draws=10)
+
+
+def _fitted_lambdas(n, seed=0):
+    """Per-order lambda_hat of a fit to the noisy f1 signal."""
+    g = e.design_grid(n)
+    fam = e.ModelFamily(g)
+    y = e.Generator(kind="f1-spectral").values(g) \
+        + 0.01 * np.random.default_rng(seed).standard_normal(n)
+    res = e.fit(fam, y)
+    return fam, res, {d.q: d.lambda_hat for d in res.selection.per_q}
+
+
+class TestExactRadius:
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_agrees_with_monte_carlo_oracle(self, n):
+        # within 3 standard errors of the 10,000-draw Monte Carlo quantile;
+        # the standard error comes from the order statistics s = sqrt(Np(1-p))
+        # ranks either side of the quantile
+        fam, _, lams = _fitted_lambdas(n)
+        spec = e.RadiusSpec(mc_draws=10_000, seed=17)
+        p = 1.0 - spec.alpha
+        s = math.sqrt(spec.mc_draws * p * (1.0 - p))
+        for q in (2.0, 3.0):
+            m = fam.model(q)
+            for lam in (lams[q], 1e-4):
+                t = np.sort(mc_distances(m, lam, spec))
+                k = spec.mc_draws * p
+                se = 0.5 * (t[math.ceil(k + s)] - t[math.floor(k - s)])
+                r2_mc = float(np.quantile(t, p))  # mc_radius(m, lam, spec) ** 2
+                r2 = e.radius(m, lam, spec) ** 2
+                assert abs(r2 - r2_mc) <= 3.0 * se, (q, lam, r2, r2_mc, se)
+
+    def test_monte_carlo_oracle_is_the_quantile_of_its_draws(self):
+        m = e.spectral_model(e.design_grid(128), 2.0)
+        spec = e.RadiusSpec(mc_draws=2000, seed=4)
+        r = mc_radius(m, 1e-4, spec)
+        assert r == mc_radius(m, 1e-4, spec)
+        assert r * r == float(np.quantile(mc_distances(m, 1e-4, spec), 0.95))
+
+    @pytest.mark.parametrize("n", [64, 500, 2000])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_null_space_limit_is_an_f_quantile(self, n, q):
+        # lambda = inf keeps the q null-space weights: chi2_q / chi2_n
+        m = e.spectral_model(e.design_grid(n), float(q))
+        for alpha in (0.05, 0.5):
+            exact = q / n * f_dist.ppf(1.0 - alpha, q, n)
+            for lam in (math.inf, 1e18):
+                r = e.radius(m, lam, e.RadiusSpec(alpha=alpha))
+                assert r * r == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    def test_monotone_in_lambda_and_alpha(self):
+        m = e.spectral_model(e.design_grid(500), 2.0)
+        rr = [e.radius(m, lam, e.RadiusSpec()) for lam in np.logspace(-12, 2, 15)]
+        assert np.all(np.diff(rr) < 0)
+        ra = [e.radius(m, 1e-6, e.RadiusSpec(alpha=a))
+              for a in (0.01, 0.05, 0.1, 0.25, 0.5, 0.9)]
+        assert np.all(np.diff(ra) < 0)
+
+    def test_independent_of_monte_carlo_settings(self):
+        m = e.spectral_model(e.design_grid(300), 3.0)
+        radii = {e.radius(m, 1e-7, e.RadiusSpec(mc_draws=d, seed=s))
+                 for d, s in ((1000, 0), (10_000, 5), (50_000, 123))}
+        assert len(radii) == 1
+
+    def test_interpolation_limit_groups_equal_weights(self):
+        # lambda = 0: all n weights are 1, the law is chi2_n / chi2_n
+        n = 1000
+        m = e.spectral_model(e.design_grid(n), 1.0)
+        r = e.radius(m, 0.0, e.RadiusSpec())
+        assert r * r == pytest.approx(f_dist.ppf(0.95, n, n), rel=1e-10)
+
+    @pytest.mark.parametrize("ones", [1, 3, 10])
+    def test_folded_small_weights_match_the_full_sum(self, ones, monkeypatch):
+        # thousands of weights just under the fold threshold: the law with
+        # them folded into power sums equals the law with every arctan and
+        # log1p evaluated
+        from ebsplines import credible
+        n = 2000
+        lo = 1.5 * (ones + 1.0) / n
+        hi = 1.25 * lo
+        u_max = math.sqrt(math.expm1(4.0 * credible._TAIL / n)) / lo
+        w = np.concatenate([np.ones(ones),
+                            np.full(n - ones, 0.99 * credible._FOLD / u_max)])
+        folded = credible._DistanceLaw(w, n, lo, hi)
+        monkeypatch.setattr(credible, "_FOLD", 0.0)
+        full = credible._DistanceLaw(w, n, lo, hi)
+        for r in np.linspace(lo, hi, 7):
+            assert folded.cdf(r) == pytest.approx(full.cdf(r), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["f1-fitted", "f2-fitted", "q1-interpolation"])
+    def test_memory_is_linear_at_64k(self, case):
+        n = 64_000
+        g = e.design_grid(n)
+        if case == "q1-interpolation":
+            m, lam = e.spectral_model(g, 1.0), 1e-12  # every weight near 1
+        else:
+            fam = e.ModelFamily(g)
+            kind = "f1-spectral" if case == "f1-fitted" else "f2-cosine"
+            y = e.Generator(kind=kind).values(g) \
+                + 0.01 * np.random.default_rng(5).standard_normal(n)
+            res = e.fit(fam, y)
+            m, lam = res.model, res.lambda_hat
+        tracemalloc.start()
+        try:
+            r = e.radius(m, lam, e.RadiusSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r > 0
+        assert peak < 50e6
 
 
 class TestCredibleBall:

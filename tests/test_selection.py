@@ -285,6 +285,34 @@ class TestFit:
         with pytest.raises(EbsplinesError):
             e.fit(fam, np.zeros(6))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected_with_index(self, bad):
+        n = 200
+        fam = e.ModelFamily(e.design_grid(n))
+        y = np.random.default_rng(2).standard_normal(n)
+        y[[37, 120]] = bad
+        with pytest.raises(EbsplinesError, match=r"y\[37\]"):
+            e.fit(fam, y)
+
+    def test_wrong_length_rejected(self):
+        fam = e.ModelFamily(e.design_grid(200))
+        with pytest.raises(EbsplinesError, match="200"):
+            e.fit(fam, np.random.default_rng(3).standard_normal(199))
+
+    @pytest.mark.parametrize("level", [0.0, 3.25, -1e-200, 1e200])
+    def test_constant_data_raise_degenerate(self, level):
+        fam = e.ModelFamily(e.design_grid(200))
+        with pytest.raises(DegenerateDataError):
+            e.fit(fam, np.full(200, level))
+
+    def test_nearly_constant_data_still_fit(self):
+        # a relative spread of 1e-12 is far above rounding
+        n = 200
+        g = e.design_grid(n)
+        y = 5.0 + 1e-12 * np.cos(2 * np.pi * g.x)
+        res = e.fit(e.ModelFamily(g), y)
+        assert res.sigma2_hat >= 0.0
+
     def test_fit_design_wrapper(self):
         y = np.cos(2 * np.pi * np.arange(1, 101) / 100.0)
         res = e.fit_design(y, convention="right")

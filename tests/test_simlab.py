@@ -37,14 +37,13 @@ class TestGenerators:
         c = m.basis.forward(gen.values(g))
         assert np.abs(c[2:]).max() <= 1e-8 * np.abs(c).max()
 
-    def test_constant_data_selects_grid_maximum(self):
-        # degree-0 polynomial: all estimating equations vanish and the
-        # selector falls back to the largest order
+    def test_constant_data_raise_degenerate(self):
+        # degree-0 polynomial: no coefficient beyond the constant, so the
+        # marginal likelihood is undefined and fit refuses the data
         gen = e.Generator(kind="polynomial", params={"d": 1}, scale_by_range=False)
         g = e.design_grid(256)
-        res = e.fit(e.ModelFamily(g), gen.values(g))
-        assert res.q_hat == e.default_q_grid(256)[-1]
-        assert res.boundary
+        with pytest.raises(e.DegenerateDataError):
+            e.fit(e.ModelFamily(g), gen.values(g))
 
     def test_f1_energy_stable_within_its_smoothness_class(self):
         # at order 2 the spectral energy of the signal converges with n
