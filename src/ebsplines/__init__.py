@@ -6,25 +6,20 @@ coverage, and a Monte Carlo lab comparing against GCV-selected splines.
 """
 
 from .credible import (
-    CoverageReport,
     CredibleBall,
     RadiusSpec,
-    coverage_experiment,
     credible_ball,
     radius,
     sample_posterior,
 )
 from .errors import DegenerateDataError, EbsplinesError, UnsupportedBackendError
 from .gcv import (
-    GcvBallReport,
     GcvResult,
-    gcv_ball_experiment,
     gcv_criterion,
     mallows_cp,
     select_lambda_gcv,
 )
 from .oracles import (
-    KappaTable,
     OracleResult,
     SelectorVariances,
     SignalSpectrum,
@@ -33,7 +28,6 @@ from .oracles import (
     expected_t_lambda,
     expected_t_q,
     kappa,
-    kappa_table,
     oracle_lambda,
     polished_tail_check,
     trace_approx_check,
@@ -55,11 +49,13 @@ from .selection import (
     t_q,
 )
 from .simlab import (
+    CoverageReport,
+    GcvBallReport,
     Generator,
-    NoiseModel,
     SimulationReport,
     StudyConfig,
-    generate,
+    coverage_experiment,
+    gcv_ball_experiment,
     run_study,
 )
 from .spectral import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -22,10 +23,9 @@ import numpy as np
 
 from .credible import RadiusSpec, credible_ball, sample_posterior
 from .errors import EbsplinesError
-from .gcv import gcv_ball_experiment
 from .oracles import SignalSpectrum, asymptotic_variances, kappa, oracle_lambda
 from .selection import ModelFamily, default_q_grid, fit
-from .simlab import Generator, StudyConfig, run_study
+from .simlab import Generator, StudyConfig, gcv_ball_experiment, run_study
 from .spectral import design_grid
 
 EXIT_INPUT = 2
@@ -88,6 +88,15 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
     return x, np.asarray(ys)
 
 
+def _write_csv(path: str, header: str, columns) -> None:
+    """Columns of numbers as CSV, each value in %.10g."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(columns), fmt="%.10g", delimiter=",",
+               header=header, comments="")
+    _atomic_write(path, buf.getvalue())
+    print(f"wrote {path}", file=sys.stderr)
+
+
 def _emit(payload: dict, out_path: str | None, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
@@ -97,13 +106,13 @@ def _emit(payload: dict, out_path: str | None, args) -> None:
         print(text)
 
 
-def _fit_from_args(y: np.ndarray, args):
+def _fit_from_args(x: np.ndarray | None, y: np.ndarray, args):
+    """The x column to write (the design's sites when x is absent) and the fit."""
     grid = design_grid(len(y), args.design)
-    family = ModelFamily(grid)
     qgrid = default_q_grid(len(y), q_max=args.qmax, refine=args.qstep)
     if args.qmin > 1:
         qgrid = tuple(q for q in qgrid if q >= args.qmin)
-    return grid, fit(family, y, qgrid=qgrid)
+    return (grid.x if x is None else x), fit(ModelFamily(grid), y, qgrid=qgrid)
 
 
 def _fit_payload(res) -> dict:
@@ -124,20 +133,16 @@ def _fit_payload(res) -> dict:
 
 def _cmd_fit(args) -> int:
     x, y = _read_xy_csv(args.input)
-    grid, res = _fit_from_args(y, args)
-    xs = x if x is not None else grid.x
+    xs, res = _fit_from_args(x, y, args)
     _emit(_fit_payload(res), args.out, args)
     if args.fitted_csv:
-        rows = ["x,y,fitted"]
-        rows += [f"{xs[i]:.10g},{y[i]:.10g},{res.fitted[i]:.10g}" for i in range(len(y))]
-        _atomic_write(args.fitted_csv, "\n".join(rows) + "\n")
-        print(f"wrote {args.fitted_csv}", file=sys.stderr)
+        _write_csv(args.fitted_csv, "x,y,fitted", (xs, y, res.fitted))
     return 0
 
 
 def _cmd_credible(args) -> int:
     x, y = _read_xy_csv(args.input)
-    grid, res = _fit_from_args(y, args)
+    xs, res = _fit_from_args(x, y, args)
     spec = RadiusSpec(alpha=args.alpha, mc_draws=args.mc_draws, seed=args.seed)
     ball = credible_ball(res, L=args.L, spec=spec)
     payload = ball.to_dict()
@@ -148,14 +153,8 @@ def _cmd_credible(args) -> int:
         # a child stream of --seed (spawn key 1), so curves replay unchanged
         curve_seed = np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))
         curves = sample_posterior(res, args.draws, seed=curve_seed)
-        xs = x if x is not None else grid.x
         header = "x," + ",".join(f"s{j+1}" for j in range(args.draws))
-        lines = [header]
-        for i in range(len(y)):
-            lines.append(f"{xs[i]:.10g}," + ",".join(f"{curves[j, i]:.10g}"
-                                                     for j in range(args.draws)))
-        _atomic_write(args.samples_csv, "\n".join(lines) + "\n")
-        print(f"wrote {args.samples_csv}", file=sys.stderr)
+        _write_csv(args.samples_csv, header, (xs, curves.T))
     return 0
 
 

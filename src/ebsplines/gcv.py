@@ -7,9 +7,8 @@ order q is
 
 the spectral form of n ||(I - S) Y||^2 / tr(I - S)^2, with sums beyond the
 null space.  Mallows' C_p (which needs a known noise variance) is provided
-for parity.  ``gcv_ball_experiment`` replaces the center of the calibrated
-credible ball with the GCV fit and measures the resulting loss of coverage
-against the empirical-Bayes ball on matched data.
+for parity.  ``select_lambda_gcv`` minimizes either criterion in log lambda;
+the experiments that use it live in ``simlab``.
 """
 
 from __future__ import annotations
@@ -19,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credible import RadiusSpec, credible_ball, radius
 from .errors import EbsplinesError
-from .oracles import SignalSpectrum, oracle_lambda
-from .selection import LAMBDA_MAX, LAMBDA_MIN, ModelFamily, fit, smooth
-from .spectral import ANALYTIC, SpectralModel, design_grid, rms_norm
+from .selection import LAMBDA_MAX, LAMBDA_MIN
+from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of the coarse log-lambda grid that brackets the minimum.  GCV keeps
+# golden section rather than bisecting the sign of its derivative: the
+# bracket can hold two minima, and the sign alone then may pick the worse.
+_GRID_POINTS = 60
 
 
 def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
@@ -64,7 +65,7 @@ class GcvResult:
 def select_lambda_gcv(model: SpectralModel, y, criterion: str = "gcv",
                       sigma2: float | None = None,
                       lam_range: tuple[float, float] = (LAMBDA_MIN, LAMBDA_MAX),
-                      grid_points: int = 60) -> GcvResult:
+                      ) -> GcvResult:
     """Minimize the criterion in log lambda: coarse grid, then golden section.
 
     The refinement targets relative accuracy 1e-4 in log lambda; a minimizer
@@ -83,13 +84,13 @@ def select_lambda_gcv(model: SpectralModel, y, criterion: str = "gcv",
         raise EbsplinesError(f"unknown criterion {criterion!r}")
 
     lo, hi = lam_range
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
     vals = [crit(l) for l in grid]
     j = int(np.argmin(vals))
-    boundary = j in (0, grid_points - 1)
+    boundary = j in (0, _GRID_POINTS - 1)
 
     a = math.log(grid[max(j - 1, 0)])
-    b = math.log(grid[min(j + 1, grid_points - 1)])
+    b = math.log(grid[min(j + 1, _GRID_POINTS - 1)])
     # golden-section on the bracket around the best grid point
     c = b - _INV_PHI * (b - a)
     dd = a + _INV_PHI * (b - a)
@@ -106,96 +107,3 @@ def select_lambda_gcv(model: SpectralModel, y, criterion: str = "gcv",
     lam = math.exp(0.5 * (a + b))
     return GcvResult(lambda_f_hat=float(lam), q=model.q,
                      criterion_value=float(crit(lam)), boundary_flag=boundary)
-
-
-@dataclass(frozen=True)
-class GcvBallReport:
-    generator: str
-    n: int
-    replicates: int
-    beta: float
-    sigma: float
-    coverage_gcv_ball: dict
-    coverage_eb_ball: float
-    gcv_ball_radius: float
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "generator": self.generator,
-            "n": self.n,
-            "replicates": self.replicates,
-            "beta": self.beta,
-            "sigma": self.sigma,
-            "coverage_gcv_ball": self.coverage_gcv_ball,
-            "coverage_eb_ball": self.coverage_eb_ball,
-            "gcv_ball_radius": self.gcv_ball_radius,
-            "seed": self.seed,
-        }
-
-
-def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
-                        spec: RadiusSpec = RadiusSpec(), sigma: float = 0.01,
-                        beta: float | None = None, qgrid=None,
-                        convention: str = "midpoint", kind: str = ANALYTIC,
-                        seed: int = 0,
-                        two_samples: bool = True) -> GcvBallReport:
-    """Coverage of a ball centered at the GCV fit with the radius calibrated
-    for the empirical-Bayes posterior ball (true sigma, oracle lambda at the
-    generator's nominal order beta).
-
-    Each replicate draws two independent samples at the same design: the GCV
-    smoothing parameter comes from one sample and the fit uses the other
-    (``two_samples=False`` exposes the single-sample variant).  A matched
-    empirical-Bayes arm fits the first sample and builds its own ball with
-    L = 2 for contrast.
-    """
-    if replicates < 1:
-        raise EbsplinesError("need at least one replicate")
-    grid = design_grid(n, convention)
-    if hasattr(generator, "values"):
-        f_true = np.asarray(generator.values(grid), dtype=float)
-        gen_name = getattr(generator, "kind", type(generator).__name__)
-        if beta is None:
-            beta = getattr(generator, "beta", None)
-    else:
-        f_true = np.asarray(generator, dtype=float)
-        gen_name = "custom-values"
-    if beta is None:
-        raise EbsplinesError("nominal smoothness beta is required")
-    if len(f_true) != n:
-        raise EbsplinesError("true function length does not match n")
-
-    family = ModelFamily(grid, kind=kind)
-    model_beta = family.model(float(beta))
-    spectrum = SignalSpectrum(B=model_beta.basis.forward(f_true),
-                              beta_nominal=float(beta))
-    lam_beta = oracle_lambda(spectrum, sigma * sigma, float(beta),
-                             method="numeric-root").lambda_q
-    ball_radius = sigma * radius(model_beta, lam_beta, spec)
-
-    q_choices = tuple(float(q) for q in q_choices)
-    hits_gcv = {q: 0 for q in q_choices}
-    hits_eb = 0
-    streams = np.random.SeedSequence(seed).spawn(replicates)
-    for k in range(replicates):
-        rng = np.random.default_rng(streams[k])
-        y1 = f_true + sigma * rng.standard_normal(n)
-        y2 = f_true + sigma * rng.standard_normal(n) if two_samples else y1
-        for q in q_choices:
-            m = family.model(q)
-            lam_f = select_lambda_gcv(m, y2).lambda_f_hat
-            fhat = smooth(m, y1, lam_f)
-            if rms_norm(fhat - f_true) <= ball_radius:
-                hits_gcv[q] += 1
-        res = fit(family, y1, qgrid=qgrid)
-        if credible_ball(res, L=2.0, spec=spec).contains(f_true):
-            hits_eb += 1
-
-    return GcvBallReport(
-        generator=str(gen_name), n=n, replicates=replicates, beta=float(beta),
-        sigma=sigma,
-        coverage_gcv_ball={str(q): hits_gcv[q] / replicates for q in q_choices},
-        coverage_eb_ball=hits_eb / replicates,
-        gcv_ball_radius=float(ball_radius), seed=seed)

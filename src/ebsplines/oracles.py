@@ -8,14 +8,17 @@ The trace of smoother powers obeys
 
 with u_i = lam * n*eta_{q,i}.  These constants drive the oracle smoothing
 parameter, the expected estimating equations and the asymptotic variances of
-the empirical-Bayes and GCV selectors.  ``polished_tail_check`` verifies the
-tail-regularity condition under which order selection is consistent.
+the empirical-Bayes and GCV selectors.  The expected equations run on the
+production (penalty-phase) eigenvalues, so they model the selector that runs.
+``polished_tail_check`` verifies the tail-regularity condition under which
+order selection is consistent.
 ``mc_radius`` is the seeded Monte Carlo quantile of the credible-ball distance
 law, the independent check of the exact ``credible.radius``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +27,7 @@ from scipy.special import gammaln
 
 from .credible import RadiusSpec
 from .errors import EbsplinesError
+from .selection import LAMBDA_MAX, LAMBDA_MIN, _bisect_log, _tails
 from .spectral import SpectralModel, eigenvalues, penalty_eigenvalues, smoother_weights
 
 
@@ -38,23 +42,6 @@ def kappa(q: float, m: int, l: int) -> float:
     h = 1.0 / (2.0 * q)
     lg = gammaln(m + h) + gammaln(l - h) - gammaln(l + m)
     return float(math.exp(lg) / (2.0 * math.pi * q))
-
-
-@dataclass(frozen=True)
-class KappaTable:
-    """kappa_q(m, l) over a rectangle of (m, l) pairs."""
-
-    q: float
-    entries: dict
-
-    def __getitem__(self, ml: tuple[int, int]) -> float:
-        return self.entries[ml]
-
-
-def kappa_table(q: float, max_m: int = 4, max_l: int = 4) -> KappaTable:
-    entries = {(m, l): kappa(q, m, l)
-               for m in range(max_m + 1) for l in range(1, max_l + 1)}
-    return KappaTable(q=float(q), entries=entries)
 
 
 @dataclass(frozen=True)
@@ -132,21 +119,13 @@ class SignalSpectrum:
         return float(np.dot(self.B ** 2, eig.values)) / self.n
 
 
-def _e_tails(spectrum: SignalSpectrum, q: float) -> tuple[np.ndarray, np.ndarray]:
-    # the production eigenvalues, so the expected equations model the
-    # selector that actually runs
-    eig = penalty_eigenvalues(q, spectrum.n)
-    d = eig.null_dim
-    return np.asarray(spectrum.B, dtype=float)[d:] ** 2, eig.tail
-
-
 def expected_t_lambda(spectrum: SignalSpectrum, sigma2: float, lam: float,
                       q: float) -> float:
     """Expected estimating equation for lambda under the regression model:
     (1/n) { sum B^2 u/(1+u)^2 - sigma^2 sum 1/(1+u)^2 } beyond the null space."""
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
-    b2, nz = _e_tails(spectrum, q)
+    b2, nz = _tails(penalty_eigenvalues(q, spectrum.n), spectrum.B)
     u = lam * nz
     sig = float(np.dot(b2, u / (1.0 + u) ** 2))
     noi = sigma2 * float(np.sum(1.0 / (1.0 + u) ** 2))
@@ -163,7 +142,7 @@ def expected_t_q(spectrum: SignalSpectrum, sigma2: float, lam: float,
     """
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
-    b2, nz = _e_tails(spectrum, q)
+    b2, nz = _tails(penalty_eigenvalues(q, spectrum.n), spectrum.B)
     u = lam * nz
     with np.errstate(divide="ignore", invalid="ignore"):
         quad = np.where(u > 0, u * np.log(u), 0.0) / (1.0 + u) ** 2
@@ -179,14 +158,14 @@ class OracleResult:
 
 
 def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
-                  method: str = "closed-form",
-                  lam_range: tuple[float, float] = (1e-28, 1.0)) -> OracleResult:
+                  method: str = "closed-form") -> OracleResult:
     """Oracle smoothing parameter for a fixed order.
 
     closed-form: [ n ||f^(q)||^2 / (sigma^2 kappa_q(0,2)) ]^(-2q/(2q+1)),
     with the derivative energy estimated from the spectrum; a vanishing
     energy (signal inside the null space) yields the infinity sentinel.
-    numeric-root: bisection on E T_lam = 0.
+    numeric-root: the root of E T_lam in [LAMBDA_MIN, LAMBDA_MAX], by the
+    same sign-steered log-lambda bisection as ``selection.solve_lambda``.
     """
     energy = spectrum.derivative_energy(q)
     if method == "closed-form":
@@ -197,25 +176,13 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
         lam = (spectrum.n * energy / (sigma2 * kappa(q, 0, 2))) ** (-2.0 * q / (2.0 * q + 1.0))
         return OracleResult(lambda_q=lam, method=method, derivative_energy=energy)
     if method == "numeric-root":
-        lo, hi = lam_range
-        flo = expected_t_lambda(spectrum, sigma2, lo, q)
-        fhi = expected_t_lambda(spectrum, sigma2, hi, q)
+        f = functools.partial(expected_t_lambda, spectrum, sigma2, q=q)
+        flo, fhi = f(LAMBDA_MIN), f(LAMBDA_MAX)
         if flo >= 0 or math.copysign(1.0, flo) == math.copysign(1.0, fhi):
             return OracleResult(lambda_q=math.inf, method=method,
                                 derivative_energy=energy)
-        a, b = lo, hi
-        fa = flo
-        for _ in range(300):
-            mid = math.sqrt(a * b)
-            fm = expected_t_lambda(spectrum, sigma2, mid, q)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            if b / a < 1.0 + 1e-12:
-                break
-        return OracleResult(lambda_q=math.sqrt(a * b), method=method,
-                            derivative_energy=energy)
+        lam, _ = _bisect_log(f, LAMBDA_MIN, LAMBDA_MAX, 1e-12)
+        return OracleResult(lambda_q=lam, method=method, derivative_energy=energy)
     raise EbsplinesError(f"unknown oracle method {method!r}")
 
 

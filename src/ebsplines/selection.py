@@ -23,9 +23,10 @@ smoothing-spline estimate.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .errors import DegenerateDataError, EbsplinesError
 from .spectral import (
     ANALYTIC,
     DesignGrid,
+    EigenSequence,
     SpectralModel,
     design_grid,
     penalty_eigenvalues,
@@ -47,12 +49,12 @@ LAMBDA_MIN = 1e-28
 LAMBDA_MAX = 1.0
 
 
-def _tails(model: SpectralModel, coeffs) -> tuple[np.ndarray, np.ndarray]:
+def _tails(eigen: EigenSequence, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Squared coefficients and eigenvalues beyond the null space."""
     x = np.asarray(coeffs, dtype=float)
-    if len(x) != model.n:
-        raise EbsplinesError(f"expected {model.n} coefficients, got {len(x)}")
-    d = model.null_dim
-    return x[d:] ** 2, model.eigen.values[d:]
+    if len(x) != eigen.n:
+        raise EbsplinesError(f"expected {eigen.n} coefficients, got {len(x)}")
+    return x[eigen.null_dim:] ** 2, eigen.tail
 
 
 def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
@@ -65,7 +67,7 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
     """
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
-    x2, nz = _tails(model, coeffs)
+    x2, nz = _tails(model.eigen, coeffs)
     u = lam * nz
     total = float(np.sum(x2))
     resid = float(np.dot(x2, u / (1.0 + u)))
@@ -82,13 +84,7 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
     return -0.5 * model.n * log_share + 0.5 * float(np.sum(log_r))
 
 
-def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
-    """Estimating equation for lambda (rescaled lambda-derivative of the
-    marginal log-likelihood)."""
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
-    x2, nz = _tails(model, coeffs)
-    n = model.n
+def _t_lam(x2: np.ndarray, nz: np.ndarray, n: int, lam: float) -> float:
     u = lam * nz
     r = u / (1.0 + u)
     a = float(np.dot(x2, r / (1.0 + u))) / n
@@ -96,11 +92,20 @@ def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
     return a - b
 
 
+def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
+    """Estimating equation for lambda (rescaled lambda-derivative of the
+    marginal log-likelihood)."""
+    if not lam > 0:
+        raise EbsplinesError(f"need lambda > 0, got {lam}")
+    x2, nz = _tails(model.eigen, coeffs)
+    return _t_lam(x2, nz, model.n, lam)
+
+
 def t_q(model: SpectralModel, coeffs, lam: float) -> float:
     """Estimating equation for the penalty order q at fixed lambda."""
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
-    x2, nz = _tails(model, coeffs)
+    x2, nz = _tails(model.eigen, coeffs)
     n = model.n
     u = lam * nz
     r = u / (1.0 + u)
@@ -116,7 +121,7 @@ def sigma2_hat(model: SpectralModel, coeffs, lam: float) -> float:
     Nondecreasing in lambda; 0 at lambda = 0 and the full tail energy at
     lambda = inf.
     """
-    x2, nz = _tails(model, coeffs)
+    x2, nz = _tails(model.eigen, coeffs)
     if lam < 0:
         raise EbsplinesError(f"need lambda >= 0, got {lam}")
     if lam == 0:
@@ -136,11 +141,37 @@ class LambdaSolve:
     boundary: bool
 
 
+# Points of the log-lambda scan that brackets the roots of T_lam, and the
+# iteration cap of the bisection (about 55 halvings of the full range reach
+# the 1e-14 bracket).
+_SCAN_POINTS = 33
+_BISECT_ITER = 200
+
+
+def _bisect_log(f, a: float, b: float, rtol: float,
+                tol: float = 0.0) -> tuple[float, float]:
+    """Root of f between a and b, f(a) < 0 <= f(b), by bisection in log lambda.
+
+    Only the sign of f steers the search, so rescaling f (T_lam is quadratic
+    in the data) moves no midpoint.  Stops at the first midpoint m with
+    |f(m)| <= tol or with b/a < 1 + rtol, and returns (m, f(m)).
+    """
+    for _ in range(_BISECT_ITER):
+        m = math.sqrt(a * b)
+        fm = f(m)
+        if abs(fm) <= tol or b / a < 1.0 + rtol:
+            return m, fm
+        if fm >= 0:
+            b = m
+        else:
+            a = m
+    m = math.sqrt(a * b)
+    return m, f(m)
+
+
 def solve_lambda(model: SpectralModel, coeffs,
                  lam_range: tuple[float, float] = (LAMBDA_MIN, LAMBDA_MAX),
-                 tol: float | None = None,
-                 scan_points: int = 33,
-                 max_iter: int = 200) -> LambdaSolve:
+                 tol: float | None = None) -> LambdaSolve:
     """Solve T_lam(lambda) = 0 by sign-bracketing bisection in log lambda.
 
     The interval is scanned on a log grid; each sign change from negative to
@@ -154,24 +185,19 @@ def solve_lambda(model: SpectralModel, coeffs,
     coefficient (T_lam is quadratic in the data), which keeps the solve
     scale-equivariant; an explicit ``tol`` is honored absolutely.
     """
-    x2, nz = _tails(model, coeffs)
+    x2, nz = _tails(model.eigen, coeffs)
     n = model.n
     if tol is None:
         tol = (1e-3 / n) * max(float(np.mean(x2)), 1e-300)
-
-    def tval(lam: float) -> float:
-        u = lam * nz
-        r = u / (1.0 + u)
-        return float(np.dot(x2, r / (1.0 + u))) / n \
-            - float(np.dot(x2, r)) * float(np.sum(1.0 / (1.0 + u))) / (n * n)
+    tval = functools.partial(_t_lam, x2, nz, n)
 
     lo, hi = lam_range
     if not (0 < lo < hi):
         raise EbsplinesError(f"bad lambda range {lam_range}")
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), scan_points))
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
     tv = [tval(l) for l in grid]
-    brackets = [(grid[j], grid[j + 1], tv[j])
-                for j in range(scan_points - 1) if tv[j] < 0 < tv[j + 1]]
+    brackets = [(grid[j], grid[j + 1])
+                for j in range(_SCAN_POINTS - 1) if tv[j] < 0 < tv[j + 1]]
     if not brackets:
         # No root anywhere in the (extended) interval.  The marginal
         # likelihood diverges as lambda -> 0, so the fallback compares the
@@ -182,23 +208,7 @@ def solve_lambda(model: SpectralModel, coeffs,
         _, lam_b = min(cand, key=lambda c: c[0])
         return LambdaSolve(lam=float(lam_b), t_value=tval(lam_b), boundary=True)
 
-    roots = []
-    for a, b, fa in brackets:
-        root, froot = None, None
-        for _ in range(max_iter):
-            m = math.sqrt(a * b)
-            fm = tval(m)
-            if abs(fm) <= tol or b / a < 1.0 + 1e-14:
-                root, froot = m, fm
-                break
-            if fa * fm < 0:
-                b = m
-            else:
-                a, fa = m, fm
-        if root is None:
-            root = math.sqrt(a * b)
-            froot = tval(root)
-        roots.append((root, froot))
+    roots = [_bisect_log(tval, a, b, 1e-14, tol) for a, b in brackets]
     if len(roots) > 1:
         roots.sort(key=lambda rf: -marginal_loglik(model, coeffs, rf[0]))
     lam, t_at = roots[0]
@@ -210,20 +220,17 @@ class ModelFamily:
 
     Coefficients for real q reuse the floor(q) basis; every order pairs it
     with the penalty-phase eigenvalues (``penalty_eigenvalues``).  Models are
-    cached per order behind a lock, so a family can be shared across
-    parallel workers.
+    cached per order.
     """
 
     def __init__(self, grid: DesignGrid, kind: str = ANALYTIC):
         self.grid = grid
         self.kind = kind
         self._models: dict[float, SpectralModel] = {}
-        self._lock = threading.Lock()
 
     def model(self, q: float) -> SpectralModel:
         q = float(q)
-        with self._lock:
-            m = self._models.get(q)
+        m = self._models.get(q)
         if m is None:
             base = spectral_model(self.grid, math.floor(q), self.kind)
             if q == math.floor(q):
@@ -232,12 +239,8 @@ class ModelFamily:
                 m = SpectralModel(grid=self.grid, q=q,
                                   eigen=penalty_eigenvalues(q, self.grid.n),
                                   basis=base.basis)
-            with self._lock:
-                self._models[q] = m
+            self._models[q] = m
         return m
-
-    def coefficients(self, y, q: float) -> np.ndarray:
-        return self.model(q).basis.forward(y)
 
 
 def default_q_grid(n: int, q_max: int | None = None,
@@ -280,8 +283,7 @@ class Selection:
     all_positive_warning: bool = False
 
 
-def select_q(family: ModelFamily, y, qgrid, policy: str = "integer",
-             lam_range: tuple[float, float] = (LAMBDA_MIN, LAMBDA_MAX)) -> Selection:
+def select_q(family: ModelFamily, y, qgrid, policy: str = "integer") -> Selection:
     """Select the penalty order from the sign change of T_q over the grid.
 
     For each grid order: solve for lambda_hat_q and evaluate
@@ -293,6 +295,16 @@ def select_q(family: ModelFamily, y, qgrid, policy: str = "integer",
     Policy "integer" rounds q* half-up to the nearest integer (clamped to the
     grid range); "raw" returns q* itself.
     """
+    return _select_q(family, _transforms(y), qgrid, policy)
+
+
+def _transforms(y):
+    """basis -> Phi^T y, computed once per distinct basis: every analytic
+    model on a grid shares one basis, so a fit transforms its data once."""
+    return functools.cache(lambda basis: basis.forward(y))
+
+
+def _select_q(family: ModelFamily, coeffs, qgrid, policy: str) -> Selection:
     qgrid = tuple(float(q) for q in qgrid)
     if not qgrid:
         raise EbsplinesError("empty q grid")
@@ -301,16 +313,12 @@ def select_q(family: ModelFamily, y, qgrid, policy: str = "integer",
     if qgrid[0] <= 0.5:
         raise EbsplinesError("q grid values must exceed 1/2")
 
-    coeff_cache: dict[int, np.ndarray] = {}
     diags = []
     tvals = []
     for q in qgrid:
         m = family.model(q)
-        d = m.null_dim
-        if d not in coeff_cache:
-            coeff_cache[d] = m.basis.forward(y)
-        x = coeff_cache[d]
-        sol = solve_lambda(m, x, lam_range=lam_range)
+        x = coeffs(m.basis)
+        sol = solve_lambda(m, x)
         tq = t_q(m, x, sol.lam)
         diags.append(QDiagnostic(q=q, lambda_hat=sol.lam, t_q_value=tq,
                                  boundary=sol.boundary))
@@ -392,8 +400,7 @@ def _check_data(y: np.ndarray, n: int) -> None:
             "the constant vanishes")
 
 
-def fit(family: ModelFamily, y, qgrid=None, policy: str = "integer",
-        lam_range: tuple[float, float] = (LAMBDA_MIN, LAMBDA_MAX),
+def fit(family: ModelFamily, y, qgrid=None,
         lambda_override: float | None = None,
         q_override: float | None = None) -> FitResult:
     """Full adaptive fit: select q, solve for lambda, smooth.
@@ -402,9 +409,15 @@ def fit(family: ModelFamily, y, qgrid=None, policy: str = "integer",
     step (test hooks; lambda_override accepts 0 and inf for the interpolation
     and null-space-projection limits).
 
+    The fit runs on y / 2^k with max |y / 2^k| in [1/2, 1), an exact scaling
+    that keeps the squared coefficients inside the float range for data of
+    any magnitude; lambda_hat and q_hat do not depend on k, and the fitted
+    values, coefficients, T_q values and sigma2_hat are scaled back exactly.
+
     Raises ``EbsplinesError`` when y is not n finite values, naming the first
-    non-finite index, and ``DegenerateDataError`` when y is constant to
-    rounding.
+    non-finite index, or when sigma2_hat (quadratic in the data) cannot be
+    stored at the data's scale, and ``DegenerateDataError`` when y is
+    constant to rounding.
     """
     y = np.asarray(y, dtype=float)
     n = family.grid.n
@@ -413,33 +426,44 @@ def fit(family: ModelFamily, y, qgrid=None, policy: str = "integer",
     _check_data(y, n)
     if qgrid is None:
         qgrid = default_q_grid(n)
+    k = math.frexp(float(np.max(np.abs(y))))[1]
+    coeffs = _transforms(np.ldexp(y, -k))
 
     if q_override is None:
-        sel = select_q(family, y, qgrid, policy=policy, lam_range=lam_range)
+        sel = _select_q(family, coeffs, qgrid, "integer")
         q_hat = sel.q_hat
     else:
         q_hat = float(q_override)
         sel = Selection(q_hat=q_hat, q_star=q_hat, per_q=())
 
     model = family.model(q_hat)
-    x = model.basis.forward(y)
+    x = coeffs(model.basis)
 
     if lambda_override is None:
         chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
         if chosen is not None:
             lam, boundary = chosen.lambda_hat, chosen.boundary
         else:
-            sol = solve_lambda(model, x, lam_range=lam_range)
+            sol = solve_lambda(model, x)
             lam, boundary = sol.lam, sol.boundary
     else:
         lam, boundary = float(lambda_override), False
 
-    w = smoother_weights(model.eigen, lam)
-    fitted = model.basis.inverse(w * x)
     s2 = sigma2_hat(model, x, lam)
+    e = math.frexp(s2)[1] + 2 * k
+    if s2 > 0 and not sys.float_info.min_exp <= e <= sys.float_info.max_exp:
+        raise EbsplinesError(
+            f"sigma2_hat = {s2:.6g} * 2^{2 * k} at data scale 2^{k} lies "
+            "outside the normal float range")
+    w = smoother_weights(model.eigen, lam)
+    fitted = np.ldexp(model.basis.inverse(w * x), k)
+    # T_q, like sigma2_hat, is quadratic in the data
+    sel = replace(sel, per_q=tuple(replace(d, t_q_value=math.ldexp(d.t_q_value, 2 * k))
+                                   for d in sel.per_q))
     return FitResult(lambda_hat=lam, q_hat=q_hat, q_star=sel.q_star,
-                     fitted=fitted, sigma2_hat=s2, coeffs=x, model=model,
-                     selection=sel, boundary=boundary)
+                     fitted=fitted, sigma2_hat=math.ldexp(s2, 2 * k),
+                     coeffs=np.ldexp(x, k), model=model, selection=sel,
+                     boundary=boundary)
 
 
 def fit_design(y, convention: str = "midpoint", kind: str = ANALYTIC,

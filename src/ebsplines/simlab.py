@@ -1,12 +1,21 @@
-"""Signal generators, noise model and the Monte Carlo study harness.
+"""Signal generators and the seeded Monte Carlo experiments.
 
 Two reference mean functions drive the comparisons: a spectrally defined
 signal with polynomially decaying coefficients ``(i+1)^(-beta) cos(2i)`` on
 the degree-beta basis (beta = 3), and the analytic ``cos(5 pi x)``.  Both are
-scaled by their range.  ``run_study`` draws replicated noisy samples, fits
-the adaptive empirical-Bayes spline and the GCV comparator at fixed orders,
-and aggregates smoothing-parameter moments, average mean squared errors and
-the GCV-to-EB error ratio R (R > 1 means the adaptive fit wins).
+scaled by their range.  Three experiments draw i.i.d. Gaussian noise around
+the true function through one replicate driver (one seeded substream per
+replicate, so results do not depend on the order in which replicates run):
+
+* ``run_study`` fits the adaptive empirical-Bayes spline and the GCV
+  comparator at fixed orders and aggregates smoothing-parameter moments,
+  average mean squared errors and the GCV-to-EB error ratio R (R > 1 means
+  the adaptive fit wins);
+* ``coverage_experiment`` measures how often the adaptive credible ball
+  captures the true function;
+* ``gcv_ball_experiment`` replaces the center of the calibrated credible
+  ball with the GCV fit and measures the resulting loss of coverage against
+  the empirical-Bayes ball on matched data.
 """
 
 from __future__ import annotations
@@ -14,14 +23,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .credible import RadiusSpec, credible_ball, radius
 from .errors import EbsplinesError
 from .gcv import select_lambda_gcv
+from .oracles import SignalSpectrum, oracle_lambda
 from .selection import ModelFamily, default_q_grid, fit, smooth
-from .spectral import ANALYTIC, DesignGrid, design_grid, make_basis
+from .spectral import ANALYTIC, DesignGrid, design_grid, make_basis, rms_norm
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "polynomial", "custom-spectrum")
 
@@ -68,14 +79,12 @@ class Generator:
             if len(coeffs) != d:
                 raise EbsplinesError("polynomial coefficient count must equal d")
             v = np.polynomial.polynomial.polyval(grid.x, np.asarray(coeffs, dtype=float))
-        elif self.kind == "custom-spectrum":
+        else:  # custom-spectrum; __post_init__ admits no other kind
             coeffs = np.asarray(self.params["coeffs"], dtype=float)
             if len(coeffs) != n:
                 raise EbsplinesError("custom spectrum length must equal n")
             degree = int(self.params.get("degree", 1))
             v = make_basis(grid, degree, ANALYTIC).inverse(coeffs)
-        else:  # pragma: no cover
-            raise EbsplinesError(f"unknown generator kind {self.kind!r}")
         if self.scale_by_range:
             rng_span = float(v.max() - v.min())
             if rng_span > 0:
@@ -90,22 +99,6 @@ class Generator:
     def from_dict(d: dict) -> "Generator":
         return Generator(kind=d["kind"], params=dict(d.get("params", {})),
                          scale_by_range=bool(d.get("scale_by_range", True)))
-
-
-def generate(gen: Generator, grid: DesignGrid) -> np.ndarray:
-    """Deterministic mean-function values on the design grid."""
-    return gen.values(grid)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """i.i.d. Gaussian noise with standard deviation sigma."""
-
-    sigma: float = 0.01
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise EbsplinesError(f"need sigma > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -168,14 +161,11 @@ class SimulationReport:
     eb_lambda_by_q: dict  # order -> (mean, var) of the fixed-order EB lambda
 
     def to_dict(self) -> dict:
-        def row(r: MethodRow) -> dict:
-            return {"method": r.method, "q": r.q, "mean_lambda": r.mean_lambda,
-                    "var_lambda": r.var_lambda, "amse": r.amse, "ratio": r.ratio}
         return {
             "schema_version": 1,
             "config": self.config.to_dict(),
-            "eb": row(self.eb),
-            "gcv": [row(r) for r in self.gcv],
+            "eb": asdict(self.eb),
+            "gcv": [asdict(r) for r in self.gcv],
             "q_hat_counts": {str(k): v for k, v in sorted(self.q_hat_counts.items())},
             "eb_lambda_by_q": {str(q): {"mean": m, "var": v}
                                for q, (m, v) in sorted(self.eb_lambda_by_q.items())},
@@ -204,20 +194,48 @@ def _moments(a: np.ndarray) -> tuple[float, float]:
     return float(np.mean(a)), 0.0
 
 
+def _truth(generator, grid: DesignGrid) -> tuple[np.ndarray, str]:
+    """True function values on the grid and their name: ``generator`` is an
+    object with a ``values(grid)`` method or the n values themselves."""
+    if hasattr(generator, "values"):
+        f_true = np.asarray(generator.values(grid), dtype=float)
+        name = getattr(generator, "kind", type(generator).__name__)
+    else:
+        f_true = np.asarray(generator, dtype=float)
+        name = "custom-values"
+    if len(f_true) != grid.n:
+        raise EbsplinesError("true function length does not match n")
+    return f_true, str(name)
+
+
+def _replicates(f_true: np.ndarray, sigma: float, seed: int, count: int,
+                samples: int = 1):
+    """Noisy samples f_true + sigma * eps for each of ``count`` replicates.
+
+    Replicate k draws its ``samples`` normal vectors, in order, from
+    ``default_rng`` on the k-th child of ``SeedSequence(seed)``, so every
+    replicate replays bit for bit whatever runs before it.
+    """
+    if count < 1:
+        raise EbsplinesError("need at least one replicate")
+    n = len(f_true)
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count))
+    return (tuple(f_true + sigma * rng.standard_normal(n) for _ in range(samples))
+            for rng in rngs)
+
+
 def run_study(config: StudyConfig) -> SimulationReport:
     """Monte Carlo comparison of the adaptive EB fit and fixed-order GCV fits.
 
     All methods see identical data streams; aggregates are invariant to the
     order in which replicates run.
     """
-    if config.replicates < 1:
-        raise EbsplinesError("need at least one replicate")
     grid = design_grid(config.n, config.design_convention)
-    gen_values = config.generator.values(grid)
+    gen_values, _ = _truth(config.generator, grid)
     family = ModelFamily(grid, kind=ANALYTIC)
     qgrid = config.resolved_q_grid()
-    n = config.n
     M = config.replicates
+    draws = _replicates(gen_values, config.sigma, config.seed, M)
 
     eb_lam = np.empty(M)
     eb_err = np.empty(M)
@@ -226,10 +244,7 @@ def run_study(config: StudyConfig) -> SimulationReport:
     gcv_lam = {q: np.empty(M) for q in config.gcv_orders}
     gcv_err = {q: np.empty(M) for q in config.gcv_orders}
 
-    streams = np.random.SeedSequence(config.seed).spawn(M)
-    for k in range(M):
-        rng = np.random.default_rng(streams[k])
-        y = gen_values + config.sigma * rng.standard_normal(n)
+    for k, (y,) in enumerate(draws):
         res = fit(family, y, qgrid=qgrid)
         eb_lam[k] = res.lambda_hat
         eb_err[k] = float(np.mean((res.fitted - gen_values) ** 2))
@@ -258,3 +273,121 @@ def run_study(config: StudyConfig) -> SimulationReport:
     lam_by_q = {float(q): _moments(by_q[q]) for q in qgrid}
     return SimulationReport(config=config, eb=eb_row, gcv=tuple(gcv_rows),
                             q_hat_counts=counts, eb_lambda_by_q=lam_by_q)
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    generator: str
+    n: int
+    replicates: int
+    L: float
+    alpha: float
+    sigma: float
+    coverage: float
+    radius_quantiles: dict
+    q_hat_counts: dict
+    seed: int
+
+    def to_dict(self) -> dict:
+        return {"schema_version": 1, **asdict(self)}
+
+
+def coverage_experiment(generator, n: int, replicates: int, L: float = 2.0,
+                        spec: RadiusSpec = RadiusSpec(), sigma: float = 0.01,
+                        seed: int = 0) -> CoverageReport:
+    """Empirical coverage of the adaptive credible ball over replicates.
+
+    ``generator`` is either a vector of true function values of length n or an
+    object with a ``values(grid)`` method.  Each replicate fits one noisy
+    sample on the midpoint design, builds the ball and records membership of
+    the truth plus the realized radius.
+    """
+    grid = design_grid(n)
+    f_true, gen_name = _truth(generator, grid)
+    family = ModelFamily(grid)
+    hits = 0
+    radii = []
+    q_counts: dict[float, int] = {}
+    for (y,) in _replicates(f_true, sigma, seed, replicates):
+        res = fit(family, y)
+        ball = credible_ball(res, L=L, spec=spec)
+        hits += ball.contains(f_true)
+        radii.append(ball.radius)
+        q_counts[res.q_hat] = q_counts.get(res.q_hat, 0) + 1
+
+    radii = np.asarray(radii)
+    quants = {str(p): float(np.quantile(radii, p)) for p in (0.1, 0.25, 0.5, 0.75, 0.9)}
+    return CoverageReport(generator=gen_name, n=n, replicates=replicates,
+                          L=L, alpha=spec.alpha, sigma=sigma,
+                          coverage=hits / replicates,
+                          radius_quantiles=quants,
+                          q_hat_counts={str(k): v for k, v in sorted(q_counts.items())},
+                          seed=seed)
+
+
+@dataclass(frozen=True)
+class GcvBallReport:
+    generator: str
+    n: int
+    replicates: int
+    beta: float
+    sigma: float
+    coverage_gcv_ball: dict
+    coverage_eb_ball: float
+    gcv_ball_radius: float
+    seed: int
+
+    def to_dict(self) -> dict:
+        return {"schema_version": 1, **asdict(self)}
+
+
+def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
+                        spec: RadiusSpec = RadiusSpec(), sigma: float = 0.01,
+                        beta: float | None = None, convention: str = "midpoint",
+                        seed: int = 0, two_samples: bool = True) -> GcvBallReport:
+    """Coverage of a ball centered at the GCV fit with the radius calibrated
+    for the empirical-Bayes posterior ball (true sigma, oracle lambda at the
+    generator's nominal order beta).
+
+    Each replicate draws two independent samples at the same design: the GCV
+    smoothing parameter comes from one sample and the fit uses the other
+    (``two_samples=False`` exposes the single-sample variant).  A matched
+    empirical-Bayes arm fits the first sample and builds its own ball with
+    L = 2 for contrast.
+    """
+    grid = design_grid(n, convention)
+    f_true, gen_name = _truth(generator, grid)
+    if beta is None:
+        beta = getattr(generator, "beta", None)
+    if beta is None:
+        raise EbsplinesError("nominal smoothness beta is required")
+
+    family = ModelFamily(grid)
+    model_beta = family.model(float(beta))
+    spectrum = SignalSpectrum(B=model_beta.basis.forward(f_true),
+                              beta_nominal=float(beta))
+    lam_beta = oracle_lambda(spectrum, sigma * sigma, float(beta),
+                             method="numeric-root").lambda_q
+    ball_radius = sigma * radius(model_beta, lam_beta, spec)
+
+    q_choices = tuple(float(q) for q in q_choices)
+    hits_gcv = {q: 0 for q in q_choices}
+    hits_eb = 0
+    for ys in _replicates(f_true, sigma, seed, replicates, 2 if two_samples else 1):
+        y1, y2 = ys[0], ys[-1]
+        for q in q_choices:
+            m = family.model(q)
+            lam_f = select_lambda_gcv(m, y2).lambda_f_hat
+            fhat = smooth(m, y1, lam_f)
+            if rms_norm(fhat - f_true) <= ball_radius:
+                hits_gcv[q] += 1
+        res = fit(family, y1)
+        if credible_ball(res, L=2.0, spec=spec).contains(f_true):
+            hits_eb += 1
+
+    return GcvBallReport(
+        generator=gen_name, n=n, replicates=replicates, beta=float(beta),
+        sigma=sigma,
+        coverage_gcv_ball={str(q): hits_gcv[q] / replicates for q in q_choices},
+        coverage_eb_ball=hits_eb / replicates,
+        gcv_ball_radius=float(ball_radius), seed=seed)

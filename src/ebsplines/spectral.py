@@ -33,8 +33,8 @@ transform.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,18 +151,18 @@ def penalty_eigenvalues(q: float, n: int) -> EigenSequence:
     return eigenvalues(q, n, offset=0.5 * (float(q) + 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisHandle:
     """Orthonormal transform Phi plus bookkeeping.
 
     ``forward`` applies Phi^T (analysis), ``inverse`` applies Phi (synthesis).
     For the exact backend, ``exact_eigenvalues`` carries the eigensolve's own
-    n*eta sequence.
+    n*eta sequence.  Handles are shared per transform (``make_basis``) and
+    compare by identity.
     """
 
     kind: str
     n: int
-    q_degree: int
     _matrix: np.ndarray | None = field(default=None, repr=False)
     exact_eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
@@ -192,29 +192,21 @@ class BasisHandle:
         return c @ self._matrix.T
 
 
-_dct_cache: dict[int, np.ndarray] = {}
-_exact_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_cache_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=8)
 def _dct_matrix(n: int) -> np.ndarray:
-    with _cache_lock:
-        m = _dct_cache.get(n)
-    if m is None:
-        # synthesis matrix: column k is the orthonormal cosine of frequency k-1
-        m = dct(np.eye(n), type=2, norm="ortho", axis=0).T
-        with _cache_lock:
-            _dct_cache[n] = m
-            while len(_dct_cache) > 8:
-                _dct_cache.pop(next(iter(_dct_cache)))
-    return m
+    # synthesis matrix: column k is the orthonormal cosine of frequency k-1
+    return dct(np.eye(n), type=2, norm="ortho", axis=0).T
 
 
-def _exact_decomposition(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    with _cache_lock:
-        hit = _exact_cache.get((q, n))
-    if hit is not None:
-        return hit
+@functools.lru_cache(maxsize=8)
+def _cosine_basis(n: int) -> BasisHandle:
+    # the cosine transform does not depend on the order, so the analytic
+    # models on n sites share this one handle
+    return BasisHandle(kind=ANALYTIC, n=n)
+
+
+@functools.lru_cache(maxsize=8)
+def _exact_basis(q: int, n: int) -> BasisHandle:
     # order-q finite differences scaled so the quadratic form approximates
     # the integral of (f^(q))^2; symmetric by construction
     D = np.eye(n)
@@ -229,12 +221,7 @@ def _exact_decomposition(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     # deterministic column signs
     j = np.argmax(np.abs(U), axis=0)
     U = U * np.sign(U[j, np.arange(n)])
-    out = (n * w, U)
-    with _cache_lock:
-        _exact_cache[(q, n)] = out
-        while len(_exact_cache) > 8:
-            _exact_cache.pop(next(iter(_exact_cache)))
-    return out
+    return BasisHandle(kind=EXACT, n=n, _matrix=U, exact_eigenvalues=n * w)
 
 
 def make_basis(grid: DesignGrid, q: float, kind: str = ANALYTIC) -> BasisHandle:
@@ -243,11 +230,11 @@ def make_basis(grid: DesignGrid, q: float, kind: str = ANALYTIC) -> BasisHandle:
     ``analytic-surrogate`` works for any admissible q; ``exact-eigen`` is
     restricted to q in {1, 2} and n <= 512 (the assembled penalty eigensolve
     is the test oracle, and higher orders are numerically unreliable).
+    Handles are cached: every analytic model on n sites shares one.
     """
     n = grid.n
-    d = int(math.floor(q))
     if kind == ANALYTIC:
-        return BasisHandle(kind=ANALYTIC, n=n, q_degree=d)
+        return _cosine_basis(n)
     if kind == EXACT:
         if q not in (1, 2) or int(q) != q:
             raise UnsupportedBackendError(
@@ -255,9 +242,7 @@ def make_basis(grid: DesignGrid, q: float, kind: str = ANALYTIC) -> BasisHandle:
         if n > _EXACT_MAX_N:
             raise UnsupportedBackendError(
                 f"exact-eigen backend supports n <= {_EXACT_MAX_N}, got n = {n}")
-        neta, U = _exact_decomposition(int(q), n)
-        return BasisHandle(kind=EXACT, n=n, q_degree=d, _matrix=U,
-                           exact_eigenvalues=neta)
+        return _exact_basis(int(q), n)
     raise EbsplinesError(f"unknown basis kind {kind!r}")
 
 
@@ -305,7 +290,7 @@ class SpectralModel:
 
     @property
     def null_dim(self) -> int:
-        return self.basis.q_degree
+        return self.eigen.null_dim
 
     @property
     def offset(self) -> float | None:

@@ -106,6 +106,41 @@ class TestFitCommand:
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
 
 
+class TestCsvOutput:
+    """The CSV files hold every value as %.10g: -0 stays signed, subnormals
+    and large values keep their exponent."""
+
+    X = "0.0625 0.1875 0.3125 0.4375 0.5625 0.6875 0.8125 0.9375".split()
+    Y = "-0 4.940656458e-324 1e+11 0.1 -2.5 3 123456789.1 7e-05".split()
+
+    def test_fitted_csv_bytes(self, tmp_path):
+        y = [-0.0, 5e-324, 1e11, 0.1, -2.5, 3.0, 123456789.123, 7e-5]
+        p = tmp_path / "xy.csv"
+        _write_y_csv(p, y, x=[float(v) for v in self.X])
+        fitted = tmp_path / "fitted.csv"
+        assert main(["fit", str(p), "--fitted-csv", str(fitted)]) == 0
+        f = e.fit_design(y).fitted
+        expected = "x,y,fitted\n" + "".join(
+            f"{a},{b},{v:.10g}\n" for a, b, v in zip(self.X, self.Y, f))
+        assert fitted.read_bytes() == expected.encode()
+
+    def test_samples_csv_bytes(self, tmp_path):
+        g = e.design_grid(16)
+        y = np.cos(2 * np.pi * g.x) + 0.05 * np.random.default_rng(6).standard_normal(16)
+        p = tmp_path / "y.csv"
+        _write_y_csv(p, y)
+        samples = tmp_path / "curves.csv"
+        assert main(["credible", str(p), "--seed", "4", "--draws", "3",
+                     "--samples-csv", str(samples),
+                     "--out", str(tmp_path / "b.json")]) == 0
+        curves = e.sample_posterior(
+            e.fit_design(y), 3, seed=np.random.SeedSequence(entropy=4, spawn_key=(1,)))
+        expected = "x,s1,s2,s3\n" + "".join(
+            f"{g.x[i]:.10g}," + ",".join(f"{c:.10g}" for c in curves[:, i]) + "\n"
+            for i in range(16))
+        assert samples.read_bytes() == expected.encode()
+
+
 class TestCredibleCommand:
     def test_ball_and_samples(self, tmp_path, sample_csv):
         out = tmp_path / "ball.json"

@@ -1,0 +1,41 @@
+"""Module layering, read from the import statements of the sources."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ebsplines
+
+SRC = Path(ebsplines.__file__).parent
+
+
+def _siblings(module: str) -> set[str]:
+    """Package modules that ``module`` imports, relatively or absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            path = [a.name.split(".") for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # from .x import y / from . import x
+            path = [["ebsplines", *(node.module or a.name).split(".")]
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            path = [[*node.module.split("."), a.name] for a in node.names]
+        else:
+            continue
+        found.update(p[1] for p in path if p[0] == "ebsplines" and len(p) > 1)
+    return found
+
+
+@pytest.mark.parametrize("module", ["gcv", "credible"])
+def test_criteria_and_balls_import_no_experiment_code(module):
+    assert not _siblings(module) & {"oracles", "simlab"}
+
+
+def test_spectral_imports_only_errors():
+    assert _siblings("spectral") <= {"errors"}
+
+
+def test_parser_sees_the_imports():
+    assert {"credible", "gcv", "oracles", "selection", "spectral"} <= _siblings("simlab")

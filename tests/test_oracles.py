@@ -30,11 +30,6 @@ class TestKappa:
         with pytest.raises(EbsplinesError):
             e.kappa(0.4, 0, 1)
 
-    def test_table(self):
-        t = e.kappa_table(2.0, max_m=2, max_l=3)
-        assert t[(0, 1)] == e.kappa(2.0, 0, 1)
-        assert all(v > 0 and math.isfinite(v) for v in t.entries.values())
-
 
 class TestTraceApproximation:
     @pytest.mark.parametrize("q,lam", [(1.0, 1e-4), (2.0, 1e-6), (3.0, 1e-8)])
@@ -137,6 +132,26 @@ class TestOracleLambda:
         l1 = e.oracle_lambda(f1_spectrum, 1e-4, q).lambda_q
         l2 = e.oracle_lambda(f1_spectrum, 2e-4, q).lambda_q
         assert l2 / l1 == pytest.approx(2.0 ** (2 * q / (2 * q + 1)), rel=1e-10)
+
+    def test_numeric_root_bit_identical_under_rescaling(self):
+        # B -> c B with sigma^2 -> c^2 sigma^2 rescales E T_lam; the bisection
+        # follows only its sign: 6 orders x 3 scales x 8 spectra
+        mismatches = []
+        for n in (200, 1000):
+            fam = e.ModelFamily(e.design_grid(n))
+            for kind in ("f1-spectral", "f2-cosine"):
+                f = e.Generator(kind=kind).values(fam.grid)
+                for q in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+                    B = fam.model(q).basis.forward(f)
+                    for s2 in (1e-4, 1e-2):
+                        ref = e.oracle_lambda(e.SignalSpectrum(B=B), s2, q,
+                                              "numeric-root").lambda_q
+                        for c in (3.0, 1e-3, 2.0 ** -40):
+                            lam = e.oracle_lambda(e.SignalSpectrum(B=c * B), c * c * s2,
+                                                  q, "numeric-root").lambda_q
+                            if lam != ref:
+                                mismatches.append((n, kind, q, s2, c))
+        assert mismatches == []
 
     def test_closed_form_vs_numeric_root_on_log_scale(self, f1_spectrum):
         lc = e.oracle_lambda(f1_spectrum, 1e-4, 3.0, "closed-form").lambda_q

@@ -188,6 +188,26 @@ class TestSolveLambda:
         lam2 = e.solve_lambda(m, 7.3 * x).lam
         assert lam1 == lam2
 
+    def test_bit_identical_under_rescaled_data(self):
+        # the bisection follows only the sign of T_lam, so rescaling the data
+        # moves no midpoint: 6 orders x 3 scales x 20 data sets
+        n = 500
+        fam = e.ModelFamily(e.design_grid(n))
+        signals = [e.Generator(kind=k).values(fam.grid)
+                   for k in ("f1-spectral", "f2-cosine")]
+        mismatches = []
+        for seed in range(10):
+            noise = 0.01 * np.random.default_rng(seed).standard_normal(n)
+            for f in signals:
+                y = f + noise
+                for q in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+                    m = fam.model(q)
+                    lam = e.solve_lambda(m, m.basis.forward(y)).lam
+                    for c in (3.0, 1e-3, 2.0 ** -40):
+                        if e.solve_lambda(m, m.basis.forward(c * y)).lam != lam:
+                            mismatches.append((seed, q, c))
+        assert mismatches == []
+
 
 class TestSigma2Hat:
     def test_limits(self):
@@ -312,6 +332,41 @@ class TestFit:
         y = 5.0 + 1e-12 * np.cos(2 * np.pi * g.x)
         res = e.fit(e.ModelFamily(g), y)
         assert res.sigma2_hat >= 0.0
+
+    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    def test_fit_is_equivariant_at_extreme_scales(self, c):
+        n = 200
+        fam = e.ModelFamily(e.design_grid(n))
+        for kind in ("f1-spectral", "f2-cosine"):
+            y = (e.Generator(kind=kind).values(fam.grid)
+                 + 0.01 * np.random.default_rng(4).standard_normal(n))
+            ref, res = e.fit(fam, y), e.fit(fam, c * y)
+            assert (res.lambda_hat, res.q_hat) == (ref.lambda_hat, ref.q_hat)
+            assert res.sigma2_hat / c ** 2 == pytest.approx(ref.sigma2_hat, rel=1e-12)
+            assert np.allclose(res.fitted / c, ref.fitted, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_unstorable_noise_variance_raises(self, c):
+        # sigma2_hat ~ c^2 * 1e-4 leaves the float range beyond about 1e+-154
+        n = 200
+        fam = e.ModelFamily(e.design_grid(n))
+        y = (e.Generator(kind="f1-spectral").values(fam.grid)
+             + 0.01 * np.random.default_rng(4).standard_normal(n))
+        with pytest.raises(EbsplinesError, match="float range"):
+            e.fit(fam, c * y)
+
+    def test_one_forward_transform_per_fit(self, monkeypatch):
+        # every analytic order shares one basis, so selecting q over six
+        # orders and smoothing at the chosen one transform the data once
+        calls = []
+        forward = e.BasisHandle.forward
+        monkeypatch.setattr(e.BasisHandle, "forward",
+                            lambda self, y: calls.append(1) or forward(self, y))
+        fam = e.ModelFamily(e.design_grid(1000))
+        y = (np.cos(3 * np.pi * fam.grid.x)
+             + 0.01 * np.random.default_rng(5).standard_normal(1000))
+        e.fit(fam, y)
+        assert len(calls) == 1
 
     def test_fit_design_wrapper(self):
         y = np.cos(2 * np.pi * np.arange(1, 101) / 100.0)

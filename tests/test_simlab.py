@@ -134,7 +134,3 @@ class TestStudyHarness:
         d = cfg.to_dict()
         back = e.StudyConfig.from_dict(d)
         assert back.to_dict() == d
-
-    def test_noise_model_validation(self):
-        with pytest.raises(EbsplinesError):
-            e.NoiseModel(sigma=0.0)
