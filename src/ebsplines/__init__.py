@@ -43,7 +43,6 @@ from .selection import (
     marginal_loglik,
     select_q,
     sigma2_hat,
-    smooth,
     solve_lambda,
     t_lambda,
     t_q,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -89,11 +88,10 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
 
 
 def _write_csv(path: str, header: str, columns) -> None:
-    """Columns of numbers as CSV, each value in %.10g."""
-    buf = io.StringIO()
-    np.savetxt(buf, np.column_stack(columns), fmt="%.10g", delimiter=",",
-               header=header, comments="")
-    _atomic_write(path, buf.getvalue())
+    """Columns of numbers as CSV, each value in %.10g, by one ``%``."""
+    a = np.column_stack(columns)
+    row = ",".join(["%.10g"] * a.shape[1]) + "\n"
+    _atomic_write(path, header + "\n" + row * len(a) % tuple(a.ravel().tolist()))
     print(f"wrote {path}", file=sys.stderr)
 
 

@@ -13,13 +13,14 @@ the experiments that use it live in ``simlab``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EbsplinesError
-from .selection import LAMBDA_MAX, LAMBDA_MIN
+from .selection import LAMBDA_MAX, LAMBDA_MIN, _dots, _scan, _tails
 from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,25 +34,36 @@ def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
     """GCV value at one smoothing parameter (homogeneous of degree 2 in Y)."""
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
-    x = np.asarray(coeffs, dtype=float)
-    d = model.null_dim
-    u = lam * model.eigen.values[d:]
-    r = u / (1.0 + u)
-    den = float(np.sum(r))
-    return model.n * float(np.dot(x[d:] ** 2, r * r)) / (den * den)
+    return _crit(*_tails(model.eigen, coeffs), model.n, model.null_dim, None, lam)
 
 
 def mallows_cp(model: SpectralModel, coeffs, lam: float, sigma2: float) -> float:
     """Mallows' C_p: ||(I-S)Y||^2 + 2 sigma^2 tr(S) - n sigma^2 (spectral form)."""
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
-    x = np.asarray(coeffs, dtype=float)
-    d = model.null_dim
-    u = lam * model.eigen.values[d:]
+    return _crit(*_tails(model.eigen, coeffs), model.n, model.null_dim, sigma2, lam)
+
+
+def _crit(x2, nz, n, d, sigma2, lam):
+    """GCV (sigma2 None) or C_p at lam, from the tail X^2 and n*eta."""
+    u = lam * nz
     r = u / (1.0 + u)
-    rss = float(np.dot(x[d:] ** 2, r * r))
-    tr_s = d + float(np.sum(1.0 / (1.0 + u)))
-    return rss + 2.0 * sigma2 * tr_s - model.n * sigma2
+    rss = float(np.dot(x2, r * r))
+    if sigma2 is None:
+        den = float(np.sum(r))
+        return n * rss / (den * den)
+    return rss + 2.0 * sigma2 * (d + float(np.sum(1.0 / (1.0 + u)))) - n * sigma2
+
+
+def _crit_rows(x2, n, d, sigma2, u, v, w):
+    """``_crit`` for each row of u = lam * nz (see ``selection._scan``)."""
+    np.add(u, 1.0, out=v)
+    np.divide(u, v, out=u)
+    rss = _dots(x2, np.multiply(u, u, out=w))
+    if sigma2 is None:
+        den = u.sum(axis=1)
+        return n * rss / (den * den)
+    return rss + 2.0 * sigma2 * (d + np.divide(1.0, v, out=v).sum(axis=1)) - n * sigma2
 
 
 @dataclass(frozen=True)
@@ -68,24 +80,29 @@ def select_lambda_gcv(model: SpectralModel, y, criterion: str = "gcv",
                       ) -> GcvResult:
     """Minimize the criterion in log lambda: coarse grid, then golden section.
 
-    The refinement targets relative accuracy 1e-4 in log lambda; a minimizer
-    at either end of the coarse grid sets the boundary flag.
+    The coarse grid is evaluated in blocks, bitwise equal to the scalar
+    criterion.  The refinement targets relative accuracy 1e-4 in log lambda;
+    a minimizer at either end of the coarse grid sets the boundary flag.
     """
     x = model.basis.forward(np.asarray(y, dtype=float))
-    if criterion == "gcv":
-        def crit(lam: float) -> float:
-            return gcv_criterion(model, x, lam)
-    elif criterion == "cp":
-        if sigma2 is None:
-            raise EbsplinesError("Mallows' C_p needs a known sigma2")
-        def crit(lam: float) -> float:
-            return mallows_cp(model, x, lam, sigma2)
-    else:
+    return _select_gcv(model, x, criterion, sigma2, lam_range)
+
+
+def _select_gcv(model, coeffs, criterion="gcv", sigma2=None,
+                lam_range=(LAMBDA_MIN, LAMBDA_MAX)) -> GcvResult:
+    """``select_lambda_gcv`` from the coefficients Phi^T y."""
+    if criterion not in ("gcv", "cp"):
         raise EbsplinesError(f"unknown criterion {criterion!r}")
+    if criterion == "cp" and sigma2 is None:
+        raise EbsplinesError("Mallows' C_p needs a known sigma2")
+    sigma2 = sigma2 if criterion == "cp" else None
+    x2, nz = _tails(model.eigen, coeffs)
+    crit = functools.partial(_crit, x2, nz, model.n, model.null_dim, sigma2)
 
     lo, hi = lam_range
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
-    vals = [crit(l) for l in grid]
+    vals = _scan(functools.partial(_crit_rows, x2, model.n, model.null_dim, sigma2),
+                 nz, grid)
     j = int(np.argmin(vals))
     boundary = j in (0, _GRID_POINTS - 1)
 

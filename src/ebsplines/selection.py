@@ -48,6 +48,9 @@ from .spectral import (
 LAMBDA_MIN = 1e-28
 LAMBDA_MAX = 1.0
 
+# Entries of each (rows x n) buffer of ``_scan`` (128 KB, one row at least).
+_BLOCK_ENTRIES = 16384
+
 
 def _tails(eigen: EigenSequence, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Squared coefficients and eigenvalues beyond the null space."""
@@ -86,10 +89,42 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
 
 def _t_lam(x2: np.ndarray, nz: np.ndarray, n: int, lam: float) -> float:
     u = lam * nz
-    r = u / (1.0 + u)
-    a = float(np.dot(x2, r / (1.0 + u))) / n
-    b = float(np.dot(x2, r)) * float(np.sum(1.0 / (1.0 + u))) / (n * n)
+    v = 1.0 + u
+    r = u / v
+    a = float(np.dot(x2, r / v)) / n
+    b = float(np.dot(x2, r)) * float(np.sum(1.0 / v)) / (n * n)
     return a - b
+
+
+def _t_lam_rows(x2, n, u, v, w) -> np.ndarray:
+    """``_t_lam`` for each row of u = lam * nz (see ``_scan``)."""
+    np.add(u, 1.0, out=v)
+    np.divide(u, v, out=u)
+    np.divide(u, v, out=w)
+    np.divide(1.0, v, out=v)
+    return _dots(x2, w) / n - _dots(x2, u) * v.sum(axis=1) / (n * n)
+
+
+def _dots(x2: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """np.dot(x2, row) for each row of a (``a @ x2`` sums in another order)."""
+    return np.fromiter(map(x2.dot, a), float, len(a))
+
+
+def _scan(rows_fn, nz: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """A criterion at each of ``lams``, a block of lambdas at a time.
+
+    ``rows_fn(u, v, w)`` gets u = lam * nz (a row per lambda) and two scratch
+    arrays of its shape to work in place.  It reduces each row by ``_dots`` and
+    ``sum(axis=1)``, in the order of the scalar kernel's ``np.dot`` and ``sum``,
+    and the rest is element-wise, so the values equal the scalar ones bit for bit.
+    """
+    rows = max(1, min(len(lams), _BLOCK_ENTRIES // len(nz)))
+    bufs = np.empty((3, rows, len(nz)))
+    vals = np.empty(len(lams))
+    for s in range(0, len(lams), rows):
+        u, v, w = bufs[:, :len(lams[s:s + rows])]
+        vals[s:s + rows] = rows_fn(np.multiply(lams[s:s + rows, None], nz, out=u), v, w)
+    return vals
 
 
 def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
@@ -174,9 +209,10 @@ def solve_lambda(model: SpectralModel, coeffs,
                  tol: float | None = None) -> LambdaSolve:
     """Solve T_lam(lambda) = 0 by sign-bracketing bisection in log lambda.
 
-    The interval is scanned on a log grid; each sign change from negative to
-    positive (a maximum of the marginal likelihood) is refined and, in the
-    rare multi-root case, the root with the highest marginal likelihood wins.
+    The interval is scanned on a log grid (in blocks, bitwise equal to the
+    scalar T_lam); each sign change from negative to positive (a maximum of
+    the marginal likelihood) is refined and, in the rare multi-root case, the
+    root with the highest marginal likelihood wins.
     Without a sign change anywhere, the endpoint of the theory interval
     [1/n, 1] with the smaller |T_lam| is returned with the boundary flag set
     -- that outcome is data, not an error.
@@ -195,7 +231,7 @@ def solve_lambda(model: SpectralModel, coeffs,
     if not (0 < lo < hi):
         raise EbsplinesError(f"bad lambda range {lam_range}")
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
-    tv = [tval(l) for l in grid]
+    tv = _scan(functools.partial(_t_lam_rows, x2, n), nz, grid)
     brackets = [(grid[j], grid[j + 1])
                 for j in range(_SCAN_POINTS - 1) if tv[j] < 0 < tv[j + 1]]
     if not brackets:
@@ -374,11 +410,9 @@ class FitResult:
         return self.model.n
 
 
-def smooth(model: SpectralModel, y, lam: float) -> np.ndarray:
-    """Apply the order-q smoother at a fixed lambda: Phi diag(w) Phi^T y."""
-    x = model.basis.forward(y)
-    w = smoother_weights(model.eigen, lam)
-    return model.basis.inverse(w * x)
+def _smooth(model: SpectralModel, x: np.ndarray, lam: float) -> np.ndarray:
+    """The order-q smoother at a fixed lambda, Phi diag(w) x, for x = Phi^T y."""
+    return model.basis.inverse(smoother_weights(model.eigen, lam) * x)
 
 
 # Relative spread max(y) - min(y) at or below which data are constant to
@@ -455,8 +489,7 @@ def fit(family: ModelFamily, y, qgrid=None,
         raise EbsplinesError(
             f"sigma2_hat = {s2:.6g} * 2^{2 * k} at data scale 2^{k} lies "
             "outside the normal float range")
-    w = smoother_weights(model.eigen, lam)
-    fitted = np.ldexp(model.basis.inverse(w * x), k)
+    fitted = np.ldexp(_smooth(model, x, lam), k)
     # T_q, like sigma2_hat, is quadratic in the data
     sel = replace(sel, per_q=tuple(replace(d, t_q_value=math.ldexp(d.t_q_value, 2 * k))
                                    for d in sel.per_q))

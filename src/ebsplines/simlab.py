@@ -29,9 +29,9 @@ import numpy as np
 
 from .credible import RadiusSpec, credible_ball, radius
 from .errors import EbsplinesError
-from .gcv import select_lambda_gcv
+from .gcv import _select_gcv
 from .oracles import SignalSpectrum, oracle_lambda
-from .selection import ModelFamily, default_q_grid, fit, smooth
+from .selection import ModelFamily, _smooth, default_q_grid, fit
 from .spectral import ANALYTIC, DesignGrid, design_grid, make_basis, rms_norm
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "polynomial", "custom-spectrum")
@@ -251,11 +251,12 @@ def run_study(config: StudyConfig) -> SimulationReport:
         q_hat[k] = res.q_hat
         for dg in res.selection.per_q:
             by_q[dg.q][k] = dg.lambda_hat
+        # res.coeffs is Phi^T y on the basis all orders share (see ``fit``)
         for q in config.gcv_orders:
             m = family.model(q)
-            lam_f = select_lambda_gcv(m, y).lambda_f_hat
+            lam_f = _select_gcv(m, res.coeffs).lambda_f_hat
             gcv_lam[q][k] = lam_f
-            gcv_err[q][k] = float(np.mean((smooth(m, y, lam_f) - gen_values) ** 2))
+            gcv_err[q][k] = float(np.mean((_smooth(m, res.coeffs, lam_f) - gen_values) ** 2))
 
     mean_eb, var_eb = _moments(eb_lam)
     amse_eb = float(np.mean(eb_err))
@@ -375,13 +376,13 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
     hits_eb = 0
     for ys in _replicates(f_true, sigma, seed, replicates, 2 if two_samples else 1):
         y1, y2 = ys[0], ys[-1]
+        res = fit(family, y1)  # res.coeffs = Phi^T y1, as in run_study
+        x2 = res.model.basis.forward(y2) if two_samples else res.coeffs
         for q in q_choices:
             m = family.model(q)
-            lam_f = select_lambda_gcv(m, y2).lambda_f_hat
-            fhat = smooth(m, y1, lam_f)
-            if rms_norm(fhat - f_true) <= ball_radius:
+            lam_f = _select_gcv(m, x2).lambda_f_hat
+            if rms_norm(_smooth(m, res.coeffs, lam_f) - f_true) <= ball_radius:
                 hits_gcv[q] += 1
-        res = fit(family, y1)
         if credible_ball(res, L=2.0, spec=spec).contains(f_true):
             hits_eb += 1
 

@@ -1,9 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 import ebsplines as e
+from ebsplines import cli
 from ebsplines.cli import main
 
 
@@ -139,6 +141,18 @@ class TestCsvOutput:
             f"{g.x[i]:.10g}," + ",".join(f"{c:.10g}" for c in curves[:, i]) + "\n"
             for i in range(16))
         assert samples.read_bytes() == expected.encode()
+
+    def test_bulk_writer_matches_savetxt(self, tmp_path):
+        # 2,000 rows of 21 values, edge values included, against the bytes
+        # np.savetxt writes for the same format
+        a = np.random.default_rng(8).standard_normal((2000, 21)) * 10.0 ** np.arange(-10, 11)
+        a[:8, 0] = [-0.0, 5e-324, 1e11, 1e-300, -1e300, np.inf, np.nan, 0.0]
+        header = "x," + ",".join(f"s{j+1}" for j in range(20))
+        out = tmp_path / "big.csv"
+        cli._write_csv(str(out), header, (a[:, 0], a[:, 1:]))
+        buf = io.StringIO()
+        np.savetxt(buf, a, fmt="%.10g", delimiter=",", header=header, comments="")
+        assert out.read_bytes() == buf.getvalue().encode()
 
 
 class TestCredibleCommand:

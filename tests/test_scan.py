@@ -1,0 +1,143 @@
+"""The blocked log-lambda scans (``selection._scan``) against the scalar
+criteria and against the one-lambda-at-a-time solvers, bit for bit."""
+
+import functools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ebsplines as e
+from ebsplines import gcv, selection
+
+CASES = [(n, q) for n in (8, 200, 1000, 2000, 16385) for q in (1.0, 1.5, 3.0, 6.0)
+         if n > 2 * math.floor(q)]
+
+
+def _data(n, q, seed=0, kind="f2-cosine", sigma=0.01):
+    m = e.ModelFamily(e.design_grid(n)).model(q)
+    f = e.Generator(kind=kind).values(m.grid)
+    return m, f + sigma * np.random.default_rng(seed).standard_normal(n)
+
+
+@pytest.mark.parametrize("n,q", CASES)
+def test_blocked_grids_equal_scalar_criteria(n, q):
+    m, y = _data(n, q)
+    x = m.basis.forward(y)
+    x2, nz = selection._tails(m.eigen, x)
+    d, sigma2 = m.null_dim, 1e-4
+    rows = max(1, selection._BLOCK_ENTRIES // len(nz))
+    # the production grids, and a random set of 2 * rows + 3 lambdas, so the
+    # last block is a partial one whenever a block holds more than one row
+    lams = [np.exp(np.linspace(math.log(1e-28), 0.0, k)) for k in (33, 60)]
+    lams.append(np.sort(10.0 ** np.random.default_rng(n).uniform(-28, 0, 2 * rows + 3)))
+    for grid in lams:
+        t = selection._scan(functools.partial(selection._t_lam_rows, x2, n), nz, grid)
+        g = selection._scan(functools.partial(gcv._crit_rows, x2, n, d, None), nz, grid)
+        cp = selection._scan(functools.partial(gcv._crit_rows, x2, n, d, sigma2), nz, grid)
+        assert np.array_equal(t, [e.t_lambda(m, x, l) for l in grid])
+        assert np.array_equal(g, [e.gcv_criterion(m, x, l) for l in grid])
+        assert np.array_equal(cp, [e.mallows_cp(m, x, l, sigma2) for l in grid])
+
+
+# -- the solvers as they were before the blocked scans: one lambda per call --
+
+def _loop_t_lam(x2, nz, n, lam):
+    u = lam * nz
+    r = u / (1.0 + u)
+    a = float(np.dot(x2, r / (1.0 + u))) / n
+    b = float(np.dot(x2, r)) * float(np.sum(1.0 / (1.0 + u))) / (n * n)
+    return a - b
+
+
+def _loop_solve_lambda(model, coeffs, lo=selection.LAMBDA_MIN, hi=selection.LAMBDA_MAX):
+    x2, nz = selection._tails(model.eigen, coeffs)
+    n = model.n
+    tol = (1e-3 / n) * max(float(np.mean(x2)), 1e-300)
+    tval = functools.partial(_loop_t_lam, x2, nz, n)
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), 33))
+    tv = [tval(l) for l in grid]
+    brackets = [(grid[j], grid[j + 1]) for j in range(32) if tv[j] < 0 < tv[j + 1]]
+    if not brackets:
+        lo_t = min(max(1.0 / n, lo), hi)
+        cand = [(abs(tval(hi)), hi), (abs(tval(lo_t)), lo_t)]
+        _, lam_b = min(cand, key=lambda c: c[0])
+        return e.LambdaSolve(lam=float(lam_b), t_value=tval(lam_b), boundary=True)
+    roots = [selection._bisect_log(tval, a, b, 1e-14, tol) for a, b in brackets]
+    if len(roots) > 1:
+        roots.sort(key=lambda rf: -e.marginal_loglik(model, coeffs, rf[0]))
+    lam, t_at = roots[0]
+    return e.LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
+
+
+def _loop_select_lambda_gcv(model, y, criterion="gcv", sigma2=None):
+    x = model.basis.forward(np.asarray(y, dtype=float))
+    d = model.null_dim
+
+    def crit(lam):
+        u = lam * model.eigen.values[d:]
+        r = u / (1.0 + u)
+        if criterion == "gcv":
+            den = float(np.sum(r))
+            return model.n * float(np.dot(x[d:] ** 2, r * r)) / (den * den)
+        rss = float(np.dot(x[d:] ** 2, r * r))
+        tr_s = d + float(np.sum(1.0 / (1.0 + u)))
+        return rss + 2.0 * sigma2 * tr_s - model.n * sigma2
+
+    grid = np.exp(np.linspace(math.log(selection.LAMBDA_MIN),
+                              math.log(selection.LAMBDA_MAX), 60))
+    vals = [crit(l) for l in grid]
+    j = int(np.argmin(vals))
+    boundary = j in (0, 59)
+    a, b = math.log(grid[max(j - 1, 0)]), math.log(grid[min(j + 1, 59)])
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, dd = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = crit(math.exp(c)), crit(math.exp(dd))
+    while (b - a) > 1e-4 * max(1.0, abs(a), abs(b)):
+        if fc <= fd:
+            b, dd, fd = dd, c, fc
+            c = b - inv_phi * (b - a)
+            fc = crit(math.exp(c))
+        else:
+            a, c, fc = c, dd, fd
+            dd = a + inv_phi * (b - a)
+            fd = crit(math.exp(dd))
+    lam = math.exp(0.5 * (a + b))
+    return e.GcvResult(lambda_f_hat=float(lam), q=model.q,
+                       criterion_value=float(crit(lam)), boundary_flag=boundary)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["f1-spectral", "f2-cosine"])
+def test_solvers_equal_the_loop_solvers(kind, seed):
+    # n and the noise level cycle so that pure-noise boundary solves and
+    # C_p minima at the grid ends are among the 20 data sets
+    n = (200, 1000, 2000)[seed % 3]
+    sigma = (0.001, 0.01, 0.3, 3.0)[seed % 4]
+    fam = e.ModelFamily(e.design_grid(n))
+    _, y = _data(n, 3.0, seed, kind, sigma)
+    for q in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0):
+        m = fam.model(q)
+        x = m.basis.forward(y)
+        assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)
+        assert (e.solve_lambda(m, x, lam_range=(1e-20, 1e-3))
+                == _loop_solve_lambda(m, x, 1e-20, 1e-3))
+        assert e.select_lambda_gcv(m, y) == _loop_select_lambda_gcv(m, y)
+        assert (e.select_lambda_gcv(m, y, criterion="cp", sigma2=sigma * sigma)
+                == _loop_select_lambda_gcv(m, y, "cp", sigma * sigma))
+
+
+def test_scans_stay_within_a_few_rows_of_memory_at_large_n():
+    # a (33 or 60) x n broadcast would take 16.9 / 30.7 MB at n = 64,000;
+    # the blocks keep the two selections below 4 MB
+    m, y = _data(64000, 3.0)
+    x = m.basis.forward(y)
+    tracemalloc.start()
+    try:
+        e.solve_lambda(m, x)
+        e.select_lambda_gcv(m, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -104,6 +104,17 @@ class TestStudyHarness:
         assert rep.eb.var_lambda == 0.0
         assert rep.q_hat_counts == {res.q_hat: 1}
 
+    def test_one_forward_transform_per_replicate(self, monkeypatch):
+        # the GCV arms select and smooth from the fit's own coefficients
+        calls = []
+        forward = e.BasisHandle.forward
+        monkeypatch.setattr(e.BasisHandle, "forward",
+                            lambda self, y: calls.append(1) or forward(self, y))
+        cfg = e.StudyConfig(generator=e.Generator(kind="f1-spectral"), n=64,
+                            replicates=3, sigma=0.05, seed=21)
+        e.run_study(cfg)
+        assert len(calls) == 3
+
     def test_replay_identical(self):
         cfg = e.StudyConfig(generator=e.Generator(kind="f2-cosine"), n=64,
                             replicates=5, sigma=0.05, seed=21, gcv_orders=(2.0, 3.0))
