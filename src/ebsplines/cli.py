@@ -30,6 +30,11 @@ from .spectral import design_grid
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+# Largest relative deviation of an x step from the mean step.  The %.10g x
+# column of ``fit --fitted-csv`` moves an x in [0.1, 1] by up to 5e-11, so a
+# step 1/n by up to 1e-10 * n of it (6.4e-6 at n = 64,000): it reads back.
+_SPACING_RTOL = 1e-4
+
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -46,7 +51,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
     """CSV with header ``x,y`` or ``y``; raises EbsplinesError with the
-    offending line number on malformed or non-finite input."""
+    offending line number on malformed or non-finite input, and on x that is
+    not strictly increasing and equally spaced (the fit assumes an
+    equidistant design)."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -64,7 +71,7 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
             has_x = False
         else:
             raise EbsplinesError(f"{path}: line 1: header must be 'x,y' or 'y'")
-        xs, ys = [], []
+        rows, lines = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -76,15 +83,22 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
                 raise EbsplinesError(f"{path}: line {lineno}: non-numeric value") from None
             if not all(math.isfinite(v) for v in vals):
                 raise EbsplinesError(f"{path}: line {lineno}: non-finite value")
-            if has_x:
-                xs.append(vals[0])
-                ys.append(vals[1])
-            else:
-                ys.append(vals[0])
-    if not ys:
+            rows.extend(vals)
+            lines.append(lineno)
+    if not lines:
         raise EbsplinesError(f"{path}: no data rows")
-    x = np.asarray(xs) if has_x else None
-    return x, np.asarray(ys)
+    a = np.asarray(rows).reshape(len(lines), len(cols))
+    if not has_x:
+        return None, a[:, 0]
+    x = a[:, 0]
+    dx = np.diff(x)
+    h = (x[-1] - x[0]) / max(len(x) - 1, 1)
+    for bad, what in ((dx <= 0, "not strictly increasing"),
+                      (np.abs(dx - h) > _SPACING_RTOL * h, "not equally spaced")):
+        if bad.any():
+            j = int(np.argmax(bad)) + 1
+            raise EbsplinesError(f"{path}: line {lines[j]}: x = {x[j]!r} is {what}")
+    return x, a[:, 1]
 
 
 def _write_csv(path: str, header: str, columns) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EbsplinesError
-from .selection import LAMBDA_MAX, LAMBDA_MIN, _dots, _scan, _tails
+from .selection import LAMBDA_MAX, LAMBDA_MIN, _at, _dots, _scan, _tails
 from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -32,38 +32,32 @@ _GRID_POINTS = 60
 
 def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
     """GCV value at one smoothing parameter (homogeneous of degree 2 in Y)."""
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
-    return _crit(*_tails(model.eigen, coeffs), model.n, model.null_dim, None, lam)
+    return _crit_at(model, coeffs, None, lam)
 
 
 def mallows_cp(model: SpectralModel, coeffs, lam: float, sigma2: float) -> float:
     """Mallows' C_p: ||(I-S)Y||^2 + 2 sigma^2 tr(S) - n sigma^2 (spectral form)."""
+    return _crit_at(model, coeffs, sigma2, lam)
+
+
+def _crit_at(model, coeffs, sigma2, lam):
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
-    return _crit(*_tails(model.eigen, coeffs), model.n, model.null_dim, sigma2, lam)
-
-
-def _crit(x2, nz, n, d, sigma2, lam):
-    """GCV (sigma2 None) or C_p at lam, from the tail X^2 and n*eta."""
-    u = lam * nz
-    r = u / (1.0 + u)
-    rss = float(np.dot(x2, r * r))
-    if sigma2 is None:
-        den = float(np.sum(r))
-        return n * rss / (den * den)
-    return rss + 2.0 * sigma2 * (d + float(np.sum(1.0 / (1.0 + u)))) - n * sigma2
+    x2, nz = _tails(model.eigen, coeffs)
+    return _at(functools.partial(_crit_rows, x2, model.n, model.null_dim, sigma2), nz)(lam)
 
 
 def _crit_rows(x2, n, d, sigma2, u, v, w):
-    """``_crit`` for each row of u = lam * nz (see ``selection._scan``)."""
+    """GCV = n X^2.r^2 / (sum r)^2 (sigma2 None) or C_p = X^2.r^2 + 2 sigma2
+    (d + sum 1/v) - n sigma2, v = 1 + u, r = u/v, for each row of u = lam * nz
+    or for u itself when it is one row (see ``selection._scan`` and ``_at``)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     rss = _dots(x2, np.multiply(u, u, out=w))
     if sigma2 is None:
-        den = u.sum(axis=1)
+        den = u.sum(axis=-1)
         return n * rss / (den * den)
-    return rss + 2.0 * sigma2 * (d + np.divide(1.0, v, out=v).sum(axis=1)) - n * sigma2
+    return rss + 2.0 * sigma2 * (d + np.divide(1.0, v, out=v).sum(axis=-1)) - n * sigma2
 
 
 @dataclass(frozen=True)
@@ -80,8 +74,8 @@ def select_lambda_gcv(model: SpectralModel, y, criterion: str = "gcv",
                       ) -> GcvResult:
     """Minimize the criterion in log lambda: coarse grid, then golden section.
 
-    The coarse grid is evaluated in blocks, bitwise equal to the scalar
-    criterion.  The refinement targets relative accuracy 1e-4 in log lambda;
+    The coarse grid is evaluated in blocks, by the kernel the golden-section
+    steps use.  The refinement targets relative accuracy 1e-4 in log lambda;
     a minimizer at either end of the coarse grid sets the boundary flag.
     """
     x = model.basis.forward(np.asarray(y, dtype=float))
@@ -97,12 +91,12 @@ def _select_gcv(model, coeffs, criterion="gcv", sigma2=None,
         raise EbsplinesError("Mallows' C_p needs a known sigma2")
     sigma2 = sigma2 if criterion == "cp" else None
     x2, nz = _tails(model.eigen, coeffs)
-    crit = functools.partial(_crit, x2, nz, model.n, model.null_dim, sigma2)
+    rows = functools.partial(_crit_rows, x2, model.n, model.null_dim, sigma2)
+    crit = _at(rows, nz)
 
     lo, hi = lam_range
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
-    vals = _scan(functools.partial(_crit_rows, x2, model.n, model.null_dim, sigma2),
-                 nz, grid)
+    vals = _scan(rows, nz, grid)
     j = int(np.argmin(vals))
     boundary = j in (0, _GRID_POINTS - 1)
 

@@ -14,11 +14,11 @@ where d = floor(q).  Its zeros are located through two rescaled derivatives:
     T_q   = (1/n) sum X^2 u log(n*eta)/(1+u)^2
             - (1/n^2) (sum X^2 u/(1+u)) (sum log(n*eta)/(1+u)),
 
-with sums over i > d and the (negligible) dX^2/dq contribution dropped; the
-coefficients for real q reuse the floor(q) basis.  ``solve_lambda`` finds the
-root of T_lam for each q, ``select_q`` locates the sign change of
-T_q(lambda_hat_q, q) over a grid of orders, and ``fit`` assembles the final
-smoothing-spline estimate.
+with sums over i > d and the (negligible) dX^2/dq contribution dropped.  Every
+order shares the cosine coefficients X; only the eigenvalues depend on q.
+``solve_lambda`` finds the root of T_lam for each q, ``select_q`` locates the
+sign change of T_q(lambda_hat_q, q) over a grid of orders, and ``fit``
+assembles the final smoothing-spline estimate.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ import numpy as np
 
 from .errors import DegenerateDataError, EbsplinesError
 from .spectral import (
-    ANALYTIC,
     DesignGrid,
     EigenSequence,
     SpectralModel,
     design_grid,
-    penalty_eigenvalues,
+    make_basis,
     smoother_weights,
     spectral_model,
 )
@@ -87,27 +86,29 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
     return -0.5 * model.n * log_share + 0.5 * float(np.sum(log_r))
 
 
-def _t_lam(x2: np.ndarray, nz: np.ndarray, n: int, lam: float) -> float:
-    u = lam * nz
-    v = 1.0 + u
-    r = u / v
-    a = float(np.dot(x2, r / v)) / n
-    b = float(np.dot(x2, r)) * float(np.sum(1.0 / v)) / (n * n)
-    return a - b
-
-
-def _t_lam_rows(x2, n, u, v, w) -> np.ndarray:
-    """``_t_lam`` for each row of u = lam * nz (see ``_scan``)."""
+def _t_lam_rows(x2, n, u, v, w):
+    """T_lam = (1/n) X^2.(r/v) - (1/n^2) (X^2.r) sum(1/v), v = 1 + u, r = u/v,
+    for each row of u = lam * nz or for u itself when it is one row; u, v and
+    w are overwritten (see ``_scan`` and ``_at``)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.divide(u, v, out=w)
     np.divide(1.0, v, out=v)
-    return _dots(x2, w) / n - _dots(x2, u) * v.sum(axis=1) / (n * n)
+    return _dots(x2, w) / n - _dots(x2, u) * v.sum(axis=-1) / (n * n)
 
 
-def _dots(x2: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _dots(x2: np.ndarray, a: np.ndarray):
     """np.dot(x2, row) for each row of a (``a @ x2`` sums in another order)."""
+    if a.ndim == 1:
+        return x2.dot(a)
     return np.fromiter(map(x2.dot, a), float, len(a))
+
+
+def _at(rows_fn, nz: np.ndarray):
+    """The criterion of ``rows_fn`` as a function of one lambda: the row
+    kernel on the single row lam * nz, so a refinement step and a scan row
+    run the same operations and agree bit for bit."""
+    return lambda lam: float(rows_fn(lam * nz, np.empty_like(nz), np.empty_like(nz)))
 
 
 def _scan(rows_fn, nz: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -115,8 +116,8 @@ def _scan(rows_fn, nz: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
     ``rows_fn(u, v, w)`` gets u = lam * nz (a row per lambda) and two scratch
     arrays of its shape to work in place.  It reduces each row by ``_dots`` and
-    ``sum(axis=1)``, in the order of the scalar kernel's ``np.dot`` and ``sum``,
-    and the rest is element-wise, so the values equal the scalar ones bit for bit.
+    ``sum(axis=-1)`` and the rest is element-wise, so every value equals the
+    one ``_at`` gives for a single lambda, bit for bit.
     """
     rows = max(1, min(len(lams), _BLOCK_ENTRIES // len(nz)))
     bufs = np.empty((3, rows, len(nz)))
@@ -133,7 +134,7 @@ def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    return _t_lam(x2, nz, model.n, lam)
+    return _at(functools.partial(_t_lam_rows, x2, model.n), nz)(lam)
 
 
 def t_q(model: SpectralModel, coeffs, lam: float) -> float:
@@ -209,10 +210,10 @@ def solve_lambda(model: SpectralModel, coeffs,
                  tol: float | None = None) -> LambdaSolve:
     """Solve T_lam(lambda) = 0 by sign-bracketing bisection in log lambda.
 
-    The interval is scanned on a log grid (in blocks, bitwise equal to the
-    scalar T_lam); each sign change from negative to positive (a maximum of
-    the marginal likelihood) is refined and, in the rare multi-root case, the
-    root with the highest marginal likelihood wins.
+    The interval is scanned on a log grid (in blocks, by the kernel the
+    bisection steps use); each sign change from negative to positive (a
+    maximum of the marginal likelihood) is refined and, in the rare multi-root
+    case, the root with the highest marginal likelihood wins.
     Without a sign change anywhere, the endpoint of the theory interval
     [1/n, 1] with the smaller |T_lam| is returned with the boundary flag set
     -- that outcome is data, not an error.
@@ -225,13 +226,14 @@ def solve_lambda(model: SpectralModel, coeffs,
     n = model.n
     if tol is None:
         tol = (1e-3 / n) * max(float(np.mean(x2)), 1e-300)
-    tval = functools.partial(_t_lam, x2, nz, n)
+    rows = functools.partial(_t_lam_rows, x2, n)
+    tval = _at(rows, nz)
 
     lo, hi = lam_range
     if not (0 < lo < hi):
         raise EbsplinesError(f"bad lambda range {lam_range}")
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
-    tv = _scan(functools.partial(_t_lam_rows, x2, n), nz, grid)
+    tv = _scan(rows, nz, grid)
     brackets = [(grid[j], grid[j + 1])
                 for j in range(_SCAN_POINTS - 1) if tv[j] < 0 < tv[j + 1]]
     if not brackets:
@@ -252,30 +254,21 @@ def solve_lambda(model: SpectralModel, coeffs,
 
 
 class ModelFamily:
-    """Spectral models over a range of orders on one design grid.
-
-    Coefficients for real q reuse the floor(q) basis; every order pairs it
-    with the penalty-phase eigenvalues (``penalty_eigenvalues``).  Models are
-    cached per order.
+    """The production models on one design grid: ``spectral_model(grid, q)``,
+    the cosine basis with the order-q penalty-phase eigenvalues, cached per
+    order.  Every order shares ``basis``, so a fit transforms its data once.
     """
 
-    def __init__(self, grid: DesignGrid, kind: str = ANALYTIC):
+    def __init__(self, grid: DesignGrid):
         self.grid = grid
-        self.kind = kind
+        self.basis = make_basis(grid, 1.0)  # the cosine basis ignores the order
         self._models: dict[float, SpectralModel] = {}
 
     def model(self, q: float) -> SpectralModel:
         q = float(q)
         m = self._models.get(q)
         if m is None:
-            base = spectral_model(self.grid, math.floor(q), self.kind)
-            if q == math.floor(q):
-                m = base
-            else:
-                m = SpectralModel(grid=self.grid, q=q,
-                                  eigen=penalty_eigenvalues(q, self.grid.n),
-                                  basis=base.basis)
-            self._models[q] = m
+            m = self._models[q] = spectral_model(self.grid, q)
         return m
 
 
@@ -331,16 +324,11 @@ def select_q(family: ModelFamily, y, qgrid, policy: str = "integer") -> Selectio
     Policy "integer" rounds q* half-up to the nearest integer (clamped to the
     grid range); "raw" returns q* itself.
     """
-    return _select_q(family, _transforms(y), qgrid, policy)
+    return _select_q(family, family.basis.forward(y), qgrid, policy)
 
 
-def _transforms(y):
-    """basis -> Phi^T y, computed once per distinct basis: every analytic
-    model on a grid shares one basis, so a fit transforms its data once."""
-    return functools.cache(lambda basis: basis.forward(y))
-
-
-def _select_q(family: ModelFamily, coeffs, qgrid, policy: str) -> Selection:
+def _select_q(family: ModelFamily, x: np.ndarray, qgrid, policy: str) -> Selection:
+    """``select_q`` from the coefficients x = Phi^T y."""
     qgrid = tuple(float(q) for q in qgrid)
     if not qgrid:
         raise EbsplinesError("empty q grid")
@@ -353,7 +341,6 @@ def _select_q(family: ModelFamily, coeffs, qgrid, policy: str) -> Selection:
     tvals = []
     for q in qgrid:
         m = family.model(q)
-        x = coeffs(m.basis)
         sol = solve_lambda(m, x)
         tq = t_q(m, x, sol.lam)
         diags.append(QDiagnostic(q=q, lambda_hat=sol.lam, t_q_value=tq,
@@ -461,17 +448,16 @@ def fit(family: ModelFamily, y, qgrid=None,
     if qgrid is None:
         qgrid = default_q_grid(n)
     k = math.frexp(float(np.max(np.abs(y))))[1]
-    coeffs = _transforms(np.ldexp(y, -k))
+    x = family.basis.forward(np.ldexp(y, -k))
 
     if q_override is None:
-        sel = _select_q(family, coeffs, qgrid, "integer")
+        sel = _select_q(family, x, qgrid, "integer")
         q_hat = sel.q_hat
     else:
         q_hat = float(q_override)
         sel = Selection(q_hat=q_hat, q_star=q_hat, per_q=())
 
     model = family.model(q_hat)
-    x = coeffs(model.basis)
 
     if lambda_override is None:
         chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
@@ -499,9 +485,8 @@ def fit(family: ModelFamily, y, qgrid=None,
                      boundary=boundary)
 
 
-def fit_design(y, convention: str = "midpoint", kind: str = ANALYTIC,
-               **kwargs) -> FitResult:
+def fit_design(y, convention: str = "midpoint", **kwargs) -> FitResult:
     """Convenience wrapper: build the grid and family from the data length."""
     y = np.asarray(y, dtype=float)
-    family = ModelFamily(design_grid(len(y), convention), kind=kind)
+    family = ModelFamily(design_grid(len(y), convention))
     return fit(family, y, **kwargs)

@@ -2,7 +2,7 @@
 
 Two reference mean functions drive the comparisons: a spectrally defined
 signal with polynomially decaying coefficients ``(i+1)^(-beta) cos(2i)`` on
-the degree-beta basis (beta = 3), and the analytic ``cos(5 pi x)``.  Both are
+the cosine basis (beta = 3), and the analytic ``cos(5 pi x)``.  Both are
 scaled by their range.  Three experiments draw i.i.d. Gaussian noise around
 the true function through one replicate driver (one seeded substream per
 replicate, so results do not depend on the order in which replicates run):
@@ -32,7 +32,7 @@ from .errors import EbsplinesError
 from .gcv import _select_gcv
 from .oracles import SignalSpectrum, oracle_lambda
 from .selection import ModelFamily, _smooth, default_q_grid, fit
-from .spectral import ANALYTIC, DesignGrid, design_grid, make_basis, rms_norm
+from .spectral import DesignGrid, design_grid, make_basis, rms_norm
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "polynomial", "custom-spectrum")
 
@@ -64,8 +64,7 @@ class Generator:
             i = np.arange(1, n + 1, dtype=float)
             coeffs = np.zeros(n)
             coeffs[d:] = (i[d:] + 1.0) ** (-beta) * np.cos(2.0 * i[d:])
-            basis = make_basis(grid, d, ANALYTIC)
-            v = basis.inverse(coeffs)
+            v = make_basis(grid, d).inverse(coeffs)
         elif self.kind == "f2-cosine":
             freq = float(self.params.get("half_periods", 5.0))
             v = np.cos(freq * np.pi * grid.x)
@@ -83,8 +82,8 @@ class Generator:
             coeffs = np.asarray(self.params["coeffs"], dtype=float)
             if len(coeffs) != n:
                 raise EbsplinesError("custom spectrum length must equal n")
-            degree = int(self.params.get("degree", 1))
-            v = make_basis(grid, degree, ANALYTIC).inverse(coeffs)
+            # the cosine basis ignores the order, so a "degree" is inert
+            v = make_basis(grid, 1.0).inverse(coeffs)
         if self.scale_by_range:
             rng_span = float(v.max() - v.min())
             if rng_span > 0:
@@ -232,7 +231,7 @@ def run_study(config: StudyConfig) -> SimulationReport:
     """
     grid = design_grid(config.n, config.design_convention)
     gen_values, _ = _truth(config.generator, grid)
-    family = ModelFamily(grid, kind=ANALYTIC)
+    family = ModelFamily(grid)
     qgrid = config.resolved_q_grid()
     M = config.replicates
     draws = _replicates(gen_values, config.sigma, config.seed, M)

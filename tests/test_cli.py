@@ -53,6 +53,43 @@ class TestFitCommand:
         out = tmp_path / "fit.json"
         assert main(["fit", str(p), "--design", "right", "--out", str(out)]) == 0
 
+    def test_unsorted_x_exits_2(self, tmp_path, capsys):
+        g = e.design_grid(64)
+        x = g.x.copy()
+        x[[10, 11]] = x[[11, 10]]
+        p = tmp_path / "xy.csv"
+        _write_y_csv(p, np.sin(np.pi * g.x), x=x)
+        assert main(["fit", str(p)]) == 2
+        # site 11 sits on line 13 (header, then site 0 on line 2)
+        assert "line 13" in capsys.readouterr().err
+
+    def test_irregular_x_exits_2(self, tmp_path, capsys):
+        g = e.design_grid(64)
+        x = g.x.copy()
+        x[20] += 0.1 / 64
+        p = tmp_path / "xy.csv"
+        _write_y_csv(p, np.sin(np.pi * g.x), x=x)
+        assert main(["fit", str(p)]) == 2
+        assert "line 22" in capsys.readouterr().err
+
+    def test_fitted_csv_round_trip(self, tmp_path):
+        # the %.10g x column that --fitted-csv writes reads back as an
+        # equidistant design; at n = 63,000 its rounding moves a step by up
+        # to 5.3e-6 of it (multiples of 1/64,000 print exactly)
+        n = 63000
+        g = e.design_grid(n)
+        y = np.cos(2 * np.pi * g.x) + 0.05 * np.random.default_rng(3).standard_normal(n)
+        p = tmp_path / "y.csv"
+        _write_y_csv(p, y)
+        fitted = tmp_path / "fitted.csv"
+        assert main(["fit", str(p), "--fitted-csv", str(fitted),
+                     "--out", str(tmp_path / "a.json")]) == 0
+        xy = tmp_path / "xy.csv"
+        xy.write_text("x,y\n" + "".join(
+            ",".join(line.split(",")[:2]) + "\n"
+            for line in fitted.read_text().splitlines()[1:]))
+        assert main(["fit", str(xy), "--out", str(tmp_path / "b.json")]) == 0
+
     def test_constant_column_exits_2(self, tmp_path, capsys):
         # nothing beyond the constant: DegenerateDataError, not a fit
         p = tmp_path / "const.csv"

@@ -39,3 +39,9 @@ def test_spectral_imports_only_errors():
 
 def test_parser_sees_the_imports():
     assert {"credible", "gcv", "oracles", "selection", "spectral"} <= _siblings("simlab")
+
+
+def test_selection_imports_only_errors_and_spectral():
+    # gcv imports the shared criterion helpers from selection; this keeps
+    # the dependency one-way
+    assert _siblings("selection") <= {"errors", "spectral"}

@@ -1,5 +1,6 @@
-"""The blocked log-lambda scans (``selection._scan``) against the scalar
-criteria and against the one-lambda-at-a-time solvers, bit for bit."""
+"""The blocked log-lambda scans (``selection._scan``) against the public
+criteria, against this file's own loop formulas and against the
+one-lambda-at-a-time solvers built from them, bit for bit."""
 
 import functools
 import math
@@ -39,6 +40,11 @@ def test_blocked_grids_equal_scalar_criteria(n, q):
         assert np.array_equal(t, [e.t_lambda(m, x, l) for l in grid])
         assert np.array_equal(g, [e.gcv_criterion(m, x, l) for l in grid])
         assert np.array_equal(cp, [e.mallows_cp(m, x, l, sigma2) for l in grid])
+        # the public criteria share the scan's kernel, so the independent
+        # reference is the loop formulas below
+        assert np.array_equal(t, [_loop_t_lam(x2, nz, n, l) for l in grid])
+        assert np.array_equal(g, [_loop_crit(m, x, "gcv", None, l) for l in grid])
+        assert np.array_equal(cp, [_loop_crit(m, x, "cp", sigma2, l) for l in grid])
 
 
 # -- the solvers as they were before the blocked scans: one lambda per call --
@@ -71,20 +77,21 @@ def _loop_solve_lambda(model, coeffs, lo=selection.LAMBDA_MIN, hi=selection.LAMB
     return e.LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
 
 
+def _loop_crit(model, x, criterion, sigma2, lam):
+    d = model.null_dim
+    u = lam * model.eigen.values[d:]
+    r = u / (1.0 + u)
+    if criterion == "gcv":
+        den = float(np.sum(r))
+        return model.n * float(np.dot(x[d:] ** 2, r * r)) / (den * den)
+    rss = float(np.dot(x[d:] ** 2, r * r))
+    tr_s = d + float(np.sum(1.0 / (1.0 + u)))
+    return rss + 2.0 * sigma2 * tr_s - model.n * sigma2
+
+
 def _loop_select_lambda_gcv(model, y, criterion="gcv", sigma2=None):
     x = model.basis.forward(np.asarray(y, dtype=float))
-    d = model.null_dim
-
-    def crit(lam):
-        u = lam * model.eigen.values[d:]
-        r = u / (1.0 + u)
-        if criterion == "gcv":
-            den = float(np.sum(r))
-            return model.n * float(np.dot(x[d:] ** 2, r * r)) / (den * den)
-        rss = float(np.dot(x[d:] ** 2, r * r))
-        tr_s = d + float(np.sum(1.0 / (1.0 + u)))
-        return rss + 2.0 * sigma2 * tr_s - model.n * sigma2
-
+    crit = functools.partial(_loop_crit, model, x, criterion, sigma2)
     grid = np.exp(np.linspace(math.log(selection.LAMBDA_MIN),
                               math.log(selection.LAMBDA_MAX), 60))
     vals = [crit(l) for l in grid]

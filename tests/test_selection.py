@@ -269,7 +269,7 @@ class TestSelectQ:
         assert sel.q_hat == sel.q_star
 
     def test_refined_real_order_grid(self, family1000, f1_values):
-        # theory-faithful mode: real-valued orders with the floor(q) basis;
+        # theory-faithful mode: real-valued orders on the shared cosine basis;
         # the refined crossing lands near the integer-grid one
         y = f1_values + 0.01 * np.random.default_rng(21).standard_normal(1000)
         coarse = e.select_q(family1000, y, e.default_q_grid(1000))
