@@ -16,7 +16,6 @@ from .errors import DegenerateDataError, EbsplinesError, UnsupportedBackendError
 from .gcv import (
     GcvResult,
     gcv_criterion,
-    mallows_cp,
     select_lambda_gcv,
 )
 from .oracles import (
@@ -39,7 +38,6 @@ from .selection import (
     Selection,
     default_q_grid,
     fit,
-    fit_design,
     marginal_loglik,
     select_q,
     sigma2_hat,

@@ -180,13 +180,26 @@ def _load_json(path: str) -> dict:
         raise EbsplinesError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _parse_config(path: str, overrides: dict, parse):
+    """``parse`` of the JSON config at ``path`` after the non-None
+    ``overrides``; a missing key or a bad value is an input error naming the
+    file (parsing runs before the experiment, so the experiment's own errors
+    keep their message)."""
+    d = _load_json(path)
+    if not isinstance(d, dict):
+        raise EbsplinesError(f"{path}: config must be a JSON object")
+    d.update((k, v) for k, v in overrides.items() if v is not None)
+    try:
+        return parse(d)
+    except KeyError as exc:
+        raise EbsplinesError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise EbsplinesError(f"{path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
-    d = _load_json(args.config)
-    if args.sigma is not None:
-        d["sigma"] = args.sigma
-    if args.seed is not None:
-        d["seed"] = args.seed
-    cfg = StudyConfig.from_dict(d)
+    cfg = _parse_config(args.config, {"sigma": args.sigma, "seed": args.seed},
+                        StudyConfig.from_dict)
     report = run_study(cfg)
     _emit(report.to_dict(), args.out, args)
     if args.table:
@@ -195,26 +208,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    d = _load_json(args.config)
-    if args.seed is not None:
-        d["seed"] = args.seed
-    gen = Generator.from_dict(d["generator"])
+def _compare_args(d: dict) -> dict:
+    """Keyword arguments of ``gcv_ball_experiment`` from a compare config."""
     # "mc_draws" and "radius_seed" configure only the Monte Carlo radius
     # oracle; they are still validated so existing configs keep loading
     spec = RadiusSpec(alpha=float(d.get("alpha", 0.05)),
                       mc_draws=int(d.get("mc_draws", 10_000)),
                       seed=int(d.get("radius_seed", d.get("seed", 0))))
-    report = gcv_ball_experiment(
-        gen, n=int(d.get("n", 1000)),
-        q_choices=tuple(d.get("q_choices", (2.0,))),
+    return dict(
+        generator=Generator.from_dict(d["generator"]), n=int(d.get("n", 1000)),
+        q_choices=tuple(map(float, d.get("q_choices", (2.0,)))),
         replicates=int(d.get("replicates", 200)),
         spec=spec, sigma=float(d.get("sigma", 0.01)),
         beta=d.get("beta"),
         convention=d.get("design_convention", "midpoint"),
-        seed=int(d.get("seed", 0)),
-        two_samples=bool(d.get("two_samples", True)))
-    _emit(report.to_dict(), args.out, args)
+        seed=int(d.get("seed", 0)))
+
+
+def _cmd_compare(args) -> int:
+    kw = _parse_config(args.config, {"seed": args.seed}, _compare_args)
+    _emit(gcv_ball_experiment(**kw).to_dict(), args.out, args)
     return 0
 
 

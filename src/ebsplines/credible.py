@@ -228,7 +228,7 @@ def credible_ball(result: FitResult, L: float = 2.0,
 
     L >= 1; the default L = 2 dominates 1 + sqrt((2q-1)/(2q)) uniformly in q.
     """
-    if L < 1:
+    if not L >= 1:
         raise EbsplinesError(f"need L >= 1, got {L}")
     r = radius(result.model, result.lambda_hat, spec)
     return CredibleBall(center=result.fitted,

@@ -35,7 +35,6 @@ from .spectral import (
     DesignGrid,
     EigenSequence,
     SpectralModel,
-    design_grid,
     make_basis,
     smoother_weights,
     spectral_model,
@@ -95,6 +94,14 @@ def _t_lam_rows(x2, n, u, v, w):
     np.divide(u, v, out=w)
     np.divide(1.0, v, out=v)
     return _dots(x2, w) / n - _dots(x2, u) * v.sum(axis=-1) / (n * n)
+
+
+def _log_grid(lam_range: tuple[float, float], points: int) -> np.ndarray:
+    """``points`` lambdas equally spaced in log lambda over (lo, hi), 0 < lo < hi."""
+    lo, hi = lam_range
+    if not 0 < lo < hi < math.inf:
+        raise EbsplinesError(f"bad lambda range {lam_range}")
+    return np.exp(np.linspace(math.log(lo), math.log(hi), points))
 
 
 def _dots(x2: np.ndarray, a: np.ndarray):
@@ -229,10 +236,8 @@ def solve_lambda(model: SpectralModel, coeffs,
     rows = functools.partial(_t_lam_rows, x2, n)
     tval = _at(rows, nz)
 
+    grid = _log_grid(lam_range, _SCAN_POINTS)
     lo, hi = lam_range
-    if not (0 < lo < hi):
-        raise EbsplinesError(f"bad lambda range {lam_range}")
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
     tv = _scan(rows, nz, grid)
     brackets = [(grid[j], grid[j + 1])
                 for j in range(_SCAN_POINTS - 1) if tv[j] < 0 < tv[j + 1]]
@@ -312,23 +317,18 @@ class Selection:
     all_positive_warning: bool = False
 
 
-def select_q(family: ModelFamily, y, qgrid, policy: str = "integer") -> Selection:
+def select_q(family: ModelFamily, x, qgrid) -> Selection:
     """Select the penalty order from the sign change of T_q over the grid.
 
-    For each grid order: solve for lambda_hat_q and evaluate
-    T_q(lambda_hat_q, q).  The raw selection q* is the first crossing from
-    non-positive to positive, located by linear interpolation between grid
-    points.  All values non-positive means the signal looks at least as
-    smooth as the largest order, so q* is the grid maximum; a positive value
-    already at the smallest order maps to the grid minimum with a warning.
-    Policy "integer" rounds q* half-up to the nearest integer (clamped to the
-    grid range); "raw" returns q* itself.
+    ``x`` holds the coefficients Phi^T y on the basis all orders share.  For
+    each grid order: solve for lambda_hat_q and evaluate T_q(lambda_hat_q, q).
+    The raw selection q* is the first crossing from non-positive to positive,
+    located by linear interpolation between grid points.  All values
+    non-positive means the signal looks at least as smooth as the largest
+    order, so q* is the grid maximum; a positive value already at the
+    smallest order maps to the grid minimum with a warning.  q_hat rounds q*
+    half-up to the nearest integer, clamped to the grid range.
     """
-    return _select_q(family, family.basis.forward(y), qgrid, policy)
-
-
-def _select_q(family: ModelFamily, x: np.ndarray, qgrid, policy: str) -> Selection:
-    """``select_q`` from the coefficients x = Phi^T y."""
     qgrid = tuple(float(q) for q in qgrid)
     if not qgrid:
         raise EbsplinesError("empty q grid")
@@ -366,13 +366,8 @@ def _select_q(family: ModelFamily, x: np.ndarray, qgrid, policy: str) -> Selecti
         q0, q1 = qgrid[j - 1], qgrid[j]
         q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
 
-    if policy == "integer":
-        q_hat = float(math.floor(q_star + 0.5))
-        q_hat = min(max(q_hat, math.ceil(qgrid[0])), math.floor(qgrid[-1]))
-    elif policy == "raw":
-        q_hat = float(q_star)
-    else:
-        raise EbsplinesError(f"unknown rounding policy {policy!r}")
+    q_hat = float(math.floor(q_star + 0.5))
+    q_hat = min(max(q_hat, math.ceil(qgrid[0])), math.floor(qgrid[-1]))
 
     return Selection(q_hat=q_hat, q_star=float(q_star), per_q=tuple(diags),
                      all_nonpositive=all_nonpositive, all_positive_warning=warn)
@@ -421,14 +416,12 @@ def _check_data(y: np.ndarray, n: int) -> None:
             "the constant vanishes")
 
 
-def fit(family: ModelFamily, y, qgrid=None,
-        lambda_override: float | None = None,
-        q_override: float | None = None) -> FitResult:
+def fit(family: ModelFamily, y, qgrid=None) -> FitResult:
     """Full adaptive fit: select q, solve for lambda, smooth.
 
-    ``lambda_override`` and ``q_override`` bypass the corresponding selection
-    step (test hooks; lambda_override accepts 0 and inf for the interpolation
-    and null-space-projection limits).
+    lambda_hat is the root already solved at q_hat during the order
+    selection, or a fresh solve when the rounded q_hat is not on the grid
+    (a refined real-valued grid).
 
     The fit runs on y / 2^k with max |y / 2^k| in [1/2, 1), an exact scaling
     that keeps the squared coefficients inside the float range for data of
@@ -450,24 +443,15 @@ def fit(family: ModelFamily, y, qgrid=None,
     k = math.frexp(float(np.max(np.abs(y))))[1]
     x = family.basis.forward(np.ldexp(y, -k))
 
-    if q_override is None:
-        sel = _select_q(family, x, qgrid, "integer")
-        q_hat = sel.q_hat
-    else:
-        q_hat = float(q_override)
-        sel = Selection(q_hat=q_hat, q_star=q_hat, per_q=())
-
+    sel = select_q(family, x, qgrid)
+    q_hat = sel.q_hat
     model = family.model(q_hat)
-
-    if lambda_override is None:
-        chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
-        if chosen is not None:
-            lam, boundary = chosen.lambda_hat, chosen.boundary
-        else:
-            sol = solve_lambda(model, x)
-            lam, boundary = sol.lam, sol.boundary
+    chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
+    if chosen is not None:
+        lam, boundary = chosen.lambda_hat, chosen.boundary
     else:
-        lam, boundary = float(lambda_override), False
+        sol = solve_lambda(model, x)
+        lam, boundary = sol.lam, sol.boundary
 
     s2 = sigma2_hat(model, x, lam)
     e = math.frexp(s2)[1] + 2 * k
@@ -483,10 +467,3 @@ def fit(family: ModelFamily, y, qgrid=None,
                      fitted=fitted, sigma2_hat=math.ldexp(s2, 2 * k),
                      coeffs=np.ldexp(x, k), model=model, selection=sel,
                      boundary=boundary)
-
-
-def fit_design(y, convention: str = "midpoint", **kwargs) -> FitResult:
-    """Convenience wrapper: build the grid and family from the data length."""
-    y = np.asarray(y, dtype=float)
-    family = ModelFamily(design_grid(len(y), convention))
-    return fit(family, y, **kwargs)

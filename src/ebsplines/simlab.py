@@ -344,16 +344,15 @@ class GcvBallReport:
 def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
                         spec: RadiusSpec = RadiusSpec(), sigma: float = 0.01,
                         beta: float | None = None, convention: str = "midpoint",
-                        seed: int = 0, two_samples: bool = True) -> GcvBallReport:
+                        seed: int = 0) -> GcvBallReport:
     """Coverage of a ball centered at the GCV fit with the radius calibrated
     for the empirical-Bayes posterior ball (true sigma, oracle lambda at the
     generator's nominal order beta).
 
     Each replicate draws two independent samples at the same design: the GCV
-    smoothing parameter comes from one sample and the fit uses the other
-    (``two_samples=False`` exposes the single-sample variant).  A matched
-    empirical-Bayes arm fits the first sample and builds its own ball with
-    L = 2 for contrast.
+    smoothing parameter comes from one sample and the fit uses the other.  A
+    matched empirical-Bayes arm fits the first sample and builds its own ball
+    with L = 2 for contrast.
     """
     grid = design_grid(n, convention)
     f_true, gen_name = _truth(generator, grid)
@@ -373,10 +372,9 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
     q_choices = tuple(float(q) for q in q_choices)
     hits_gcv = {q: 0 for q in q_choices}
     hits_eb = 0
-    for ys in _replicates(f_true, sigma, seed, replicates, 2 if two_samples else 1):
-        y1, y2 = ys[0], ys[-1]
+    for y1, y2 in _replicates(f_true, sigma, seed, replicates, 2):
         res = fit(family, y1)  # res.coeffs = Phi^T y1, as in run_study
-        x2 = res.model.basis.forward(y2) if two_samples else res.coeffs
+        x2 = res.model.basis.forward(y2)
         for q in q_choices:
             m = family.model(q)
             lam_f = _select_gcv(m, x2).lambda_f_hat

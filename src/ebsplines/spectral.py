@@ -292,11 +292,6 @@ class SpectralModel:
     def null_dim(self) -> int:
         return self.eigen.null_dim
 
-    @property
-    def offset(self) -> float | None:
-        """Phase of the eigenvalue formula; None for the exact backend."""
-        return self.eigen.offset
-
 
 def spectral_model(grid: DesignGrid, q: float, kind: str = ANALYTIC) -> SpectralModel:
     """Assemble a SpectralModel; the exact backend supplies its own eigenvalues,

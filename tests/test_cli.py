@@ -158,7 +158,7 @@ class TestCsvOutput:
         _write_y_csv(p, y, x=[float(v) for v in self.X])
         fitted = tmp_path / "fitted.csv"
         assert main(["fit", str(p), "--fitted-csv", str(fitted)]) == 0
-        f = e.fit_design(y).fitted
+        f = e.fit(e.ModelFamily(e.design_grid(8)), y).fitted
         expected = "x,y,fitted\n" + "".join(
             f"{a},{b},{v:.10g}\n" for a, b, v in zip(self.X, self.Y, f))
         assert fitted.read_bytes() == expected.encode()
@@ -173,7 +173,7 @@ class TestCsvOutput:
                      "--samples-csv", str(samples),
                      "--out", str(tmp_path / "b.json")]) == 0
         curves = e.sample_posterior(
-            e.fit_design(y), 3, seed=np.random.SeedSequence(entropy=4, spawn_key=(1,)))
+            e.fit(e.ModelFamily(g), y), 3, seed=np.random.SeedSequence(entropy=4, spawn_key=(1,)))
         expected = "x,s1,s2,s3\n" + "".join(
             f"{g.x[i]:.10g}," + ",".join(f"{c:.10g}" for c in curves[:, i]) + "\n"
             for i in range(16))
@@ -211,6 +211,12 @@ class TestCredibleCommand:
         _write_y_csv(p, np.full(200, -1.5))
         out = tmp_path / "ball.json"
         assert main(["credible", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nan_L_exits_2(self, tmp_path, sample_csv, capsys):
+        out = tmp_path / "ball.json"
+        assert main(["credible", str(sample_csv), "--L", "nan", "--out", str(out)]) == 2
+        assert "need L >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_selection_flags_in_fit_payload(self, tmp_path, sample_csv):
@@ -301,6 +307,32 @@ class TestCompareCommand:
         rep = json.loads(out.read_text())
         assert set(rep["coverage_gcv_ball"]) == {"2.0"}
         assert 0.0 <= rep["coverage_eb_ball"] <= 1.0
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("cfg,what", [
+        ({}, "missing key 'generator'"),
+        ({"generator": {"kind": "f1-spectral"}, "n": "abc"}, "'abc'"),
+        ([1, 2], "config must be a JSON object"),
+    ], ids=["empty", "n-not-a-number", "not-an-object"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, str(p), "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and what in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_experiment_errors_keep_their_message(self, tmp_path, capsys):
+        # the config parses; the experiment itself rejects a generator
+        # without a nominal smoothness, and its message is not relabelled
+        p = tmp_path / "cmp.json"
+        p.write_text(json.dumps({"generator": {"kind": "f2-cosine"}, "n": 64,
+                                 "replicates": 2}))
+        assert main(["compare", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: nominal smoothness beta is required\n")
 
 
 class TestOracleAndKappa:

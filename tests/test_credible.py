@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -183,13 +184,19 @@ class TestCredibleBall:
         with pytest.raises(EbsplinesError):
             e.credible_ball(res, L=0.5)
 
+    def test_nan_L_rejected(self):
+        # a nan radius would leave the ball without its own center
+        _, res = _fit_smooth()
+        with pytest.raises(EbsplinesError, match="L >= 1"):
+            e.credible_ball(res, L=math.nan)
+
 
 class TestSamplePosterior:
     def test_zero_variance_collapses_to_center(self):
         n = 32
         fam = e.ModelFamily(e.design_grid(n))
         y = np.random.default_rng(0).standard_normal(n)
-        res = e.fit(fam, y, lambda_override=0.0, q_override=1.0)  # sigma2 = 0
+        res = dataclasses.replace(e.fit(fam, y), sigma2_hat=0.0)
         curves = e.sample_posterior(res, 50, seed=3)
         assert np.abs(curves - res.fitted).max() == 0.0
 

@@ -1,6 +1,8 @@
-"""Module layering, read from the import statements of the sources."""
+"""Module layering, read from the import statements of the sources, and the
+public surface the package exports."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,19 @@ def test_selection_imports_only_errors_and_spectral():
     # gcv imports the shared criterion helpers from selection; this keeps
     # the dependency one-way
     assert _siblings("selection") <= {"errors", "spectral"}
+
+
+def test_public_surface_has_no_unused_options():
+    # C_p, the rounding policy, fit's override hooks, fit_design and the
+    # single-sample compare arm were removed; no workflow set them
+    assert not {"mallows_cp", "fit_design"} & set(dir(ebsplines))
+    params = {f: list(inspect.signature(f).parameters) for f in (
+        ebsplines.fit, ebsplines.select_q, ebsplines.select_lambda_gcv,
+        ebsplines.gcv_ball_experiment)}
+    assert params == {
+        ebsplines.fit: ["family", "y", "qgrid"],
+        ebsplines.select_q: ["family", "x", "qgrid"],
+        ebsplines.select_lambda_gcv: ["model", "y", "lam_range"],
+        ebsplines.gcv_ball_experiment: ["generator", "n", "q_choices", "replicates",
+                                        "spec", "sigma", "beta", "convention", "seed"],
+    }

@@ -27,7 +27,6 @@ def test_blocked_grids_equal_scalar_criteria(n, q):
     m, y = _data(n, q)
     x = m.basis.forward(y)
     x2, nz = selection._tails(m.eigen, x)
-    d, sigma2 = m.null_dim, 1e-4
     rows = max(1, selection._BLOCK_ENTRIES // len(nz))
     # the production grids, and a random set of 2 * rows + 3 lambdas, so the
     # last block is a partial one whenever a block holds more than one row
@@ -35,16 +34,13 @@ def test_blocked_grids_equal_scalar_criteria(n, q):
     lams.append(np.sort(10.0 ** np.random.default_rng(n).uniform(-28, 0, 2 * rows + 3)))
     for grid in lams:
         t = selection._scan(functools.partial(selection._t_lam_rows, x2, n), nz, grid)
-        g = selection._scan(functools.partial(gcv._crit_rows, x2, n, d, None), nz, grid)
-        cp = selection._scan(functools.partial(gcv._crit_rows, x2, n, d, sigma2), nz, grid)
+        g = selection._scan(functools.partial(gcv._crit_rows, x2, n), nz, grid)
         assert np.array_equal(t, [e.t_lambda(m, x, l) for l in grid])
         assert np.array_equal(g, [e.gcv_criterion(m, x, l) for l in grid])
-        assert np.array_equal(cp, [e.mallows_cp(m, x, l, sigma2) for l in grid])
         # the public criteria share the scan's kernel, so the independent
         # reference is the loop formulas below
         assert np.array_equal(t, [_loop_t_lam(x2, nz, n, l) for l in grid])
-        assert np.array_equal(g, [_loop_crit(m, x, "gcv", None, l) for l in grid])
-        assert np.array_equal(cp, [_loop_crit(m, x, "cp", sigma2, l) for l in grid])
+        assert np.array_equal(g, [_loop_gcv(m, x, l) for l in grid])
 
 
 # -- the solvers as they were before the blocked scans: one lambda per call --
@@ -77,21 +73,17 @@ def _loop_solve_lambda(model, coeffs, lo=selection.LAMBDA_MIN, hi=selection.LAMB
     return e.LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
 
 
-def _loop_crit(model, x, criterion, sigma2, lam):
+def _loop_gcv(model, x, lam):
     d = model.null_dim
     u = lam * model.eigen.values[d:]
     r = u / (1.0 + u)
-    if criterion == "gcv":
-        den = float(np.sum(r))
-        return model.n * float(np.dot(x[d:] ** 2, r * r)) / (den * den)
-    rss = float(np.dot(x[d:] ** 2, r * r))
-    tr_s = d + float(np.sum(1.0 / (1.0 + u)))
-    return rss + 2.0 * sigma2 * tr_s - model.n * sigma2
+    den = float(np.sum(r))
+    return model.n * float(np.dot(x[d:] ** 2, r * r)) / (den * den)
 
 
-def _loop_select_lambda_gcv(model, y, criterion="gcv", sigma2=None):
+def _loop_select_lambda_gcv(model, y):
     x = model.basis.forward(np.asarray(y, dtype=float))
-    crit = functools.partial(_loop_crit, model, x, criterion, sigma2)
+    crit = functools.partial(_loop_gcv, model, x)
     grid = np.exp(np.linspace(math.log(selection.LAMBDA_MIN),
                               math.log(selection.LAMBDA_MAX), 60))
     vals = [crit(l) for l in grid]
@@ -119,7 +111,7 @@ def _loop_select_lambda_gcv(model, y, criterion="gcv", sigma2=None):
 @pytest.mark.parametrize("kind", ["f1-spectral", "f2-cosine"])
 def test_solvers_equal_the_loop_solvers(kind, seed):
     # n and the noise level cycle so that pure-noise boundary solves and
-    # C_p minima at the grid ends are among the 20 data sets
+    # GCV minima at the grid ends are among the 20 data sets
     n = (200, 1000, 2000)[seed % 3]
     sigma = (0.001, 0.01, 0.3, 3.0)[seed % 4]
     fam = e.ModelFamily(e.design_grid(n))
@@ -131,8 +123,6 @@ def test_solvers_equal_the_loop_solvers(kind, seed):
         assert (e.solve_lambda(m, x, lam_range=(1e-20, 1e-3))
                 == _loop_solve_lambda(m, x, 1e-20, 1e-3))
         assert e.select_lambda_gcv(m, y) == _loop_select_lambda_gcv(m, y)
-        assert (e.select_lambda_gcv(m, y, criterion="cp", sigma2=sigma * sigma)
-                == _loop_select_lambda_gcv(m, y, "cp", sigma * sigma))
 
 
 def test_scans_stay_within_a_few_rows_of_memory_at_large_n():

@@ -241,13 +241,14 @@ class TestSelectQ:
     def test_constant_data_selects_grid_max(self):
         n = 128
         fam = e.ModelFamily(e.design_grid(n))
-        sel = e.select_q(fam, np.full(n, 2.5), (1.0, 2.0, 3.0, 4.0))
+        sel = e.select_q(fam, fam.basis.forward(np.full(n, 2.5)), (1.0, 2.0, 3.0, 4.0))
         assert sel.q_hat == 4.0
         assert sel.all_nonpositive
 
     def test_zero_crossing_interpolation(self, family1000, f1_values):
         y = f1_values + 0.01 * np.random.default_rng(12).standard_normal(1000)
-        sel = e.select_q(family1000, y, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        x = family1000.basis.forward(y)
+        sel = e.select_q(family1000, x, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         tq = [d.t_q_value for d in sel.per_q]
         j = next(i for i in range(1, 6) if tq[i] > 0 and tq[i - 1] <= 0)
         expected = sel.per_q[j - 1].q + (0.0 - tq[j - 1]) / (tq[j] - tq[j - 1])
@@ -256,24 +257,19 @@ class TestSelectQ:
 
     def test_scale_invariance_of_selection(self, family1000, f1_values):
         y = f1_values + 0.01 * np.random.default_rng(13).standard_normal(1000)
-        s1 = e.select_q(family1000, y, (1.0, 2.0, 3.0))
-        s2 = e.select_q(family1000, 11.0 * y, (1.0, 2.0, 3.0))
+        x = family1000.basis.forward(y)
+        s1 = e.select_q(family1000, x, (1.0, 2.0, 3.0))
+        s2 = e.select_q(family1000, 11.0 * x, (1.0, 2.0, 3.0))
         assert s1.q_hat == s2.q_hat
         assert s1.q_star == pytest.approx(s2.q_star, rel=1e-9)
-
-    def test_raw_policy(self):
-        n = 128
-        fam = e.ModelFamily(e.design_grid(n))
-        y = np.sin(4 * np.pi * fam.grid.x) + 0.1 * np.random.default_rng(3).standard_normal(n)
-        sel = e.select_q(fam, y, (1.0, 2.0, 3.0, 4.0), policy="raw")
-        assert sel.q_hat == sel.q_star
 
     def test_refined_real_order_grid(self, family1000, f1_values):
         # theory-faithful mode: real-valued orders on the shared cosine basis;
         # the refined crossing lands near the integer-grid one
         y = f1_values + 0.01 * np.random.default_rng(21).standard_normal(1000)
-        coarse = e.select_q(family1000, y, e.default_q_grid(1000))
-        fine = e.select_q(family1000, y, e.default_q_grid(1000, refine=0.5))
+        x = family1000.basis.forward(y)
+        coarse = e.select_q(family1000, x, e.default_q_grid(1000))
+        fine = e.select_q(family1000, x, e.default_q_grid(1000, refine=0.5))
         assert abs(fine.q_star - coarse.q_star) < 1.0
         assert fine.q_hat == math.floor(fine.q_star + 0.5)
 
@@ -283,22 +279,24 @@ class TestSelectQ:
 
 
 class TestFit:
+    # the smoother at the lambda limits, as fit applies it (Phi diag(w) Phi^T y)
     def test_lambda_zero_interpolates(self):
         n = 64
-        fam = e.ModelFamily(e.design_grid(n))
+        m = e.ModelFamily(e.design_grid(n)).model(2.0)
         y = np.random.default_rng(0).standard_normal(n)
-        res = e.fit(fam, y, lambda_override=0.0, q_override=2.0)
-        assert np.abs(res.fitted - y).max() <= 1e-10
-        assert res.sigma2_hat == 0.0
+        x = m.basis.forward(y)
+        fitted = m.basis.inverse(e.smoother_weights(m.eigen, 0.0) * x)
+        assert np.abs(fitted - y).max() <= 1e-10
+        assert e.sigma2_hat(m, x, 0.0) == 0.0
 
     def test_lambda_inf_projects_onto_null_space(self):
         n = 64
-        fam = e.ModelFamily(e.design_grid(n))
+        m = e.ModelFamily(e.design_grid(n)).model(2.0)
         y = np.random.default_rng(1).standard_normal(n)
-        res = e.fit(fam, y, lambda_override=math.inf, q_override=2.0)
-        basis = fam.model(2.0).basis.matrix
+        fitted = m.basis.inverse(e.smoother_weights(m.eigen, math.inf) * m.basis.forward(y))
+        basis = m.basis.matrix
         proj = basis[:, :2] @ (basis[:, :2].T @ y)
-        assert np.abs(res.fitted - proj).max() <= 1e-10
+        assert np.abs(fitted - proj).max() <= 1e-10
 
     def test_small_n_rejected(self):
         fam = e.ModelFamily(e.design_grid(6))
@@ -367,12 +365,6 @@ class TestFit:
              + 0.01 * np.random.default_rng(5).standard_normal(1000))
         e.fit(fam, y)
         assert len(calls) == 1
-
-    def test_fit_design_wrapper(self):
-        y = np.cos(2 * np.pi * np.arange(1, 101) / 100.0)
-        res = e.fit_design(y, convention="right")
-        assert res.n == 100
-        assert res.q_hat in {1.0, 2.0, 3.0, 4.0}
 
 
 class TestQGrid:

@@ -186,8 +186,8 @@ class TestPenaltyPhase:
 
     def test_phase_is_recorded(self):
         g = e.design_grid(64)
-        assert e.spectral_model(g, 2.0).offset == 1.5
-        assert e.spectral_model(g, 2.0, e.EXACT).offset is None
+        assert e.spectral_model(g, 2.0).eigen.offset == 1.5
+        assert e.spectral_model(g, 2.0, e.EXACT).eigen.offset is None
         assert e.ModelFamily(g).model(2.5).eigen.offset == 1.75
         assert e.eigenvalues(2.0, 64).offset == 2.0
 
