@@ -24,7 +24,7 @@ from .credible import RadiusSpec, credible_ball, sample_posterior
 from .errors import EbsplinesError
 from .oracles import SignalSpectrum, asymptotic_variances, kappa, oracle_lambda
 from .selection import ModelFamily, default_q_grid, fit
-from .simlab import Generator, StudyConfig, gcv_ball_experiment, run_study
+from .simlab import Generator, StudyConfig, _noise_level, gcv_ball_experiment, run_study
 from .spectral import design_grid
 
 EXIT_INPUT = 2
@@ -219,7 +219,7 @@ def _compare_args(d: dict) -> dict:
         generator=Generator.from_dict(d["generator"]), n=int(d.get("n", 1000)),
         q_choices=tuple(map(float, d.get("q_choices", (2.0,)))),
         replicates=int(d.get("replicates", 200)),
-        spec=spec, sigma=float(d.get("sigma", 0.01)),
+        spec=spec, sigma=_noise_level(d.get("sigma", 0.01)),
         beta=d.get("beta"),
         convention=d.get("design_convention", "midpoint"),
         seed=int(d.get("seed", 0)))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EbsplinesError
-from .selection import LAMBDA_MAX, LAMBDA_MIN, _at, _dots, _log_grid, _scan, _tails
+from .selection import (LAMBDA_MAX, LAMBDA_MIN, _at, _dots, _lockstep, _log_grid, _scan,
+                        _tails)
 from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,18 +35,18 @@ def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    return _at(functools.partial(_crit_rows, x2, model.n), nz)(lam)
+    return _at(functools.partial(_crit_rows, model.n), x2, nz, lam)
 
 
-def _crit_rows(x2, n, u, v, w):
-    """GCV = n X^2.r^2 / (sum r)^2, v = 1 + u, r = u/v, for each row of
-    u = lam * nz or for u itself when it is one row (see ``selection._scan``
-    and ``_at``)."""
+def _crit_rows(n, u, v, w):
+    """The rows r^2 and sum r of GCV, v = 1 + u, r = u/v, for each row of
+    u = lam * nz (see ``selection._scan``), and their finish for squared tail
+    coefficients x2: GCV = n x2.r^2 / (sum r)^2."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
-    rss = _dots(x2, np.multiply(u, u, out=w))
+    np.multiply(u, u, out=w)
     den = u.sum(axis=-1)
-    return n * rss / (den * den)
+    return lambda x2: n * _dots(x2, w) / (den * den)
 
 
 @dataclass(frozen=True)
@@ -66,35 +67,43 @@ def select_lambda_gcv(model: SpectralModel, y,
     a minimizer at either end of the coarse grid sets the boundary flag.
     """
     x = model.basis.forward(np.asarray(y, dtype=float))
-    return _select_gcv(model, x, lam_range)
+    return _select_gcvs(model, x[None], lam_range)[0]
 
 
-def _select_gcv(model, coeffs, lam_range=(LAMBDA_MIN, LAMBDA_MAX)) -> GcvResult:
-    """``select_lambda_gcv`` from the coefficients Phi^T y."""
-    x2, nz = _tails(model.eigen, coeffs)
-    rows = functools.partial(_crit_rows, x2, model.n)
-    crit = _at(rows, nz)
+def _select_gcvs(model: SpectralModel, x: np.ndarray,
+                 lam_range=(LAMBDA_MIN, LAMBDA_MAX)) -> list[GcvResult]:
+    """``select_lambda_gcv`` for each row of the stack x = Phi^T y, a row a lane."""
+    x2s, nz = _tails(model.eigen, x)
+    rows = functools.partial(_crit_rows, model.n)
+
+    def crit(t, live):  # GCV of the rows ``live`` at lambda = e^t, a t per row
+        return _scan(rows, x2s, nz, np.fromiter(map(math.exp, t), float, len(t)), live)
 
     grid = _log_grid(lam_range, _GRID_POINTS)
-    vals = _scan(rows, nz, grid)
-    j = int(np.argmin(vals))
-    boundary = j in (0, _GRID_POINTS - 1)
+    js = np.argmin(_scan(rows, x2s, nz, grid), axis=1).tolist()
+    # golden section on the bracket around the best grid point of each row
+    t = _lockstep([_golden(math.log(grid[max(j - 1, 0)]),
+                           math.log(grid[min(j + 1, _GRID_POINTS - 1)])) for j in js],
+                  crit)
+    return [GcvResult(lambda_f_hat=math.exp(tk), q=model.q, criterion_value=float(v),
+                      boundary_flag=j in (0, _GRID_POINTS - 1))
+            for tk, v, j in zip(t, crit(t, np.arange(len(t))), js)]
 
-    a = math.log(grid[max(j - 1, 0)])
-    b = math.log(grid[min(j + 1, _GRID_POINTS - 1)])
-    # golden-section on the bracket around the best grid point
+
+def _golden(a: float, b: float):
+    """Golden section on [a, b] in log lambda to relative accuracy 1e-4, a lane
+    of ``selection._lockstep``: yields log lambdas, returns the last midpoint."""
     c = b - _INV_PHI * (b - a)
-    dd = a + _INV_PHI * (b - a)
-    fc, fd = crit(math.exp(c)), crit(math.exp(dd))
+    d = a + _INV_PHI * (b - a)
+    fc = yield c
+    fd = yield d
     while (b - a) > 1e-4 * max(1.0, abs(a), abs(b)):
         if fc <= fd:
-            b, dd, fd = dd, c, fc
+            b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = crit(math.exp(c))
+            fc = yield c
         else:
-            a, c, fc = c, dd, fd
-            dd = a + _INV_PHI * (b - a)
-            fd = crit(math.exp(dd))
-    lam = math.exp(0.5 * (a + b))
-    return GcvResult(lambda_f_hat=float(lam), q=model.q,
-                     criterion_value=float(crit(lam)), boundary_flag=boundary)
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = yield d
+    return 0.5 * (a + b)

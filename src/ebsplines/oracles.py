@@ -27,7 +27,7 @@ from scipy.special import gammaln
 
 from .credible import RadiusSpec
 from .errors import EbsplinesError
-from .selection import LAMBDA_MAX, LAMBDA_MIN, _bisect_log, _tails
+from .selection import LAMBDA_MAX, LAMBDA_MIN, _bisect_log, _lockstep, _tails
 from .spectral import SpectralModel, eigenvalues, penalty_eigenvalues, smoother_weights
 
 
@@ -181,7 +181,8 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
         if flo >= 0 or math.copysign(1.0, flo) == math.copysign(1.0, fhi):
             return OracleResult(lambda_q=math.inf, method=method,
                                 derivative_energy=energy)
-        lam, _ = _bisect_log(f, LAMBDA_MIN, LAMBDA_MAX, 1e-12)
+        (lam, _), = _lockstep([_bisect_log(LAMBDA_MIN, LAMBDA_MAX, 1e-12)],
+                              lambda m, _: [f(m[0])])
         return OracleResult(lambda_q=lam, method=method, derivative_energy=energy)
     raise EbsplinesError(f"unknown oracle method {method!r}")
 

@@ -36,7 +36,6 @@ from .spectral import (
     EigenSequence,
     SpectralModel,
     make_basis,
-    smoother_weights,
     spectral_model,
 )
 
@@ -51,11 +50,12 @@ _BLOCK_ENTRIES = 16384
 
 
 def _tails(eigen: EigenSequence, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Squared coefficients and eigenvalues beyond the null space."""
+    """Squared coefficients of a vector, or of a stack of them, and the
+    eigenvalues beyond the null space."""
     x = np.asarray(coeffs, dtype=float)
-    if len(x) != eigen.n:
-        raise EbsplinesError(f"expected {eigen.n} coefficients, got {len(x)}")
-    return x[eigen.null_dim:] ** 2, eigen.tail
+    if x.shape[-1:] != (eigen.n,):
+        raise EbsplinesError(f"expected {eigen.n} coefficients, got shape {x.shape}")
+    return x[..., eigen.null_dim:] ** 2, eigen.tail
 
 
 def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
@@ -85,15 +85,17 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
     return -0.5 * model.n * log_share + 0.5 * float(np.sum(log_r))
 
 
-def _t_lam_rows(x2, n, u, v, w):
-    """T_lam = (1/n) X^2.(r/v) - (1/n^2) (X^2.r) sum(1/v), v = 1 + u, r = u/v,
-    for each row of u = lam * nz or for u itself when it is one row; u, v and
-    w are overwritten (see ``_scan`` and ``_at``)."""
+def _t_rows(n, g, u, v, w):
+    """The rows of a rescaled derivative that do not see the data, for each
+    row of u = lam * nz: r g/v, r and sum(g/v), v = 1 + u, r = u/v, built in
+    place of u, v and w.  Returns the finish for squared tail coefficients x2
+    (see ``_dots``): (1/n) x2.(r g/v) - (1/n^2) (x2.r) sum(g/v), which is
+    T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
-    np.divide(u, v, out=w)
-    np.divide(1.0, v, out=v)
-    return _dots(x2, w) / n - _dots(x2, u) * v.sum(axis=-1) / (n * n)
+    np.divide(u if g is None else np.multiply(u, g, out=w), v, out=w)
+    s = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
+    return lambda x2: _dots(x2, w) / n - _dots(x2, u) * s / (n * n)
 
 
 def _log_grid(lam_range: tuple[float, float], points: int) -> np.ndarray:
@@ -104,35 +106,39 @@ def _log_grid(lam_range: tuple[float, float], points: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(lo), math.log(hi), points))
 
 
-def _dots(x2: np.ndarray, a: np.ndarray):
-    """np.dot(x2, row) for each row of a (``a @ x2`` sums in another order)."""
-    if a.ndim == 1:
-        return x2.dot(a)
-    return np.fromiter(map(x2.dot, a), float, len(a))
+def _dots(x2: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """np.dot(x2, row) for each row of a, broadcast over stacks: ``np.vecdot``
+    runs the BLAS dot of ``np.dot`` on every pair (``a @ x2`` sums in
+    another order)."""
+    return np.vecdot(a, x2)
 
 
-def _at(rows_fn, nz: np.ndarray):
-    """The criterion of ``rows_fn`` as a function of one lambda: the row
-    kernel on the single row lam * nz, so a refinement step and a scan row
-    run the same operations and agree bit for bit."""
-    return lambda lam: float(rows_fn(lam * nz, np.empty_like(nz), np.empty_like(nz)))
-
-
-def _scan(rows_fn, nz: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """A criterion at each of ``lams``, a block of lambdas at a time.
-
-    ``rows_fn(u, v, w)`` gets u = lam * nz (a row per lambda) and two scratch
-    arrays of its shape to work in place.  It reduces each row by ``_dots`` and
-    ``sum(axis=-1)`` and the rest is element-wise, so every value equals the
-    one ``_at`` gives for a single lambda, bit for bit.
-    """
-    rows = max(1, min(len(lams), _BLOCK_ENTRIES // len(nz)))
-    bufs = np.empty((3, rows, len(nz)))
-    vals = np.empty(len(lams))
-    for s in range(0, len(lams), rows):
-        u, v, w = bufs[:, :len(lams[s:s + rows])]
-        vals[s:s + rows] = rows_fn(np.multiply(lams[s:s + rows, None], nz, out=u), v, w)
+def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
+          lanes=None) -> np.ndarray:
+    """A criterion of the stack ``x2s`` of squared tail coefficients at each of
+    ``lams``, (replicates x lambdas), or with ``lanes`` of row lanes[k] at lams[k]
+    (a stack of one row serves every lane uncopied).  ``rows_fn(u, v, w)``
+    builds a block of rows u = lam * nz in place, in three buffers of at most
+    ``_BLOCK_ENTRIES`` entries (one row at least).  Rows do not see the data:
+    each block is built once, and its finish reduces it by ``_dots`` and
+    ``sum(axis=-1)``, element-wise otherwise, so a value does not depend on
+    the block, stack or lane it is computed in."""
+    step = max(1, _BLOCK_ENTRIES // len(nz))
+    bufs = np.empty((3, min(step, len(lams)), len(nz)))
+    vals = np.empty(len(lams) if lanes is not None else (len(x2s), len(lams)))
+    for s in range(0, len(lams), step):
+        j = slice(s, s + step)
+        u, v, w = bufs[:, :len(lams[j])]
+        finish = rows_fn(np.multiply(lams[j, None], nz, out=u), v, w)
+        vals[..., j] = finish(x2s[:, None] if lanes is None
+                              else x2s if len(x2s) == 1 else x2s[lanes[j]])
     return vals
+
+
+def _at(rows_fn, x2: np.ndarray, nz: np.ndarray, lam: float) -> float:
+    """The criterion of ``rows_fn`` for one vector at one lambda: a lane of one."""
+    u = lam * nz[None]
+    return float(rows_fn(u, np.empty_like(u), np.empty_like(u))(x2[None])[0])
 
 
 def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
@@ -141,7 +147,7 @@ def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    return _at(functools.partial(_t_lam_rows, x2, model.n), nz)(lam)
+    return _at(functools.partial(_t_rows, model.n, None), x2, nz, lam)
 
 
 def t_q(model: SpectralModel, coeffs, lam: float) -> float:
@@ -149,13 +155,7 @@ def t_q(model: SpectralModel, coeffs, lam: float) -> float:
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    n = model.n
-    u = lam * nz
-    r = u / (1.0 + u)
-    ln = np.log(nz)
-    a = float(np.dot(x2, r * ln / (1.0 + u))) / n
-    b = float(np.dot(x2, r)) * float(np.sum(ln / (1.0 + u))) / (n * n)
-    return a - b
+    return _at(functools.partial(_t_rows, model.n, np.log(nz)), x2, nz, lam)
 
 
 def sigma2_hat(model: SpectralModel, coeffs, lam: float) -> float:
@@ -191,9 +191,9 @@ _SCAN_POINTS = 33
 _BISECT_ITER = 200
 
 
-def _bisect_log(f, a: float, b: float, rtol: float,
-                tol: float = 0.0) -> tuple[float, float]:
-    """Root of f between a and b, f(a) < 0 <= f(b), by bisection in log lambda.
+def _bisect_log(a: float, b: float, rtol: float, tol: float = 0.0):
+    """Root of f between a and b, f(a) < 0 <= f(b), by bisection in log
+    lambda, as a lane of ``_lockstep``: yields each midpoint m, is sent f(m).
 
     Only the sign of f steers the search, so rescaling f (T_lam is quadratic
     in the data) moves no midpoint.  Stops at the first midpoint m with
@@ -201,7 +201,7 @@ def _bisect_log(f, a: float, b: float, rtol: float,
     """
     for _ in range(_BISECT_ITER):
         m = math.sqrt(a * b)
-        fm = f(m)
+        fm = yield m
         if abs(fm) <= tol or b / a < 1.0 + rtol:
             return m, fm
         if fm >= 0:
@@ -209,7 +209,24 @@ def _bisect_log(f, a: float, b: float, rtol: float,
         else:
             a = m
     m = math.sqrt(a * b)
-    return m, f(m)
+    return m, (yield m)
+
+
+def _lockstep(lanes: list, f) -> list:
+    """What each lane returns: a lane is a search that yields its next point and
+    is sent the value there, and ``f(points, live)`` evaluates the points of
+    all running lanes ``live`` at once."""
+    out = [None] * len(lanes)
+    points = {k: next(lane) for k, lane in enumerate(lanes)}
+    while points:
+        live = list(points)
+        for k, value in zip(live, f([points[k] for k in live], live)):
+            try:
+                points[k] = lanes[k].send(value)
+            except StopIteration as stop:
+                out[k] = stop.value
+                del points[k]
+    return out
 
 
 def solve_lambda(model: SpectralModel, coeffs,
@@ -229,33 +246,43 @@ def solve_lambda(model: SpectralModel, coeffs,
     coefficient (T_lam is quadratic in the data), which keeps the solve
     scale-equivariant; an explicit ``tol`` is honored absolutely.
     """
-    x2, nz = _tails(model.eigen, coeffs)
+    return _solve_lambdas(model, np.asarray(coeffs, dtype=float)[None], lam_range, tol)[0]
+
+
+def _solve_lambdas(model: SpectralModel, x: np.ndarray,
+                   lam_range=(LAMBDA_MIN, LAMBDA_MAX), tol=None) -> list[LambdaSolve]:
+    """``solve_lambda`` for each row of the stack x, every bracket a lane."""
+    x2s, nz = _tails(model.eigen, x)
     n = model.n
-    if tol is None:
-        tol = (1e-3 / n) * max(float(np.mean(x2)), 1e-300)
-    rows = functools.partial(_t_lam_rows, x2, n)
-    tval = _at(rows, nz)
+    tols = ((1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300) if tol is None
+            else [tol] * len(x2s))
+    rows = functools.partial(_t_rows, n, None)
 
     grid = _log_grid(lam_range, _SCAN_POINTS)
-    lo, hi = lam_range
-    tv = _scan(rows, nz, grid)
-    brackets = [(grid[j], grid[j + 1])
-                for j in range(_SCAN_POINTS - 1) if tv[j] < 0 < tv[j + 1]]
-    if not brackets:
-        # No root anywhere in the (extended) interval.  The marginal
-        # likelihood diverges as lambda -> 0, so the fallback compares the
-        # theory interval's endpoints [1/n, 1], preferring the smoothing end
-        # on ties (pure noise then lands at lambda = 1).
-        lo_t = min(max(1.0 / n, lo), hi)
-        cand = [(abs(tval(hi)), hi), (abs(tval(lo_t)), lo_t)]
-        _, lam_b = min(cand, key=lambda c: c[0])
-        return LambdaSolve(lam=float(lam_b), t_value=tval(lam_b), boundary=True)
+    tv = _scan(rows, x2s, nz, grid)
+    ks, js = np.nonzero((tv[:, :-1] < 0) & (tv[:, 1:] > 0))
+    roots = _lockstep([_bisect_log(grid[j], grid[j + 1], 1e-14, tols[k])
+                       for k, j in zip(ks, js)],
+                      lambda m, live: _scan(rows, x2s, nz, np.array(m), ks[live]))
+    sols = [None] * len(x2s)
+    for k, (lam, t_at) in zip(ks.tolist(), roots):
+        # a later root of the row wins only by a higher marginal likelihood
+        if sols[k] is None or (marginal_loglik(model, x[k], lam)
+                               > marginal_loglik(model, x[k], sols[k].lam)):
+            sols[k] = LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
 
-    roots = [_bisect_log(tval, a, b, 1e-14, tol) for a, b in brackets]
-    if len(roots) > 1:
-        roots.sort(key=lambda rf: -marginal_loglik(model, coeffs, rf[0]))
-    lam, t_at = roots[0]
-    return LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
+    # Rows without a root anywhere in the (extended) interval.  The marginal
+    # likelihood diverges as lambda -> 0, so the fallback compares the theory
+    # interval's endpoints [1/n, 1], preferring the smoothing end on ties
+    # (pure noise then lands at lambda = 1).
+    none = [k for k, sol in enumerate(sols) if sol is None]
+    if none:
+        lo, hi = lam_range
+        ends = np.array([hi, min(max(1.0 / n, lo), hi)])
+        for k, t in zip(none, _scan(rows, x2s[none], nz, ends)):
+            e = int(abs(t[1]) < abs(t[0]))
+            sols[k] = LambdaSolve(lam=float(ends[e]), t_value=float(t[e]), boundary=True)
+    return sols
 
 
 class ModelFamily:
@@ -329,6 +356,11 @@ def select_q(family: ModelFamily, x, qgrid) -> Selection:
     smallest order maps to the grid minimum with a warning.  q_hat rounds q*
     half-up to the nearest integer, clamped to the grid range.
     """
+    return _select_qs(family, np.asarray(x, dtype=float)[None], qgrid)[0]
+
+
+def _select_qs(family: ModelFamily, x: np.ndarray, qgrid) -> list[Selection]:
+    """``select_q`` for each row of the coefficient stack x, an order at a time."""
     qgrid = tuple(float(q) for q in qgrid)
     if not qgrid:
         raise EbsplinesError("empty q grid")
@@ -337,40 +369,37 @@ def select_q(family: ModelFamily, x, qgrid) -> Selection:
     if qgrid[0] <= 0.5:
         raise EbsplinesError("q grid values must exceed 1/2")
 
-    diags = []
-    tvals = []
+    per_q = []
     for q in qgrid:
         m = family.model(q)
-        sol = solve_lambda(m, x)
-        tq = t_q(m, x, sol.lam)
-        diags.append(QDiagnostic(q=q, lambda_hat=sol.lam, t_q_value=tq,
-                                 boundary=sol.boundary))
-        tvals.append(tq)
+        sols = _solve_lambdas(m, x)
+        x2s, nz = _tails(m.eigen, x)
+        tq = _scan(functools.partial(_t_rows, m.n, np.log(nz)), x2s, nz,
+                   np.array([sol.lam for sol in sols]), np.arange(len(sols)))
+        per_q.append([QDiagnostic(q=q, lambda_hat=sol.lam, t_q_value=float(t),
+                                  boundary=sol.boundary) for sol, t in zip(sols, tq)])
+    sels = []
+    for diags in zip(*per_q):
+        tvals = np.array([d.t_q_value for d in diags])
+        pos = tvals > 1e-10 * float(np.max(np.abs(tvals)))
+        all_nonpositive = warn = False
+        if not pos.any():
+            q_star = qgrid[-1]
+            all_nonpositive = True
+        elif pos[0]:
+            q_star = qgrid[0]
+            warn = True
+        else:
+            j = int(np.argmax(pos))
+            t0, t1 = float(tvals[j - 1]), float(tvals[j])
+            q0, q1 = qgrid[j - 1], qgrid[j]
+            q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
 
-    tvals = np.asarray(tvals)
-    scale = float(np.max(np.abs(tvals)))
-    eps = 1e-10 * scale
-    pos = tvals > eps
-
-    all_nonpositive = False
-    warn = False
-    if not pos.any():
-        q_star = qgrid[-1]
-        all_nonpositive = True
-    elif pos[0]:
-        q_star = qgrid[0]
-        warn = True
-    else:
-        j = int(np.argmax(pos))
-        t0, t1 = float(tvals[j - 1]), float(tvals[j])
-        q0, q1 = qgrid[j - 1], qgrid[j]
-        q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
-
-    q_hat = float(math.floor(q_star + 0.5))
-    q_hat = min(max(q_hat, math.ceil(qgrid[0])), math.floor(qgrid[-1]))
-
-    return Selection(q_hat=q_hat, q_star=float(q_star), per_q=tuple(diags),
-                     all_nonpositive=all_nonpositive, all_positive_warning=warn)
+        q_hat = float(math.floor(q_star + 0.5))
+        q_hat = min(max(q_hat, math.ceil(qgrid[0])), math.floor(qgrid[-1]))
+        sels.append(Selection(q_hat=q_hat, q_star=float(q_star), per_q=diags,
+                              all_nonpositive=all_nonpositive, all_positive_warning=warn))
+    return sels
 
 
 @dataclass(frozen=True)
@@ -392,9 +421,11 @@ class FitResult:
         return self.model.n
 
 
-def _smooth(model: SpectralModel, x: np.ndarray, lam: float) -> np.ndarray:
-    """The order-q smoother at a fixed lambda, Phi diag(w) x, for x = Phi^T y."""
-    return model.basis.inverse(smoother_weights(model.eigen, lam) * x)
+def _smooth(model: SpectralModel, x: np.ndarray, lam) -> np.ndarray:
+    """The order-q smoother at a fixed lambda > 0, Phi diag(w) x, for
+    x = Phi^T y, or for each row of a stack x at its own lambda lam[k]."""
+    w = 1.0 / (1.0 + np.multiply.outer(lam, model.eigen.values))
+    return model.basis.inverse(w * x)
 
 
 # Relative spread max(y) - min(y) at or below which data are constant to
@@ -433,37 +464,42 @@ def fit(family: ModelFamily, y, qgrid=None) -> FitResult:
     stored at the data's scale, and ``DegenerateDataError`` when y is
     constant to rounding.
     """
-    y = np.asarray(y, dtype=float)
+    return _fits(family, np.asarray(y, dtype=float)[None], qgrid)[0]
+
+
+def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
+    """``fit`` for each row of the data stack y, the rows selected together."""
     n = family.grid.n
     if n < 8:
         raise EbsplinesError(f"need n >= 8 for a fit, got {n}")
-    _check_data(y, n)
+    for row in y:
+        _check_data(row, n)
     if qgrid is None:
         qgrid = default_q_grid(n)
-    k = math.frexp(float(np.max(np.abs(y))))[1]
-    x = family.basis.forward(np.ldexp(y, -k))
+    ks = np.frexp(np.max(np.abs(y), axis=-1))[1]
+    x = family.basis.forward(np.ldexp(y, -ks[:, None]))
+    fits = []
+    for xk, k, sel in zip(x, ks.tolist(), _select_qs(family, x, qgrid)):
+        q_hat = sel.q_hat
+        model = family.model(q_hat)
+        chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
+        if chosen is not None:
+            lam, boundary = chosen.lambda_hat, chosen.boundary
+        else:
+            sol = solve_lambda(model, xk)
+            lam, boundary = sol.lam, sol.boundary
 
-    sel = select_q(family, x, qgrid)
-    q_hat = sel.q_hat
-    model = family.model(q_hat)
-    chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
-    if chosen is not None:
-        lam, boundary = chosen.lambda_hat, chosen.boundary
-    else:
-        sol = solve_lambda(model, x)
-        lam, boundary = sol.lam, sol.boundary
-
-    s2 = sigma2_hat(model, x, lam)
-    e = math.frexp(s2)[1] + 2 * k
-    if s2 > 0 and not sys.float_info.min_exp <= e <= sys.float_info.max_exp:
-        raise EbsplinesError(
-            f"sigma2_hat = {s2:.6g} * 2^{2 * k} at data scale 2^{k} lies "
-            "outside the normal float range")
-    fitted = np.ldexp(_smooth(model, x, lam), k)
-    # T_q, like sigma2_hat, is quadratic in the data
-    sel = replace(sel, per_q=tuple(replace(d, t_q_value=math.ldexp(d.t_q_value, 2 * k))
-                                   for d in sel.per_q))
-    return FitResult(lambda_hat=lam, q_hat=q_hat, q_star=sel.q_star,
-                     fitted=fitted, sigma2_hat=math.ldexp(s2, 2 * k),
-                     coeffs=np.ldexp(x, k), model=model, selection=sel,
-                     boundary=boundary)
+        s2 = sigma2_hat(model, xk, lam)
+        e = math.frexp(s2)[1] + 2 * k
+        if s2 > 0 and not sys.float_info.min_exp <= e <= sys.float_info.max_exp:
+            raise EbsplinesError(
+                f"sigma2_hat = {s2:.6g} * 2^{2 * k} at data scale 2^{k} lies "
+                "outside the normal float range")
+        # T_q, like sigma2_hat, is quadratic in the data
+        sel = replace(sel, per_q=tuple(
+            replace(d, t_q_value=math.ldexp(d.t_q_value, 2 * k)) for d in sel.per_q))
+        fits.append(FitResult(lambda_hat=lam, q_hat=q_hat, q_star=sel.q_star,
+                              fitted=np.ldexp(_smooth(model, xk, lam), k),
+                              sigma2_hat=math.ldexp(s2, 2 * k), coeffs=np.ldexp(xk, k),
+                              model=model, selection=sel, boundary=boundary))
+    return fits

@@ -5,7 +5,9 @@ signal with polynomially decaying coefficients ``(i+1)^(-beta) cos(2i)`` on
 the cosine basis (beta = 3), and the analytic ``cos(5 pi x)``.  Both are
 scaled by their range.  Three experiments draw i.i.d. Gaussian noise around
 the true function through one replicate driver (one seeded substream per
-replicate, so results do not depend on the order in which replicates run):
+replicate, so results do not depend on the order in which replicates run).
+Each block of replicates it hands out is fitted and GCV-selected at once,
+on scan rows built once per block, bit for bit as one replicate at a time:
 
 * ``run_study`` fits the adaptive empirical-Bayes spline and the GCV
   comparator at fixed orders and aggregates smoothing-parameter moments,
@@ -23,15 +25,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .credible import RadiusSpec, credible_ball, radius
 from .errors import EbsplinesError
-from .gcv import _select_gcv
+from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
-from .selection import ModelFamily, _smooth, default_q_grid, fit
+from .selection import ModelFamily, _fits, _smooth, default_q_grid
 from .spectral import DesignGrid, design_grid, make_basis, rms_norm
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "polynomial", "custom-spectrum")
@@ -96,8 +99,26 @@ class Generator:
 
     @staticmethod
     def from_dict(d: dict) -> "Generator":
-        return Generator(kind=d["kind"], params=dict(d.get("params", {})),
+        params = dict(d.get("params", {}))
+        for key, v in params.items():
+            _numbers(f"generator params {key!r}", v if np.ndim(v) else [v])
+        return Generator(kind=d["kind"], params=params,
                          scale_by_range=bool(d.get("scale_by_range", True)))
+
+
+def _numbers(what: str, values) -> None:
+    """Reject a config entry that is not all numbers (booleans are not)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise EbsplinesError(f"{what}: {v!r} is not a number")
+
+
+def _noise_level(sigma) -> float:
+    """A config's sigma, which must be finite and >= 0."""
+    sigma = float(sigma)
+    if not 0 <= sigma < math.inf:
+        raise EbsplinesError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -129,13 +150,17 @@ class StudyConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "StudyConfig":
+        # orders stay as given, so the report's config echoes them unchanged
+        orders = {key: tuple(d.get(key, default)) for key, default in
+                  (("q_grid", ()), ("gcv_orders", (2.0, 3.0, 4.0, 5.0, 6.0)))}
+        for key, values in orders.items():
+            _numbers(key, values)
         return StudyConfig(
             generator=Generator.from_dict(d["generator"]),
             n=int(d.get("n", 1000)),
             replicates=int(d.get("replicates", 200)),
-            sigma=float(d.get("sigma", 0.01)),
-            q_grid=tuple(d.get("q_grid", ())),
-            gcv_orders=tuple(d.get("gcv_orders", (2.0, 3.0, 4.0, 5.0, 6.0))),
+            sigma=_noise_level(d.get("sigma", 0.01)),
+            **orders,
             seed=int(d.get("seed", 0)),
             design_convention=d.get("design_convention", "midpoint"),
         )
@@ -209,53 +234,59 @@ def _truth(generator, grid: DesignGrid) -> tuple[np.ndarray, str]:
 
 def _replicates(f_true: np.ndarray, sigma: float, seed: int, count: int,
                 samples: int = 1):
-    """Noisy samples f_true + sigma * eps for each of ``count`` replicates.
+    """Noisy samples f_true + sigma * eps, a block of replicates at a time.
 
     Replicate k draws its ``samples`` normal vectors, in order, from
     ``default_rng`` on the k-th child of ``SeedSequence(seed)``, so every
-    replicate replays bit for bit whatever runs before it.
+    replicate replays bit for bit whatever runs before it.  A block is a
+    (samples x replicates x n) array of at most max(1, 2^15 // n) replicates
+    in order (256 KB per sample), so the experiments' memory stays O(n).
     """
     if count < 1:
         raise EbsplinesError("need at least one replicate")
     n = len(f_true)
-    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count))
-    return (tuple(f_true + sigma * rng.standard_normal(n) for _ in range(samples))
-            for rng in rngs)
+    streams = np.random.SeedSequence(seed).spawn(count)
+    size = max(1, 2**15 // n)
+    for s in range(0, count, size):
+        rngs = map(np.random.default_rng, streams[s:s + size])
+        yield f_true + sigma * np.stack(
+            [[rng.standard_normal(n) for _ in range(samples)] for rng in rngs], axis=1)
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
     """Monte Carlo comparison of the adaptive EB fit and fixed-order GCV fits.
 
     All methods see identical data streams; aggregates are invariant to the
-    order in which replicates run.
+    order in which replicates run.  Each block of replicates is fitted and
+    GCV-selected together.
     """
     grid = design_grid(config.n, config.design_convention)
     gen_values, _ = _truth(config.generator, grid)
     family = ModelFamily(grid)
     qgrid = config.resolved_q_grid()
-    M = config.replicates
-    draws = _replicates(gen_values, config.sigma, config.seed, M)
 
-    eb_lam = np.empty(M)
-    eb_err = np.empty(M)
-    q_hat = np.empty(M)
-    by_q: dict[float, np.ndarray] = {q: np.empty(M) for q in qgrid}
-    gcv_lam = {q: np.empty(M) for q in config.gcv_orders}
-    gcv_err = {q: np.empty(M) for q in config.gcv_orders}
+    eb_lam, eb_err, q_hat = [], [], []
+    by_q: dict[float, list] = {q: [] for q in qgrid}
+    gcv_lam: dict[float, list] = {q: [] for q in config.gcv_orders}
+    gcv_err: dict[float, list] = {q: [] for q in config.gcv_orders}
 
-    for k, (y,) in enumerate(draws):
-        res = fit(family, y, qgrid=qgrid)
-        eb_lam[k] = res.lambda_hat
-        eb_err[k] = float(np.mean((res.fitted - gen_values) ** 2))
-        q_hat[k] = res.q_hat
-        for dg in res.selection.per_q:
-            by_q[dg.q][k] = dg.lambda_hat
+    for y, in _replicates(gen_values, config.sigma, config.seed, config.replicates):
+        fits = _fits(family, y, qgrid)
+        for res in fits:
+            eb_lam.append(res.lambda_hat)
+            eb_err.append(float(np.mean((res.fitted - gen_values) ** 2)))
+            q_hat.append(res.q_hat)
+            for dg in res.selection.per_q:
+                by_q[dg.q].append(dg.lambda_hat)
         # res.coeffs is Phi^T y on the basis all orders share (see ``fit``)
-        for q in config.gcv_orders:
+        x = np.array([res.coeffs for res in fits])
+        del fits, y  # the block's coefficients are all the GCV fits need
+        for q in gcv_lam:
             m = family.model(q)
-            lam_f = _select_gcv(m, res.coeffs).lambda_f_hat
-            gcv_lam[q][k] = lam_f
-            gcv_err[q][k] = float(np.mean((_smooth(m, res.coeffs, lam_f) - gen_values) ** 2))
+            lams = [g.lambda_f_hat for g in _select_gcvs(m, x)]
+            gcv_lam[q] += lams
+            gcv_err[q].extend(np.mean((_smooth(m, x, lams) - gen_values) ** 2, axis=-1))
+        del x  # before the next block: memory stays O(n), not O(replicates * n)
 
     mean_eb, var_eb = _moments(eb_lam)
     amse_eb = float(np.mean(eb_err))
@@ -308,12 +339,12 @@ def coverage_experiment(generator, n: int, replicates: int, L: float = 2.0,
     hits = 0
     radii = []
     q_counts: dict[float, int] = {}
-    for (y,) in _replicates(f_true, sigma, seed, replicates):
-        res = fit(family, y)
-        ball = credible_ball(res, L=L, spec=spec)
-        hits += ball.contains(f_true)
-        radii.append(ball.radius)
-        q_counts[res.q_hat] = q_counts.get(res.q_hat, 0) + 1
+    for y, in _replicates(f_true, sigma, seed, replicates):
+        for res in _fits(family, y):
+            ball = credible_ball(res, L=L, spec=spec)
+            hits += ball.contains(f_true)
+            radii.append(ball.radius)
+            q_counts[res.q_hat] = q_counts.get(res.q_hat, 0) + 1
 
     radii = np.asarray(radii)
     quants = {str(p): float(np.quantile(radii, p)) for p in (0.1, 0.25, 0.5, 0.75, 0.9)}
@@ -373,15 +404,17 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
     hits_gcv = {q: 0 for q in q_choices}
     hits_eb = 0
     for y1, y2 in _replicates(f_true, sigma, seed, replicates, 2):
-        res = fit(family, y1)  # res.coeffs = Phi^T y1, as in run_study
-        x2 = res.model.basis.forward(y2)
+        fits = _fits(family, y1)
+        hits_eb += sum(credible_ball(r, L=2.0, spec=spec).contains(f_true) for r in fits)
+        x1 = np.array([res.coeffs for res in fits])  # Phi^T y1, as in run_study
+        x2 = family.basis.forward(y2)
+        del fits, y1, y2  # the GCV arms need only the coefficients
         for q in q_choices:
             m = family.model(q)
-            lam_f = _select_gcv(m, x2).lambda_f_hat
-            if rms_norm(_smooth(m, res.coeffs, lam_f) - f_true) <= ball_radius:
-                hits_gcv[q] += 1
-        if credible_ball(res, L=2.0, spec=spec).contains(f_true):
-            hits_eb += 1
+            lams = [g.lambda_f_hat for g in _select_gcvs(m, x2)]
+            hits_gcv[q] += sum(rms_norm(d) <= ball_radius
+                               for d in _smooth(m, x1, lams) - f_true)
+        del x1, x2  # before the next block: memory stays O(n)
 
     return GcvBallReport(
         generator=gen_name, n=n, replicates=replicates, beta=float(beta),

@@ -315,7 +315,14 @@ class TestBadConfigs:
         ({}, "missing key 'generator'"),
         ({"generator": {"kind": "f1-spectral"}, "n": "abc"}, "'abc'"),
         ([1, 2], "config must be a JSON object"),
-    ], ids=["empty", "n-not-a-number", "not-an-object"])
+        ({"generator": {"kind": "f1-spectral", "params": {"beta": "abc"}}},
+         "generator params 'beta': 'abc' is not a number"),
+        ({"generator": {"kind": "f1-spectral"}, "sigma": -1},
+         "sigma must be finite and >= 0, got -1.0"),
+        ({"generator": {"kind": "f1-spectral"}, "sigma": "nan"},
+         "sigma must be finite and >= 0, got nan"),
+    ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
+            "negative-sigma", "nan-sigma"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
@@ -323,6 +330,23 @@ class TestBadConfigs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: ") and what in err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("key", ["gcv_orders", "q_grid"])
+    def test_orders_must_be_numbers(self, tmp_path, capsys, key):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, key: [2, "x"]}))
+        assert main(["simulate", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: {key}: 'x' is not a number\n"
+
+    def test_valid_orders_are_echoed_as_given(self, tmp_path):
+        p, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral", "params": {"beta": 3}},
+                                 "n": 64, "replicates": 2, "sigma": 0,
+                                 "q_grid": [1, 2.5, 3], "gcv_orders": [2]}))
+        assert main(["simulate", str(p), "--out", str(out)]) == 0
+        cfg = json.loads(out.read_text())["config"]
+        assert (cfg["q_grid"], cfg["gcv_orders"], cfg["sigma"]) == ([1, 2.5, 3], [2], 0.0)
+        assert cfg["generator"]["params"] == {"beta": 3}
 
     def test_experiment_errors_keep_their_message(self, tmp_path, capsys):
         # the config parses; the experiment itself rejects a generator

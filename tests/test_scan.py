@@ -1,7 +1,9 @@
 """The blocked log-lambda scans (``selection._scan``) against the public
 criteria, against this file's own loop formulas and against the
-one-lambda-at-a-time solvers built from them, bit for bit."""
+one-lambda-at-a-time solvers built from them, and a block of replicates
+against batches of one, bit for bit."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -33,14 +35,20 @@ def test_blocked_grids_equal_scalar_criteria(n, q):
     lams = [np.exp(np.linspace(math.log(1e-28), 0.0, k)) for k in (33, 60)]
     lams.append(np.sort(10.0 ** np.random.default_rng(n).uniform(-28, 0, 2 * rows + 3)))
     for grid in lams:
-        t = selection._scan(functools.partial(selection._t_lam_rows, x2, n), nz, grid)
-        g = selection._scan(functools.partial(gcv._crit_rows, x2, n), nz, grid)
+        t, = selection._scan(functools.partial(selection._t_rows, n, None), x2[None], nz, grid)
+        g, = selection._scan(functools.partial(gcv._crit_rows, n), x2[None], nz, grid)
         assert np.array_equal(t, [e.t_lambda(m, x, l) for l in grid])
         assert np.array_equal(g, [e.gcv_criterion(m, x, l) for l in grid])
         # the public criteria share the scan's kernel, so the independent
         # reference is the loop formulas below
         assert np.array_equal(t, [_loop_t_lam(x2, nz, n, l) for l in grid])
         assert np.array_equal(g, [_loop_gcv(m, x, l) for l in grid])
+    # T_q runs on the same kernel with the weights log(n eta)
+    for grid in lams[:2]:
+        tq, = selection._scan(functools.partial(selection._t_rows, n, np.log(nz)),
+                              x2[None], nz, grid)
+        assert np.array_equal(tq, [e.t_q(m, x, l) for l in grid])
+        assert np.array_equal(tq, [_loop_t_q(x2, nz, n, l) for l in grid])
 
 
 # -- the solvers as they were before the blocked scans: one lambda per call --
@@ -51,6 +59,29 @@ def _loop_t_lam(x2, nz, n, lam):
     a = float(np.dot(x2, r / (1.0 + u))) / n
     b = float(np.dot(x2, r)) * float(np.sum(1.0 / (1.0 + u))) / (n * n)
     return a - b
+
+
+def _loop_t_q(x2, nz, n, lam):
+    u = lam * nz
+    r = u / (1.0 + u)
+    ln = np.log(nz)
+    a = float(np.dot(x2, r * ln / (1.0 + u))) / n
+    b = float(np.dot(x2, r)) * float(np.sum(ln / (1.0 + u))) / (n * n)
+    return a - b
+
+
+def _loop_bisect_log(f, a, b, rtol, tol):
+    for _ in range(200):
+        m = math.sqrt(a * b)
+        fm = f(m)
+        if abs(fm) <= tol or b / a < 1.0 + rtol:
+            return m, fm
+        if fm >= 0:
+            b = m
+        else:
+            a = m
+    m = math.sqrt(a * b)
+    return m, f(m)
 
 
 def _loop_solve_lambda(model, coeffs, lo=selection.LAMBDA_MIN, hi=selection.LAMBDA_MAX):
@@ -66,7 +97,7 @@ def _loop_solve_lambda(model, coeffs, lo=selection.LAMBDA_MIN, hi=selection.LAMB
         cand = [(abs(tval(hi)), hi), (abs(tval(lo_t)), lo_t)]
         _, lam_b = min(cand, key=lambda c: c[0])
         return e.LambdaSolve(lam=float(lam_b), t_value=tval(lam_b), boundary=True)
-    roots = [selection._bisect_log(tval, a, b, 1e-14, tol) for a, b in brackets]
+    roots = [_loop_bisect_log(tval, a, b, 1e-14, tol) for a, b in brackets]
     if len(roots) > 1:
         roots.sort(key=lambda rf: -e.marginal_loglik(model, coeffs, rf[0]))
     lam, t_at = roots[0]
@@ -138,3 +169,64 @@ def test_scans_stay_within_a_few_rows_of_memory_at_large_n():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# -- a block of replicates against batches of one ----------------------------
+
+def _same(a, b):
+    """Equal field by field, arrays byte for byte."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a) and not isinstance(a, e.SpectralModel):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a is b or (a == b and type(a) is type(b))
+
+
+def _multi_root_replicate(f):
+    # replicate 84 of the f2 study with seed 5678 (right design, n = 1000,
+    # sigma = 0.01): T_lam changes sign upwards twice at q = 6, and the
+    # second root has the higher marginal likelihood
+    rng = np.random.default_rng(np.random.SeedSequence(5678).spawn(85)[84])
+    return f + 0.01 * rng.standard_normal(len(f))
+
+
+@pytest.mark.parametrize("sigma", [0.001, 0.01, 0.3, 3.0])
+@pytest.mark.parametrize("kind", ["f1-spectral", "f2-cosine"])
+def test_a_block_of_replicates_equals_batches_of_one(kind, sigma):
+    # 37 replicates fill no whole number of blocks: the scans and lanes hold
+    # 16 rows of n = 1000, and the experiments hand out 32 replicates at a time
+    fam = e.ModelFamily(e.design_grid(1000, "right"))
+    f = e.Generator(kind=kind).values(fam.grid)
+    y = f + sigma * np.random.default_rng(7).standard_normal((37, 1000))
+    if kind == "f2-cosine":
+        y[5] = _multi_root_replicate(f)
+    x = fam.basis.forward(y)
+
+    fits = selection._fits(fam, y)
+    assert len(fits) == 37
+    for yk, res in zip(y, fits):
+        assert _same(res, e.fit(fam, yk))
+    for q in (1.0, 6.0):  # fit covers every order; these two span the null spaces
+        m = fam.model(q)
+        sols, gcvs = selection._solve_lambdas(m, x), gcv._select_gcvs(m, x)
+        for k in range(37):
+            assert _same(sols[k], e.solve_lambda(m, x[k]))
+            assert _same(gcvs[k], e.select_lambda_gcv(m, y[k]))
+        # and against this file's own loop formulas and solvers, for the
+        # first, two middle and the last replicate (in a partial block)
+        x2s, nz = selection._tails(m.eigen, x)
+        grid = np.exp(np.linspace(math.log(1e-28), 0.0, 33))
+        tv = selection._scan(functools.partial(selection._t_rows, 1000, None), x2s, nz, grid)
+        for k in (0, 5, 18, 36):
+            assert np.array_equal(tv[k], [_loop_t_lam(x2s[k], nz, 1000, l) for l in grid])
+            assert _same(sols[k], _loop_solve_lambda(m, x[k]))
+            assert _same(gcvs[k], _loop_select_lambda_gcv(m, y[k]))
+
+    if kind == "f2-cosine":
+        m = fam.model(6.0)
+        x2, nz = selection._tails(m.eigen, x[5])
+        tv = [_loop_t_lam(x2, nz, 1000, l) for l in np.exp(np.linspace(math.log(1e-28), 0.0, 33))]
+        assert sum(a < 0 < b for a, b in zip(tv, tv[1:])) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,11 +110,28 @@ class TestStudyHarness:
         calls = []
         forward = e.BasisHandle.forward
         monkeypatch.setattr(e.BasisHandle, "forward",
-                            lambda self, y: calls.append(1) or forward(self, y))
+                            lambda self, y: calls.append(np.size(y) // self.n)
+                            or forward(self, y))
         cfg = e.StudyConfig(generator=e.Generator(kind="f1-spectral"), n=64,
                             replicates=3, sigma=0.05, seed=21)
         e.run_study(cfg)
-        assert len(calls) == 3
+        assert sum(calls) == 3  # rows transformed, a stack of rows at a time
+
+    def test_study_memory_does_not_grow_with_replicates(self):
+        # replicates run in blocks of 2^15 // n = 8 at n = 4000, so twelve
+        # blocks peak like one: memory O(n), not O(replicates * n)
+        def peak(replicates):
+            cfg = e.StudyConfig(generator=e.Generator(kind="f1-spectral"), n=4000,
+                                replicates=replicates, sigma=0.01, seed=3,
+                                q_grid=(2.0, 3.0), gcv_orders=(2.0,))
+            tracemalloc.start()
+            try:
+                e.run_study(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(96) < 1.25 * peak(8)
 
     def test_replay_identical(self):
         cfg = e.StudyConfig(generator=e.Generator(kind="f2-cosine"), n=64,

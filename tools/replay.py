@@ -1,0 +1,89 @@
+"""Write the package's seeded outputs into a directory, to compare two trees.
+
+    PYTHONPATH=<tree>/src python tools/replay.py OUTDIR
+
+Run it once per source tree and compare the directories with ``diff -r``:
+a change that keeps every seeded output shows no difference.  The outputs
+are the ``simulate`` report and table of the two acceptance studies and of
+four more studies (boundary solves at large noise, an odd n, a real-valued
+order grid, small n), a ``compare`` report, ``fit --out --fitted-csv`` with
+and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
+four data files, and the reports of ``coverage_experiment`` and
+``gcv_ball_experiment`` (JSON and ``repr``, so float bits show).  It takes
+about ten seconds on two cores.
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+
+import ebsplines as e
+from ebsplines import cli
+
+
+def main(out: str) -> None:
+    os.makedirs(out, exist_ok=True)
+
+    def path(name):
+        return os.path.join(out, name)
+
+    def report(name, d):
+        with open(path(name), "w") as fh:
+            fh.write(json.dumps(d, sort_keys=True) + "\n" + repr(d) + "\n")
+
+    def simulate(tag, cfg):
+        with open(path(f"{tag}.cfg.json"), "w") as fh:
+            json.dump(cfg, fh)
+        assert cli.main(["simulate", path(f"{tag}.cfg.json"), "--out",
+                         path(f"{tag}.report.json"), "--table", path(f"{tag}.table.csv")]) == 0
+
+    for kind, seed in (("f1-spectral", 1234), ("f2-cosine", 5678)):
+        simulate(kind, {"generator": {"kind": kind}, "n": 1000, "replicates": 200,
+                        "sigma": 0.01, "seed": seed, "design_convention": "right"})
+    simulate("f2-sigma3", {"generator": {"kind": "f2-cosine"}, "n": 997, "replicates": 37,
+                           "sigma": 3.0, "seed": 11})
+    simulate("f1-qgrid", {"generator": {"kind": "f1-spectral"}, "n": 2000, "replicates": 40,
+                          "sigma": 0.3, "seed": 12, "q_grid": [1, 1.5, 2, 3, 4]})
+    simulate("f2-n300", {"generator": {"kind": "f2-cosine"}, "n": 300, "replicates": 70,
+                         "sigma": 0.001, "seed": 13, "gcv_orders": [1, 2, 3]})
+    simulate("f1-n64", {"generator": {"kind": "f1-spectral"}, "n": 64, "replicates": 9,
+                        "sigma": 0.05, "seed": 14})
+
+    with open(path("compare.cfg.json"), "w") as fh:
+        json.dump({"generator": {"kind": "f1-spectral"}, "n": 1000, "q_choices": [2.0, 3.0],
+                   "replicates": 60, "sigma": 0.01, "seed": 99}, fh)
+    assert cli.main(["compare", path("compare.cfg.json"), "--out", path("compare.json")]) == 0
+
+    rng = np.random.default_rng(2024)
+    for kind, n, sigma in (("f1-spectral", 1000, 0.01), ("f2-cosine", 2000, 0.3),
+                           ("f2-cosine", 500, 3.0), ("f1-spectral", 4096, 0.001)):
+        grid = e.design_grid(n)
+        y = e.Generator(kind=kind).values(grid) + sigma * rng.standard_normal(n)
+        tag = f"{kind}-{n}-{sigma}"
+        data = path(f"{tag}.csv")
+        np.savetxt(data, np.column_stack([grid.x, y]), delimiter=",", header="x,y",
+                   comments="", fmt="%.17g")
+        for extra, sfx in (((), ""), (("--qstep", "0.3"), "-qstep0.3")):
+            assert cli.main(["fit", data, "--out", path(f"{tag}{sfx}.fit.json"),
+                             "--fitted-csv", path(f"{tag}{sfx}.fitted.csv"), *extra]) == 0
+        assert cli.main(["credible", data, "--out", path(f"{tag}.ball.json"),
+                         "--samples-csv", path(f"{tag}.samples.csv"), "--draws", "5",
+                         "--seed", "3"]) == 0
+
+    f1 = e.Generator(kind="f1-spectral")
+    for n in (500, 1000, 2000):
+        report(f"coverage-{n}.txt", e.coverage_experiment(
+            f1, n=n, replicates=100, L=2.0, sigma=0.01, seed=4000 + n).to_dict())
+        report(f"gcv-ball-{n}.txt", e.gcv_ball_experiment(
+            f1, n=n, q_choices=(1.0, 2.0, 3.0), replicates=60, sigma=0.01,
+            seed=8000 + n).to_dict())
+    report("coverage-f2.txt", e.coverage_experiment(
+        e.Generator(kind="f2-cosine"), n=777, replicates=50, sigma=0.3, seed=5).to_dict())
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])
