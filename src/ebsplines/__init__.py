@@ -56,14 +56,13 @@ from .simlab import (
     run_study,
 )
 from .spectral import (
-    ANALYTIC,
-    EXACT,
     BasisHandle,
     DesignGrid,
     EigenSequence,
     SpectralModel,
     design_grid,
     eigenvalues,
+    exact_model,
     forward,
     inverse,
     make_basis,

@@ -24,7 +24,8 @@ from .credible import RadiusSpec, credible_ball, sample_posterior
 from .errors import EbsplinesError
 from .oracles import SignalSpectrum, asymptotic_variances, kappa, oracle_lambda
 from .selection import ModelFamily, default_q_grid, fit
-from .simlab import Generator, StudyConfig, _noise_level, gcv_ball_experiment, run_study
+from .simlab import (Generator, StudyConfig, _noise_level, _numbers, gcv_ball_experiment,
+                     run_study)
 from .spectral import design_grid
 
 EXIT_INPUT = 2
@@ -122,8 +123,6 @@ def _fit_from_args(x: np.ndarray | None, y: np.ndarray, args):
     """The x column to write (the design's sites when x is absent) and the fit."""
     grid = design_grid(len(y), args.design)
     qgrid = default_q_grid(len(y), q_max=args.qmax, refine=args.qstep)
-    if args.qmin > 1:
-        qgrid = tuple(q for q in qgrid if q >= args.qmin)
     return (grid.x if x is None else x), fit(ModelFamily(grid), y, qgrid=qgrid)
 
 
@@ -153,6 +152,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_credible(args) -> int:
+    if args.draws < 0:
+        raise EbsplinesError(f"--draws must be >= 0, got {args.draws}")
+    if (args.draws > 0) != bool(args.samples_csv):
+        raise EbsplinesError("--draws >= 1 and --samples-csv must be given together")
     x, y = _read_xy_csv(args.input)
     xs, res = _fit_from_args(x, y, args)
     spec = RadiusSpec(alpha=args.alpha, mc_draws=args.mc_draws, seed=args.seed)
@@ -161,7 +164,7 @@ def _cmd_credible(args) -> int:
     payload["fit"] = _fit_payload(res)
     payload["center_inside"] = bool(ball.contains(ball.center))
     _emit(payload, args.out, args)
-    if args.draws > 0 and args.samples_csv:
+    if args.draws:
         # a child stream of --seed (spawn key 1), so curves replay unchanged
         curve_seed = np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))
         curves = sample_posterior(res, args.draws, seed=curve_seed)
@@ -215,12 +218,16 @@ def _compare_args(d: dict) -> dict:
     spec = RadiusSpec(alpha=float(d.get("alpha", 0.05)),
                       mc_draws=int(d.get("mc_draws", 10_000)),
                       seed=int(d.get("radius_seed", d.get("seed", 0))))
+    q_choices, beta = tuple(d.get("q_choices", (2.0,))), d.get("beta")
+    _numbers("q_choices", q_choices)
+    # an absent or null beta leaves gcv_ball_experiment the generator's own
+    _numbers("beta", [] if beta is None else [beta])
     return dict(
         generator=Generator.from_dict(d["generator"]), n=int(d.get("n", 1000)),
-        q_choices=tuple(map(float, d.get("q_choices", (2.0,)))),
+        q_choices=tuple(map(float, q_choices)),
         replicates=int(d.get("replicates", 200)),
         spec=spec, sigma=_noise_level(d.get("sigma", 0.01)),
-        beta=d.get("beta"),
+        beta=beta,
         convention=d.get("design_convention", "midpoint"),
         seed=int(d.get("seed", 0)))
 
@@ -277,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_fit_flags(sp):
-        sp.add_argument("--qmin", type=int, default=1)
         sp.add_argument("--qmax", type=int, default=None,
                         help="largest order (default: 6, capped at log n)")
         sp.add_argument("--qstep", type=float, default=None,
@@ -296,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("credible", help="fit and build the credible ball")
     sp.add_argument("input")
     sp.add_argument("--out", default=None, help="ball JSON path")
-    sp.add_argument("--samples-csv", default=None)
+    sp.add_argument("--samples-csv", default=None,
+                    help="posterior curves CSV path (needs --draws >= 1)")
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--L", type=float, default=2.0)
     sp.add_argument("--mc-draws", type=int, default=10_000,

@@ -11,4 +11,5 @@ class DegenerateDataError(EbsplinesError):
 
 
 class UnsupportedBackendError(EbsplinesError):
-    """Raised when a basis backend is requested outside its declared range."""
+    """Raised when the exact-eigen test oracle (``spectral.exact_model``) is
+    requested outside its declared range of orders and sizes."""

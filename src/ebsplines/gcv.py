@@ -19,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EbsplinesError
-from .selection import (LAMBDA_MAX, LAMBDA_MIN, _at, _dots, _lockstep, _log_grid, _scan,
-                        _tails)
+from .selection import _at, _lockstep, _log_grid, _scan, _tails
 from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Points of the coarse log-lambda grid that brackets the minimum.  GCV keeps
+# The 60-point coarse log-lambda grid that brackets the minimum.  GCV keeps
 # golden section rather than bisecting the sign of its derivative: the
 # bracket can hold two minima, and the sign alone then may pick the worse.
 _GRID_POINTS = 60
+_GRID = _log_grid(_GRID_POINTS)
 
 
 def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
@@ -46,7 +46,8 @@ def _crit_rows(n, u, v, w):
     np.divide(u, v, out=u)
     np.multiply(u, u, out=w)
     den = u.sum(axis=-1)
-    return lambda x2: n * _dots(x2, w) / (den * den)
+    # np.vecdot, as in ``selection._t_rows``: the BLAS dot of np.dot per row
+    return lambda x2: n * np.vecdot(w, x2) / (den * den)
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,19 @@ class GcvResult:
     boundary_flag: bool
 
 
-def select_lambda_gcv(model: SpectralModel, y,
-                      lam_range: tuple[float, float] = (LAMBDA_MIN, LAMBDA_MAX),
-                      ) -> GcvResult:
-    """Minimize GCV in log lambda: coarse grid, then golden section.
+def select_lambda_gcv(model: SpectralModel, y) -> GcvResult:
+    """Minimize GCV in log lambda over [LAMBDA_MIN, LAMBDA_MAX]: coarse grid,
+    then golden section.
 
     The coarse grid is evaluated in blocks, by the kernel the golden-section
     steps use.  The refinement targets relative accuracy 1e-4 in log lambda;
     a minimizer at either end of the coarse grid sets the boundary flag.
     """
     x = model.basis.forward(np.asarray(y, dtype=float))
-    return _select_gcvs(model, x[None], lam_range)[0]
+    return _select_gcvs(model, x[None])[0]
 
 
-def _select_gcvs(model: SpectralModel, x: np.ndarray,
-                 lam_range=(LAMBDA_MIN, LAMBDA_MAX)) -> list[GcvResult]:
+def _select_gcvs(model: SpectralModel, x: np.ndarray) -> list[GcvResult]:
     """``select_lambda_gcv`` for each row of the stack x = Phi^T y, a row a lane."""
     x2s, nz = _tails(model.eigen, x)
     rows = functools.partial(_crit_rows, model.n)
@@ -79,11 +78,10 @@ def _select_gcvs(model: SpectralModel, x: np.ndarray,
     def crit(t, live):  # GCV of the rows ``live`` at lambda = e^t, a t per row
         return _scan(rows, x2s, nz, np.fromiter(map(math.exp, t), float, len(t)), live)
 
-    grid = _log_grid(lam_range, _GRID_POINTS)
-    js = np.argmin(_scan(rows, x2s, nz, grid), axis=1).tolist()
+    js = np.argmin(_scan(rows, x2s, nz, _GRID), axis=1).tolist()
     # golden section on the bracket around the best grid point of each row
-    t = _lockstep([_golden(math.log(grid[max(j - 1, 0)]),
-                           math.log(grid[min(j + 1, _GRID_POINTS - 1)])) for j in js],
+    t = _lockstep([_golden(math.log(_GRID[max(j - 1, 0)]),
+                           math.log(_GRID[min(j + 1, _GRID_POINTS - 1)])) for j in js],
                   crit)
     return [GcvResult(lambda_f_hat=math.exp(tk), q=model.q, criterion_value=float(v),
                       boundary_flag=j in (0, _GRID_POINTS - 1))

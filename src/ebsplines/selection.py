@@ -89,28 +89,20 @@ def _t_rows(n, g, u, v, w):
     """The rows of a rescaled derivative that do not see the data, for each
     row of u = lam * nz: r g/v, r and sum(g/v), v = 1 + u, r = u/v, built in
     place of u, v and w.  Returns the finish for squared tail coefficients x2
-    (see ``_dots``): (1/n) x2.(r g/v) - (1/n^2) (x2.r) sum(g/v), which is
+    (see ``_scan``): (1/n) x2.(r g/v) - (1/n^2) (x2.r) sum(g/v), which is
     T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.divide(u if g is None else np.multiply(u, g, out=w), v, out=w)
     s = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
-    return lambda x2: _dots(x2, w) / n - _dots(x2, u) * s / (n * n)
+    # np.vecdot runs the BLAS dot of np.dot on every (row, x2) pair, over
+    # stacks too; a @ x2 would sum in another order
+    return lambda x2: np.vecdot(w, x2) / n - np.vecdot(u, x2) * s / (n * n)
 
 
-def _log_grid(lam_range: tuple[float, float], points: int) -> np.ndarray:
-    """``points`` lambdas equally spaced in log lambda over (lo, hi), 0 < lo < hi."""
-    lo, hi = lam_range
-    if not 0 < lo < hi < math.inf:
-        raise EbsplinesError(f"bad lambda range {lam_range}")
-    return np.exp(np.linspace(math.log(lo), math.log(hi), points))
-
-
-def _dots(x2: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """np.dot(x2, row) for each row of a, broadcast over stacks: ``np.vecdot``
-    runs the BLAS dot of ``np.dot`` on every pair (``a @ x2`` sums in
-    another order)."""
-    return np.vecdot(a, x2)
+def _log_grid(points: int) -> np.ndarray:
+    """``points`` lambdas equally spaced in log lambda over the search interval."""
+    return np.exp(np.linspace(math.log(LAMBDA_MIN), math.log(LAMBDA_MAX), points))
 
 
 def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
@@ -120,7 +112,7 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
     (a stack of one row serves every lane uncopied).  ``rows_fn(u, v, w)``
     builds a block of rows u = lam * nz in place, in three buffers of at most
     ``_BLOCK_ENTRIES`` entries (one row at least).  Rows do not see the data:
-    each block is built once, and its finish reduces it by ``_dots`` and
+    each block is built once, and its finish reduces it by ``np.vecdot`` and
     ``sum(axis=-1)``, element-wise otherwise, so a value does not depend on
     the block, stack or lane it is computed in."""
     step = max(1, _BLOCK_ENTRIES // len(nz))
@@ -184,10 +176,10 @@ class LambdaSolve:
     boundary: bool
 
 
-# Points of the log-lambda scan that brackets the roots of T_lam, and the
+# The 33-point log-lambda scan that brackets the roots of T_lam, and the
 # iteration cap of the bisection (about 55 halvings of the full range reach
 # the 1e-14 bracket).
-_SCAN_POINTS = 33
+_SCAN_GRID = _log_grid(33)
 _BISECT_ITER = 200
 
 
@@ -229,15 +221,14 @@ def _lockstep(lanes: list, f) -> list:
     return out
 
 
-def solve_lambda(model: SpectralModel, coeffs,
-                 lam_range: tuple[float, float] = (LAMBDA_MIN, LAMBDA_MAX),
-                 tol: float | None = None) -> LambdaSolve:
+def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> LambdaSolve:
     """Solve T_lam(lambda) = 0 by sign-bracketing bisection in log lambda.
 
-    The interval is scanned on a log grid (in blocks, by the kernel the
-    bisection steps use); each sign change from negative to positive (a
-    maximum of the marginal likelihood) is refined and, in the rare multi-root
-    case, the root with the highest marginal likelihood wins.
+    The interval [LAMBDA_MIN, LAMBDA_MAX] is scanned on a log grid (in
+    blocks, by the kernel the bisection steps use); each sign change from
+    negative to positive (a maximum of the marginal likelihood) is refined
+    and, in the rare multi-root case, the root with the highest marginal
+    likelihood wins.
     Without a sign change anywhere, the endpoint of the theory interval
     [1/n, 1] with the smaller |T_lam| is returned with the boundary flag set
     -- that outcome is data, not an error.
@@ -246,11 +237,10 @@ def solve_lambda(model: SpectralModel, coeffs,
     coefficient (T_lam is quadratic in the data), which keeps the solve
     scale-equivariant; an explicit ``tol`` is honored absolutely.
     """
-    return _solve_lambdas(model, np.asarray(coeffs, dtype=float)[None], lam_range, tol)[0]
+    return _solve_lambdas(model, np.asarray(coeffs, dtype=float)[None], tol)[0]
 
 
-def _solve_lambdas(model: SpectralModel, x: np.ndarray,
-                   lam_range=(LAMBDA_MIN, LAMBDA_MAX), tol=None) -> list[LambdaSolve]:
+def _solve_lambdas(model: SpectralModel, x: np.ndarray, tol=None) -> list[LambdaSolve]:
     """``solve_lambda`` for each row of the stack x, every bracket a lane."""
     x2s, nz = _tails(model.eigen, x)
     n = model.n
@@ -258,10 +248,9 @@ def _solve_lambdas(model: SpectralModel, x: np.ndarray,
             else [tol] * len(x2s))
     rows = functools.partial(_t_rows, n, None)
 
-    grid = _log_grid(lam_range, _SCAN_POINTS)
-    tv = _scan(rows, x2s, nz, grid)
+    tv = _scan(rows, x2s, nz, _SCAN_GRID)
     ks, js = np.nonzero((tv[:, :-1] < 0) & (tv[:, 1:] > 0))
-    roots = _lockstep([_bisect_log(grid[j], grid[j + 1], 1e-14, tols[k])
+    roots = _lockstep([_bisect_log(_SCAN_GRID[j], _SCAN_GRID[j + 1], 1e-14, tols[k])
                        for k, j in zip(ks, js)],
                       lambda m, live: _scan(rows, x2s, nz, np.array(m), ks[live]))
     sols = [None] * len(x2s)
@@ -277,8 +266,7 @@ def _solve_lambdas(model: SpectralModel, x: np.ndarray,
     # (pure noise then lands at lambda = 1).
     none = [k for k, sol in enumerate(sols) if sol is None]
     if none:
-        lo, hi = lam_range
-        ends = np.array([hi, min(max(1.0 / n, lo), hi)])
+        ends = np.array([LAMBDA_MAX, 1.0 / n])
         for k, t in zip(none, _scan(rows, x2s[none], nz, ends)):
             e = int(abs(t[1]) < abs(t[0]))
             sols[k] = LambdaSolve(lam=float(ends[e]), t_value=float(t[e]), boundary=True)

@@ -37,7 +37,7 @@ from .oracles import SignalSpectrum, oracle_lambda
 from .selection import ModelFamily, _fits, _smooth, default_q_grid
 from .spectral import DesignGrid, design_grid, make_basis, rms_norm
 
-GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "polynomial", "custom-spectrum")
+GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "custom-spectrum")
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,6 @@ class Generator:
         elif self.kind == "f2-cosine":
             freq = float(self.params.get("half_periods", 5.0))
             v = np.cos(freq * np.pi * grid.x)
-        elif self.kind == "polynomial":
-            d = int(self.params.get("d", 2))
-            if d < 1:
-                raise EbsplinesError("polynomial dimension d must be >= 1")
-            coeffs = self.params.get("coeffs")
-            if coeffs is None:
-                coeffs = [1.0] * d
-            if len(coeffs) != d:
-                raise EbsplinesError("polynomial coefficient count must equal d")
-            v = np.polynomial.polynomial.polyval(grid.x, np.asarray(coeffs, dtype=float))
         else:  # custom-spectrum; __post_init__ admits no other kind
             coeffs = np.asarray(self.params["coeffs"], dtype=float)
             if len(coeffs) != n:

@@ -8,23 +8,20 @@ paper's asymptotic formula takes the phase ``c = q``; it is right only up to a
 factor of 5 (q = 2) to 1474 (q = 4) at the first non-null index.  The
 assembled order-q difference penalty follows ``c = (q+1)/2`` instead: its
 first ten non-null eigenvalues agree with that phase within 2% at q = 1, 2
-(exact-eigen backend) and q = 3 (assembled third-difference penalty), and
+(``exact_model``) and q = 3 (assembled third-difference penalty), and
 both phases coincide at q = 1.  ``eigenvalues`` keeps the paper's phase by
 default; ``penalty_eigenvalues`` gives the corrected sequence, and every
 model that stands for the production fit uses it.  The phase is recorded as
 ``EigenSequence.offset``.
 
-Two backends are provided:
-
-* ``analytic-surrogate`` -- an orthonormal cosine transform (DCT-II family)
-  paired with the eigenvalue formula at the phase ``(q+1)/2``.  All selection
-  criteria downstream depend on the data only through the transformed
-  coefficients and the eigenvalue sequence, so this is the production backend
-  for every order.
-* ``exact-eigen`` -- a dense eigendecomposition of a directly assembled
-  finite-difference penalty smoother.  Only orders 1 and 2 and small designs
-  are supported; it serves as an independent test oracle, and its null space
-  contains polynomials exactly.
+Every production model pairs an orthonormal cosine transform (DCT-II
+family) with the eigenvalue formula at the phase ``(q+1)/2``
+(``spectral_model``).  All selection criteria downstream depend on the data
+only through the transformed coefficients and the eigenvalue sequence, so this
+one model family serves every order.  ``exact_model`` builds the independent
+test oracle instead: a dense eigendecomposition of a directly assembled
+finite-difference penalty, for orders 1 and 2 and n <= 512 only, whose null
+space contains polynomials exactly.
 
 The package-wide norm convention is ``rms_norm``: ``||v||^2 = mean(v_i^2)``,
 so spectral and design-domain computations coincide under the orthonormal
@@ -42,11 +39,7 @@ from scipy.fft import dct, idct
 
 from .errors import EbsplinesError, UnsupportedBackendError
 
-ANALYTIC = "analytic-surrogate"
-EXACT = "exact-eigen"
-
 _EXACT_MAX_N = 512
-_ORTHO_TOL = 1e-10
 
 
 def rms_norm(v) -> float:
@@ -153,22 +146,19 @@ def penalty_eigenvalues(q: float, n: int) -> EigenSequence:
 
 @dataclass(frozen=True, eq=False)
 class BasisHandle:
-    """Orthonormal transform Phi plus bookkeeping.
+    """Orthonormal transform Phi: the cosine transform, or the dense
+    eigenvector matrix of ``exact_model``.
 
     ``forward`` applies Phi^T (analysis), ``inverse`` applies Phi (synthesis).
-    For the exact backend, ``exact_eigenvalues`` carries the eigensolve's own
-    n*eta sequence.  Handles are shared per transform (``make_basis``) and
-    compare by identity.
+    Handles are shared per transform (``make_basis``) and compare by identity.
     """
 
-    kind: str
     n: int
     _matrix: np.ndarray | None = field(default=None, repr=False)
-    exact_eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense Phi (n x n); built on demand for the analytic backend."""
+        """Dense Phi (n x n); built on demand for the cosine transform."""
         if self._matrix is not None:
             return self._matrix
         return _dct_matrix(self.n)
@@ -178,7 +168,7 @@ class BasisHandle:
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.n:
             raise EbsplinesError(f"expected length {self.n}, got {y.shape[-1]}")
-        if self.kind == ANALYTIC:
+        if self._matrix is None:
             return dct(y, type=2, norm="ortho", axis=-1)
         return y @ self._matrix
 
@@ -187,7 +177,7 @@ class BasisHandle:
         c = np.asarray(coeffs, dtype=float)
         if c.shape[-1] != self.n:
             raise EbsplinesError(f"expected length {self.n}, got {c.shape[-1]}")
-        if self.kind == ANALYTIC:
+        if self._matrix is None:
             return idct(c, type=2, norm="ortho", axis=-1)
         return c @ self._matrix.T
 
@@ -200,13 +190,13 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _cosine_basis(n: int) -> BasisHandle:
-    # the cosine transform does not depend on the order, so the analytic
-    # models on n sites share this one handle
-    return BasisHandle(kind=ANALYTIC, n=n)
+    # the cosine transform does not depend on the order, so every model on
+    # n sites shares this one handle
+    return BasisHandle(n=n)
 
 
 @functools.lru_cache(maxsize=8)
-def _exact_basis(q: int, n: int) -> BasisHandle:
+def _exact_eigen(q: int, n: int) -> tuple[BasisHandle, np.ndarray]:
     # order-q finite differences scaled so the quadratic form approximates
     # the integral of (f^(q))^2; symmetric by construction
     D = np.eye(n)
@@ -221,29 +211,16 @@ def _exact_basis(q: int, n: int) -> BasisHandle:
     # deterministic column signs
     j = np.argmax(np.abs(U), axis=0)
     U = U * np.sign(U[j, np.arange(n)])
-    return BasisHandle(kind=EXACT, n=n, _matrix=U, exact_eigenvalues=n * w)
+    return BasisHandle(n=n, _matrix=U), n * w
 
 
-def make_basis(grid: DesignGrid, q: float, kind: str = ANALYTIC) -> BasisHandle:
-    """Construct the orthonormal transform for penalty order q on the grid.
+def make_basis(grid: DesignGrid, q: float) -> BasisHandle:
+    """The orthonormal cosine transform on the grid, for any admissible q.
 
-    ``analytic-surrogate`` works for any admissible q; ``exact-eigen`` is
-    restricted to q in {1, 2} and n <= 512 (the assembled penalty eigensolve
-    is the test oracle, and higher orders are numerically unreliable).
-    Handles are cached: every analytic model on n sites shares one.
+    The transform does not depend on the order: every model on n sites
+    shares one cached handle.
     """
-    n = grid.n
-    if kind == ANALYTIC:
-        return _cosine_basis(n)
-    if kind == EXACT:
-        if q not in (1, 2) or int(q) != q:
-            raise UnsupportedBackendError(
-                f"exact-eigen backend supports q in {{1, 2}}, got q = {q}")
-        if n > _EXACT_MAX_N:
-            raise UnsupportedBackendError(
-                f"exact-eigen backend supports n <= {_EXACT_MAX_N}, got n = {n}")
-        return _exact_basis(int(q), n)
-    raise EbsplinesError(f"unknown basis kind {kind!r}")
+    return _cosine_basis(grid.n)
 
 
 def forward(basis: BasisHandle, y) -> np.ndarray:
@@ -293,12 +270,26 @@ class SpectralModel:
         return self.eigen.null_dim
 
 
-def spectral_model(grid: DesignGrid, q: float, kind: str = ANALYTIC) -> SpectralModel:
-    """Assemble a SpectralModel; the exact backend supplies its own eigenvalues,
-    the analytic one pairs the cosine basis with the penalty's phase."""
-    basis = make_basis(grid, q, kind)
-    if kind == EXACT:
-        eig = EigenSequence(q=float(q), n=grid.n, values=basis.exact_eigenvalues)
-    else:
-        eig = penalty_eigenvalues(q, grid.n)
-    return SpectralModel(grid=grid, q=float(q), eigen=eig, basis=basis)
+def spectral_model(grid: DesignGrid, q: float) -> SpectralModel:
+    """The production model: the cosine basis with the penalty's phase."""
+    return SpectralModel(grid=grid, q=float(q), eigen=penalty_eigenvalues(q, grid.n),
+                         basis=make_basis(grid, q))
+
+
+def exact_model(grid: DesignGrid, q: float) -> SpectralModel:
+    """The exact-eigen test oracle: the eigensolve of the assembled order-q
+    difference penalty, its eigenvectors as basis and its own n*eta sequence.
+
+    Restricted to q in {1, 2} and n <= 512 (higher orders are numerically
+    unreliable); raises ``UnsupportedBackendError`` outside that range.
+    """
+    n = grid.n
+    if q not in (1, 2) or int(q) != q:
+        raise UnsupportedBackendError(
+            f"exact_model supports q in {{1, 2}}, got q = {q}")
+    if n > _EXACT_MAX_N:
+        raise UnsupportedBackendError(
+            f"exact_model supports n <= {_EXACT_MAX_N}, got n = {n}")
+    basis, values = _exact_eigen(int(q), n)
+    return SpectralModel(grid=grid, q=float(q),
+                         eigen=EigenSequence(q=float(q), n=n, values=values), basis=basis)

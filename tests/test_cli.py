@@ -219,6 +219,21 @@ class TestCredibleCommand:
         assert "need L >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,what", [
+        (["--draws", "3"], "--samples-csv"),
+        (["--samples-csv", "curves.csv"], "--draws >= 1"),
+        (["--samples-csv", "curves.csv", "--draws", "0"], "--draws >= 1"),
+        (["--draws", "-3"], "--draws must be >= 0, got -3"),
+        (["--samples-csv", "curves.csv", "--draws", "-3"], "--draws must be >= 0, got -3"),
+    ], ids=["draws-alone", "csv-alone", "csv-zero-draws", "negative", "csv-negative"])
+    def test_draws_it_cannot_deliver_exit_2(self, tmp_path, sample_csv, capsys, flags, what):
+        out = tmp_path / "ball.json"
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        assert main(["credible", str(sample_csv), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and what in err
+        assert not out.exists() and not (tmp_path / "curves.csv").exists()
+
     def test_selection_flags_in_fit_payload(self, tmp_path, sample_csv):
         out = tmp_path / "ball.json"
         assert main(["credible", str(sample_csv), "--out", str(out)]) == 0
@@ -347,6 +362,29 @@ class TestBadConfigs:
         cfg = json.loads(out.read_text())["config"]
         assert (cfg["q_grid"], cfg["gcv_orders"], cfg["sigma"]) == ([1, 2.5, 3], [2], 0.0)
         assert cfg["generator"]["params"] == {"beta": 3}
+
+    @pytest.mark.parametrize("entry,what", [
+        ({"beta": "abc"}, "beta: 'abc' is not a number"),
+        ({"beta": True}, "beta: True is not a number"),
+        ({"q_choices": [True]}, "q_choices: True is not a number"),
+        ({"q_choices": [2, "x"]}, "q_choices: 'x' is not a number"),
+    ], ids=["beta-string", "beta-bool", "q-choice-bool", "q-choice-string"])
+    def test_compare_beta_and_q_choices_must_be_numbers(self, tmp_path, capsys, entry, what):
+        p = tmp_path / "cmp.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
+                                 "replicates": 2, **entry}))
+        assert main(["compare", str(p), "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == f"error: {p}: {what}\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("entry", [{}, {"beta": None}, {"beta": 3}],
+                             ids=["beta-absent", "beta-null", "beta-number"])
+    def test_compare_beta_may_be_absent_or_null(self, tmp_path, entry):
+        p, out = tmp_path / "cmp.json", tmp_path / "out.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
+                                 "replicates": 2, "q_choices": [2], **entry}))
+        assert main(["compare", str(p), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["beta"] == 3.0
 
     def test_experiment_errors_keep_their_message(self, tmp_path, capsys):
         # the config parses; the experiment itself rejects a generator

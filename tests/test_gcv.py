@@ -46,30 +46,6 @@ class TestSelectLambdaGcv:
         assert r1.lambda_f_hat == r2.lambda_f_hat
         assert r2.criterion_value == pytest.approx(81.0 * r1.criterion_value, rel=1e-10)
 
-    def test_pure_noise_minimizer_at_upper_end(self):
-        # without signal the criterion usually decreases toward heavy
-        # smoothing; measured rate at this config is 14/20 at the top end
-        # with 18/20 flagged as boundary solutions
-        n = 256
-        m = _model(n, 2.0)
-        upper = flagged = 0
-        for k in range(20):
-            y = np.random.default_rng(500 + k).standard_normal(n)
-            r = e.select_lambda_gcv(m, y, lam_range=(1.0 / n, 1.0))
-            upper += r.lambda_f_hat > 0.5
-            flagged += r.boundary_flag
-        assert upper >= 12
-        assert flagged >= 16
-
-    @pytest.mark.parametrize("lam_range", [(1.0, 1e-3), (0.0, 1.0)])
-    def test_bad_lambda_range_rejected(self, lam_range):
-        # a reversed range and a zero end, as solve_lambda rejects them
-        m = _model(64, 2.0)
-        y = np.random.default_rng(3).standard_normal(64)
-        with pytest.raises(EbsplinesError, match="bad lambda range"):
-            e.select_lambda_gcv(m, y, lam_range=lam_range)
-        with pytest.raises(EbsplinesError, match="bad lambda range"):
-            e.solve_lambda(m, m.basis.forward(y), lam_range=lam_range)
 
 
 @pytest.fixture(scope="module")

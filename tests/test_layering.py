@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ebsplines
+from ebsplines import cli, simlab
 
 SRC = Path(ebsplines.__file__).parent
 
@@ -50,16 +51,25 @@ def test_selection_imports_only_errors_and_spectral():
 
 
 def test_public_surface_has_no_unused_options():
-    # C_p, the rounding policy, fit's override hooks, fit_design and the
-    # single-sample compare arm were removed; no workflow set them
-    assert not {"mallows_cp", "fit_design"} & set(dir(ebsplines))
+    # C_p, the rounding policy, fit's override hooks, fit_design, the
+    # single-sample compare arm, the basis backend switch, the lambda search
+    # range, the polynomial generator and fit's --qmin were removed; no
+    # workflow set them
+    assert not {"mallows_cp", "fit_design", "ANALYTIC", "EXACT"} & set(dir(ebsplines))
     params = {f: list(inspect.signature(f).parameters) for f in (
         ebsplines.fit, ebsplines.select_q, ebsplines.select_lambda_gcv,
+        ebsplines.solve_lambda, ebsplines.make_basis, ebsplines.spectral_model,
         ebsplines.gcv_ball_experiment)}
     assert params == {
         ebsplines.fit: ["family", "y", "qgrid"],
         ebsplines.select_q: ["family", "x", "qgrid"],
-        ebsplines.select_lambda_gcv: ["model", "y", "lam_range"],
+        ebsplines.select_lambda_gcv: ["model", "y"],
+        ebsplines.solve_lambda: ["model", "coeffs", "tol"],
+        ebsplines.make_basis: ["grid", "q"],
+        ebsplines.spectral_model: ["grid", "q"],
         ebsplines.gcv_ball_experiment: ["generator", "n", "q_choices", "replicates",
                                         "spec", "sigma", "beta", "convention", "seed"],
     }
+    assert "polynomial" not in simlab.GENERATOR_KINDS
+    fit_args = vars(cli._build_parser().parse_args(["fit", "data.csv"]))
+    assert "qmax" in fit_args and "qmin" not in fit_args

@@ -21,30 +21,12 @@ class TestGenerators:
             v = e.Generator(kind=kind).values(e.design_grid(400))
             assert v.max() - v.min() == pytest.approx(1.0, rel=1e-12)
 
-    def test_polynomial_is_exactly_affine(self):
-        gen = e.Generator(kind="polynomial", params={"d": 2})
-        g = e.design_grid(64)
-        v = gen.values(g)
-        fitted = np.polynomial.polynomial.polyfit(g.x, v, 1)
-        resid = v - np.polynomial.polynomial.polyval(g.x, fitted)
-        assert np.abs(resid).max() < 1e-12
-
-    def test_polynomial_in_exact_backend_null_space(self):
-        # the assembled second-order penalty annihilates affine functions, so
-        # the exact backend sees no spectral mass beyond its null space
-        gen = e.Generator(kind="polynomial", params={"d": 2}, scale_by_range=False)
-        g = e.design_grid(128)
-        m = e.spectral_model(g, 2.0, e.EXACT)
-        c = m.basis.forward(gen.values(g))
-        assert np.abs(c[2:]).max() <= 1e-8 * np.abs(c).max()
-
     def test_constant_data_raise_degenerate(self):
-        # degree-0 polynomial: no coefficient beyond the constant, so the
-        # marginal likelihood is undefined and fit refuses the data
-        gen = e.Generator(kind="polynomial", params={"d": 1}, scale_by_range=False)
+        # no coefficient beyond the constant, so the marginal likelihood is
+        # undefined and fit refuses the data
         g = e.design_grid(256)
         with pytest.raises(e.DegenerateDataError):
-            e.fit(e.ModelFamily(g), gen.values(g))
+            e.fit(e.ModelFamily(g), np.ones(256))
 
     def test_f1_energy_stable_within_its_smoothness_class(self):
         # at order 2 the spectral energy of the signal converges with n

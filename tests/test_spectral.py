@@ -118,14 +118,14 @@ class TestExactBackend:
         # dense symmetric eigensolve of the assembled first-order penalty;
         # agreement window reflects the 1+o(1) factor
         n = 64
-        m = e.spectral_model(e.design_grid(n), 1.0, e.EXACT)
+        m = e.exact_model(e.design_grid(n), 1.0)
         i = np.arange(1, n + 1)
         ratio = m.eigen.values[1:n // 4] / (PI2 * (i[1:n // 4] - 1.0) ** 2)
         assert np.all((ratio > 0.9) & (ratio < 1.1))
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_first_order_agreement_in_uniformity_range(self, n):
-        m = e.spectral_model(e.design_grid(n), 1.0, e.EXACT)
+        m = e.exact_model(e.design_grid(n), 1.0)
         asym = e.eigenvalues(1.0, n).values
         top = int(n ** (2.0 / 3.0))
         ratio = m.eigen.values[1:top] / asym[1:top]
@@ -135,7 +135,7 @@ class TestExactBackend:
     def test_second_order_matches_phase_shifted_rates(self, n):
         # the assembled second-order penalty follows pi^4 (i - 3/2)^4 at small
         # i (free-boundary phase), converging to pi^4 (i - 2)^4 only at large i
-        m = e.spectral_model(e.design_grid(n), 2.0, e.EXACT)
+        m = e.exact_model(e.design_grid(n), 2.0)
         i = np.arange(1, n + 1, dtype=float)
         shifted = PI4 * (i - 1.5) ** 4
         ratio = m.eigen.values[2:12] / shifted[2:12]
@@ -148,23 +148,23 @@ class TestExactBackend:
         # lines are annihilated by second differences, so a linear trend has
         # no spectral mass beyond the first two columns
         n = 128
-        m = e.spectral_model(e.design_grid(n), 2.0, e.EXACT)
+        m = e.exact_model(e.design_grid(n), 2.0)
         line = 0.3 + 1.7 * m.grid.x
         c = m.basis.forward(line)
         assert np.abs(c[2:]).max() <= 1e-8 * np.abs(c).max()
 
     def test_orthonormality(self):
-        m = e.spectral_model(e.design_grid(100), 2.0, e.EXACT)
+        m = e.exact_model(e.design_grid(100), 2.0)
         err = np.abs(m.basis.matrix.T @ m.basis.matrix - np.eye(100)).max()
         assert err < 1e-10
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedBackendError):
-            e.make_basis(e.design_grid(16), 3.0, e.EXACT)
+            e.exact_model(e.design_grid(16), 3.0)
 
     def test_unsupported_size(self):
         with pytest.raises(UnsupportedBackendError):
-            e.make_basis(e.design_grid(600), 1.0, e.EXACT)
+            e.exact_model(e.design_grid(600), 1.0)
 
 
 class TestPenaltyPhase:
@@ -176,7 +176,7 @@ class TestPenaltyPhase:
     def test_analytic_tail_matches_exact_eigen(self, q, n):
         g = e.design_grid(n)
         analytic = e.spectral_model(g, q).eigen.values
-        exact = e.spectral_model(g, q, e.EXACT).eigen.values
+        exact = e.exact_model(g, q).eigen.values
         d = int(q)
         ratio = exact[d:d + 10] / analytic[d:d + 10]
         assert np.all(np.abs(ratio - 1.0) < 0.02)
@@ -192,14 +192,14 @@ class TestPenaltyPhase:
     def test_exact_null_space_is_q_dimensional_at_the_size_limit(self):
         # the third eigenvalue (~500) is tiny next to the largest (~1e12) but
         # genuine; only the first q may be zeroed
-        m = e.spectral_model(e.design_grid(512), 2.0, e.EXACT)
+        m = e.exact_model(e.design_grid(512), 2.0)
         assert int(np.sum(m.eigen.values == 0.0)) == 2
         assert m.eigen.values[2] == pytest.approx(PI4 * 1.5 ** 4, rel=0.02)
 
     def test_phase_is_recorded(self):
         g = e.design_grid(64)
         assert e.spectral_model(g, 2.0).eigen.offset == 1.5
-        assert e.spectral_model(g, 2.0, e.EXACT).eigen.offset is None
+        assert e.exact_model(g, 2.0).eigen.offset is None
         assert e.ModelFamily(g).model(2.5).eigen.offset == 1.75
         assert e.eigenvalues(2.0, 64).offset == 2.0
 

@@ -8,7 +8,8 @@ are the ``simulate`` report and table of the two acceptance studies and of
 four more studies (boundary solves at large noise, an odd n, a real-valued
 order grid, small n), a ``compare`` report, ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
-four data files, and the reports of ``coverage_experiment`` and
+four data files, the ``oracle`` payloads of both generators at q = 2 and 3
+and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
 ``gcv_ball_experiment`` (JSON and ``repr``, so float bits show).  It takes
 about ten seconds on two cores.
 """
@@ -71,6 +72,13 @@ def main(out: str) -> None:
         assert cli.main(["credible", data, "--out", path(f"{tag}.ball.json"),
                          "--samples-csv", path(f"{tag}.samples.csv"), "--draws", "5",
                          "--seed", "3"]) == 0
+
+    for kind in ("f1-spectral", "f2-cosine"):
+        for q in ("2", "3"):
+            assert cli.main(["oracle", "--generator", kind, "--q", q,
+                             "--out", path(f"oracle-{kind}-q{q}.json")]) == 0
+    assert cli.main(["kappa", "--q", "2.5", "--m", "1", "--l", "2",
+                     "--out", path("kappa.json")]) == 0
 
     f1 = e.Generator(kind="f1-spectral")
     for n in (500, 1000, 2000):
