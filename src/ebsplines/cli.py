@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``fit`` and ``credible`` operate on CSV data files; ``simulate``
-and ``compare`` run seeded Monte Carlo experiments from JSON configs;
-``oracle`` and ``kappa`` expose the closed-form constants.  Exit codes:
+and ``compare`` run seeded Monte Carlo experiments from JSON configs, whose
+schema ``simlab`` reads; ``oracle`` and ``kappa`` expose the closed-form
+constants.  This module holds only argv handling and file I/O.  Exit codes:
 0 success, 2 input error, 3 numeric failure.  Diagnostics go to stderr;
-with ``--stdout`` the primary JSON payload is echoed to stdout.  All file
-outputs are written atomically (temp file + rename).
+every subcommand writes its JSON payload to ``--out``, or to stdout without
+it or with ``--stdout``.  All file outputs are written atomically (temp file
++ rename).
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .credible import RadiusSpec, credible_ball, sample_posterior
 from .errors import EbsplinesError
 from .oracles import SignalSpectrum, asymptotic_variances, kappa, oracle_lambda
 from .selection import ModelFamily, default_q_grid, fit
-from .simlab import (Generator, StudyConfig, _noise_level, _numbers, gcv_ball_experiment,
-                     run_study)
+from .simlab import Generator, StudyConfig, _compare_kwargs, gcv_ball_experiment, run_study
 from .spectral import design_grid
 
 EXIT_INPUT = 2
@@ -48,6 +49,7 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
@@ -107,15 +109,13 @@ def _write_csv(path: str, header: str, columns) -> None:
     a = np.column_stack(columns)
     row = ",".join(["%.10g"] * a.shape[1]) + "\n"
     _atomic_write(path, header + "\n" + row * len(a) % tuple(a.ravel().tolist()))
-    print(f"wrote {path}", file=sys.stderr)
 
 
-def _emit(payload: dict, out_path: str | None, args) -> None:
+def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        _atomic_write(out_path, text + "\n")
-        print(f"wrote {out_path}", file=sys.stderr)
-    if getattr(args, "stdout", False) or not out_path:
+    if args.out:
+        _atomic_write(args.out, text + "\n")
+    if args.stdout or not args.out:
         print(text)
 
 
@@ -145,7 +145,7 @@ def _fit_payload(res) -> dict:
 def _cmd_fit(args) -> int:
     x, y = _read_xy_csv(args.input)
     xs, res = _fit_from_args(x, y, args)
-    _emit(_fit_payload(res), args.out, args)
+    _emit(_fit_payload(res), args)
     if args.fitted_csv:
         _write_csv(args.fitted_csv, "x,y,fitted", (xs, y, res.fitted))
     return 0
@@ -163,7 +163,7 @@ def _cmd_credible(args) -> int:
     payload = ball.to_dict()
     payload["fit"] = _fit_payload(res)
     payload["center_inside"] = bool(ball.contains(ball.center))
-    _emit(payload, args.out, args)
+    _emit(payload, args)
     if args.draws:
         # a child stream of --seed (spawn key 1), so curves replay unchanged
         curve_seed = np.random.SeedSequence(entropy=args.seed, spawn_key=(1,))
@@ -173,22 +173,18 @@ def _cmd_credible(args) -> int:
     return 0
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise EbsplinesError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise EbsplinesError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def _parse_config(path: str, overrides: dict, parse):
     """``parse`` of the JSON config at ``path`` after the non-None
     ``overrides``; a missing key or a bad value is an input error naming the
     file (parsing runs before the experiment, so the experiment's own errors
     keep their message)."""
-    d = _load_json(path)
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise EbsplinesError(f"cannot open {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise EbsplinesError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise EbsplinesError(f"{path}: config must be a JSON object")
     d.update((k, v) for k, v in overrides.items() if v is not None)
@@ -204,37 +200,15 @@ def _cmd_simulate(args) -> int:
     cfg = _parse_config(args.config, {"sigma": args.sigma, "seed": args.seed},
                         StudyConfig.from_dict)
     report = run_study(cfg)
-    _emit(report.to_dict(), args.out, args)
+    _emit(report.to_dict(), args)
     if args.table:
         _atomic_write(args.table, report.table_csv())
-        print(f"wrote {args.table}", file=sys.stderr)
     return 0
 
 
-def _compare_args(d: dict) -> dict:
-    """Keyword arguments of ``gcv_ball_experiment`` from a compare config."""
-    # "mc_draws" and "radius_seed" configure only the Monte Carlo radius
-    # oracle; they are still validated so existing configs keep loading
-    spec = RadiusSpec(alpha=float(d.get("alpha", 0.05)),
-                      mc_draws=int(d.get("mc_draws", 10_000)),
-                      seed=int(d.get("radius_seed", d.get("seed", 0))))
-    q_choices, beta = tuple(d.get("q_choices", (2.0,))), d.get("beta")
-    _numbers("q_choices", q_choices)
-    # an absent or null beta leaves gcv_ball_experiment the generator's own
-    _numbers("beta", [] if beta is None else [beta])
-    return dict(
-        generator=Generator.from_dict(d["generator"]), n=int(d.get("n", 1000)),
-        q_choices=tuple(map(float, q_choices)),
-        replicates=int(d.get("replicates", 200)),
-        spec=spec, sigma=_noise_level(d.get("sigma", 0.01)),
-        beta=beta,
-        convention=d.get("design_convention", "midpoint"),
-        seed=int(d.get("seed", 0)))
-
-
 def _cmd_compare(args) -> int:
-    kw = _parse_config(args.config, {"seed": args.seed}, _compare_args)
-    _emit(gcv_ball_experiment(**kw).to_dict(), args.out, args)
+    kw = _parse_config(args.config, {"seed": args.seed}, _compare_kwargs)
+    _emit(gcv_ball_experiment(**kw).to_dict(), args)
     return 0
 
 
@@ -261,7 +235,7 @@ def _cmd_oracle(args) -> int:
         "selector_variance_gcv": var.gcv,
         "selector_variance_ratio": var.ratio,
     }
-    _emit(payload, args.out, args)
+    _emit(payload, args)
     return 0
 
 
@@ -273,7 +247,7 @@ def _cmd_kappa(args) -> int:
         "l": args.l,
         "kappa": kappa(args.q, args.m, args.l),
     }
-    _emit(payload, args.out, args)
+    _emit(payload, args)
     return 0
 
 
@@ -282,26 +256,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ebsplines",
         description="Adaptive empirical Bayesian smoothing splines")
     sub = p.add_subparsers(dest="command", required=True)
+    # the JSON payload's destination, the same for every subcommand
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="JSON payload path (default: stdout)")
+    output.add_argument("--stdout", action="store_true",
+                        help="echo the JSON payload to stdout")
 
-    def add_fit_flags(sp):
+    def add_fit_args(sp):
+        sp.add_argument("input")
         sp.add_argument("--qmax", type=int, default=None,
                         help="largest order (default: 6, capped at log n)")
         sp.add_argument("--qstep", type=float, default=None,
                         help="refined real-valued order grid spacing")
         sp.add_argument("--design", choices=("midpoint", "right"), default="midpoint")
-        sp.add_argument("--stdout", action="store_true",
-                        help="echo the JSON payload to stdout")
 
-    sp = sub.add_parser("fit", help="fit a data file")
-    sp.add_argument("input")
-    sp.add_argument("--out", default=None, help="fit JSON path")
+    sp = sub.add_parser("fit", parents=[output], help="fit a data file")
     sp.add_argument("--fitted-csv", default=None)
-    add_fit_flags(sp)
+    add_fit_args(sp)
     sp.set_defaults(func=_cmd_fit)
 
-    sp = sub.add_parser("credible", help="fit and build the credible ball")
-    sp.add_argument("input")
-    sp.add_argument("--out", default=None, help="ball JSON path")
+    sp = sub.add_parser("credible", parents=[output], help="fit and build the credible ball")
     sp.add_argument("--samples-csv", default=None,
                     help="posterior curves CSV path (needs --draws >= 1)")
     sp.add_argument("--alpha", type=float, default=0.05)
@@ -313,42 +287,38 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="seed of the posterior curves")
     sp.add_argument("--draws", type=int, default=0,
                     help="posterior curves written to --samples-csv")
-    add_fit_flags(sp)
+    add_fit_args(sp)
     sp.set_defaults(func=_cmd_credible)
 
-    sp = sub.add_parser("simulate", help="run a Monte Carlo study from a JSON config")
-    sp.add_argument("config")
-    sp.add_argument("--out", default=None)
+    # the config file of an experiment and its seed override
+    experiment = argparse.ArgumentParser(add_help=False, parents=[output])
+    experiment.add_argument("config")
+    experiment.add_argument("--seed", type=int, default=None, help="override config seed")
+
+    sp = sub.add_parser("simulate", parents=[experiment],
+                        help="run a Monte Carlo study from a JSON config")
     sp.add_argument("--table", default=None, help="comparison table CSV path")
     sp.add_argument("--sigma", type=float, default=None, help="override config noise level")
-    sp.add_argument("--seed", type=int, default=None, help="override config seed")
-    sp.add_argument("--stdout", action="store_true")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("compare", help="GCV-centered vs EB credible-ball coverage")
-    sp.add_argument("config")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=None, help="override config seed")
-    sp.add_argument("--stdout", action="store_true")
+    sp = sub.add_parser("compare", parents=[experiment],
+                        help="GCV-centered vs EB credible-ball coverage")
     sp.set_defaults(func=_cmd_compare)
 
-    sp = sub.add_parser("oracle", help="oracle smoothing parameter for a generator")
+    sp = sub.add_parser("oracle", parents=[output],
+                        help="oracle smoothing parameter for a generator")
     sp.add_argument("--generator", choices=("f1-spectral", "f2-cosine"),
                     default="f1-spectral")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--q", type=float, default=3.0)
     sp.add_argument("--sigma", type=float, default=0.01)
     sp.add_argument("--design", choices=("midpoint", "right"), default="midpoint")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--stdout", action="store_true")
     sp.set_defaults(func=_cmd_oracle)
 
-    sp = sub.add_parser("kappa", help="trace constant kappa_q(m, l)")
+    sp = sub.add_parser("kappa", parents=[output], help="trace constant kappa_q(m, l)")
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--stdout", action="store_true")
     sp.set_defaults(func=_cmd_kappa)
     return p
 

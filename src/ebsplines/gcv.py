@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EbsplinesError
-from .selection import _at, _lockstep, _log_grid, _scan, _tails
+from .selection import _lockstep, _log_grid, _scan, _tails
 from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -35,7 +35,8 @@ def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    return _at(functools.partial(_crit_rows, model.n), x2, nz, lam)
+    return float(_scan(functools.partial(_crit_rows, model.n), x2[None], nz,
+                       np.array([lam]), [0])[0])
 
 
 def _crit_rows(n, u, v, w):

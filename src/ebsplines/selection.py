@@ -127,19 +127,14 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
     return vals
 
 
-def _at(rows_fn, x2: np.ndarray, nz: np.ndarray, lam: float) -> float:
-    """The criterion of ``rows_fn`` for one vector at one lambda: a lane of one."""
-    u = lam * nz[None]
-    return float(rows_fn(u, np.empty_like(u), np.empty_like(u))(x2[None])[0])
-
-
 def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
     """Estimating equation for lambda (rescaled lambda-derivative of the
     marginal log-likelihood)."""
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    return _at(functools.partial(_t_rows, model.n, None), x2, nz, lam)
+    return float(_scan(functools.partial(_t_rows, model.n, None), x2[None], nz,
+                       np.array([lam]), [0])[0])
 
 
 def t_q(model: SpectralModel, coeffs, lam: float) -> float:
@@ -147,7 +142,8 @@ def t_q(model: SpectralModel, coeffs, lam: float) -> float:
     if not lam > 0:
         raise EbsplinesError(f"need lambda > 0, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    return _at(functools.partial(_t_rows, model.n, np.log(nz)), x2, nz, lam)
+    return float(_scan(functools.partial(_t_rows, model.n, np.log(nz)), x2[None], nz,
+                       np.array([lam]), [0])[0])
 
 
 def sigma2_hat(model: SpectralModel, coeffs, lam: float) -> float:
@@ -309,8 +305,8 @@ def default_q_grid(n: int, q_max: int | None = None,
         raise EbsplinesError(f"q_max = {q_max} exceeds log(n) for n = {n}")
     if refine is None:
         return tuple(float(q) for q in range(1, q_max + 1))
-    if refine <= 0:
-        raise EbsplinesError("refinement spacing must be positive")
+    if not 0 < refine < math.inf:
+        raise EbsplinesError(f"refinement spacing must be positive and finite, got {refine}")
     vals = np.arange(1.0, q_max + 0.5 * refine, refine)
     return tuple(float(v) for v in vals)
 

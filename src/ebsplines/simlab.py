@@ -1,4 +1,4 @@
-"""Signal generators and the seeded Monte Carlo experiments.
+"""Signal generators, the seeded Monte Carlo experiments and their configs.
 
 Two reference mean functions drive the comparisons: a spectrally defined
 signal with polynomially decaying coefficients ``(i+1)^(-beta) cos(2i)`` on
@@ -92,8 +92,10 @@ class Generator:
         params = dict(d.get("params", {}))
         for key, v in params.items():
             _numbers(f"generator params {key!r}", v if np.ndim(v) else [v])
-        return Generator(kind=d["kind"], params=params,
-                         scale_by_range=bool(d.get("scale_by_range", True)))
+        scale = d.get("scale_by_range", True)
+        if not isinstance(scale, bool):
+            raise EbsplinesError(f"generator scale_by_range: {scale!r} is not a boolean")
+        return Generator(kind=d["kind"], params=params, scale_by_range=scale)
 
 
 def _numbers(what: str, values) -> None:
@@ -103,12 +105,31 @@ def _numbers(what: str, values) -> None:
             raise EbsplinesError(f"{what}: {v!r} is not a number")
 
 
+def _integer(d: dict, key: str, default: int) -> int:
+    """A config's integer entry (booleans, floats and strings are not)."""
+    v = d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise EbsplinesError(f"{key}: {v!r} is not an integer")
+    return int(v)
+
+
 def _noise_level(sigma) -> float:
-    """A config's sigma, which must be finite and >= 0."""
+    """A config's sigma, which must be finite and >= 0 (a boolean is not)."""
+    if isinstance(sigma, bool):
+        raise EbsplinesError(f"sigma: {sigma!r} is not a number")
     sigma = float(sigma)
     if not 0 <= sigma < math.inf:
         raise EbsplinesError(f"sigma must be finite and >= 0, got {sigma}")
     return sigma
+
+
+def _shared_keys(d: dict) -> dict:
+    """The entries that study and compare configs share, checked, by their
+    ``StudyConfig`` names."""
+    return dict(generator=Generator.from_dict(d["generator"]),
+                n=_integer(d, "n", 1000), replicates=_integer(d, "replicates", 200),
+                sigma=_noise_level(d.get("sigma", 0.01)), seed=_integer(d, "seed", 0),
+                design_convention=d.get("design_convention", "midpoint"))
 
 
 @dataclass(frozen=True)
@@ -145,15 +166,21 @@ class StudyConfig:
                   (("q_grid", ()), ("gcv_orders", (2.0, 3.0, 4.0, 5.0, 6.0)))}
         for key, values in orders.items():
             _numbers(key, values)
-        return StudyConfig(
-            generator=Generator.from_dict(d["generator"]),
-            n=int(d.get("n", 1000)),
-            replicates=int(d.get("replicates", 200)),
-            sigma=_noise_level(d.get("sigma", 0.01)),
-            **orders,
-            seed=int(d.get("seed", 0)),
-            design_convention=d.get("design_convention", "midpoint"),
-        )
+        return StudyConfig(**_shared_keys(d), **orders)
+
+
+def _compare_kwargs(d: dict) -> dict:
+    """Keyword arguments of ``gcv_ball_experiment`` from a compare config.
+    Only ``alpha`` sets the exact radius, so the Monte Carlo oracle's
+    ``mc_draws`` and ``radius_seed`` are not read, like any unknown key."""
+    kw = _shared_keys(d)
+    kw["convention"] = kw.pop("design_convention")
+    q_choices, beta = tuple(d.get("q_choices", (2.0,))), d.get("beta")
+    _numbers("q_choices", q_choices)
+    # an absent or null beta leaves gcv_ball_experiment the generator's own
+    _numbers("beta", [] if beta is None else [beta])
+    return dict(kw, q_choices=tuple(map(float, q_choices)), beta=beta,
+                spec=RadiusSpec(alpha=float(d.get("alpha", 0.05))))
 
 
 @dataclass(frozen=True)

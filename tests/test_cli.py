@@ -116,6 +116,15 @@ class TestFitCommand:
         assert payload[flag] is True
         assert payload["q_hat"] == (3.0 if flag == "all_nonpositive" else 1.0)
 
+    @pytest.mark.parametrize("command", ["fit", "credible"])
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_qstep_exits_2(self, tmp_path, sample_csv, capsys, command, step):
+        out = tmp_path / "out.json"
+        assert main([command, str(sample_csv), "--qstep", step, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: refinement spacing must be positive and finite, got {step}\n")
+        assert not out.exists()
+
     def test_empty_file_exits_2(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
@@ -336,8 +345,20 @@ class TestBadConfigs:
          "sigma must be finite and >= 0, got -1.0"),
         ({"generator": {"kind": "f1-spectral"}, "sigma": "nan"},
          "sigma must be finite and >= 0, got nan"),
+        # the keys both commands share are strict: no value is coerced into
+        # another that runs
+        ({"generator": {"kind": "f1-spectral"}, "n": 64.9}, "n: 64.9 is not an integer"),
+        ({"generator": {"kind": "f1-spectral"}, "n": 64, "replicates": True},
+         "replicates: True is not an integer"),
+        ({"generator": {"kind": "f1-spectral"}, "n": 64, "seed": "7"},
+         "seed: '7' is not an integer"),
+        ({"generator": {"kind": "f1-spectral"}, "n": 64, "sigma": True},
+         "sigma: True is not a number"),
+        ({"generator": {"kind": "f1-spectral", "scale_by_range": "false"}, "n": 64},
+         "generator scale_by_range: 'false' is not a boolean"),
     ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
-            "negative-sigma", "nan-sigma"])
+            "negative-sigma", "nan-sigma", "n-float", "replicates-bool", "seed-string",
+            "sigma-bool", "scale-string"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
@@ -345,6 +366,19 @@ class TestBadConfigs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: ") and what in err
         assert not (tmp_path / "out.json").exists()
+
+    def test_compare_ignores_monte_carlo_keys(self, tmp_path):
+        # mc_draws and radius_seed configure only the Monte Carlo oracle, which
+        # compare does not run: even values RadiusSpec refuses load as unknown keys
+        cfg = {"generator": {"kind": "f1-spectral"}, "n": 64, "replicates": 2,
+               "q_choices": [2], "seed": 5}
+        reports = []
+        for tag, extra in (("plain", {}), ("mc", {"mc_draws": 5, "radius_seed": 3})):
+            p, out = tmp_path / f"{tag}.json", tmp_path / f"{tag}-report.json"
+            p.write_text(json.dumps({**cfg, **extra}))
+            assert main(["compare", str(p), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("key", ["gcv_orders", "q_grid"])
     def test_orders_must_be_numbers(self, tmp_path, capsys, key):

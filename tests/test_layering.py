@@ -73,3 +73,11 @@ def test_public_surface_has_no_unused_options():
     assert "polynomial" not in simlab.GENERATOR_KINDS
     fit_args = vars(cli._build_parser().parse_args(["fit", "data.csv"]))
     assert "qmax" in fit_args and "qmin" not in fit_args
+
+
+def test_config_schema_lives_in_simlab():
+    # simlab reads the experiment configs; cli keeps argv handling and files
+    assert not hasattr(cli, "_compare_args")
+    imported = {a.name for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not {"_numbers", "_noise_level"} & imported

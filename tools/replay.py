@@ -5,8 +5,10 @@
 Run it once per source tree and compare the directories with ``diff -r``:
 a change that keeps every seeded output shows no difference.  The outputs
 are the ``simulate`` report and table of the two acceptance studies and of
-four more studies (boundary solves at large noise, an odd n, a real-valued
-order grid, small n), a ``compare`` report, ``fit --out --fitted-csv`` with
+five more studies (boundary solves at large noise, an odd n, a real-valued
+order grid, small n, a generator not scaled by its range), two ``compare``
+reports (one at alpha = 0.1 whose config also carries the Monte Carlo
+oracle's ``mc_draws`` and ``radius_seed``), ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
 four data files, the ``oracle`` payloads of both generators at q = 2 and 3
 and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
@@ -51,11 +53,21 @@ def main(out: str) -> None:
                          "sigma": 0.001, "seed": 13, "gcv_orders": [1, 2, 3]})
     simulate("f1-n64", {"generator": {"kind": "f1-spectral"}, "n": 64, "replicates": 9,
                         "sigma": 0.05, "seed": 14})
+    simulate("f2-unscaled", {"generator": {"kind": "f2-cosine", "scale_by_range": False},
+                             "n": 500, "replicates": 20, "sigma": 0.05, "seed": 15})
 
-    with open(path("compare.cfg.json"), "w") as fh:
-        json.dump({"generator": {"kind": "f1-spectral"}, "n": 1000, "q_choices": [2.0, 3.0],
-                   "replicates": 60, "sigma": 0.01, "seed": 99}, fh)
-    assert cli.main(["compare", path("compare.cfg.json"), "--out", path("compare.json")]) == 0
+    def compare(tag, cfg):
+        with open(path(f"{tag}.cfg.json"), "w") as fh:
+            json.dump(cfg, fh)
+        assert cli.main(["compare", path(f"{tag}.cfg.json"),
+                         "--out", path(f"{tag}.json")]) == 0
+
+    compare("compare", {"generator": {"kind": "f1-spectral"}, "n": 1000,
+                        "q_choices": [2.0, 3.0], "replicates": 60, "sigma": 0.01, "seed": 99})
+    compare("compare-mc-keys", {"generator": {"kind": "f1-spectral"}, "n": 500,
+                                "q_choices": [2.0], "replicates": 30, "sigma": 0.01,
+                                "seed": 98, "alpha": 0.1, "mc_draws": 10000,
+                                "radius_seed": 5})
 
     rng = np.random.default_rng(2024)
     for kind, n, sigma in (("f1-spectral", 1000, 0.01), ("f2-cosine", 2000, 0.3),
