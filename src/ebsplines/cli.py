@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .errors import EbsplinesError
 from .oracles import SignalSpectrum, asymptotic_variances, kappa, oracle_lambda
 from .selection import ModelFamily, default_q_grid, fit
 from .simlab import Generator, StudyConfig, _compare_kwargs, gcv_ball_experiment, run_study
-from .spectral import design_grid
+from .spectral import DESIGN_CONVENTIONS, design_grid
 
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -68,17 +69,19 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
         except StopIteration:
             raise EbsplinesError(f"{path}: empty file") from None
         cols = [c.strip().lower() for c in header]
-        if cols == ["x", "y"]:
-            has_x = True
-        elif cols == ["y"]:
-            has_x = False
-        else:
+        if cols not in (["x", "y"], ["y"]):
             raise EbsplinesError(f"{path}: line 1: header must be 'x,y' or 'y'")
-        rows, lines = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(cols):
+        records = list(reader)
+    rows = [row for row in records if row]
+    try:  # every field in one pass
+        a = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
+        good = (np.fromiter(map(len, rows), int, len(rows)) == len(cols)).all() \
+            and np.isfinite(a).all()
+    except ValueError:
+        good = False
+    if not good:  # walk the rows to name the first bad line
+        for lineno, row in enumerate(records, start=2):
+            if len(row) not in (0, len(cols)):  # blank lines are skipped
                 raise EbsplinesError(f"{path}: line {lineno}: expected {len(cols)} fields")
             try:
                 vals = [float(v) for v in row]
@@ -86,12 +89,10 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
                 raise EbsplinesError(f"{path}: line {lineno}: non-numeric value") from None
             if not all(math.isfinite(v) for v in vals):
                 raise EbsplinesError(f"{path}: line {lineno}: non-finite value")
-            rows.extend(vals)
-            lines.append(lineno)
-    if not lines:
+    if not rows:
         raise EbsplinesError(f"{path}: no data rows")
-    a = np.asarray(rows).reshape(len(lines), len(cols))
-    if not has_x:
+    a = a.reshape(len(rows), len(cols))
+    if len(cols) == 1:
         return None, a[:, 0]
     x = a[:, 0]
     dx = np.diff(x)
@@ -100,7 +101,8 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
                       (np.abs(dx - h) > _SPACING_RTOL * h, "not equally spaced")):
         if bad.any():
             j = int(np.argmax(bad)) + 1
-            raise EbsplinesError(f"{path}: line {lines[j]}: x = {x[j]!r} is {what}")
+            line = [i for i, row in enumerate(records, start=2) if row][j]
+            raise EbsplinesError(f"{path}: line {line}: x = {x[j]!r} is {what}")
     return x, a[:, 1]
 
 
@@ -268,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="largest order (default: 6, capped at log n)")
         sp.add_argument("--qstep", type=float, default=None,
                         help="refined real-valued order grid spacing")
-        sp.add_argument("--design", choices=("midpoint", "right"), default="midpoint")
+        sp.add_argument("--design", choices=DESIGN_CONVENTIONS, default="midpoint")
 
     sp = sub.add_parser("fit", parents=[output], help="fit a data file")
     sp.add_argument("--fitted-csv", default=None)
@@ -312,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--q", type=float, default=3.0)
     sp.add_argument("--sigma", type=float, default=0.01)
-    sp.add_argument("--design", choices=("midpoint", "right"), default="midpoint")
+    sp.add_argument("--design", choices=DESIGN_CONVENTIONS, default="midpoint")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("kappa", parents=[output], help="trace constant kappa_q(m, l)")

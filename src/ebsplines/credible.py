@@ -64,9 +64,11 @@ _TAIL = 36.0
 # (arctan(x) ~ x, log1p(x^2) ~ x^2): with thousands of weights just below it,
 # the probability moved by less than 4e-14 against summing them in full.
 _FOLD = 1e-3
-# The weight sums run over blocks of nodes holding at most _BLOCK node x
-# weight entries and _MAX_NODES nodes; the last block may run past the
-# truncation point by up to _MAX_NODES nodes.
+# The weight sums run over blocks of _FIRST_NODES nodes, then of as many as all
+# before, up to _MAX_NODES nodes and _BLOCK node x weight entries.  A block is
+# cut at the truncation point before its arctan sums: the law keeps exactly the
+# nodes up to it and sums log moduli over at most twice as many (or _FIRST_NODES).
+_FIRST_NODES = 32
 _BLOCK = 1 << 16
 _MAX_NODES = 1024
 _RTOL = 1e-10
@@ -79,6 +81,7 @@ class _DistanceLaw:
     with th(u) = (1/2) sum arctan(w_i u) - (n/2) arctan(r u) and
     log rho(u) = (1/4) sum log1p(w_i^2 u^2) + (n/4) log1p(r^2 u^2).  The weight
     parts do not depend on r and are summed once; each ``cdf`` is then O(nodes).
+    The last node is the first where the modulus at r_lo passes e^_TAIL (or u_max).
     The integrand is even and analytic, so the trapezoid rule's only error is
     aliasing, bounded by the mass of Q_r beyond 4 pi / h: below 4 e^-36 for
     this step.
@@ -101,20 +104,23 @@ class _DistanceLaw:
         small = rest * u_max < _FOLD
         p1, p2 = float(np.sum(rest[small])), float(np.dot(rest[small], rest[small]))
         active = rest[~small]
-        step = max(1, min(_MAX_NODES, _BLOCK // max(1, active.size)))
+        cap = max(1, min(_MAX_NODES, _BLOCK // max(1, active.size)))
         phase, log_mod = [], []
         k = 1
         while True:
-            u = self.h * np.arange(k, k + step, dtype=float)
+            size = min(max(_FIRST_NODES, k - 1), cap)  # the nodes so far double
+            u = self.h * np.arange(k, k + size, dtype=float)
+            u = u[:np.searchsorted(u, u_max, side="right")]
             wu = np.multiply.outer(u, active)
             u2 = u * u
-            phase.append(0.5 * (ones * np.arctan(u) + np.arctan(wu).sum(axis=1)
-                                + p1 * u))
-            log_mod.append(0.25 * (ones * np.log1p(u2) + np.log1p(wu * wu).sum(axis=1)
-                                   + p2 * u2))
-            k += step
-            if (log_mod[-1][-1] + 0.25 * n * math.log1p((r_lo * u[-1]) ** 2) >= _TAIL
-                    or u[-1] > u_max):
+            lm = 0.25 * (ones * np.log1p(u2) + np.log1p(wu * wu).sum(axis=1) + p2 * u2)
+            stop = np.flatnonzero(lm + 0.25 * n * np.log1p((r_lo * u) ** 2) >= _TAIL)
+            end = int(stop[0]) + 1 if stop.size else u.size
+            u, wu = u[:end], wu[:end]
+            phase.append(0.5 * (ones * np.arctan(u) + np.arctan(wu).sum(axis=1) + p1 * u))
+            log_mod.append(lm[:end])
+            k += end
+            if stop.size or end < size:
                 break
         self.u = self.h * np.arange(1, k, dtype=float)
         self.phase = np.concatenate(phase)

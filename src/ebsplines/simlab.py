@@ -35,7 +35,7 @@ from .errors import EbsplinesError
 from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
 from .selection import ModelFamily, _fits, _smooth, default_q_grid
-from .spectral import DesignGrid, design_grid, make_basis, rms_norm
+from .spectral import DESIGN_CONVENTIONS, DesignGrid, design_grid, make_basis, rms_norm
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "custom-spectrum")
 
@@ -126,10 +126,13 @@ def _noise_level(sigma) -> float:
 def _shared_keys(d: dict) -> dict:
     """The entries that study and compare configs share, checked, by their
     ``StudyConfig`` names."""
+    convention = d.get("design_convention", "midpoint")
+    if convention not in DESIGN_CONVENTIONS:
+        raise EbsplinesError(f"unknown design convention {convention!r}")
     return dict(generator=Generator.from_dict(d["generator"]),
                 n=_integer(d, "n", 1000), replicates=_integer(d, "replicates", 200),
                 sigma=_noise_level(d.get("sigma", 0.01)), seed=_integer(d, "seed", 0),
-                design_convention=d.get("design_convention", "midpoint"))
+                design_convention=convention)
 
 
 @dataclass(frozen=True)
@@ -171,16 +174,18 @@ class StudyConfig:
 
 def _compare_kwargs(d: dict) -> dict:
     """Keyword arguments of ``gcv_ball_experiment`` from a compare config.
-    Only ``alpha`` sets the exact radius, so the Monte Carlo oracle's
-    ``mc_draws`` and ``radius_seed`` are not read, like any unknown key."""
+    Only ``alpha`` (a number in (0, 1)) sets the exact radius: the Monte Carlo
+    oracle's ``mc_draws`` and ``radius_seed`` are not read, like unknown keys."""
     kw = _shared_keys(d)
     kw["convention"] = kw.pop("design_convention")
     q_choices, beta = tuple(d.get("q_choices", (2.0,))), d.get("beta")
+    alpha = d.get("alpha", 0.05)
     _numbers("q_choices", q_choices)
+    _numbers("alpha", [alpha])
     # an absent or null beta leaves gcv_ball_experiment the generator's own
     _numbers("beta", [] if beta is None else [beta])
     return dict(kw, q_choices=tuple(map(float, q_choices)), beta=beta,
-                spec=RadiusSpec(alpha=float(d.get("alpha", 0.05))))
+                spec=RadiusSpec(alpha=float(alpha)))
 
 
 @dataclass(frozen=True)
@@ -379,6 +384,7 @@ class GcvBallReport:
     n: int
     replicates: int
     beta: float
+    alpha: float
     sigma: float
     coverage_gcv_ball: dict
     coverage_eb_ball: float
@@ -435,7 +441,7 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
 
     return GcvBallReport(
         generator=gen_name, n=n, replicates=replicates, beta=float(beta),
-        sigma=sigma,
+        alpha=spec.alpha, sigma=sigma,
         coverage_gcv_ball={str(q): hits_gcv[q] / replicates for q in q_choices},
         coverage_eb_ball=hits_eb / replicates,
         gcv_ball_radius=float(ball_radius), seed=seed)

@@ -40,6 +40,7 @@ from scipy.fft import dct, idct
 from .errors import EbsplinesError, UnsupportedBackendError
 
 _EXACT_MAX_N = 512
+DESIGN_CONVENTIONS = ("midpoint", "right")
 
 
 def rms_norm(v) -> float:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,41 @@ class TestFitCommand:
         p = tmp_path / "empty.csv"
         p.write_text("")
         assert main(["fit", str(p)]) == 2
+
+    @pytest.mark.parametrize("edits,what", [
+        ({1500: "0.75,abc"}, "line 1500: non-numeric value"),
+        ({1500: "0.75,inf"}, "line 1500: non-finite value"),
+        ({1500: "0.75"}, "line 1500: expected 2 fields"),
+        # the first bad line is named, whatever is wrong further down
+        ({1499: "0.75,1,2", 1500: "nan,1", 1501: "x,y"}, "line 1499: expected 2 fields"),
+    ], ids=["bad-field", "non-finite", "short-row", "first-of-three"])
+    def test_bad_line_is_named(self, tmp_path, capsys, edits, what):
+        g = e.design_grid(2000)
+        lines = ["x,y"] + [f"{x!r},{math.cos(x)!r}" for x in g.x.tolist()]
+        for lineno, text in edits.items():
+            lines[lineno - 1] = text
+        p = tmp_path / "xy.csv"
+        p.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: {what}\n"
+        assert not out.exists()
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        g = e.design_grid(64)
+        y = np.sin(np.pi * g.x)
+        p = tmp_path / "xy.csv"
+        p.write_text("x,y\n\n" + "".join(f"{a!r},{b!r}\n\n"
+                                         for a, b in zip(g.x.tolist(), y.tolist())))
+        x, yy = cli._read_xy_csv(str(p))
+        assert np.array_equal(x, g.x) and np.array_equal(yy, y)
+        x = g.x.copy()
+        x[[10, 11]] = x[[11, 10]]
+        p.write_text("x,y\n\n" + "".join(f"{a!r},{b!r}\n\n"
+                                         for a, b in zip(x.tolist(), y.tolist())))
+        # site 11 sits on line 25: header, a blank line, then two lines a site
+        with pytest.raises(e.EbsplinesError, match="line 25: x = "):
+            cli._read_xy_csv(str(p))
 
     def test_header_only_exits_2(self, tmp_path):
         p = tmp_path / "h.csv"
@@ -356,9 +392,12 @@ class TestBadConfigs:
          "sigma: True is not a number"),
         ({"generator": {"kind": "f1-spectral", "scale_by_range": "false"}, "n": 64},
          "generator scale_by_range: 'false' is not a boolean"),
+        # checked when the config is read, before the experiment builds its grid
+        ({"generator": {"kind": "f1-spectral"}, "n": 64, "design_convention": 5},
+         "unknown design convention 5"),
     ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
             "negative-sigma", "nan-sigma", "n-float", "replicates-bool", "seed-string",
-            "sigma-bool", "scale-string"])
+            "sigma-bool", "scale-string", "convention-int"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
@@ -410,6 +449,28 @@ class TestBadConfigs:
         assert main(["compare", str(p), "--out", str(tmp_path / "out.json")]) == 2
         assert capsys.readouterr().err == f"error: {p}: {what}\n"
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("alpha,what", [
+        ("0.1", "alpha: '0.1' is not a number"),
+        (True, "alpha: True is not a number"),
+        (1.5, "need 0 < alpha < 1, got 1.5"),
+    ], ids=["alpha-string", "alpha-bool", "alpha-above-one"])
+    def test_compare_alpha_is_a_level(self, tmp_path, capsys, alpha, what):
+        p = tmp_path / "cmp.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
+                                 "replicates": 2, "alpha": alpha}))
+        assert main(["compare", str(p), "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == f"error: {p}: {what}\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("entry,alpha", [({}, 0.05), ({"alpha": 0.1}, 0.1)],
+                             ids=["alpha-default", "alpha-given"])
+    def test_compare_report_echoes_alpha(self, tmp_path, entry, alpha):
+        p, out = tmp_path / "cmp.json", tmp_path / "out.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
+                                 "replicates": 2, "q_choices": [2], **entry}))
+        assert main(["compare", str(p), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["alpha"] == alpha
 
     @pytest.mark.parametrize("entry", [{}, {"beta": None}, {"beta": 3}],
                              ids=["beta-absent", "beta-null", "beta-number"])

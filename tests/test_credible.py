@@ -141,6 +141,53 @@ class TestExactRadius:
         for r in np.linspace(lo, hi, 7):
             assert folded.cdf(r) == pytest.approx(full.cdf(r), abs=1e-12)
 
+    @staticmethod
+    def _fitted_law(kind, n):
+        """The law that brackets the radius at a fitted lambda_hat, with its
+        weights and the r range it serves."""
+        from ebsplines import credible
+        g = e.design_grid(n)
+        y = e.Generator(kind=kind).values(g) \
+            + 0.01 * np.random.default_rng(1).standard_normal(n)
+        res = e.fit(e.ModelFamily(g), y)
+        w = e.smoother_weights(res.model.eigen, res.lambda_hat)
+        r = e.radius(res.model, res.lambda_hat, e.RadiusSpec()) ** 2
+        lo, hi = r / 1.25, r * 1.25
+        return credible._DistanceLaw(w, n, lo, hi), w, lo, hi
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    @pytest.mark.parametrize("kind", ["f1-spectral", "f2-cosine"])
+    def test_cdf_matches_the_unfolded_imhof_sum(self, kind, n):
+        # Imhof's trapezoid sum written out: every weight, no fold, and every
+        # node u_k = k h up to the point where the chi^2_n factor alone
+        # pushes the modulus past e^36
+        from ebsplines import credible
+        law, w, lo, hi = self._fitted_law(kind, n)
+        u_max = math.sqrt(math.expm1(4.0 * credible._TAIL / n)) / lo
+        u = law.h * np.arange(1, int(u_max / law.h) + 1)
+        th_w = np.array([0.5 * np.sum(np.arctan(w * t)) for t in u])
+        log_rho_w = np.array([0.25 * np.sum(np.log1p((w * t) ** 2)) for t in u])
+        for r in np.linspace(lo, hi, 7):
+            th = th_w - 0.5 * n * np.arctan(r * u)
+            log_rho = log_rho_w + 0.25 * n * np.log1p((r * u) ** 2)
+            tail = np.sum(np.sin(th) * np.exp(-log_rho) / u)
+            p = 0.5 - law.h / math.pi * (0.25 * (np.sum(w) - n * r) + tail)
+            assert law.cdf(r) == pytest.approx(p, abs=1e-13), (r, law.cdf(r), p)
+
+    @pytest.mark.parametrize("n", [1000, 2000, 16_000])
+    @pytest.mark.parametrize("kind", ["f1-spectral", "f2-cosine"])
+    def test_nodes_end_at_the_truncation_point(self, kind, n):
+        # the last node is the first that meets the stop rule, or the last
+        # one with u <= u_max; no node past it is kept
+        from ebsplines import credible
+        law, _, lo, _ = self._fitted_law(kind, n)
+        u_max = math.sqrt(math.expm1(4.0 * credible._TAIL / n)) / lo
+        stop = law.log_mod + 0.25 * n * np.log1p((lo * law.u) ** 2) >= credible._TAIL
+        assert len(law.u) == len(law.phase) == len(law.log_mod)
+        assert not stop[:-1].any()
+        assert law.u[-1] <= u_max
+        assert stop[-1] or law.u[-1] + law.h > u_max
+
     @pytest.mark.parametrize("case", ["f1-fitted", "f2-fitted", "q1-interpolation"])
     def test_memory_is_linear_at_64k(self, case):
         n = 64_000

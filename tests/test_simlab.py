@@ -6,6 +6,7 @@ import pytest
 
 import ebsplines as e
 from ebsplines.errors import EbsplinesError
+from ebsplines.simlab import _compare_kwargs
 
 
 class TestGenerators:
@@ -145,3 +146,30 @@ class TestStudyHarness:
         d = cfg.to_dict()
         back = e.StudyConfig.from_dict(d)
         assert back.to_dict() == d
+
+
+class TestConfigReaders:
+    BASE = {"generator": {"kind": "f1-spectral"}, "n": 64}
+
+    @pytest.mark.parametrize("alpha,what", [
+        ("0.1", "alpha: '0.1' is not a number"),
+        (True, "alpha: True is not a number"),
+        (1.5, "need 0 < alpha < 1, got 1.5"),
+        (math.nan, "need 0 < alpha < 1, got nan"),
+    ], ids=["string", "bool", "above-one", "nan"])
+    def test_compare_alpha_must_be_a_level(self, alpha, what):
+        with pytest.raises(EbsplinesError) as exc:
+            _compare_kwargs({**self.BASE, "alpha": alpha})
+        assert str(exc.value) == what
+
+    def test_compare_alpha_sets_the_radius_level(self):
+        assert _compare_kwargs(self.BASE)["spec"].alpha == 0.05
+        assert _compare_kwargs({**self.BASE, "alpha": 0.1})["spec"].alpha == 0.1
+
+    @pytest.mark.parametrize("read", [e.StudyConfig.from_dict, _compare_kwargs],
+                             ids=["study", "compare"])
+    @pytest.mark.parametrize("convention", [5, "left", None])
+    def test_unknown_design_convention_is_refused_when_read(self, read, convention):
+        with pytest.raises(EbsplinesError) as exc:
+            read({**self.BASE, "design_convention": convention})
+        assert str(exc.value) == f"unknown design convention {convention!r}"

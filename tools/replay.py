@@ -14,6 +14,11 @@ four data files, the ``oracle`` payloads of both generators at q = 2 and 3
 and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
 ``gcv_ball_experiment`` (JSON and ``repr``, so float bits show).  It takes
 about ten seconds on two cores.
+
+Byte-identity holds at a fixed BLAS thread count: at large n (measured at
+n = 16,000 and 64,000) OpenBLAS splits ``np.dot`` and ``np.vecdot`` across
+threads and the last digit of a result can depend on how many, so compare
+two trees under the same ``OPENBLAS_NUM_THREADS``.
 """
 
 import json
