@@ -175,7 +175,7 @@ def radius(model: SpectralModel, lam: float, spec: RadiusSpec) -> float:
     chi-square with matched mean and variance, an F quantile) and widens it
     by doubling when needed.  Memory is O(n).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise EbsplinesError(f"need lambda >= 0, got {lam}")
     w = smoother_weights(model.eigen, lam)
     n = model.n

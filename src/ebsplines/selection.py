@@ -14,11 +14,12 @@ where d = floor(q).  Its zeros are located through two rescaled derivatives:
     T_q   = (1/n) sum X^2 u log(n*eta)/(1+u)^2
             - (1/n^2) (sum X^2 u/(1+u)) (sum log(n*eta)/(1+u)),
 
-with sums over i > d and the (negligible) dX^2/dq contribution dropped.  Every
-order shares the cosine coefficients X; only the eigenvalues depend on q.
-``solve_lambda`` finds the root of T_lam for each q, ``select_q`` locates the
-sign change of T_q(lambda_hat_q, q) over a grid of orders, and ``fit``
-assembles the final smoothing-spline estimate.
+with sums over i > d.  Every order shares the cosine coefficients X, so dX^2/dq
+is exactly zero.  The weight log(n*eta) is q d log(n*eta)/dq only at a fixed
+phase c of n*eta = pi^(2q) (i - c)^(2q); it leaves out the term -q/(i - c) of
+the production phase c = (q+1)/2 (ROADMAP item 1).  ``solve_lambda`` finds
+the root of T_lam for each q, ``select_q`` locates the sign change of T_q at
+lambda_hat_q over a grid of orders, and ``fit`` assembles the estimate.
 """
 
 from __future__ import annotations
@@ -85,16 +86,23 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
     return -0.5 * model.n * log_share + 0.5 * float(np.sum(log_r))
 
 
-def _t_rows(n, g, u, v, w):
+def _t_rows(n, g, u, v, w, s=None):
     """The rows of a rescaled derivative that do not see the data, for each
     row of u = lam * nz: r g/v, r and sum(g/v), v = 1 + u, r = u/v, built in
     place of u, v and w.  Returns the finish for squared tail coefficients x2
     (see ``_scan``): (1/n) x2.(r g/v) - (1/n^2) (x2.r) sum(g/v), which is
-    T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz)."""
+    T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz).
+    ``s``, a slot per row, keeps sum(g/v): while a slot is 0, the pass that
+    computes the sums fills them (whole, never a partial sum); filled slots
+    (the sums are positive) replace that pass."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.divide(u if g is None else np.multiply(u, g, out=w), v, out=w)
-    s = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
+    if s is None or not s.all():
+        t = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
+        if s is not None:
+            s[:] = t
+        s = t
     # np.vecdot runs the BLAS dot of np.dot on every (row, x2) pair, over
     # stacks too; a @ x2 would sum in another order
     return lambda x2: np.vecdot(w, x2) / n - np.vecdot(u, x2) * s / (n * n)
@@ -106,22 +114,24 @@ def _log_grid(points: int) -> np.ndarray:
 
 
 def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
-          lanes=None) -> np.ndarray:
+          lanes=None, sums=None) -> np.ndarray:
     """A criterion of the stack ``x2s`` of squared tail coefficients at each of
     ``lams``, (replicates x lambdas), or with ``lanes`` of row lanes[k] at lams[k]
     (a stack of one row serves every lane uncopied).  ``rows_fn(u, v, w)``
     builds a block of rows u = lam * nz in place, in three buffers of at most
-    ``_BLOCK_ENTRIES`` entries (one row at least).  Rows do not see the data:
-    each block is built once, and its finish reduces it by ``np.vecdot`` and
-    ``sum(axis=-1)``, element-wise otherwise, so a value does not depend on
-    the block, stack or lane it is computed in."""
+    ``_BLOCK_ENTRIES`` entries (one row at least); with ``sums``, a slot per
+    lambda, it also takes the block's slots (see ``_t_rows``).  Rows do not
+    see the data: each block is built once, and its finish reduces it by
+    ``np.vecdot`` and ``sum(axis=-1)``, element-wise otherwise, so a value
+    does not depend on the block, stack or lane it is computed in."""
     step = max(1, _BLOCK_ENTRIES // len(nz))
     bufs = np.empty((3, min(step, len(lams)), len(nz)))
     vals = np.empty(len(lams) if lanes is not None else (len(x2s), len(lams)))
     for s in range(0, len(lams), step):
         j = slice(s, s + step)
         u, v, w = bufs[:, :len(lams[j])]
-        finish = rows_fn(np.multiply(lams[j, None], nz, out=u), v, w)
+        np.multiply(lams[j, None], nz, out=u)
+        finish = rows_fn(u, v, w) if sums is None else rows_fn(u, v, w, sums[j])
         vals[..., j] = finish(x2s[:, None] if lanes is None
                               else x2s if len(x2s) == 1 else x2s[lanes[j]])
     return vals
@@ -153,7 +163,7 @@ def sigma2_hat(model: SpectralModel, coeffs, lam: float) -> float:
     lambda = inf.
     """
     x2, nz = _tails(model.eigen, coeffs)
-    if lam < 0:
+    if not lam >= 0:
         raise EbsplinesError(f"need lambda >= 0, got {lam}")
     if lam == 0:
         return 0.0
@@ -236,15 +246,17 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     return _solve_lambdas(model, np.asarray(coeffs, dtype=float)[None], tol)[0]
 
 
-def _solve_lambdas(model: SpectralModel, x: np.ndarray, tol=None) -> list[LambdaSolve]:
-    """``solve_lambda`` for each row of the stack x, every bracket a lane."""
+def _solve_lambdas(model: SpectralModel, x: np.ndarray, tol=None,
+                   sums=None) -> list[LambdaSolve]:
+    """``solve_lambda`` for each row of the stack x, every bracket a lane, with
+    the scan sums ``sums`` that the model's family keeps (``ModelFamily``)."""
     x2s, nz = _tails(model.eigen, x)
     n = model.n
     tols = ((1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300) if tol is None
             else [tol] * len(x2s))
     rows = functools.partial(_t_rows, n, None)
 
-    tv = _scan(rows, x2s, nz, _SCAN_GRID)
+    tv = _scan(rows, x2s, nz, _SCAN_GRID, sums=sums)
     ks, js = np.nonzero((tv[:, :-1] < 0) & (tv[:, 1:] > 0))
     roots = _lockstep([_bisect_log(_SCAN_GRID[j], _SCAN_GRID[j + 1], 1e-14, tols[k])
                        for k, j in zip(ks, js)],
@@ -273,19 +285,24 @@ class ModelFamily:
     """The production models on one design grid: ``spectral_model(grid, q)``,
     the cosine basis with the order-q penalty-phase eigenvalues, cached per
     order.  Every order shares ``basis``, so a fit transforms its data once.
+    With each model it keeps the sums sum(1/(1 + lam n eta)) at the 33 scan
+    lambdas of T_lam, which do not see the data: the model's first scan
+    records them (0 before), and every later one skips their pass.
     """
 
     def __init__(self, grid: DesignGrid):
         self.grid = grid
         self.basis = make_basis(grid, 1.0)  # the cosine basis ignores the order
-        self._models: dict[float, SpectralModel] = {}
+        self._models: dict[float, tuple[SpectralModel, np.ndarray]] = {}
 
     def model(self, q: float) -> SpectralModel:
+        return self._entry(q)[0]
+
+    def _entry(self, q) -> tuple[SpectralModel, np.ndarray]:
         q = float(q)
-        m = self._models.get(q)
-        if m is None:
-            m = self._models[q] = spectral_model(self.grid, q)
-        return m
+        if q not in self._models:
+            self._models[q] = (spectral_model(self.grid, q), np.zeros(len(_SCAN_GRID)))
+        return self._models[q]
 
 
 def default_q_grid(n: int, q_max: int | None = None,
@@ -355,8 +372,8 @@ def _select_qs(family: ModelFamily, x: np.ndarray, qgrid) -> list[Selection]:
 
     per_q = []
     for q in qgrid:
-        m = family.model(q)
-        sols = _solve_lambdas(m, x)
+        m, sums = family._entry(q)
+        sols = _solve_lambdas(m, x, sums=sums)
         x2s, nz = _tails(m.eigen, x)
         tq = _scan(functools.partial(_t_rows, m.n, np.log(nz)), x2s, nz,
                    np.array([sol.lam for sol in sols]), np.arange(len(sols)))
@@ -465,12 +482,12 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
     fits = []
     for xk, k, sel in zip(x, ks.tolist(), _select_qs(family, x, qgrid)):
         q_hat = sel.q_hat
-        model = family.model(q_hat)
+        model, sums = family._entry(q_hat)
         chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
         if chosen is not None:
             lam, boundary = chosen.lambda_hat, chosen.boundary
         else:
-            sol = solve_lambda(model, xk)
+            sol, = _solve_lambdas(model, xk[None], sums=sums)
             lam, boundary = sol.lam, sol.boundary
 
         s2 = sigma2_hat(model, xk, lam)

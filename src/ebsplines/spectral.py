@@ -240,7 +240,7 @@ def smoother_weights(eigen: EigenSequence, lam: float) -> np.ndarray:
     lam = 0 is the interpolation limit (all ones); lam = inf keeps only the
     null space.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise EbsplinesError(f"smoothing parameter must be >= 0, got {lam}")
     if lam == 0:
         return np.ones(eigen.n)

@@ -1,7 +1,8 @@
 """The blocked log-lambda scans (``selection._scan``) against the public
 criteria, against this file's own loop formulas and against the
-one-lambda-at-a-time solvers built from them, and a block of replicates
-against batches of one, bit for bit."""
+one-lambda-at-a-time solvers built from them, a block of replicates
+against batches of one, and fits on a family that keeps its scan sums
+against fits on a fresh one, bit for bit."""
 
 import dataclasses
 import functools
@@ -229,3 +230,77 @@ def test_a_block_of_replicates_equals_batches_of_one(kind, sigma):
         x2, nz = selection._tails(m.eigen, x[5])
         tv = [_loop_t_lam(x2, nz, 1000, l) for l in np.exp(np.linspace(math.log(1e-28), 0.0, 33))]
         assert sum(a < 0 < b for a, b in zip(tv, tv[1:])) == 2
+
+
+# -- the scan sums a family keeps, against a fresh family ---------------------
+
+_SCAN = selection._scan
+
+
+def _fit_bits(monkeypatch, family, y, qgrid):
+    """What a fit reports, as exact reprs, and the bytes of its fitted values
+    and of every scan it ran (the T_lam values of the bracketing scans too)."""
+    scans = []
+
+    def scan(*args, **kwargs):
+        vals = _SCAN(*args, **kwargs)
+        scans.append(vals.tobytes())
+        return vals
+
+    monkeypatch.setattr(selection, "_scan", scan)
+    res = e.fit(family, y, qgrid)
+    return res, (repr((res.lambda_hat, res.q_hat, res.q_star, res.sigma2_hat, res.boundary,
+                       [(d.q, d.lambda_hat, d.t_q_value, d.boundary)
+                        for d in res.selection.per_q])), res.fitted.tobytes(), scans)
+
+
+# 16,385 scans in one-row blocks; a spacing of 0.3 leaves q_hat off the grid,
+# so fit solves that order afresh
+@pytest.mark.parametrize("n,spacing", [(1000, 0.3), (1000, 0.5), (16385, 0.5)])
+def test_fits_on_a_warm_family_equal_fits_on_a_fresh_one(n, spacing, monkeypatch):
+    grid = e.design_grid(n)
+    warm = e.ModelFamily(grid)
+    rng = np.random.default_rng(n)
+    cases = [(kind, sigma, qgrid) for qgrid in (None, e.default_q_grid(n, refine=spacing))
+             for kind, sigma in (("f1-spectral", 0.01), ("f2-cosine", 0.01),
+                                 ("f2-cosine", 3.0))]
+    boundary = off_grid = 0
+    for kind, sigma, qgrid in cases:
+        y = e.Generator(kind=kind).values(grid) + sigma * rng.standard_normal(n)
+        res, bits = _fit_bits(monkeypatch, warm, y, qgrid)
+        assert bits == _fit_bits(monkeypatch, e.ModelFamily(grid), y, qgrid)[1]
+        boundary += any(d.boundary for d in res.selection.per_q)
+        off_grid += all(d.q != res.q_hat for d in res.selection.per_q)
+    assert boundary  # sigma = 3 reaches the boundary solves
+    assert off_grid or spacing == 0.5
+
+
+def test_recorded_sums_are_the_scan_kernels_sums():
+    for n in (200, 1000, 16385):
+        fam = e.ModelFamily(e.design_grid(n))
+        assert not fam._entry(3.0)[1].any()  # nothing recorded before a scan
+        e.fit(fam, e.Generator(kind="f1-spectral").values(fam.grid)
+              + 0.01 * np.random.default_rng(n).standard_normal(n))
+        for q in e.default_q_grid(n):
+            m, sums = fam._entry(q)
+            # the sums as the kernel computed them before it kept them: a
+            # block of rows 1 + lam * nz at a time
+            nz = m.eigen.tail
+            step = max(1, selection._BLOCK_ENTRIES // len(nz))
+            ref = np.concatenate([
+                (1.0 / (1.0 + selection._SCAN_GRID[s:s + step, None] * nz)).sum(axis=-1)
+                for s in range(0, 33, step)])
+            assert sums.tobytes() == ref.tobytes()
+
+
+def test_exact_model_solve_ignores_a_production_familys_sums():
+    # the sums belong to the family's own models, not to an order and a size
+    grid = e.design_grid(256)
+    y = e.Generator(kind="f1-spectral").values(grid) \
+        + 0.01 * np.random.default_rng(3).standard_normal(256)
+    fam = e.ModelFamily(grid)
+    e.fit(fam, y)
+    assert fam._entry(2.0)[1].all()
+    m = e.exact_model(grid, 2.0)
+    x = m.basis.forward(y)
+    assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)

@@ -378,3 +378,16 @@ def test_model_family_real_order():
     assert m.null_dim == 2
     assert m.eigen.q == 2.5
     assert fam.model(2.5) is m  # cached
+
+
+@pytest.mark.parametrize("call", [
+    e.t_lambda, e.marginal_loglik, e.gcv_criterion, e.sigma2_hat,
+    lambda m, x, lam: e.smoother_weights(m.eigen, lam),
+    lambda m, x, lam: e.radius(m, lam, e.RadiusSpec()),
+], ids=["t_lambda", "marginal_loglik", "gcv_criterion", "sigma2_hat",
+        "smoother_weights", "radius"])
+def test_nan_lambda_rejected_naming_the_value(call):
+    m = _model(64, 2.0)
+    x = m.basis.forward(np.cos(3 * np.pi * m.grid.x))
+    with pytest.raises(EbsplinesError, match="got nan"):
+        call(m, x, math.nan)

@@ -12,15 +12,19 @@ oracle's ``mc_draws`` and ``radius_seed``), ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
 four data files, the ``oracle`` payloads of both generators at q = 2 and 3
 and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
-``gcv_ball_experiment`` (JSON and ``repr``, so float bits show).  It takes
-about ten seconds on two cores.
+``gcv_ball_experiment`` (JSON and ``repr``, so float bits show), and a
+sequence of library fits on one warm ``ModelFamily`` per size (6 at
+n = 16,385, 2 at n = 64,000, f1 and f2 in turn): the ``repr`` of lambda_hat,
+q_hat, q*, sigma2_hat and the per-order lambda_hat and T_q, and the sha256 of
+the fitted values.  It takes 3 to 10 seconds on two cores.
 
-Byte-identity holds at a fixed BLAS thread count: at large n (measured at
-n = 16,000 and 64,000) OpenBLAS splits ``np.dot`` and ``np.vecdot`` across
-threads and the last digit of a result can depend on how many, so compare
-two trees under the same ``OPENBLAS_NUM_THREADS``.
+The run needs a fixed BLAS thread count: at large n (measured at n = 16,000
+and 64,000) OpenBLAS splits ``np.dot`` and ``np.vecdot`` across threads and
+the last digit of a result can depend on how many, so set the same
+``OPENBLAS_NUM_THREADS`` for both trees.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -106,6 +110,20 @@ def main(out: str) -> None:
             seed=8000 + n).to_dict())
     report("coverage-f2.txt", e.coverage_experiment(
         e.Generator(kind="f2-cosine"), n=777, replicates=50, sigma=0.3, seed=5).to_dict())
+
+    # later fits on a family reuse what its earlier fits left in it
+    rng = np.random.default_rng(2025)
+    for n, fits in ((16385, 6), (64000, 2)):
+        family = e.ModelFamily(e.design_grid(n))
+        with open(path(f"warm-family-{n}.txt"), "w") as fh:
+            for i in range(fits):
+                kind = ("f1-spectral", "f2-cosine")[i % 2]
+                y = e.Generator(kind=kind).values(family.grid) + 0.01 * rng.standard_normal(n)
+                res = e.fit(family, y)
+                fh.write(repr((kind, res.lambda_hat, res.q_hat, res.q_star, res.sigma2_hat,
+                               [(d.q, d.lambda_hat, d.t_q_value)
+                                for d in res.selection.per_q])) + "\n")
+                fh.write(hashlib.sha256(res.fitted.tobytes()).hexdigest() + "\n")
 
 
 if __name__ == "__main__":
