@@ -221,7 +221,7 @@ def _cmd_oracle(args) -> int:
     f = gen.values(grid)
     family = ModelFamily(grid)
     model = family.model(float(args.q))
-    spectrum = SignalSpectrum(B=model.basis.forward(f), beta_nominal=gen.beta)
+    spectrum = SignalSpectrum(B=model.basis.forward(f))
     closed = oracle_lambda(spectrum, args.sigma ** 2, float(args.q), "closed-form")
     numeric = oracle_lambda(spectrum, args.sigma ** 2, float(args.q), "numeric-root")
     var = asymptotic_variances(float(args.q))

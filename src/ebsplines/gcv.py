@@ -32,8 +32,8 @@ _GRID = _log_grid(_GRID_POINTS)
 
 def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
     """GCV value at one smoothing parameter (homogeneous of degree 2 in Y)."""
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise EbsplinesError(f"need 0 < lambda < inf, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
     return float(_scan(functools.partial(_crit_rows, model.n), x2[None], nz,
                        np.array([lam]), [0])[0])
@@ -55,7 +55,6 @@ def _crit_rows(n, u, v, w):
 class GcvResult:
     lambda_f_hat: float
     q: float
-    criterion_value: float
     boundary_flag: bool
 
 
@@ -65,7 +64,8 @@ def select_lambda_gcv(model: SpectralModel, y) -> GcvResult:
 
     The coarse grid is evaluated in blocks, by the kernel the golden-section
     steps use.  The refinement targets relative accuracy 1e-4 in log lambda;
-    a minimizer at either end of the coarse grid sets the boundary flag.
+    a minimizer at either end of the coarse grid sets the boundary flag.  The
+    result holds the minimizer; ``gcv_criterion`` gives the value there.
     """
     x = model.basis.forward(np.asarray(y, dtype=float))
     return _select_gcvs(model, x[None])[0]
@@ -84,9 +84,8 @@ def _select_gcvs(model: SpectralModel, x: np.ndarray) -> list[GcvResult]:
     t = _lockstep([_golden(math.log(_GRID[max(j - 1, 0)]),
                            math.log(_GRID[min(j + 1, _GRID_POINTS - 1)])) for j in js],
                   crit)
-    return [GcvResult(lambda_f_hat=math.exp(tk), q=model.q, criterion_value=float(v),
-                      boundary_flag=j in (0, _GRID_POINTS - 1))
-            for tk, v, j in zip(t, crit(t, np.arange(len(t))), js)]
+    return [GcvResult(lambda_f_hat=math.exp(tk), q=model.q,
+                      boundary_flag=j in (0, _GRID_POINTS - 1)) for tk, j in zip(t, js)]
 
 
 def _golden(a: float, b: float):

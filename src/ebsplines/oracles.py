@@ -11,7 +11,8 @@ parameter, the expected estimating equations and the asymptotic variances of
 the empirical-Bayes and GCV selectors.  The expected equations run on the
 production (penalty-phase) eigenvalues, so they model the selector that runs.
 ``polished_tail_check`` verifies the tail-regularity condition under which
-order selection is consistent.
+order selection is consistent, with blocks [j, 2j] (rho = 2 in Szabo, van der
+Vaart and van Zanten 2015).
 ``mc_radius`` is the seeded Monte Carlo quantile of the credible-ball distance
 law, the independent check of the exact ``credible.radius``.
 """
@@ -51,8 +52,7 @@ class TraceCheck:
     rel_err: float
 
 
-def trace_approx_check(q: float, lam: float, n: int, m: int, l: int,
-                       r: int = 0) -> TraceCheck:
+def trace_approx_check(q: float, lam: float, n: int, m: int, l: int) -> TraceCheck:
     """Direct trace sum against its lam^(-1/(2q)) kappa_q(m,l) approximation.
 
     This checks the paper's lemma on the paper's own sequence
@@ -62,50 +62,22 @@ def trace_approx_check(q: float, lam: float, n: int, m: int, l: int,
     (floor(q) - 1/2) / (lam^(-1/(2q)) kappa_q(0, l)), about +13% at q = 2,
     lam = 1e-6 (under the penalty phase it would be q/2 over the same
     denominator).
-
-    ``r`` adds the log-power variant: each summand gains log(n*eta)^r (summed
-    beyond the null space only) and the approximation gains log(1/lam)^r.
     """
     if not (0 < lam <= 1):
         raise EbsplinesError(f"need 0 < lambda <= 1, got {lam}")
-    eig = eigenvalues(q, n)
-    u = lam * eig.values
-    if r == 0:
-        term = u ** m / (1.0 + u) ** (m + l)  # 0^0 = 1 covers the null space
-        exact = float(np.sum(term))
-    elif r > 0:
-        ut = lam * eig.tail
-        term = ut ** m * np.log(eig.tail) ** r / (1.0 + ut) ** (m + l)
-        exact = float(np.sum(term))
-    else:
-        raise EbsplinesError(f"need r >= 0, got {r}")
+    u = lam * eigenvalues(q, n).values
+    term = u ** m / (1.0 + u) ** (m + l)  # 0^0 = 1 covers the null space
+    exact = float(np.sum(term))
     approx = lam ** (-1.0 / (2.0 * q)) * kappa(q, m, l)
-    if r > 0:
-        approx *= math.log(1.0 / lam) ** r
     return TraceCheck(exact_sum=exact, approx=approx,
                       rel_err=(exact - approx) / approx)
 
 
 @dataclass(frozen=True)
 class SignalSpectrum:
-    """Noiseless spectral coefficients B = Phi^T f of a regression function.
-
-    When both a nominal smoothness and a radius bound are given, the implied
-    derivative energy is checked against the squared radius at construction.
-    """
+    """Noiseless spectral coefficients B = Phi^T f of a regression function."""
 
     B: np.ndarray
-    beta_nominal: float | None = None
-    sobolev_radius: float | None = None
-
-    def __post_init__(self):
-        if self.beta_nominal is not None and self.sobolev_radius is not None:
-            energy = self.derivative_energy(self.beta_nominal)
-            if not energy < self.sobolev_radius ** 2:
-                raise EbsplinesError(
-                    f"derivative energy {energy:.4g} at order "
-                    f"{self.beta_nominal} exceeds the radius bound "
-                    f"{self.sobolev_radius ** 2:.4g}")
 
     @property
     def n(self) -> int:
@@ -194,23 +166,20 @@ class PolishedTailResult:
     worst_ratio: float
 
 
-def polished_tail_check(B, L: float = 2.0, N: int = 10,
-                        rho: float = 2.0) -> PolishedTailResult:
-    """Check the polished-tail condition on spectral coefficients:
+def polished_tail_check(B, L: float = 2.0, N: int = 10) -> PolishedTailResult:
+    """Check the polished-tail condition on spectral coefficients (rho = 2):
 
-        (1/n) sum_{i=j..n} B_i^2 <= (L/n) sum_{i=j..rho*j} B_i^2
-                                    for all N <= j <= n/rho.
+        (1/n) sum_{i=j..n} B_i^2 <= (L/n) sum_{i=j..2j} B_i^2
+                                    for all N <= j <= n/2.
 
     Indices are 1-based as in the defining inequality.  Returns the worst
     ratio of tail mass to block mass and where it occurs; scale-invariant in B.
     """
-    if rho < 2:
-        raise EbsplinesError(f"need rho >= 2, got {rho}")
     b2 = np.asarray(B, dtype=float) ** 2
     n = len(b2)
-    jmax = int(math.floor(n / rho))
+    jmax = n // 2
     if N > jmax:
-        raise EbsplinesError(f"need N <= n/rho = {jmax}, got N = {N}")
+        raise EbsplinesError(f"need N <= n/2 = {jmax}, got N = {N}")
     # suffix sums accumulate from the small end, so block masses deep in the
     # tail stay representable (a forward cumsum would lose them to rounding)
     suffix = np.concatenate([np.cumsum(b2[::-1])[::-1], [0.0]])
@@ -218,7 +187,7 @@ def polished_tail_check(B, L: float = 2.0, N: int = 10,
     holds = True
     for j in range(N, jmax + 1):
         tail = suffix[j - 1]
-        hi = min(int(math.floor(rho * j)), n)
+        hi = min(2 * j, n)
         block = suffix[j - 1] - suffix[hi]
         if tail == 0.0:
             ratio = 0.0

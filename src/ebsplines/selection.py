@@ -140,8 +140,8 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
 def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
     """Estimating equation for lambda (rescaled lambda-derivative of the
     marginal log-likelihood)."""
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise EbsplinesError(f"need 0 < lambda < inf, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
     return float(_scan(functools.partial(_t_rows, model.n, None), x2[None], nz,
                        np.array([lam]), [0])[0])
@@ -149,8 +149,8 @@ def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
 
 def t_q(model: SpectralModel, coeffs, lam: float) -> float:
     """Estimating equation for the penalty order q at fixed lambda."""
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise EbsplinesError(f"need 0 < lambda < inf, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
     return float(_scan(functools.partial(_t_rows, model.n, np.log(nz)), x2[None], nz,
                        np.array([lam]), [0])[0])
@@ -284,7 +284,7 @@ def _solve_lambdas(model: SpectralModel, x: np.ndarray, tol=None,
 class ModelFamily:
     """The production models on one design grid: ``spectral_model(grid, q)``,
     the cosine basis with the order-q penalty-phase eigenvalues, cached per
-    order.  Every order shares ``basis``, so a fit transforms its data once.
+    order.  All orders use the transform ``basis``: a fit transforms data once.
     With each model it keeps the sums sum(1/(1 + lam n eta)) at the 33 scan
     lambdas of T_lam, which do not see the data: the model's first scan
     records them (0 before), and every later one skips their pass.

@@ -417,8 +417,7 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
 
     family = ModelFamily(grid)
     model_beta = family.model(float(beta))
-    spectrum = SignalSpectrum(B=model_beta.basis.forward(f_true),
-                              beta_nominal=float(beta))
+    spectrum = SignalSpectrum(B=model_beta.basis.forward(f_true))
     lam_beta = oracle_lambda(spectrum, sigma * sigma, float(beta),
                              method="numeric-root").lambda_q
     ball_radius = sigma * radius(model_beta, lam_beta, spec)

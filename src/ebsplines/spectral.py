@@ -151,7 +151,7 @@ class BasisHandle:
     eigenvector matrix of ``exact_model``.
 
     ``forward`` applies Phi^T (analysis), ``inverse`` applies Phi (synthesis).
-    Handles are shared per transform (``make_basis``) and compare by identity.
+    A cosine handle holds only n; its dense matrix is cached per n.
     """
 
     n: int
@@ -190,13 +190,6 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cosine_basis(n: int) -> BasisHandle:
-    # the cosine transform does not depend on the order, so every model on
-    # n sites shares this one handle
-    return BasisHandle(n=n)
-
-
-@functools.lru_cache(maxsize=8)
 def _exact_eigen(q: int, n: int) -> tuple[BasisHandle, np.ndarray]:
     # order-q finite differences scaled so the quadratic form approximates
     # the integral of (f^(q))^2; symmetric by construction
@@ -216,12 +209,9 @@ def _exact_eigen(q: int, n: int) -> tuple[BasisHandle, np.ndarray]:
 
 
 def make_basis(grid: DesignGrid, q: float) -> BasisHandle:
-    """The orthonormal cosine transform on the grid, for any admissible q.
-
-    The transform does not depend on the order: every model on n sites
-    shares one cached handle.
-    """
-    return _cosine_basis(grid.n)
+    """The orthonormal cosine transform on the grid, for any admissible q:
+    the transform does not depend on the order."""
+    return BasisHandle(n=grid.n)
 
 
 def forward(basis: BasisHandle, y) -> np.ndarray:

@@ -23,4 +23,4 @@ def f1_values(grid1000):
 @pytest.fixture(scope="session")
 def f1_spectrum(family1000, f1_values):
     model = family1000.model(3.0)
-    return e.SignalSpectrum(B=model.basis.forward(f1_values), beta_nominal=3.0)
+    return e.SignalSpectrum(B=model.basis.forward(f1_values))

@@ -2,6 +2,7 @@
 public surface the package exports."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -53,13 +54,19 @@ def test_selection_imports_only_errors_and_spectral():
 def test_public_surface_has_no_unused_options():
     # C_p, the rounding policy, fit's override hooks, fit_design, the
     # single-sample compare arm, the basis backend switch, the lambda search
-    # range, the polynomial generator and fit's --qmin were removed; no
-    # workflow set them
+    # range, the polynomial generator, fit's --qmin, the Sobolev-ball and rho
+    # options of the oracles, the log-power trace variant and the GCV minimum
+    # value were removed; no workflow set or read them
     assert not {"mallows_cp", "fit_design", "ANALYTIC", "EXACT"} & set(dir(ebsplines))
+    fields = {c: [f.name for f in dataclasses.fields(c)]
+              for c in (ebsplines.SignalSpectrum, ebsplines.GcvResult)}
+    assert fields == {ebsplines.SignalSpectrum: ["B"],
+                      ebsplines.GcvResult: ["lambda_f_hat", "q", "boundary_flag"]}
     params = {f: list(inspect.signature(f).parameters) for f in (
         ebsplines.fit, ebsplines.select_q, ebsplines.select_lambda_gcv,
         ebsplines.solve_lambda, ebsplines.make_basis, ebsplines.spectral_model,
-        ebsplines.gcv_ball_experiment)}
+        ebsplines.gcv_ball_experiment, ebsplines.trace_approx_check,
+        ebsplines.polished_tail_check)}
     assert params == {
         ebsplines.fit: ["family", "y", "qgrid"],
         ebsplines.select_q: ["family", "x", "qgrid"],
@@ -69,6 +76,8 @@ def test_public_surface_has_no_unused_options():
         ebsplines.spectral_model: ["grid", "q"],
         ebsplines.gcv_ball_experiment: ["generator", "n", "q_choices", "replicates",
                                         "spec", "sigma", "beta", "convention", "seed"],
+        ebsplines.trace_approx_check: ["q", "lam", "n", "m", "l"],
+        ebsplines.polished_tail_check: ["B", "L", "N"],
     }
     assert "polynomial" not in simlab.GENERATOR_KINDS
     fit_args = vars(cli._build_parser().parse_args(["fit", "data.csv"]))

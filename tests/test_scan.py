@@ -136,8 +136,7 @@ def _loop_select_lambda_gcv(model, y):
             dd = a + inv_phi * (b - a)
             fd = crit(math.exp(dd))
     lam = math.exp(0.5 * (a + b))
-    return e.GcvResult(lambda_f_hat=float(lam), q=model.q,
-                       criterion_value=float(crit(lam)), boundary_flag=boundary)
+    return e.GcvResult(lambda_f_hat=float(lam), q=model.q, boundary_flag=boundary)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -381,13 +381,23 @@ def test_model_family_real_order():
 
 
 @pytest.mark.parametrize("call", [
-    e.t_lambda, e.marginal_loglik, e.gcv_criterion, e.sigma2_hat,
+    e.t_lambda, e.t_q, e.marginal_loglik, e.gcv_criterion, e.sigma2_hat,
     lambda m, x, lam: e.smoother_weights(m.eigen, lam),
     lambda m, x, lam: e.radius(m, lam, e.RadiusSpec()),
-], ids=["t_lambda", "marginal_loglik", "gcv_criterion", "sigma2_hat",
+], ids=["t_lambda", "t_q", "marginal_loglik", "gcv_criterion", "sigma2_hat",
         "smoother_weights", "radius"])
 def test_nan_lambda_rejected_naming_the_value(call):
     m = _model(64, 2.0)
     x = m.basis.forward(np.cos(3 * np.pi * m.grid.x))
     with pytest.raises(EbsplinesError, match="got nan"):
         call(m, x, math.nan)
+
+
+@pytest.mark.parametrize("call", [e.t_lambda, e.t_q, e.gcv_criterion],
+                         ids=["t_lambda", "t_q", "gcv_criterion"])
+def test_inf_lambda_rejected_by_the_row_kernel_criteria(call):
+    # at u = inf the kernel's r = u/(1+u) is nan, which must not come back
+    m = _model(64, 2.0)
+    x = m.basis.forward(np.cos(3 * np.pi * m.grid.x))
+    with pytest.raises(EbsplinesError, match="got inf"):
+        call(m, x, math.inf)

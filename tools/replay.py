@@ -20,14 +20,19 @@ the fitted values.  It takes 3 to 10 seconds on two cores.
 
 The run needs a fixed BLAS thread count: at large n (measured at n = 16,000
 and 64,000) OpenBLAS splits ``np.dot`` and ``np.vecdot`` across threads and
-the last digit of a result can depend on how many, so set the same
-``OPENBLAS_NUM_THREADS`` for both trees.
+the last digit of a result can depend on how many, so the warm-family outputs
+would differ between two trees replayed under different defaults.  The tool
+therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before NumPy loads, unless the
+environment already sets it; set the same value for both trees.
 """
 
 import hashlib
 import json
 import os
 import sys
+
+# OpenBLAS reads the thread count once, when NumPy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
