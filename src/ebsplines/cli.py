@@ -60,7 +60,7 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
     not strictly increasing and equally spaced (the fit assumes an
     equidistant design)."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")  # a leading BOM is not data
     except OSError as exc:
         raise EbsplinesError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -216,6 +216,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not 0 <= args.sigma < math.inf:  # squaring would hide a negative sigma
+        raise EbsplinesError(f"--sigma must be finite and >= 0, got {args.sigma}")
     gen = Generator(kind=args.generator)
     grid = design_grid(args.n, args.design)
     f = gen.values(grid)

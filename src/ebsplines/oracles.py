@@ -138,9 +138,15 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
     energy (signal inside the null space) yields the infinity sentinel.
     numeric-root: the root of E T_lam in [LAMBDA_MIN, LAMBDA_MAX], by the
     same sign-steered log-lambda bisection as ``selection.solve_lambda``.
+    sigma2 must be finite and >= 0, and > 0 for the closed form (at 0 the
+    numeric root finds E T_lam > 0 everywhere and returns the sentinel).
     """
+    if not 0 <= sigma2 < math.inf:
+        raise EbsplinesError(f"need 0 <= sigma2 < inf, got {sigma2}")
     energy = spectrum.derivative_energy(q)
     if method == "closed-form":
+        if sigma2 == 0:
+            raise EbsplinesError("need sigma2 > 0 for the closed form, got 0")
         total = float(np.sum(np.asarray(spectrum.B) ** 2))
         if energy <= 0 or (total > 0 and energy < 1e-26 * total):
             return OracleResult(lambda_q=math.inf, method=method,

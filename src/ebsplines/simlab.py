@@ -18,6 +18,11 @@ on scan rows built once per block, bit for bit as one replicate at a time:
 * ``gcv_ball_experiment`` replaces the center of the calibrated credible
   ball with the GCV fit and measures the resulting loss of coverage against
   the empirical-Bayes ball on matched data.
+
+Both coverage experiments compute the exact radius once per distinct
+(q_hat, lambda_hat) of the whole call: lambda_hat is a midpoint of the
+log-lambda bisection, so a few dozen radii serve hundreds of replicates, and
+the balls are the same bits as one ``credible_ball`` per replicate.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .credible import RadiusSpec, credible_ball, radius
+from .credible import RadiusSpec, _ball, radius
 from .errors import EbsplinesError
 from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
@@ -361,9 +366,10 @@ def coverage_experiment(generator, n: int, replicates: int, L: float = 2.0,
     hits = 0
     radii = []
     q_counts: dict[float, int] = {}
+    r_n: dict = {}  # one exact radius per distinct (q_hat, lambda_hat)
     for y, in _replicates(f_true, sigma, seed, replicates):
         for res in _fits(family, y):
-            ball = credible_ball(res, L=L, spec=spec)
+            ball = _ball(res, L, spec, r_n)
             hits += ball.contains(f_true)
             radii.append(ball.radius)
             q_counts[res.q_hat] = q_counts.get(res.q_hat, 0) + 1
@@ -425,9 +431,10 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
     q_choices = tuple(float(q) for q in q_choices)
     hits_gcv = {q: 0 for q in q_choices}
     hits_eb = 0
+    r_n: dict = {}  # one exact radius per distinct (q_hat, lambda_hat)
     for y1, y2 in _replicates(f_true, sigma, seed, replicates, 2):
         fits = _fits(family, y1)
-        hits_eb += sum(credible_ball(r, L=2.0, spec=spec).contains(f_true) for r in fits)
+        hits_eb += sum(_ball(r, 2.0, spec, r_n).contains(f_true) for r in fits)
         x1 = np.array([res.coeffs for res in fits])  # Phi^T y1, as in run_study
         x2 = family.basis.forward(y2)
         del fits, y1, y2  # the GCV arms need only the coefficients

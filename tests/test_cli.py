@@ -150,6 +150,32 @@ class TestFitCommand:
         assert capsys.readouterr().err == f"error: {p}: {what}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", ["y", "x,y"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, header):
+        # spreadsheet tools often start a UTF-8 export with U+FEFF
+        g = e.design_grid(200)
+        y = np.cos(3 * g.x) + 0.05 * np.random.default_rng(2).standard_normal(200)
+        lines = [header] + [f"{a!r},{b!r}" if header == "x,y" else repr(b)
+                            for a, b in zip(g.x.tolist(), y.tolist())]
+        files = {"": tmp_path / "plain.csv", "\ufeff": tmp_path / "marked.csv"}
+
+        def write():
+            for bom, p in files.items():
+                p.write_text(bom + "\n".join(lines) + "\n", encoding="utf-8")
+
+        write()
+        outs = []
+        for p in files.values():
+            out = tmp_path / f"{p.stem}.json"
+            assert main(["fit", str(p), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        lines[100] += ",oops"
+        write()
+        for p in files.values():
+            with pytest.raises(e.EbsplinesError, match="line 101: expected"):
+                cli._read_xy_csv(str(p))
+
     def test_blank_lines_are_skipped_and_counted(self, tmp_path):
         g = e.design_grid(64)
         y = np.sin(np.pi * g.x)
@@ -262,6 +288,12 @@ class TestCredibleCommand:
         out = tmp_path / "ball.json"
         assert main(["credible", str(sample_csv), "--L", "nan", "--out", str(out)]) == 2
         assert "need L >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inf_L_exits_2(self, tmp_path, sample_csv, capsys):
+        out = tmp_path / "ball.json"
+        assert main(["credible", str(sample_csv), "--L", "inf", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need L >= 1 and L < inf, got inf\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,what", [
@@ -507,6 +539,18 @@ class TestOracleAndKappa:
         payload = json.loads(out.read_text())
         assert payload["lambda_numeric_root"] > 0
         assert payload["selector_variance_ratio"] > 1.0
+
+    @pytest.mark.parametrize("sigma,what", [
+        ("0", "need sigma2 > 0 for the closed form, got 0"),
+        ("inf", "--sigma must be finite and >= 0, got inf"),
+        ("-0.01", "--sigma must be finite and >= 0, got -0.01"),
+        ("nan", "--sigma must be finite and >= 0, got nan"),
+    ], ids=["zero", "inf", "negative", "nan"])
+    def test_oracle_bad_sigma_exits_2(self, tmp_path, capsys, sigma, what):
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "--n", "200", "--sigma", sigma, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {what}\n"
+        assert not out.exists()
 
     def test_kappa_domain_error_exits_2(self):
         assert main(["kappa", "--q", "1", "--m", "0", "--l", "0"]) == 2

@@ -237,6 +237,12 @@ class TestCredibleBall:
         with pytest.raises(EbsplinesError, match="L >= 1"):
             e.credible_ball(res, L=math.nan)
 
+    def test_inf_L_rejected(self):
+        # an infinite radius has no JSON form
+        _, res = _fit_smooth()
+        with pytest.raises(EbsplinesError, match="L < inf, got inf"):
+            e.credible_ball(res, L=math.inf)
+
 
 class TestSamplePosterior:
     def test_zero_variance_collapses_to_center(self):

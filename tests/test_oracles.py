@@ -152,6 +152,18 @@ class TestOracleLambda:
         ln = e.oracle_lambda(f1_spectrum, 1e-4, 3.0, "numeric-root").lambda_q
         assert abs(math.log(lc) / math.log(ln) - 1.0) <= 0.15
 
+    @pytest.mark.parametrize("method", ["closed-form", "numeric-root"])
+    @pytest.mark.parametrize("sigma2", [-1e-4, math.nan, math.inf])
+    def test_sigma2_must_be_finite_and_non_negative(self, f1_spectrum, method, sigma2):
+        with pytest.raises(EbsplinesError, match=f"need 0 <= sigma2 < inf, got {sigma2}"):
+            e.oracle_lambda(f1_spectrum, sigma2, 3.0, method)
+
+    def test_zero_sigma2(self, f1_spectrum):
+        # the closed form would divide by it; E T_lam > 0 leaves the root's sentinel
+        with pytest.raises(EbsplinesError, match="need sigma2 > 0 for the closed form"):
+            e.oracle_lambda(f1_spectrum, 0.0, 3.0, "closed-form")
+        assert math.isinf(e.oracle_lambda(f1_spectrum, 0.0, 3.0, "numeric-root").lambda_q)
+
     def test_unknown_method(self, f1_spectrum):
         with pytest.raises(EbsplinesError):
             e.oracle_lambda(f1_spectrum, 1e-4, 3.0, "guess")

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 import ebsplines as e
+from ebsplines import credible, simlab
 from ebsplines.errors import EbsplinesError
 from ebsplines.simlab import _compare_kwargs
 
@@ -146,6 +149,67 @@ class TestStudyHarness:
         d = cfg.to_dict()
         back = e.StudyConfig.from_dict(d)
         assert back.to_dict() == d
+
+
+# f1 at n = 1000, sigma = 0.01: the 80 fits (blocks of 2^15 // 1000 = 32) share
+# about 20 (q_hat, lambda_hat), fewer than the per-block counts add up to
+EXPERIMENTS = {
+    "coverage": lambda: e.coverage_experiment(
+        e.Generator(kind="f1-spectral"), 1000, 80, sigma=0.01, seed=5),
+    "gcv-ball": lambda: e.gcv_ball_experiment(
+        e.Generator(kind="f1-spectral"), 1000, (2.0,), 80, sigma=0.01, seed=5),
+}
+
+
+def _same_ball(a, b) -> bool:
+    return a.to_dict() == b.to_dict() and np.array_equal(a.center, b.center)
+
+
+class TestOneRadiusPerDistinctFit:
+    # gcv_ball_experiment computes one more radius, at its oracle lambda
+    @pytest.mark.parametrize("name,own", [("coverage", 0), ("gcv-ball", 1)])
+    def test_radius_runs_once_per_distinct_q_hat_and_lambda_hat(self, monkeypatch,
+                                                                name, own):
+        keys, calls = [], []
+        ball, exact = simlab._ball, credible.radius
+        monkeypatch.setattr(simlab, "_ball", lambda res, *a: keys.append(
+            (res.q_hat, res.lambda_hat)) or ball(res, *a))
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(credible, "radius", counted)
+        monkeypatch.setattr(simlab, "radius", counted)
+        EXPERIMENTS[name]()
+        assert len(keys) == 80
+        assert len(calls) == len(set(keys)) + own
+        # one dict per block of replicates would compute more
+        assert sum(len(set(keys[i:i + 32])) for i in range(0, 80, 32)) > len(set(keys))
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_reports_equal_one_credible_ball_per_replicate(self, monkeypatch, name):
+        got = EXPERIMENTS[name]()
+        with monkeypatch.context() as m:
+            m.setattr(simlab, "_ball",
+                      lambda res, L, spec, radii: e.credible_ball(res, L=L, spec=spec))
+            ref = EXPERIMENTS[name]()
+        assert repr(got) == repr(ref)
+        assert json.dumps(got.to_dict()) == json.dumps(ref.to_dict())
+
+    def test_shared_radii_tell_orders_apart(self):
+        family = e.ModelFamily(e.design_grid(256))
+        y = e.Generator(kind="f2-cosine").values(family.grid) \
+            + 0.05 * np.random.default_rng(8).standard_normal(256)
+        res = e.fit(family, y)
+        q = res.q_hat + 1.0
+        other = dataclasses.replace(res, model=family.model(q), q_hat=q)
+        spec = e.RadiusSpec(alpha=0.1)
+        radii = {}
+        balls = [credible._ball(r, 2.0, spec, radii) for r in (res, other, res)]
+        ref = [e.credible_ball(r, L=2.0, spec=spec) for r in (res, other)]
+        assert all(map(_same_ball, balls, ref + ref[:1]))
+        assert balls[0].radius != balls[1].radius and len(radii) == 2
 
 
 class TestConfigReaders:
