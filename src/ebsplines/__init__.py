@@ -12,7 +12,7 @@ from .credible import (
     radius,
     sample_posterior,
 )
-from .errors import DegenerateDataError, EbsplinesError, UnsupportedBackendError
+from .errors import DegenerateDataError, EbsplinesError
 from .gcv import (
     GcvResult,
     gcv_criterion,

@@ -9,7 +9,3 @@ class DegenerateDataError(EbsplinesError):
     """Raised when data leave a likelihood or quadratic form undefined,
     e.g. all spectral coefficients beyond the null space are zero."""
 
-
-class UnsupportedBackendError(EbsplinesError):
-    """Raised when the exact-eigen test oracle (``spectral.exact_model``) is
-    requested outside its declared range of orders and sizes."""

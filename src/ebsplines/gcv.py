@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EbsplinesError
-from .selection import _lockstep, _log_grid, _scan, _tails
+from .selection import _at, _lockstep, _log_grid, _scan, _tails
 from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -32,11 +31,8 @@ _GRID = _log_grid(_GRID_POINTS)
 
 def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
     """GCV value at one smoothing parameter (homogeneous of degree 2 in Y)."""
-    if not 0 < lam < math.inf:
-        raise EbsplinesError(f"need 0 < lambda < inf, got {lam}")
     x2, nz = _tails(model.eigen, coeffs)
-    return float(_scan(functools.partial(_crit_rows, model.n), x2[None], nz,
-                       np.array([lam]), [0])[0])
+    return _at(functools.partial(_crit_rows, model.n), x2, nz, lam)
 
 
 def _crit_rows(n, u, v, w):

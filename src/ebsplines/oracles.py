@@ -6,10 +6,12 @@ The trace of smoother powers obeys
                     = lam^(-1/(2q)) kappa_q(m, l) {1+o(1)},
     kappa_q(m, l)   = Gamma(m + 1/(2q)) Gamma(l - 1/(2q)) / (2 pi q Gamma(l+m)),
 
-with u_i = lam * n*eta_{q,i}.  These constants drive the oracle smoothing
-parameter, the expected estimating equations and the asymptotic variances of
-the empirical-Bayes and GCV selectors.  The expected equations run on the
-production (penalty-phase) eigenvalues, so they model the selector that runs.
+with u_i = lam * n*eta_{q,i}.  These constants drive the closed-form oracle
+smoothing parameter and the asymptotic variances of the empirical-Bayes and
+GCV selectors.  The expected estimating equations and the numeric oracle
+lambda run the selector's own kernel and lambda solve on the row
+E X^2 = B^2 + sigma^2 of the production model: T_lam and T_q are linear in
+X^2, so that is their exact expectation under Y = f + sigma eps.
 ``polished_tail_check`` verifies the tail-regularity condition under which
 order selection is consistent, with blocks [j, 2j] (rho = 2 in Szabo, van der
 Vaart and van Zanten 2015).
@@ -19,7 +21,6 @@ law, the independent check of the exact ``credible.radius``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from scipy.special import gammaln
 
 from .credible import RadiusSpec
 from .errors import EbsplinesError
-from .selection import LAMBDA_MAX, LAMBDA_MIN, _bisect_log, _lockstep, _tails
+from .selection import _solve_lambdas, _t_at, _tails
 from .spectral import SpectralModel, eigenvalues, penalty_eigenvalues, smoother_weights
 
 
@@ -91,35 +92,27 @@ class SignalSpectrum:
         return float(np.dot(self.B ** 2, eig.values)) / self.n
 
 
+def _expected_x2(spectrum: SignalSpectrum, sigma2: float, q: float):
+    """The production eigenvalues at order q and E X^2 = B^2 + sigma^2 beyond
+    their null space."""
+    if not 0 <= sigma2 < math.inf:
+        raise EbsplinesError(f"need 0 <= sigma2 < inf, got {sigma2}")
+    eig = penalty_eigenvalues(q, spectrum.n)
+    return eig, _tails(eig, spectrum.B)[0] + sigma2
+
+
 def expected_t_lambda(spectrum: SignalSpectrum, sigma2: float, lam: float,
                       q: float) -> float:
-    """Expected estimating equation for lambda under the regression model:
-    (1/n) { sum B^2 u/(1+u)^2 - sigma^2 sum 1/(1+u)^2 } beyond the null space."""
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
-    b2, nz = _tails(penalty_eigenvalues(q, spectrum.n), spectrum.B)
-    u = lam * nz
-    sig = float(np.dot(b2, u / (1.0 + u) ** 2))
-    noi = sigma2 * float(np.sum(1.0 / (1.0 + u) ** 2))
-    return (sig - noi) / spectrum.n
+    """Expected estimating equation for lambda under Y = f + sigma eps: the
+    selector's T_lam on the row E X^2 = B^2 + sigma^2 (T_lam is linear in X^2)."""
+    return _t_at(*_expected_x2(spectrum, sigma2, q), lam)
 
 
 def expected_t_q(spectrum: SignalSpectrum, sigma2: float, lam: float,
                  q: float) -> float:
-    """Expected estimating equation for q:
-    (1/n) sum B^2 u log(u)/(1+u)^2 + log(1/lam) * E T_lam.
-
-    At the oracle root of E T_lam this reduces to the pure quadratic-form
-    term, whose sign flags whether the signal is rougher than order q.
-    """
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
-    b2, nz = _tails(penalty_eigenvalues(q, spectrum.n), spectrum.B)
-    u = lam * nz
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = np.where(u > 0, u * np.log(u), 0.0) / (1.0 + u) ** 2
-    term = float(np.dot(b2, quad)) / spectrum.n
-    return term + math.log(1.0 / lam) * expected_t_lambda(spectrum, sigma2, lam, q)
+    """Expected estimating equation for q: the selector's T_q on the row
+    E X^2 = B^2 + sigma^2, exact for the same reason as ``expected_t_lambda``."""
+    return _t_at(*_expected_x2(spectrum, sigma2, q), lam, tq=True)
 
 
 @dataclass(frozen=True)
@@ -136,33 +129,28 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
     closed-form: [ n ||f^(q)||^2 / (sigma^2 kappa_q(0,2)) ]^(-2q/(2q+1)),
     with the derivative energy estimated from the spectrum; a vanishing
     energy (signal inside the null space) yields the infinity sentinel.
-    numeric-root: the root of E T_lam in [LAMBDA_MIN, LAMBDA_MAX], by the
-    same sign-steered log-lambda bisection as ``selection.solve_lambda``.
-    sigma2 must be finite and >= 0, and > 0 for the closed form (at 0 the
-    numeric root finds E T_lam > 0 everywhere and returns the sentinel).
+    numeric-root: the root of E T_lam, by the selector's own lambda solve
+    (``selection.solve_lambda``: scan, bisection, tolerance and multi-root
+    rule) on the row E X^2 = B^2 + sigma^2; a boundary solve (no interior
+    root, see ``selection``) yields the infinity sentinel.
+    sigma2 must be finite and >= 0, and > 0 for the closed form.
     """
-    if not 0 <= sigma2 < math.inf:
-        raise EbsplinesError(f"need 0 <= sigma2 < inf, got {sigma2}")
+    eig, x2 = _expected_x2(spectrum, sigma2, q)
     energy = spectrum.derivative_energy(q)
     if method == "closed-form":
         if sigma2 == 0:
             raise EbsplinesError("need sigma2 > 0 for the closed form, got 0")
         total = float(np.sum(np.asarray(spectrum.B) ** 2))
         if energy <= 0 or (total > 0 and energy < 1e-26 * total):
-            return OracleResult(lambda_q=math.inf, method=method,
-                                derivative_energy=energy)
-        lam = (spectrum.n * energy / (sigma2 * kappa(q, 0, 2))) ** (-2.0 * q / (2.0 * q + 1.0))
-        return OracleResult(lambda_q=lam, method=method, derivative_energy=energy)
-    if method == "numeric-root":
-        f = functools.partial(expected_t_lambda, spectrum, sigma2, q=q)
-        flo, fhi = f(LAMBDA_MIN), f(LAMBDA_MAX)
-        if flo >= 0 or math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-            return OracleResult(lambda_q=math.inf, method=method,
-                                derivative_energy=energy)
-        (lam, _), = _lockstep([_bisect_log(LAMBDA_MIN, LAMBDA_MAX, 1e-12)],
-                              lambda m, _: [f(m[0])])
-        return OracleResult(lambda_q=lam, method=method, derivative_energy=energy)
-    raise EbsplinesError(f"unknown oracle method {method!r}")
+            lam = math.inf
+        else:
+            lam = (spectrum.n * energy / (sigma2 * kappa(q, 0, 2))) ** (-2.0 * q / (2.0 * q + 1.0))
+    elif method == "numeric-root":
+        sol, = _solve_lambdas(eig, x2[None])
+        lam = math.inf if sol.boundary else sol.lam
+    else:
+        raise EbsplinesError(f"unknown oracle method {method!r}")
+    return OracleResult(lambda_q=lam, method=method, derivative_energy=energy)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,16 @@ where d = floor(q).  Its zeros are located through two rescaled derivatives:
     T_q   = (1/n) sum X^2 u log(n*eta)/(1+u)^2
             - (1/n^2) (sum X^2 u/(1+u)) (sum log(n*eta)/(1+u)),
 
-with sums over i > d.  Every order shares the cosine coefficients X, so dX^2/dq
-is exactly zero.  The weight log(n*eta) is q d log(n*eta)/dq only at a fixed
-phase c of n*eta = pi^(2q) (i - c)^(2q); it leaves out the term -q/(i - c) of
-the production phase c = (q+1)/2 (ROADMAP item 1).  ``solve_lambda`` finds
+with sums over i > d.  As lambda -> 0, sum 1/(1+u) -> n - d, so T_lam ->
+(d/n^2) sum X^2 u > 0: a root of T_lam (a maximum of l) is a - to + transition
+after an interior dip below zero, which the selector and the numeric oracle
+lambda (``oracles``: the same solve on E X^2) bracket on a 33-point scan;
+without one the solve is a boundary (f1, q = 1, sigma = 0.01: n <= 300).
+
+Every order shares the cosine coefficients X, so dX^2/dq is exactly zero.
+The weight log(n*eta) is q d log(n*eta)/dq only at a fixed phase c of
+n*eta = pi^(2q) (i - c)^(2q); it leaves out the term -q/(i - c) of the
+production phase c = (q+1)/2 (ROADMAP item 1).  ``solve_lambda`` finds
 the root of T_lam for each q, ``select_q`` locates the sign change of T_q at
 lambda_hat_q over a grid of orders, and ``fit`` assembles the estimate.
 """
@@ -67,10 +73,18 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
     of the value across lambda keep their digits (the value itself is
     O(n) while its lambda-derivative can be orders of magnitude smaller).
     """
-    if not lam > 0:
-        raise EbsplinesError(f"need lambda > 0, got {lam}")
-    x2, nz = _tails(model.eigen, coeffs)
-    u = lam * nz
+    return _loglik(model.eigen, _tails(model.eigen, coeffs)[0], lam)
+
+
+def _finite(lam: float) -> float:
+    if not 0 < lam < math.inf:
+        raise EbsplinesError(f"need 0 < lambda < inf, got {lam}")
+    return lam
+
+
+def _loglik(eigen: EigenSequence, x2: np.ndarray, lam: float) -> float:
+    """``marginal_loglik`` of the squared tail coefficients x2."""
+    u = _finite(lam) * eigen.tail
     total = float(np.sum(x2))
     resid = float(np.dot(x2, u / (1.0 + u)))
     if resid <= 0:
@@ -83,7 +97,7 @@ def marginal_loglik(model: SpectralModel, coeffs, lam: float) -> float:
         # 1 - share = sum X^2/(1+u) / sum X^2 is small here: keep its digits
         log_share = math.log1p(-float(np.dot(x2, 1.0 / (1.0 + u))) / total)
     log_r = -np.log1p(1.0 / u)
-    return -0.5 * model.n * log_share + 0.5 * float(np.sum(log_r))
+    return -0.5 * eigen.n * log_share + 0.5 * float(np.sum(log_r))
 
 
 def _t_rows(n, g, u, v, w, s=None):
@@ -137,23 +151,28 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
     return vals
 
 
+def _at(rows_fn, x2: np.ndarray, nz: np.ndarray, lam: float) -> float:
+    """The criterion of the row kernel ``rows_fn`` (see ``_scan``) on one row
+    x2 of squared tail coefficients at one lambda, 0 < lambda < inf."""
+    return float(_scan(rows_fn, x2[None], nz, np.array([_finite(lam)]), [0])[0])
+
+
+def _t_at(eigen: EigenSequence, x2: np.ndarray, lam: float, tq: bool = False) -> float:
+    """T_lam, or T_q with ``tq``, of the squared tail coefficients x2 at one
+    lambda; linear in x2, so on x2 = E X^2 their expectation (``oracles``)."""
+    nz = eigen.tail
+    return _at(functools.partial(_t_rows, eigen.n, np.log(nz) if tq else None), x2, nz, lam)
+
+
 def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
     """Estimating equation for lambda (rescaled lambda-derivative of the
     marginal log-likelihood)."""
-    if not 0 < lam < math.inf:
-        raise EbsplinesError(f"need 0 < lambda < inf, got {lam}")
-    x2, nz = _tails(model.eigen, coeffs)
-    return float(_scan(functools.partial(_t_rows, model.n, None), x2[None], nz,
-                       np.array([lam]), [0])[0])
+    return _t_at(model.eigen, _tails(model.eigen, coeffs)[0], lam)
 
 
 def t_q(model: SpectralModel, coeffs, lam: float) -> float:
     """Estimating equation for the penalty order q at fixed lambda."""
-    if not 0 < lam < math.inf:
-        raise EbsplinesError(f"need 0 < lambda < inf, got {lam}")
-    x2, nz = _tails(model.eigen, coeffs)
-    return float(_scan(functools.partial(_t_rows, model.n, np.log(nz)), x2[None], nz,
-                       np.array([lam]), [0])[0])
+    return _t_at(model.eigen, _tails(model.eigen, coeffs)[0], lam, tq=True)
 
 
 def sigma2_hat(model: SpectralModel, coeffs, lam: float) -> float:
@@ -243,15 +262,15 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     coefficient (T_lam is quadratic in the data), which keeps the solve
     scale-equivariant; an explicit ``tol`` is honored absolutely.
     """
-    return _solve_lambdas(model, np.asarray(coeffs, dtype=float)[None], tol)[0]
+    return _solve_lambdas(model.eigen, _tails(model.eigen, coeffs)[0][None], tol)[0]
 
 
-def _solve_lambdas(model: SpectralModel, x: np.ndarray, tol=None,
+def _solve_lambdas(eigen: EigenSequence, x2s: np.ndarray, tol=None,
                    sums=None) -> list[LambdaSolve]:
-    """``solve_lambda`` for each row of the stack x, every bracket a lane, with
-    the scan sums ``sums`` that the model's family keeps (``ModelFamily``)."""
-    x2s, nz = _tails(model.eigen, x)
-    n = model.n
+    """``solve_lambda`` for each row of the stack x2s of squared tail
+    coefficients, every bracket a lane, with the scan sums ``sums`` that the
+    model's family keeps (``ModelFamily``)."""
+    n, nz = eigen.n, eigen.tail
     tols = ((1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300) if tol is None
             else [tol] * len(x2s))
     rows = functools.partial(_t_rows, n, None)
@@ -264,8 +283,8 @@ def _solve_lambdas(model: SpectralModel, x: np.ndarray, tol=None,
     sols = [None] * len(x2s)
     for k, (lam, t_at) in zip(ks.tolist(), roots):
         # a later root of the row wins only by a higher marginal likelihood
-        if sols[k] is None or (marginal_loglik(model, x[k], lam)
-                               > marginal_loglik(model, x[k], sols[k].lam)):
+        if sols[k] is None or (_loglik(eigen, x2s[k], lam)
+                               > _loglik(eigen, x2s[k], sols[k].lam)):
             sols[k] = LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
 
     # Rows without a root anywhere in the (extended) interval.  The marginal
@@ -373,8 +392,8 @@ def _select_qs(family: ModelFamily, x: np.ndarray, qgrid) -> list[Selection]:
     per_q = []
     for q in qgrid:
         m, sums = family._entry(q)
-        sols = _solve_lambdas(m, x, sums=sums)
         x2s, nz = _tails(m.eigen, x)
+        sols = _solve_lambdas(m.eigen, x2s, sums=sums)
         tq = _scan(functools.partial(_t_rows, m.n, np.log(nz)), x2s, nz,
                    np.array([sol.lam for sol in sols]), np.arange(len(sols)))
         per_q.append([QDiagnostic(q=q, lambda_hat=sol.lam, t_q_value=float(t),
@@ -487,7 +506,7 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         if chosen is not None:
             lam, boundary = chosen.lambda_hat, chosen.boundary
         else:
-            sol, = _solve_lambdas(model, xk[None], sums=sums)
+            sol, = _solve_lambdas(model.eigen, _tails(model.eigen, xk[None])[0], sums=sums)
             lam, boundary = sol.lam, sol.boundary
 
         s2 = sigma2_hat(model, xk, lam)

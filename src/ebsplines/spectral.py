@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dct, idct
 
-from .errors import EbsplinesError, UnsupportedBackendError
+from .errors import EbsplinesError
 
 _EXACT_MAX_N = 512
 DESIGN_CONVENTIONS = ("midpoint", "right")
@@ -272,14 +272,14 @@ def exact_model(grid: DesignGrid, q: float) -> SpectralModel:
     difference penalty, its eigenvectors as basis and its own n*eta sequence.
 
     Restricted to q in {1, 2} and n <= 512 (higher orders are numerically
-    unreliable); raises ``UnsupportedBackendError`` outside that range.
+    unreliable); raises ``EbsplinesError`` outside that range.
     """
     n = grid.n
     if q not in (1, 2) or int(q) != q:
-        raise UnsupportedBackendError(
+        raise EbsplinesError(
             f"exact_model supports q in {{1, 2}}, got q = {q}")
     if n > _EXACT_MAX_N:
-        raise UnsupportedBackendError(
+        raise EbsplinesError(
             f"exact_model supports n <= {_EXACT_MAX_N}, got n = {n}")
     basis, values = _exact_eigen(int(q), n)
     return SpectralModel(grid=grid, q=float(q),

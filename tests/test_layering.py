@@ -55,9 +55,10 @@ def test_public_surface_has_no_unused_options():
     # C_p, the rounding policy, fit's override hooks, fit_design, the
     # single-sample compare arm, the basis backend switch, the lambda search
     # range, the polynomial generator, fit's --qmin, the Sobolev-ball and rho
-    # options of the oracles, the log-power trace variant and the GCV minimum
-    # value were removed; no workflow set or read them
-    assert not {"mallows_cp", "fit_design", "ANALYTIC", "EXACT"} & set(dir(ebsplines))
+    # options of the oracles, the log-power trace variant, the GCV minimum
+    # value and the backend error were removed; no workflow set or read them
+    assert not {"mallows_cp", "fit_design", "ANALYTIC", "EXACT",
+                "UnsupportedBackendError"} & set(dir(ebsplines))
     fields = {c: [f.name for f in dataclasses.fields(c)]
               for c in (ebsplines.SignalSpectrum, ebsplines.GcvResult)}
     assert fields == {ebsplines.SignalSpectrum: ["B"],

@@ -66,10 +66,20 @@ class TestTraceApproximation:
 
 
 class TestExpectedEquations:
-    def test_noise_only_is_negative(self):
+    def test_noise_only_matches_the_data_mean(self):
+        # pure noise: E T_lam is negative at small lambda and +1.1e-8 at
+        # lambda = 1, inside the spread of the data T_lam there (Monte Carlo
+        # mean +6.4e-8, standard error 4.8e-7); a mean of M draws of an
+        # equation linear in X^2 has standard error sd / sqrt(M)
+        m = e.ModelFamily(e.design_grid(500)).model(2.0)
         spec = e.SignalSpectrum(B=np.zeros(500))
+        x = m.basis.forward(np.random.default_rng(3).standard_normal((200, 500)))
         for lam in (1e-6, 1e-3, 1.0):
-            assert e.expected_t_lambda(spec, 1.0, lam, 2.0) < 0
+            t = np.array([e.t_lambda(m, xk, lam) for xk in x])
+            expected = e.expected_t_lambda(spec, 1.0, lam, 2.0)
+            assert abs(t.mean() - expected) <= 4 * t.std(ddof=1) / math.sqrt(len(t))
+            if lam < 1:
+                assert expected < 0
 
     def test_signal_only_is_positive(self):
         B = np.zeros(500)
@@ -92,25 +102,57 @@ class TestExpectedEquations:
         for lam in (1e-8, 1e-3, 0.5):
             assert e.expected_t_q(spec, 0.0, lam, 2.0) == 0.0
 
-    def test_reduces_to_quadratic_term_at_oracle_root(self, f1_spectrum,
-                                                      family1000):
-        q, s2 = 3.0, 1e-4
-        lam = e.oracle_lambda(f1_spectrum, s2, q, "numeric-root").lambda_q
-        full = e.expected_t_q(f1_spectrum, s2, lam, q)
-        # the oracle models the production fit, so its eigenvalues are those
-        # of the production model at this order
-        eig = family1000.model(q).eigen
-        u = lam * eig.tail
-        b2 = f1_spectrum.B[eig.null_dim:] ** 2
-        quad = float(b2 @ (u * np.log(u) / (1 + u) ** 2)) / f1_spectrum.n
-        # E T_lam is ~0 at its root, so the log(1/lam) correction is tiny
-        assert full == pytest.approx(quad, rel=1e-4)
+    def test_oracle_root_zeroes_the_expected_equation(self, f1_spectrum, family1000):
+        # the numeric root is the selector's solve on E X^2, so it stops where
+        # |E T_lam| is within the solve's default tolerance (1e-3/n) mean E X^2
+        s2 = 1e-4
+        for q in (1.0, 2.0, 3.0, 4.0):
+            lam = e.oracle_lambda(f1_spectrum, s2, q, "numeric-root").lambda_q
+            d = family1000.model(q).null_dim
+            tol = 1e-3 / f1_spectrum.n * float(np.mean(f1_spectrum.B[d:] ** 2 + s2))
+            assert abs(e.expected_t_lambda(f1_spectrum, s2, lam, q)) <= tol
 
-    def test_negative_below_the_smoothness_bound(self, f1_spectrum):
-        # coefficients decay like i^-3 so orders 2 and 3 look smooth
-        for q in (2.0, 3.0):
-            lam = e.oracle_lambda(f1_spectrum, 1e-4, q, "numeric-root").lambda_q
-            assert e.expected_t_q(f1_spectrum, 1e-4, lam, q) < 0
+    def test_sign_changes_between_orders_2_and_3(self, f1_spectrum):
+        # E T_q at the oracle root is -7.88e-5, -1.14e-5, +6.64e-6, +1.73e-5
+        # at q = 1..4, the signs of the data T_q means there (-7.84e-5,
+        # -1.20e-5, +6.71e-6, +1.75e-5; M = 200): f1's low coefficients look
+        # rougher than order 3 (README, c01), so the crossing is below 3
+        signs = [e.expected_t_q(f1_spectrum, 1e-4, e.oracle_lambda(
+            f1_spectrum, 1e-4, q, "numeric-root").lambda_q, q) > 0
+            for q in (1.0, 2.0, 3.0, 4.0)]
+        assert signs == [False, False, True, True]
+
+    def test_matches_the_monte_carlo_mean_of_the_data_equations(
+            self, family1000, f1_values, f1_spectrum):
+        # T_lam and T_q are linear in X^2 at fixed lambda, so E T is the
+        # kernel at E X^2 exactly, and the mean of M = 200 data values is
+        # within 4 standard errors sd / sqrt(M) of it (8 checks: a false
+        # failure has probability about 5e-4; measured |z| <= 1.03); the
+        # known-sigma^2 E T_q of earlier versions was off by z = 27 at q = 3
+        M, sigma = 200, 0.01
+        rng = np.random.default_rng(11)
+        x = family1000.basis.forward(f1_values + sigma * rng.standard_normal((M, 1000)))
+        for q, lam in ((1.0, 8.5e-7), (2.0, 6.3e-10), (3.0, 1.9e-13), (4.0, 4.5e-17)):
+            m = family1000.model(q)
+            for data, expected in ((e.t_lambda, e.expected_t_lambda),
+                                   (e.t_q, e.expected_t_q)):
+                t = np.array([data(m, xk, lam) for xk in x])
+                se = t.std(ddof=1) / math.sqrt(M)
+                assert abs(t.mean() - expected(f1_spectrum, sigma ** 2, lam, q)) <= 4 * se
+
+    @pytest.mark.parametrize("fn", [e.expected_t_lambda, e.expected_t_q],
+                             ids=["t_lambda", "t_q"])
+    @pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
+    def test_sigma2_must_be_finite_and_non_negative(self, f1_spectrum, fn, sigma2):
+        with pytest.raises(EbsplinesError, match=f"need 0 <= sigma2 < inf, got {sigma2}"):
+            fn(f1_spectrum, sigma2, 1e-10, 3.0)
+
+    @pytest.mark.parametrize("fn", [e.expected_t_lambda, e.expected_t_q],
+                             ids=["t_lambda", "t_q"])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_must_be_positive_and_finite(self, f1_spectrum, fn, lam):
+        with pytest.raises(EbsplinesError, match=f"need 0 < lambda < inf, got {lam}"):
+            fn(f1_spectrum, 1e-4, lam, 3.0)
 
 
 class TestOracleLambda:
@@ -120,6 +162,18 @@ class TestOracleLambda:
         spec = e.SignalSpectrum(B=B)
         assert math.isinf(e.oracle_lambda(spec, 1.0, 1.0, "closed-form").lambda_q)
         assert math.isinf(e.oracle_lambda(spec, 1.0, 1.0, "numeric-root").lambda_q)
+
+    @pytest.mark.parametrize("n, finite", [(128, False), (300, False), (400, True)])
+    def test_first_order_root_needs_an_interior_dip(self, n, finite):
+        # as lambda -> 0, T_lam -> (d/n^2) sum X^2 u > 0 (see ``selection``), so
+        # a root needs a dip below zero; at q = 1 and sigma = 0.01 the f1 signal
+        # gives E T_lam none for n <= 300 (the sentinel) and a root of 6.61e-7
+        # at n = 400
+        fam = e.ModelFamily(e.design_grid(n))
+        spec = e.SignalSpectrum(B=fam.basis.forward(
+            e.Generator(kind="f1-spectral").values(fam.grid)))
+        lam = e.oracle_lambda(spec, 1e-4, 1.0, "numeric-root").lambda_q
+        assert math.isfinite(lam) == finite
 
     def test_noise_scaling_of_closed_form(self, f1_spectrum):
         q = 3.0

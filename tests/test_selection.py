@@ -393,10 +393,11 @@ def test_nan_lambda_rejected_naming_the_value(call):
         call(m, x, math.nan)
 
 
-@pytest.mark.parametrize("call", [e.t_lambda, e.t_q, e.gcv_criterion],
-                         ids=["t_lambda", "t_q", "gcv_criterion"])
+@pytest.mark.parametrize("call", [e.t_lambda, e.t_q, e.gcv_criterion, e.marginal_loglik],
+                         ids=["t_lambda", "t_q", "gcv_criterion", "marginal_loglik"])
 def test_inf_lambda_rejected_by_the_row_kernel_criteria(call):
-    # at u = inf the kernel's r = u/(1+u) is nan, which must not come back
+    # at u = inf the kernels' r = u/(1+u) is nan, which must not come back;
+    # the marginal likelihood forms the same ratio
     m = _model(64, 2.0)
     x = m.basis.forward(np.cos(3 * np.pi * m.grid.x))
     with pytest.raises(EbsplinesError, match="got inf"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ebsplines as e
-from ebsplines.errors import EbsplinesError, UnsupportedBackendError
+from ebsplines.errors import EbsplinesError
 
 PI2 = math.pi ** 2
 PI4 = math.pi ** 4
@@ -159,11 +159,12 @@ class TestExactBackend:
         assert err < 1e-10
 
     def test_unsupported_order(self):
-        with pytest.raises(UnsupportedBackendError):
+        with pytest.raises(EbsplinesError,
+                           match=r"exact_model supports q in \{1, 2\}, got q = 3.0"):
             e.exact_model(e.design_grid(16), 3.0)
 
     def test_unsupported_size(self):
-        with pytest.raises(UnsupportedBackendError):
+        with pytest.raises(EbsplinesError, match="exact_model supports n <= 512, got n = 600"):
             e.exact_model(e.design_grid(600), 1.0)
 
 

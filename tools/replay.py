@@ -10,7 +10,7 @@ order grid, small n, a generator not scaled by its range), two ``compare``
 reports (one at alpha = 0.1 whose config also carries the Monte Carlo
 oracle's ``mc_draws`` and ``radius_seed``), ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
-four data files, the ``oracle`` payloads of both generators at q = 2 and 3
+four data files, the ``oracle`` payloads of both generators at q = 1 to 4
 and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
 ``gcv_ball_experiment`` (JSON and ``repr``, so float bits show), and a
 sequence of library fits on one warm ``ModelFamily`` per size (6 at
@@ -100,7 +100,7 @@ def main(out: str) -> None:
                          "--seed", "3"]) == 0
 
     for kind in ("f1-spectral", "f2-cosine"):
-        for q in ("2", "3"):
+        for q in ("1", "2", "3", "4"):
             assert cli.main(["oracle", "--generator", kind, "--q", q,
                              "--out", path(f"oracle-{kind}-q{q}.json")]) == 0
     assert cli.main(["kappa", "--q", "2.5", "--m", "1", "--l", "2",
