@@ -39,7 +39,6 @@ from .selection import (
     default_q_grid,
     fit,
     marginal_loglik,
-    select_q,
     sigma2_hat,
     solve_lambda,
     t_lambda,

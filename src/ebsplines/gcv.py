@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .selection import _at, _lockstep, _log_grid, _scan, _tails
+from .selection import _at, _lockstep, _log_grid, _scan, _tails, _unit_scale
 from .spectral import SpectralModel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,10 +61,12 @@ def select_lambda_gcv(model: SpectralModel, y) -> GcvResult:
     The coarse grid is evaluated in blocks, by the kernel the golden-section
     steps use.  The refinement targets relative accuracy 1e-4 in log lambda;
     a minimizer at either end of the coarse grid sets the boundary flag.  The
-    result holds the minimizer; ``gcv_criterion`` gives the value there.
+    result holds the minimizer; ``gcv_criterion`` gives the value there.  The
+    search runs on y / 2^k (see ``selection._unit_scale``), so the minimizer
+    does not depend on the data's scale; a non-finite y raises.
     """
-    x = model.basis.forward(np.asarray(y, dtype=float))
-    return _select_gcvs(model, x[None])[0]
+    y, _ = _unit_scale(np.asarray(y, dtype=float)[None], "y")
+    return _select_gcvs(model, model.basis.forward(y))[0]
 
 
 def _select_gcvs(model: SpectralModel, x: np.ndarray) -> list[GcvResult]:

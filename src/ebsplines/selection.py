@@ -24,8 +24,12 @@ Every order shares the cosine coefficients X, so dX^2/dq is exactly zero.
 The weight log(n*eta) is q d log(n*eta)/dq only at a fixed phase c of
 n*eta = pi^(2q) (i - c)^(2q); it leaves out the term -q/(i - c) of the
 production phase c = (q+1)/2 (ROADMAP item 1).  ``solve_lambda`` finds
-the root of T_lam for each q, ``select_q`` locates the sign change of T_q at
-lambda_hat_q over a grid of orders, and ``fit`` assembles the estimate.
+the root of T_lam for each q, and ``fit`` locates the sign change of T_q at
+lambda_hat_q over a grid of orders and assembles the estimate.
+
+``fit``, ``solve_lambda`` and ``gcv.select_lambda_gcv`` guard their data with
+``_unit_scale``; the criteria at one lambda return values, not a selection,
+and take their coefficients as given, unguarded.
 """
 
 from __future__ import annotations
@@ -259,10 +263,16 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     -- that outcome is data, not an error.
 
     The default residual tolerance is 1e-3/n relative to the mean squared
-    coefficient (T_lam is quadratic in the data), which keeps the solve
-    scale-equivariant; an explicit ``tol`` is honored absolutely.
+    coefficient (T_lam is quadratic in the data); an explicit ``tol`` is
+    honored absolutely.  The solve runs on coeffs / 2^k (``_unit_scale``) with
+    tol / 4^k, so lambda does not depend on the data's scale; t_value is
+    scaled back, to +-inf (NumPy warns) past the float range.  A non-finite
+    coefficient raises ``EbsplinesError``.
     """
-    return _solve_lambdas(model.eigen, _tails(model.eigen, coeffs)[0][None], tol)[0]
+    x, (k,) = _unit_scale(np.asarray(coeffs, dtype=float)[None], "coeffs")
+    tol = None if tol is None else float(np.ldexp(tol, -2 * k))
+    sol, = _solve_lambdas(model.eigen, _tails(model.eigen, x)[0], tol)
+    return replace(sol, t_value=float(np.ldexp(sol.t_value, 2 * k)))
 
 
 def _solve_lambdas(eigen: EigenSequence, x2s: np.ndarray, tol=None,
@@ -288,9 +298,9 @@ def _solve_lambdas(eigen: EigenSequence, x2s: np.ndarray, tol=None,
             sols[k] = LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
 
     # Rows without a root anywhere in the (extended) interval.  The marginal
-    # likelihood diverges as lambda -> 0, so the fallback compares the theory
-    # interval's endpoints [1/n, 1], preferring the smoothing end on ties
-    # (pure noise then lands at lambda = 1).
+    # likelihood diverges as lambda -> 0, so the fallback does not compare
+    # likelihoods: it returns the end of the theory interval [1/n, 1] with the
+    # smaller |T_lam|, the smoothing end on ties, and sets the boundary flag.
     none = [k for k, sol in enumerate(sols) if sol is None]
     if none:
         ends = np.array([LAMBDA_MAX, 1.0 / n])
@@ -364,23 +374,9 @@ class Selection:
     all_positive_warning: bool = False
 
 
-def select_q(family: ModelFamily, x, qgrid) -> Selection:
-    """Select the penalty order from the sign change of T_q over the grid.
-
-    ``x`` holds the coefficients Phi^T y on the basis all orders share.  For
-    each grid order: solve for lambda_hat_q and evaluate T_q(lambda_hat_q, q).
-    The raw selection q* is the first crossing from non-positive to positive,
-    located by linear interpolation between grid points.  All values
-    non-positive means the signal looks at least as smooth as the largest
-    order, so q* is the grid maximum; a positive value already at the
-    smallest order maps to the grid minimum with a warning.  q_hat rounds q*
-    half-up to the nearest integer, clamped to the grid range.
-    """
-    return _select_qs(family, np.asarray(x, dtype=float)[None], qgrid)[0]
-
-
 def _select_qs(family: ModelFamily, x: np.ndarray, qgrid) -> list[Selection]:
-    """``select_q`` for each row of the coefficient stack x, an order at a time."""
+    """The order selection of ``fit`` for each row of the coefficient stack x
+    (Phi^T y on the basis all orders share), an order at a time."""
     qgrid = tuple(float(q) for q in qgrid)
     if not qgrid:
         raise EbsplinesError("empty q grid")
@@ -436,10 +432,6 @@ class FitResult:
     selection: Selection = field(repr=False)
     boundary: bool = False
 
-    @property
-    def n(self) -> int:
-        return self.model.n
-
 
 def _smooth(model: SpectralModel, x: np.ndarray, lam) -> np.ndarray:
     """The order-q smoother at a fixed lambda > 0, Phi diag(w) x, for
@@ -453,36 +445,37 @@ def _smooth(model: SpectralModel, x: np.ndarray, lam) -> np.ndarray:
 _CONSTANT_SPREAD = 64.0 * np.finfo(float).eps
 
 
-def _check_data(y: np.ndarray, n: int) -> None:
-    """Input contract of ``fit``: n finite values that are not all equal."""
-    if y.shape != (n,):
-        raise EbsplinesError(f"expected {n} data values, got shape {y.shape}")
-    lo, hi = float(np.min(y)), float(np.max(y))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        i = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise EbsplinesError(f"y[{i}] = {y[i]} is not finite")
-    if hi - lo <= _CONSTANT_SPREAD * max(abs(lo), abs(hi)):
-        raise DegenerateDataError(
-            "data are constant to rounding: every spectral coefficient beyond "
-            "the constant vanishes")
+def _unit_scale(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The input guard of the selectors, on a stack ``a`` of data rows: each row
+    divided by 2^k to max |row / 2^k| in [1/2, 1) (k = 0 for a zero row), and
+    each k.  The scaling is exact and keeps the squares inside the float range
+    at any data scale.  Raises ``EbsplinesError`` naming the first non-finite entry."""
+    top = np.max(np.abs(a), axis=-1, initial=0.0)
+    if not np.isfinite(top).all():
+        r, i = np.argwhere(~np.isfinite(a))[0]
+        raise EbsplinesError(f"{name}[{i}] = {a[r, i]} is not finite")
+    ks = np.frexp(top)[1]
+    return np.ldexp(a, -ks[:, None]), ks
 
 
 def fit(family: ModelFamily, y, qgrid=None) -> FitResult:
     """Full adaptive fit: select q, solve for lambda, smooth.
 
-    lambda_hat is the root already solved at q_hat during the order
-    selection, or a fresh solve when the rounded q_hat is not on the grid
-    (a refined real-valued grid).
+    For each grid order, solve for lambda_hat_q and evaluate T_q there.  q* is
+    the first crossing of T_q from non-positive to positive, by linear
+    interpolation between grid points; all values non-positive
+    (``all_nonpositive``: at least as smooth as the largest order) give the
+    grid maximum, a positive value at the smallest order the grid minimum
+    (``all_positive_warning``).  q_hat rounds q* half-up, clamped to the grid
+    range; lambda_hat is the root solved at q_hat (a fresh solve when q_hat
+    is off a refined grid).
 
-    The fit runs on y / 2^k with max |y / 2^k| in [1/2, 1), an exact scaling
-    that keeps the squared coefficients inside the float range for data of
-    any magnitude; lambda_hat and q_hat do not depend on k, and the fitted
-    values, coefficients, T_q values and sigma2_hat are scaled back exactly.
-
-    Raises ``EbsplinesError`` when y is not n finite values, naming the first
-    non-finite index, or when sigma2_hat (quadratic in the data) cannot be
-    stored at the data's scale, and ``DegenerateDataError`` when y is
-    constant to rounding.
+    The fit runs on y / 2^k (``_unit_scale``): lambda_hat and q_hat do not
+    depend on k; fitted values, coefficients, T_q and sigma2_hat are scaled
+    back exactly.  Raises ``EbsplinesError`` when y is not n finite values,
+    naming the first non-finite index, or when sigma2_hat (quadratic in the
+    data) cannot be stored at the data's scale, and ``DegenerateDataError``
+    when y is constant to rounding.
     """
     return _fits(family, np.asarray(y, dtype=float)[None], qgrid)[0]
 
@@ -492,12 +485,17 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
     n = family.grid.n
     if n < 8:
         raise EbsplinesError(f"need n >= 8 for a fit, got {n}")
-    for row in y:
-        _check_data(row, n)
+    if y.shape[1:] != (n,):
+        raise EbsplinesError(f"expected {n} data values, got shape {y.shape[1:]}")
+    x, ks = _unit_scale(y, "y")
+    lo, hi = np.min(x, axis=-1), np.max(x, axis=-1)
+    if np.any(hi - lo <= _CONSTANT_SPREAD * np.maximum(np.abs(lo), np.abs(hi))):
+        raise DegenerateDataError(
+            "data are constant to rounding: every spectral coefficient beyond "
+            "the constant vanishes")
     if qgrid is None:
         qgrid = default_q_grid(n)
-    ks = np.frexp(np.max(np.abs(y), axis=-1))[1]
-    x = family.basis.forward(np.ldexp(y, -ks[:, None]))
+    x = family.basis.forward(x)
     fits = []
     for xk, k, sel in zip(x, ks.tolist(), _select_qs(family, x, qgrid)):
         q_hat = sel.q_hat

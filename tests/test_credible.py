@@ -141,6 +141,26 @@ class TestExactRadius:
         for r in np.linspace(lo, hi, 7):
             assert folded.cdf(r) == pytest.approx(full.cdf(r), abs=1e-12)
 
+    def test_bracket_widens_upward_to_the_quantile(self, monkeypatch):
+        # at n = 64, q = 1, lambda = 1 and alpha = 0.9 the +-25% start around
+        # the Satterthwaite value lies below the quantile: the bracket moves
+        # up twice, a law per bracket, and the radius still lands in the
+        # 3-standard-error band of the 40,000-draw Monte Carlo order statistics
+        from ebsplines import credible
+        brackets = []
+        law = credible._DistanceLaw
+        monkeypatch.setattr(credible, "_DistanceLaw",
+                            lambda w, n, lo, hi: brackets.append((lo, hi)) or law(w, n, lo, hi))
+        m = e.spectral_model(e.design_grid(64), 1.0)
+        spec = e.RadiusSpec(alpha=0.9, mc_draws=40_000, seed=3)
+        r = e.radius(m, 1.0, spec)
+        assert len(brackets) > 1
+        assert all(b[0] == a[1] for a, b in zip(brackets, brackets[1:]))
+        p = 1.0 - spec.alpha
+        k, s = spec.mc_draws * p, math.sqrt(spec.mc_draws * p * (1.0 - p))
+        t = np.sort(mc_distances(m, 1.0, spec))
+        assert t[math.floor(k - 3.0 * s)] <= r * r <= t[math.ceil(k + 3.0 * s)]
+
     @staticmethod
     def _fitted_law(kind, n):
         """The law that brackets the radius at a fitted lambda_hat, with its

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,15 +41,25 @@ class TestSelectLambdaGcv:
         assert r1 == r2
 
     def test_argmin_scale_invariance(self):
+        # at 2^-520 and 2^510 the squared coefficients leave the float range
+        # unless the search brings the data to unit scale first
         m = _model(128, 2.0)
         y = np.cos(2 * np.pi * m.grid.x) + 0.05 * np.random.default_rng(2).standard_normal(128)
         r1 = e.select_lambda_gcv(m, y)
-        r2 = e.select_lambda_gcv(m, 9.0 * y)
-        assert r1.lambda_f_hat == r2.lambda_f_hat
+        for c in (9.0, 2.0 ** -520, 2.0 ** 510):
+            r2 = e.select_lambda_gcv(m, c * y)
+            assert r1.lambda_f_hat == r2.lambda_f_hat, c
         x = m.basis.forward(y)
-        assert e.gcv_criterion(m, 9.0 * x, r2.lambda_f_hat) == pytest.approx(
+        assert e.gcv_criterion(m, 9.0 * x, r1.lambda_f_hat) == pytest.approx(
             81.0 * e.gcv_criterion(m, x, r1.lambda_f_hat), rel=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected_with_index(self, bad):
+        m = _model(64, 2.0)
+        y = np.cos(3 * np.pi * m.grid.x)
+        y[[5, 9]] = bad
+        with pytest.raises(EbsplinesError, match=rf"y\[5\] = {bad} is not finite"):
+            e.select_lambda_gcv(m, y)
 
 
 @pytest.fixture(scope="module")

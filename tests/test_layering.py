@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ebsplines
-from ebsplines import cli, simlab
+from ebsplines import cli, selection, simlab
 
 SRC = Path(ebsplines.__file__).parent
 
@@ -56,21 +56,22 @@ def test_public_surface_has_no_unused_options():
     # single-sample compare arm, the basis backend switch, the lambda search
     # range, the polynomial generator, fit's --qmin, the Sobolev-ball and rho
     # options of the oracles, the log-power trace variant, the GCV minimum
-    # value and the backend error were removed; no workflow set or read them
+    # value, the backend error and select_q (a second, unguarded way into
+    # fit's order selection) were removed; no workflow set or read them
     assert not {"mallows_cp", "fit_design", "ANALYTIC", "EXACT",
-                "UnsupportedBackendError"} & set(dir(ebsplines))
+                "UnsupportedBackendError", "select_q"} & set(dir(ebsplines))
+    assert not hasattr(selection, "select_q")
     fields = {c: [f.name for f in dataclasses.fields(c)]
               for c in (ebsplines.SignalSpectrum, ebsplines.GcvResult)}
     assert fields == {ebsplines.SignalSpectrum: ["B"],
                       ebsplines.GcvResult: ["lambda_f_hat", "q", "boundary_flag"]}
     params = {f: list(inspect.signature(f).parameters) for f in (
-        ebsplines.fit, ebsplines.select_q, ebsplines.select_lambda_gcv,
+        ebsplines.fit, ebsplines.select_lambda_gcv,
         ebsplines.solve_lambda, ebsplines.make_basis, ebsplines.spectral_model,
         ebsplines.gcv_ball_experiment, ebsplines.trace_approx_check,
         ebsplines.polished_tail_check)}
     assert params == {
         ebsplines.fit: ["family", "y", "qgrid"],
-        ebsplines.select_q: ["family", "x", "qgrid"],
         ebsplines.select_lambda_gcv: ["model", "y"],
         ebsplines.solve_lambda: ["model", "coeffs", "tol"],
         ebsplines.make_basis: ["grid", "q"],

@@ -129,7 +129,9 @@ class TestMarginalLoglik:
             return -0.5 * n * math.log(float(x[2:] ** 2 @ r)) \
                 + 0.5 * float(np.sum(np.log(r)))
 
-        for lam1, lam2 in ((1e-6, 1e-3), (1e-3, 0.5)):
+        # (1e-12, 1e-9) puts the residual share below 1/2 (2.6e-4 and 0.15),
+        # where it takes the plain log, as on signal data at lambda_hat
+        for lam1, lam2 in ((1e-6, 1e-3), (1e-3, 0.5), (1e-12, 1e-9)):
             got = e.marginal_loglik(m, x, lam1) - e.marginal_loglik(m, x, lam2)
             assert got == pytest.approx(full(lam1) - full(lam2), rel=1e-10)
 
@@ -178,7 +180,9 @@ class TestSolveLambda:
 
     def test_bit_identical_under_rescaled_data(self):
         # the bisection follows only the sign of T_lam, so rescaling the data
-        # moves no midpoint: 6 orders x 3 scales x 20 data sets
+        # moves no midpoint: 6 orders x 5 scales x 20 data sets; at 2^-520 and
+        # 2^510 the squared coefficients leave the float range unless the
+        # solve brings the data to unit scale first
         n = 500
         fam = e.ModelFamily(e.design_grid(n))
         signals = [e.Generator(kind=k).values(fam.grid)
@@ -191,10 +195,29 @@ class TestSolveLambda:
                 for q in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
                     m = fam.model(q)
                     lam = e.solve_lambda(m, m.basis.forward(y)).lam
-                    for c in (3.0, 1e-3, 2.0 ** -40):
+                    for c in (3.0, 1e-3, 2.0 ** -40, 2.0 ** -520, 2.0 ** 510):
                         if e.solve_lambda(m, m.basis.forward(c * y)).lam != lam:
                             mismatches.append((seed, q, c))
         assert mismatches == []
+
+    def test_residual_past_the_float_range_overflows_to_inf(self):
+        # at data scale 2^1000 lambda is still the unit-scale root, while
+        # T_lam there, quadratic in the data, is past the float range
+        m = _model(500, 3.0)
+        x = m.basis.forward(e.Generator(kind="f1-spectral").values(m.grid)
+                            + 0.01 * np.random.default_rng(1).standard_normal(500))
+        ref = e.solve_lambda(m, x)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            sol = e.solve_lambda(m, 2.0 ** 1000 * x)
+        assert sol.lam == ref.lam and math.isinf(sol.t_value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected_with_index(self, bad):
+        m = _model(64, 2.0)
+        x = m.basis.forward(np.cos(3 * np.pi * m.grid.x))
+        x[[5, 9]] = bad
+        with pytest.raises(EbsplinesError, match=rf"coeffs\[5\] = {bad} is not finite"):
+            e.solve_lambda(m, x)
 
 
 class TestSigma2Hat:
@@ -226,17 +249,10 @@ class TestSigma2Hat:
 
 
 class TestSelectQ:
-    def test_constant_data_selects_grid_max(self):
-        n = 128
-        fam = e.ModelFamily(e.design_grid(n))
-        sel = e.select_q(fam, fam.basis.forward(np.full(n, 2.5)), (1.0, 2.0, 3.0, 4.0))
-        assert sel.q_hat == 4.0
-        assert sel.all_nonpositive
-
+    # the order selection, as ``fit`` reports it in its ``selection``
     def test_zero_crossing_interpolation(self, family1000, f1_values):
         y = f1_values + 0.01 * np.random.default_rng(12).standard_normal(1000)
-        x = family1000.basis.forward(y)
-        sel = e.select_q(family1000, x, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        sel = e.fit(family1000, y, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)).selection
         tq = [d.t_q_value for d in sel.per_q]
         j = next(i for i in range(1, 6) if tq[i] > 0 and tq[i - 1] <= 0)
         expected = sel.per_q[j - 1].q + (0.0 - tq[j - 1]) / (tq[j] - tq[j - 1])
@@ -245,9 +261,8 @@ class TestSelectQ:
 
     def test_scale_invariance_of_selection(self, family1000, f1_values):
         y = f1_values + 0.01 * np.random.default_rng(13).standard_normal(1000)
-        x = family1000.basis.forward(y)
-        s1 = e.select_q(family1000, x, (1.0, 2.0, 3.0))
-        s2 = e.select_q(family1000, 11.0 * x, (1.0, 2.0, 3.0))
+        s1 = e.fit(family1000, y, (1.0, 2.0, 3.0)).selection
+        s2 = e.fit(family1000, 11.0 * y, (1.0, 2.0, 3.0)).selection
         assert s1.q_hat == s2.q_hat
         assert s1.q_star == pytest.approx(s2.q_star, rel=1e-9)
 
@@ -255,15 +270,14 @@ class TestSelectQ:
         # theory-faithful mode: real-valued orders on the shared cosine basis;
         # the refined crossing lands near the integer-grid one
         y = f1_values + 0.01 * np.random.default_rng(21).standard_normal(1000)
-        x = family1000.basis.forward(y)
-        coarse = e.select_q(family1000, x, e.default_q_grid(1000))
-        fine = e.select_q(family1000, x, e.default_q_grid(1000, refine=0.5))
+        coarse = e.fit(family1000, y, e.default_q_grid(1000)).selection
+        fine = e.fit(family1000, y, e.default_q_grid(1000, refine=0.5)).selection
         assert abs(fine.q_star - coarse.q_star) < 1.0
         assert fine.q_hat == math.floor(fine.q_star + 0.5)
 
-    def test_empty_grid_rejected(self, family1000):
-        with pytest.raises(EbsplinesError):
-            e.select_q(family1000, np.zeros(1000), ())
+    def test_empty_grid_rejected(self, family1000, f1_values):
+        with pytest.raises(EbsplinesError, match="empty q grid"):
+            e.fit(family1000, f1_values, ())
 
 
 class TestFit:

@@ -16,7 +16,10 @@ and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
 sequence of library fits on one warm ``ModelFamily`` per size (6 at
 n = 16,385, 2 at n = 64,000, f1 and f2 in turn): the ``repr`` of lambda_hat,
 q_hat, q*, sigma2_hat and the per-order lambda_hat and T_q, and the sha256 of
-the fitted values.  It takes 3 to 10 seconds on two cores.
+the fitted values, and the ``repr`` of the lambda_hat of ``solve_lambda`` and
+``select_lambda_gcv`` (q = 3) and of ``fit`` on one f1 data set (n = 1000,
+sigma = 0.01) at the data scales 2^-520, 1 and 2^510 (or of the error a call
+raises).  It takes 3 to 10 seconds on two cores.
 
 The run needs a fixed BLAS thread count: at large n (measured at n = 16,000
 and 64,000) OpenBLAS splits ``np.dot`` and ``np.vecdot`` across threads and
@@ -129,6 +132,22 @@ def main(out: str) -> None:
                                [(d.q, d.lambda_hat, d.t_q_value)
                                 for d in res.selection.per_q])) + "\n")
                 fh.write(hashlib.sha256(res.fitted.tobytes()).hexdigest() + "\n")
+
+    # the selectors at unit scale and at scales whose squares leave the float range
+    family = e.ModelFamily(e.design_grid(1000))
+    m = family.model(3.0)
+    y1 = f1.values(family.grid) + 0.01 * np.random.default_rng(1).standard_normal(1000)
+    selectors = (("solve_lambda", lambda y: e.solve_lambda(m, m.basis.forward(y)).lam),
+                 ("select_lambda_gcv", lambda y: e.select_lambda_gcv(m, y).lambda_f_hat),
+                 ("fit", lambda y: e.fit(family, y).lambda_hat))
+    with open(path("selector-scales.txt"), "w") as fh:
+        for c in (2.0 ** -520, 1.0, 2.0 ** 510):
+            for name, select in selectors:
+                try:
+                    got = select(c * y1)
+                except e.EbsplinesError as exc:
+                    got = exc
+                fh.write(f"{name} {c!r}: {got!r}\n")
 
 
 if __name__ == "__main__":
