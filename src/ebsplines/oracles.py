@@ -118,7 +118,6 @@ def expected_t_q(spectrum: SignalSpectrum, sigma2: float, lam: float,
 @dataclass(frozen=True)
 class OracleResult:
     lambda_q: float
-    method: str
     derivative_energy: float
 
 
@@ -150,7 +149,7 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
         lam = math.inf if sol.boundary else sol.lam
     else:
         raise EbsplinesError(f"unknown oracle method {method!r}")
-    return OracleResult(lambda_q=lam, method=method, derivative_energy=energy)
+    return OracleResult(lambda_q=lam, derivative_energy=energy)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,12 @@ lambda (``oracles``: the same solve on E X^2) bracket on a 33-point scan;
 without one the solve is a boundary (f1, q = 1, sigma = 0.01: n <= 300).
 
 Every order shares the cosine coefficients X, so dX^2/dq is exactly zero.
-The weight log(n*eta) is q d log(n*eta)/dq only at a fixed phase c of
-n*eta = pi^(2q) (i - c)^(2q); it leaves out the term -q/(i - c) of the
-production phase c = (q+1)/2 (ROADMAP item 1).  ``solve_lambda`` finds
-the root of T_lam for each q, and ``fit`` locates the sign change of T_q at
-lambda_hat_q over a grid of orders and assembles the estimate.
+The weight log(n*eta) (``EigenSequence.log_tail``) is q d log(n*eta)/dq
+only at a fixed phase c of n*eta = pi^(2q) (i - c)^(2q); it leaves out the
+term -q/(i - c) of the production phase c = (q+1)/2 (ROADMAP item 1).
+``solve_lambda`` finds the root of T_lam for one q.  ``_fits``, behind
+``fit``, holds the order selection once: the q-grid checks, each order's
+lambda solve and T_q there, the q rule and the rescale of T_q to data units.
 
 ``fit``, ``solve_lambda`` and ``gcv.select_lambda_gcv`` guard their data with
 ``_unit_scale``; the criteria at one lambda return values, not a selection,
@@ -164,8 +165,8 @@ def _at(rows_fn, x2: np.ndarray, nz: np.ndarray, lam: float) -> float:
 def _t_at(eigen: EigenSequence, x2: np.ndarray, lam: float, tq: bool = False) -> float:
     """T_lam, or T_q with ``tq``, of the squared tail coefficients x2 at one
     lambda; linear in x2, so on x2 = E X^2 their expectation (``oracles``)."""
-    nz = eigen.tail
-    return _at(functools.partial(_t_rows, eigen.n, np.log(nz) if tq else None), x2, nz, lam)
+    rows = functools.partial(_t_rows, eigen.n, eigen.log_tail if tq else None)
+    return _at(rows, x2, eigen.tail, lam)
 
 
 def t_lambda(model: SpectralModel, coeffs, lam: float) -> float:
@@ -374,50 +375,6 @@ class Selection:
     all_positive_warning: bool = False
 
 
-def _select_qs(family: ModelFamily, x: np.ndarray, qgrid) -> list[Selection]:
-    """The order selection of ``fit`` for each row of the coefficient stack x
-    (Phi^T y on the basis all orders share), an order at a time."""
-    qgrid = tuple(float(q) for q in qgrid)
-    if not qgrid:
-        raise EbsplinesError("empty q grid")
-    if any(qgrid[j] >= qgrid[j + 1] for j in range(len(qgrid) - 1)):
-        raise EbsplinesError("q grid must be strictly increasing")
-    if qgrid[0] <= 0.5:
-        raise EbsplinesError("q grid values must exceed 1/2")
-
-    per_q = []
-    for q in qgrid:
-        m, sums = family._entry(q)
-        x2s, nz = _tails(m.eigen, x)
-        sols = _solve_lambdas(m.eigen, x2s, sums=sums)
-        tq = _scan(functools.partial(_t_rows, m.n, np.log(nz)), x2s, nz,
-                   np.array([sol.lam for sol in sols]), np.arange(len(sols)))
-        per_q.append([QDiagnostic(q=q, lambda_hat=sol.lam, t_q_value=float(t),
-                                  boundary=sol.boundary) for sol, t in zip(sols, tq)])
-    sels = []
-    for diags in zip(*per_q):
-        tvals = np.array([d.t_q_value for d in diags])
-        pos = tvals > 1e-10 * float(np.max(np.abs(tvals)))
-        all_nonpositive = warn = False
-        if not pos.any():
-            q_star = qgrid[-1]
-            all_nonpositive = True
-        elif pos[0]:
-            q_star = qgrid[0]
-            warn = True
-        else:
-            j = int(np.argmax(pos))
-            t0, t1 = float(tvals[j - 1]), float(tvals[j])
-            q0, q1 = qgrid[j - 1], qgrid[j]
-            q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
-
-        q_hat = float(math.floor(q_star + 0.5))
-        q_hat = min(max(q_hat, math.ceil(qgrid[0])), math.floor(qgrid[-1]))
-        sels.append(Selection(q_hat=q_hat, q_star=float(q_star), per_q=diags,
-                              all_nonpositive=all_nonpositive, all_positive_warning=warn))
-    return sels
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Adaptive empirical Bayesian smoothing spline fit."""
@@ -493,31 +450,58 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         raise DegenerateDataError(
             "data are constant to rounding: every spectral coefficient beyond "
             "the constant vanishes")
-    if qgrid is None:
-        qgrid = default_q_grid(n)
+    qgrid = tuple(float(q) for q in (default_q_grid(n) if qgrid is None else qgrid))
+    if not qgrid:
+        raise EbsplinesError("empty q grid")
+    if any(qgrid[j] >= qgrid[j + 1] for j in range(len(qgrid) - 1)):
+        raise EbsplinesError("q grid must be strictly increasing")
+    if qgrid[0] <= 0.5:
+        raise EbsplinesError("q grid values must exceed 1/2")
     x = family.basis.forward(x)
-    fits = []
-    for xk, k, sel in zip(x, ks.tolist(), _select_qs(family, x, qgrid)):
-        q_hat = sel.q_hat
-        model, sums = family._entry(q_hat)
-        chosen = next((dg for dg in sel.per_q if dg.q == q_hat), None)
-        if chosen is not None:
-            lam, boundary = chosen.lambda_hat, chosen.boundary
-        else:
-            sol, = _solve_lambdas(model.eigen, _tails(model.eigen, xk[None])[0], sums=sums)
-            lam, boundary = sol.lam, sol.boundary
 
-        s2 = sigma2_hat(model, xk, lam)
+    # per order, every row's lambda solve and T_q there (unit scale)
+    sols, tqs = [], np.empty((len(x), len(qgrid)))
+    for j, q in enumerate(qgrid):
+        m, sums = family._entry(q)
+        x2s, nz = _tails(m.eigen, x)
+        sols.append(_solve_lambdas(m.eigen, x2s, sums=sums))
+        tqs[:, j] = _scan(functools.partial(_t_rows, n, m.eigen.log_tail), x2s, nz,
+                          np.array([sol.lam for sol in sols[j]]), np.arange(len(x)))
+
+    fits = []
+    for r, (xk, k, tvals) in enumerate(zip(x, ks.tolist(), tqs)):
+        pos = tvals > 1e-10 * float(np.max(np.abs(tvals)))
+        if not pos.any():
+            q_star = qgrid[-1]
+        elif pos[0]:
+            q_star = qgrid[0]
+        else:
+            j = int(np.argmax(pos))
+            t0, t1 = float(tvals[j - 1]), float(tvals[j])
+            q0, q1 = qgrid[j - 1], qgrid[j]
+            q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
+        q_hat = float(math.floor(q_star + 0.5))
+        q_hat = min(max(q_hat, math.ceil(qgrid[0])), math.floor(qgrid[-1]))
+
+        model, sums = family._entry(q_hat)
+        if q_hat in qgrid:
+            sol = sols[qgrid.index(q_hat)][r]
+        else:  # off a refined grid
+            sol, = _solve_lambdas(model.eigen, _tails(model.eigen, xk[None])[0], sums=sums)
+        s2 = sigma2_hat(model, xk, sol.lam)
         e = math.frexp(s2)[1] + 2 * k
         if s2 > 0 and not sys.float_info.min_exp <= e <= sys.float_info.max_exp:
             raise EbsplinesError(
                 f"sigma2_hat = {s2:.6g} * 2^{2 * k} at data scale 2^{k} lies "
                 "outside the normal float range")
         # T_q, like sigma2_hat, is quadratic in the data
-        sel = replace(sel, per_q=tuple(
-            replace(d, t_q_value=math.ldexp(d.t_q_value, 2 * k)) for d in sel.per_q))
-        fits.append(FitResult(lambda_hat=lam, q_hat=q_hat, q_star=sel.q_star,
-                              fitted=np.ldexp(_smooth(model, xk, lam), k),
+        per_q = tuple(QDiagnostic(q=q, lambda_hat=s[r].lam, t_q_value=math.ldexp(t, 2 * k),
+                                  boundary=s[r].boundary)
+                      for q, s, t in zip(qgrid, sols, tvals.tolist()))
+        sel = Selection(q_hat=q_hat, q_star=float(q_star), per_q=per_q,
+                        all_nonpositive=not pos.any(), all_positive_warning=bool(pos[0]))
+        fits.append(FitResult(lambda_hat=sol.lam, q_hat=q_hat, q_star=sel.q_star,
+                              fitted=np.ldexp(_smooth(model, xk, sol.lam), k),
                               sigma2_hat=math.ldexp(s2, 2 * k), coeffs=np.ldexp(xk, k),
-                              model=model, selection=sel, boundary=boundary))
+                              model=model, selection=sel, boundary=sol.boundary))
     return fits

@@ -58,7 +58,6 @@ class DesignGrid:
     """Equidistant design sites on (0, 1]."""
 
     n: int
-    convention: str
     x: np.ndarray
 
     def __post_init__(self):
@@ -79,7 +78,7 @@ def design_grid(n: int, convention: str = "midpoint") -> DesignGrid:
         x = i / n
     else:
         raise EbsplinesError(f"unknown design convention {convention!r}")
-    return DesignGrid(n=n, convention=convention, x=x)
+    return DesignGrid(n=n, x=x)
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,11 @@ class EigenSequence:
     def tail(self) -> np.ndarray:
         """Eigenvalues beyond the null space."""
         return self.values[self.null_dim:]
+
+    @property
+    def log_tail(self) -> np.ndarray:
+        """log(n*eta) beyond the null space: the weight of T_q (``selection``)."""
+        return np.log(self.tail)
 
 
 def eigenvalues(q: float, n: int, offset: float | None = None) -> EigenSequence:

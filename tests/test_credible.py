@@ -53,6 +53,11 @@ class TestRadius:
         with pytest.raises(EbsplinesError):
             e.RadiusSpec(mc_draws=10)
 
+    def test_no_null_space_at_infinite_lambda_gives_zero(self):
+        # below order 1 every weight vanishes at lambda = inf, so s1 = 0
+        m = e.spectral_model(e.design_grid(64), 0.75)
+        assert e.radius(m, math.inf, e.RadiusSpec()) == 0.0
+
 
 def _fitted_lambdas(n, seed=0):
     """Per-order lambda_hat of a fit to the noisy f1 signal."""
@@ -273,6 +278,11 @@ class TestSamplePosterior:
         curves = e.sample_posterior(res, 50, seed=3)
         assert np.abs(curves - res.fitted).max() == 0.0
 
+    def test_no_draws_rejected(self):
+        _, res = _fit_smooth()
+        with pytest.raises(EbsplinesError, match="need draws >= 1, got 0"):
+            e.sample_posterior(res, 0)
+
     def test_sample_mean_matches_center(self):
         _, res = _fit_smooth()
         curves = e.sample_posterior(res, 10_000, seed=11)
@@ -322,6 +332,14 @@ class TestCoverageExperiment:
                                     sigma=0.05, seed=1)
         assert rep.generator == "custom-values"
         assert 0.0 <= rep.coverage <= 1.0
+
+    def test_no_replicates_rejected(self):
+        with pytest.raises(EbsplinesError, match="need at least one replicate"):
+            e.coverage_experiment(e.Generator(kind="f2-cosine"), n=64, replicates=0)
+
+    def test_truth_of_the_wrong_length_rejected(self):
+        with pytest.raises(EbsplinesError, match="true function length does not match n"):
+            e.coverage_experiment(np.zeros(63), n=64, replicates=3)
 
     def test_report_schema(self):
         g = e.design_grid(64)

@@ -55,6 +55,11 @@ class TestTraceApproximation:
         tc = e.trace_approx_check(2.0, 1e-6, 10 ** 5, 0, 1)
         assert tc.rel_err == pytest.approx(0.134, abs=0.01)
 
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_lambda_outside_the_unit_interval_rejected(self, lam):
+        with pytest.raises(EbsplinesError, match=f"need 0 < lambda <= 1, got {lam}"):
+            e.trace_approx_check(2.0, lam, 1000, 0, 1)
+
     def test_exact_sum_monotone_in_lambda_for_m0(self):
         vals = [e.trace_approx_check(1.0, lam, 2000, 0, 1).exact_sum
                 for lam in np.logspace(-6, 0, 10)]

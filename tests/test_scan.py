@@ -208,6 +208,13 @@ def test_a_block_of_replicates_equals_batches_of_one(kind, sigma):
     assert len(fits) == 37
     for yk, res in zip(y, fits):
         assert _same(res, e.fit(fam, yk))
+    # 1.3, 1.6, ..., 6.1 holds 4 but no other integer order: a q_hat off the
+    # grid takes a fresh lambda solve, in a block as in a fit of its own
+    qgrid = e.default_q_grid(1000, refine=0.3)[1:]
+    fits = selection._fits(fam, y, qgrid)
+    assert any(res.q_hat not in qgrid for res in fits)
+    for yk, res in zip(y, fits):
+        assert _same(res, e.fit(fam, yk, qgrid))
     for q in (1.0, 6.0):  # fit covers every order; these two span the null spaces
         m = fam.model(q)
         sols = selection._solve_lambdas(m.eigen, selection._tails(m.eigen, x)[0])

@@ -37,6 +37,10 @@ class TestTLambda:
         assert e.t_lambda(m, x, 0.3) == 0.0
         assert e.t_q(m, x, 0.3) == 0.0
 
+    def test_wrong_length_rejected(self):
+        with pytest.raises(EbsplinesError, match=r"expected 32 coefficients, got shape \(31,\)"):
+            e.t_lambda(_model(32, 2.0), np.ones(31), 0.3)
+
     def test_matches_loglik_derivative_at_example_point(self):
         # central finite difference of the marginal log-likelihood at
         # lam = 0.01, step 1e-7 * lam
@@ -279,6 +283,34 @@ class TestSelectQ:
         with pytest.raises(EbsplinesError, match="empty q grid"):
             e.fit(family1000, f1_values, ())
 
+    @pytest.mark.parametrize("qgrid,message", [
+        ((2.0, 1.0), "q grid must be strictly increasing"),
+        ((0.5, 1.0), "q grid values must exceed 1/2"),
+    ], ids=["decreasing", "at-one-half"])
+    def test_malformed_grid_rejected(self, family1000, f1_values, qgrid, message):
+        with pytest.raises(EbsplinesError, match=message):
+            e.fit(family1000, f1_values, qgrid)
+
+    def test_t_q_weight_has_one_definition(self, family1000, f1_values, f1_spectrum,
+                                           monkeypatch):
+        # T_q is linear in its weight, and doubling is exact: t_q, the
+        # expected equation and fit's diagnostics all double with the weight,
+        # and the crossing does not move
+        y = f1_values + 0.01 * np.random.default_rng(14).standard_normal(1000)
+        m = family1000.model(3.0)
+        x = m.basis.forward(y)
+
+        def values():
+            res = e.fit(family1000, y)
+            return (e.t_q(m, x, 1e-10), e.expected_t_q(f1_spectrum, 1e-4, 1e-10, 3.0),
+                    [d.t_q_value for d in res.selection.per_q], res.q_star)
+
+        t, et, diags, q_star = values()
+        log_tail = e.EigenSequence.log_tail
+        monkeypatch.setattr(e.EigenSequence, "log_tail",
+                            property(lambda self: 2.0 * log_tail.fget(self)))
+        assert values() == (2.0 * t, 2.0 * et, [2.0 * d for d in diags], q_star)
+
 
 class TestFit:
     # the smoother at the lambda limits, as fit applies it (Phi diag(w) Phi^T y)
@@ -384,6 +416,10 @@ class TestQGrid:
     def test_q_max_above_log_n_rejected(self):
         with pytest.raises(EbsplinesError):
             e.default_q_grid(100, q_max=6)
+
+    def test_q_max_below_one_rejected(self):
+        with pytest.raises(EbsplinesError, match="q_max must be >= 1"):
+            e.default_q_grid(1000, q_max=0)
 
 
 def test_model_family_real_order():

@@ -158,6 +158,13 @@ class TestExactBackend:
         err = np.abs(m.basis.matrix.T @ m.basis.matrix - np.eye(100)).max()
         assert err < 1e-10
 
+    def test_dense_round_trip(self):
+        # the eigenvector basis transforms by matrix products, not the DCT
+        b = e.exact_model(e.design_grid(64), 2.0).basis
+        y = np.random.default_rng(6).standard_normal(64)
+        assert np.abs(b.inverse(b.forward(y)) - y).max() < 1e-13
+        assert np.abs(b.forward(b.inverse(y)) - y).max() < 1e-13
+
     def test_unsupported_order(self):
         with pytest.raises(EbsplinesError,
                            match=r"exact_model supports q in \{1, 2\}, got q = 3.0"):

@@ -5,8 +5,9 @@
 Run it once per source tree and compare the directories with ``diff -r``:
 a change that keeps every seeded output shows no difference.  The outputs
 are the ``simulate`` report and table of the two acceptance studies and of
-five more studies (boundary solves at large noise, an odd n, a real-valued
-order grid, small n, a generator not scaled by its range), two ``compare``
+six more studies (boundary solves at large noise, an odd n, a real-valued
+order grid, one that holds no integer order, so that every q_hat takes a
+fresh lambda solve, small n, a generator not scaled by its range), two ``compare``
 reports (one at alpha = 0.1 whose config also carries the Monte Carlo
 oracle's ``mc_draws`` and ``radius_seed``), ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
@@ -66,6 +67,8 @@ def main(out: str) -> None:
                            "sigma": 3.0, "seed": 11})
     simulate("f1-qgrid", {"generator": {"kind": "f1-spectral"}, "n": 2000, "replicates": 40,
                           "sigma": 0.3, "seed": 12, "q_grid": [1, 1.5, 2, 3, 4]})
+    simulate("f1-offgrid", {"generator": {"kind": "f1-spectral"}, "n": 1000, "replicates": 40,
+                            "sigma": 0.01, "seed": 16, "q_grid": [1.2, 1.7, 2.2, 2.7, 3.2]})
     simulate("f2-n300", {"generator": {"kind": "f2-cosine"}, "n": 300, "replicates": 70,
                          "sigma": 0.001, "seed": 13, "gcv_orders": [1, 2, 3]})
     simulate("f1-n64", {"generator": {"kind": "f1-spectral"}, "n": 64, "replicates": 9,
