@@ -480,8 +480,8 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
             t0, t1 = float(tvals[j - 1]), float(tvals[j])
             q0, q1 = qgrid[j - 1], qgrid[j]
             q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
-        q_hat = float(math.floor(q_star + 0.5))
-        q_hat = min(max(q_hat, math.ceil(qgrid[0])), math.floor(qgrid[-1]))
+        q_hat = float(min(max(math.floor(q_star + 0.5), math.ceil(qgrid[0])),
+                          math.floor(qgrid[-1])))
 
         model, sums = family._entry(q_hat)
         if q_hat in qgrid:

@@ -4,10 +4,11 @@ Two reference mean functions drive the comparisons: a spectrally defined
 signal with polynomially decaying coefficients ``(i+1)^(-beta) cos(2i)`` on
 the cosine basis (beta = 3), and the analytic ``cos(5 pi x)``.  Both are
 scaled by their range.  Three experiments draw i.i.d. Gaussian noise around
-the true function through one replicate driver (one seeded substream per
-replicate, so results do not depend on the order in which replicates run).
-Each block of replicates it hands out is fitted and GCV-selected at once,
-on scan rows built once per block, bit for bit as one replicate at a time:
+the true function, one seeded substream per replicate (so results do not
+depend on the order in which replicates run), and reduce what one replicate
+loop, ``_blocks``, yields per block: the adaptive fits of the first sample
+and, per GCV order, the lambdas GCV selects on the last sample and the errors
+of its fits of the first, all bit for bit as one replicate at a time:
 
 * ``run_study`` fits the adaptive empirical-Bayes spline and the GCV
   comparator at fixed orders and aggregates smoothing-parameter moments,
@@ -40,7 +41,7 @@ from .errors import EbsplinesError
 from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
 from .selection import ModelFamily, _fits, _smooth, default_q_grid
-from .spectral import DESIGN_CONVENTIONS, DesignGrid, design_grid, make_basis, rms_norm
+from .spectral import DESIGN_CONVENTIONS, DesignGrid, design_grid, make_basis
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "custom-spectrum")
 
@@ -245,29 +246,35 @@ def _moments(a: np.ndarray) -> tuple[float, float]:
     return float(np.mean(a)), 0.0
 
 
-def _truth(generator, grid: DesignGrid) -> tuple[np.ndarray, str]:
-    """True function values on the grid and their name: ``generator`` is an
-    object with a ``values(grid)`` method or the n values themselves."""
+def _design(generator, n: int, convention: str = "midpoint"):
+    """The model family on the design of n points, the true function values
+    on it and their name: ``generator`` is an object with a ``values(grid)``
+    method or the n values themselves."""
+    family = ModelFamily(design_grid(n, convention))
     if hasattr(generator, "values"):
-        f_true = np.asarray(generator.values(grid), dtype=float)
+        f_true = np.asarray(generator.values(family.grid), dtype=float)
         name = getattr(generator, "kind", type(generator).__name__)
     else:
         f_true = np.asarray(generator, dtype=float)
         name = "custom-values"
-    if len(f_true) != grid.n:
+    if len(f_true) != n:
         raise EbsplinesError("true function length does not match n")
-    return f_true, str(name)
+    return family, f_true, str(name)
 
 
-def _replicates(f_true: np.ndarray, sigma: float, seed: int, count: int,
-                samples: int = 1):
-    """Noisy samples f_true + sigma * eps, a block of replicates at a time.
+def _blocks(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
+            count: int, samples: int = 1, gcv_orders=(), qgrid=None):
+    """The experiments' one replicate loop.  Per block of replicates it yields
+    the adaptive fits of the first sample and, for each GCV order q, the
+    lambdas GCV selects on the last sample and the mean squared errors of the
+    order-q fits of the first sample at those lambdas.
 
-    Replicate k draws its ``samples`` normal vectors, in order, from
-    ``default_rng`` on the k-th child of ``SeedSequence(seed)``, so every
-    replicate replays bit for bit whatever runs before it.  A block is a
-    (samples x replicates x n) array of at most max(1, 2^15 // n) replicates
-    in order (256 KB per sample), so the experiments' memory stays O(n).
+    Replicate k draws its ``samples`` vectors f_true + sigma * eps, in order,
+    from ``default_rng`` on the k-th child of the seed's ``SeedSequence``, so
+    every replicate replays bit for bit whatever runs before it.  A block
+    holds at most max(1, 2^15 // n) replicates in order (256 KB per sample)
+    and each sample is transformed once.  The loop drops a block before it
+    draws the next; so must the caller, or the experiments' memory is not O(n).
     """
     if count < 1:
         raise EbsplinesError("need at least one replicate")
@@ -276,20 +283,29 @@ def _replicates(f_true: np.ndarray, sigma: float, seed: int, count: int,
     size = max(1, 2**15 // n)
     for s in range(0, count, size):
         rngs = map(np.random.default_rng, streams[s:s + size])
-        yield f_true + sigma * np.stack(
+        y = f_true + sigma * np.stack(
             [[rng.standard_normal(n) for _ in range(samples)] for rng in rngs], axis=1)
+        fits = _fits(family, y[0], qgrid)
+        # res.coeffs is Phi^T y on the basis all orders share (see ``fit``)
+        x = [np.array([res.coeffs for res in fits]), *map(family.basis.forward, y[1:])]
+        del y
+        gcv = dict.fromkeys(gcv_orders)
+        for q in gcv:
+            m = family.model(q)
+            lams = [g.lambda_f_hat for g in _select_gcvs(m, x[-1])]
+            gcv[q] = lams, np.mean((_smooth(m, x[0], lams) - f_true) ** 2, axis=-1)
+        del x
+        yield fits, gcv
+        del fits, gcv
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
     """Monte Carlo comparison of the adaptive EB fit and fixed-order GCV fits.
 
     All methods see identical data streams; aggregates are invariant to the
-    order in which replicates run.  Each block of replicates is fitted and
-    GCV-selected together.
+    order in which replicates run.
     """
-    grid = design_grid(config.n, config.design_convention)
-    gen_values, _ = _truth(config.generator, grid)
-    family = ModelFamily(grid)
+    family, gen_values, _ = _design(config.generator, config.n, config.design_convention)
     qgrid = config.resolved_q_grid()
 
     eb_lam, eb_err, q_hat = [], [], []
@@ -297,23 +313,18 @@ def run_study(config: StudyConfig) -> SimulationReport:
     gcv_lam: dict[float, list] = {q: [] for q in config.gcv_orders}
     gcv_err: dict[float, list] = {q: [] for q in config.gcv_orders}
 
-    for y, in _replicates(gen_values, config.sigma, config.seed, config.replicates):
-        fits = _fits(family, y, qgrid)
+    for fits, gcv in _blocks(family, gen_values, config.sigma, config.seed,
+                             config.replicates, 1, config.gcv_orders, qgrid):
         for res in fits:
             eb_lam.append(res.lambda_hat)
             eb_err.append(float(np.mean((res.fitted - gen_values) ** 2)))
             q_hat.append(res.q_hat)
             for dg in res.selection.per_q:
                 by_q[dg.q].append(dg.lambda_hat)
-        # res.coeffs is Phi^T y on the basis all orders share (see ``fit``)
-        x = np.array([res.coeffs for res in fits])
-        del fits, y  # the block's coefficients are all the GCV fits need
-        for q in gcv_lam:
-            m = family.model(q)
-            lams = [g.lambda_f_hat for g in _select_gcvs(m, x)]
+        for q, (lams, errs) in gcv.items():
             gcv_lam[q] += lams
-            gcv_err[q].extend(np.mean((_smooth(m, x, lams) - gen_values) ** 2, axis=-1))
-        del x  # before the next block: memory stays O(n), not O(replicates * n)
+            gcv_err[q].extend(errs)
+        del fits, gcv  # before the next block: memory stays O(n)
 
     mean_eb, var_eb = _moments(eb_lam)
     amse_eb = float(np.mean(eb_err))
@@ -360,19 +371,18 @@ def coverage_experiment(generator, n: int, replicates: int, L: float = 2.0,
     sample on the midpoint design, builds the ball and records membership of
     the truth plus the realized radius.
     """
-    grid = design_grid(n)
-    f_true, gen_name = _truth(generator, grid)
-    family = ModelFamily(grid)
+    family, f_true, gen_name = _design(generator, n)
     hits = 0
     radii = []
     q_counts: dict[float, int] = {}
     r_n: dict = {}  # one exact radius per distinct (q_hat, lambda_hat)
-    for y, in _replicates(f_true, sigma, seed, replicates):
-        for res in _fits(family, y):
+    for fits, _ in _blocks(family, f_true, sigma, seed, replicates):
+        for res in fits:
             ball = _ball(res, L, spec, r_n)
             hits += ball.contains(f_true)
             radii.append(ball.radius)
             q_counts[res.q_hat] = q_counts.get(res.q_hat, 0) + 1
+        del fits  # before the next block: memory stays O(n)
 
     radii = np.asarray(radii)
     quants = {str(p): float(np.quantile(radii, p)) for p in (0.1, 0.25, 0.5, 0.75, 0.9)}
@@ -414,40 +424,30 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
     matched empirical-Bayes arm fits the first sample and builds its own ball
     with L = 2 for contrast.
     """
-    grid = design_grid(n, convention)
-    f_true, gen_name = _truth(generator, grid)
+    family, f_true, gen_name = _design(generator, n, convention)
     if beta is None:
         beta = getattr(generator, "beta", None)
     if beta is None:
         raise EbsplinesError("nominal smoothness beta is required")
 
-    family = ModelFamily(grid)
     model_beta = family.model(float(beta))
     spectrum = SignalSpectrum(B=model_beta.basis.forward(f_true))
     lam_beta = oracle_lambda(spectrum, sigma * sigma, float(beta),
                              method="numeric-root").lambda_q
     ball_radius = sigma * radius(model_beta, lam_beta, spec)
 
-    q_choices = tuple(float(q) for q in q_choices)
-    hits_gcv = {q: 0 for q in q_choices}
+    hits_gcv = {float(q): 0 for q in q_choices}
     hits_eb = 0
     r_n: dict = {}  # one exact radius per distinct (q_hat, lambda_hat)
-    for y1, y2 in _replicates(f_true, sigma, seed, replicates, 2):
-        fits = _fits(family, y1)
+    for fits, gcv in _blocks(family, f_true, sigma, seed, replicates, 2, hits_gcv):
         hits_eb += sum(_ball(r, 2.0, spec, r_n).contains(f_true) for r in fits)
-        x1 = np.array([res.coeffs for res in fits])  # Phi^T y1, as in run_study
-        x2 = family.basis.forward(y2)
-        del fits, y1, y2  # the GCV arms need only the coefficients
-        for q in q_choices:
-            m = family.model(q)
-            lams = [g.lambda_f_hat for g in _select_gcvs(m, x2)]
-            hits_gcv[q] += sum(rms_norm(d) <= ball_radius
-                               for d in _smooth(m, x1, lams) - f_true)
-        del x1, x2  # before the next block: memory stays O(n)
+        for q, (_, errs) in gcv.items():
+            hits_gcv[q] += sum(math.sqrt(err) <= ball_radius for err in errs)
+        del fits, gcv  # before the next block: memory stays O(n)
 
     return GcvBallReport(
         generator=gen_name, n=n, replicates=replicates, beta=float(beta),
         alpha=spec.alpha, sigma=sigma,
-        coverage_gcv_ball={str(q): hits_gcv[q] / replicates for q in q_choices},
+        coverage_gcv_ball={str(q): h / replicates for q, h in hits_gcv.items()},
         coverage_eb_ball=hits_eb / replicates,
         gcv_ball_radius=float(ball_radius), seed=seed)

@@ -279,6 +279,13 @@ class TestSelectQ:
         assert abs(fine.q_star - coarse.q_star) < 1.0
         assert fine.q_hat == math.floor(fine.q_star + 0.5)
 
+    def test_q_hat_is_a_float_where_the_grid_clamps_it(self, family1000, f1_values):
+        # q* = 1.2 rounds to 1, below the grid: q_hat is clamped up to ceil(1.2)
+        y = f1_values + 3.0 * np.random.default_rng(0).standard_normal(1000)
+        res = e.fit(family1000, y, (1.2, 1.7, 2.2, 2.7, 3.2))
+        assert res.q_star == 1.2
+        assert repr(res.q_hat) == repr(res.selection.q_hat) == "2.0"
+
     def test_empty_grid_rejected(self, family1000, f1_values):
         with pytest.raises(EbsplinesError, match="empty q grid"):
             e.fit(family1000, f1_values, ())

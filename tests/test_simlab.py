@@ -11,6 +11,8 @@ from ebsplines import credible, simlab
 from ebsplines.errors import EbsplinesError
 from ebsplines.simlab import _compare_kwargs
 
+F1 = e.Generator(kind="f1-spectral")
+
 
 class TestGenerators:
     def test_f2_exact_zero_before_scaling(self):
@@ -103,21 +105,32 @@ class TestStudyHarness:
         e.run_study(cfg)
         assert sum(calls) == 3  # rows transformed, a stack of rows at a time
 
-    def test_study_memory_does_not_grow_with_replicates(self):
+    @pytest.mark.parametrize("experiment", [
+        lambda m: e.run_study(e.StudyConfig(generator=F1, n=4000, replicates=m, sigma=0.01,
+                                            seed=3, q_grid=(2.0, 3.0), gcv_orders=(2.0,))),
+        lambda m: e.coverage_experiment(F1, 4000, m, sigma=0.01, seed=3),
+        lambda m: e.gcv_ball_experiment(F1, 4000, (2.0,), m, sigma=0.01, seed=3),
+    ], ids=["run_study", "coverage_experiment", "gcv_ball_experiment"])
+    def test_study_memory_does_not_grow_with_replicates(self, experiment):
         # replicates run in blocks of 2^15 // n = 8 at n = 4000, so twelve
         # blocks peak like one: memory O(n), not O(replicates * n)
         def peak(replicates):
-            cfg = e.StudyConfig(generator=e.Generator(kind="f1-spectral"), n=4000,
-                                replicates=replicates, sigma=0.01, seed=3,
-                                q_grid=(2.0, 3.0), gcv_orders=(2.0,))
             tracemalloc.start()
             try:
-                e.run_study(cfg)
+                experiment(replicates)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(96) < 1.25 * peak(8)
+
+    def test_eb_ball_arm_fits_the_coverage_experiments_sample(self):
+        # the GCV-ball experiment's EB arm fits the first of each replicate's
+        # two samples, which is the one sample the coverage experiment draws
+        got = e.gcv_ball_experiment(F1, 300, (2.0,), 40, sigma=0.01, seed=5)
+        ref = e.coverage_experiment(F1, 300, 40, sigma=0.01, seed=5)
+        assert got.coverage_eb_ball == ref.coverage
+        assert 0 < ref.coverage < 1  # at 0 or 1, fits of other samples could agree
 
     def test_replay_identical(self):
         cfg = e.StudyConfig(generator=e.Generator(kind="f2-cosine"), n=64,

@@ -13,7 +13,10 @@ oracle's ``mc_draws`` and ``radius_seed``), ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
 four data files, the ``oracle`` payloads of both generators at q = 1 to 4
 and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
-``gcv_ball_experiment`` (JSON and ``repr``, so float bits show), and a
+``gcv_ball_experiment`` (JSON and ``repr``, so float bits show), the
+``repr`` of q_hat, q* and lambda_hat of five library fits on the grid
+(1.2, 1.7, 2.2, 2.7, 3.2) whose q* rounds below it (f1 at n = 128,
+sigma = 0.01 and at n = 1000, sigma = 3), so that the grid clamps q_hat, and a
 sequence of library fits on one warm ``ModelFamily`` per size (6 at
 n = 16,385, 2 at n = 64,000, f1 and f2 in turn): the ``repr`` of lambda_hat,
 q_hat, q*, sigma2_hat and the per-order lambda_hat and T_q, and the sha256 of
@@ -121,6 +124,16 @@ def main(out: str) -> None:
             seed=8000 + n).to_dict())
     report("coverage-f2.txt", e.coverage_experiment(
         e.Generator(kind="f2-cosine"), n=777, replicates=50, sigma=0.3, seed=5).to_dict())
+
+    # a refined grid below whose first order q* rounds, so the grid clamps q_hat
+    with open(path("fit-clamp.txt"), "w") as fh:
+        for n, sigma, seeds in ((128, 0.01, range(4)), (1000, 3.0, range(1))):
+            family = e.ModelFamily(e.design_grid(n))
+            for seed in seeds:
+                y = f1.values(family.grid) + sigma * np.random.default_rng(seed).standard_normal(n)
+                res = e.fit(family, y, (1.2, 1.7, 2.2, 2.7, 3.2))
+                fh.write(repr((n, sigma, seed, res.q_hat, res.selection.q_hat, res.q_star,
+                               res.lambda_hat)) + "\n")
 
     # later fits on a family reuse what its earlier fits left in it
     rng = np.random.default_rng(2025)
