@@ -61,7 +61,6 @@ from .spectral import (
     SpectralModel,
     design_grid,
     eigenvalues,
-    exact_model,
     forward,
     inverse,
     make_basis,

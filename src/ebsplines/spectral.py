@@ -8,20 +8,16 @@ paper's asymptotic formula takes the phase ``c = q``; it is right only up to a
 factor of 5 (q = 2) to 1474 (q = 4) at the first non-null index.  The
 assembled order-q difference penalty follows ``c = (q+1)/2`` instead: its
 first ten non-null eigenvalues agree with that phase within 2% at q = 1, 2
-(``exact_model``) and q = 3 (assembled third-difference penalty), and
-both phases coincide at q = 1.  ``eigenvalues`` keeps the paper's phase by
-default; ``penalty_eigenvalues`` gives the corrected sequence, and every
-model that stands for the production fit uses it.  The phase is recorded as
+and 3, and both phases coincide at q = 1.  ``eigenvalues`` keeps the paper's
+phase by default; ``penalty_eigenvalues`` gives the corrected sequence, and
+every production model uses it.  The phase is recorded as
 ``EigenSequence.offset``.
 
-Every production model pairs an orthonormal cosine transform (DCT-II
-family) with the eigenvalue formula at the phase ``(q+1)/2``
-(``spectral_model``).  All selection criteria downstream depend on the data
-only through the transformed coefficients and the eigenvalue sequence, so this
-one model family serves every order.  ``exact_model`` builds the independent
-test oracle instead: a dense eigendecomposition of a directly assembled
-finite-difference penalty, for orders 1 and 2 and n <= 512 only, whose null
-space contains polynomials exactly.
+Every model pairs the orthonormal cosine transform (DCT-II) with the
+eigenvalue formula at the phase ``(q+1)/2`` (``spectral_model``).  All
+selection criteria downstream depend on the data only through the
+transformed coefficients and the eigenvalue sequence, so this one model
+family serves every order.
 
 The package-wide norm convention is ``rms_norm``: ``||v||^2 = mean(v_i^2)``,
 so spectral and design-domain computations coincide under the orthonormal
@@ -32,14 +28,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct
 
 from .errors import EbsplinesError
 
-_EXACT_MAX_N = 512
 DESIGN_CONVENTIONS = ("midpoint", "right")
 
 
@@ -86,13 +81,13 @@ class EigenSequence:
     """Eigenvalues n*eta_{q, 1..n} of the order-q penalty, ascending.
 
     ``offset`` is the phase c of the formula pi^(2q) (i - c)^(2q) the values
-    were built from; None for values taken from an eigensolve.
+    were built from.
     """
 
     q: float
     n: int
     values: np.ndarray
-    offset: float | None = None
+    offset: float
 
     @property
     def null_dim(self) -> int:
@@ -151,21 +146,17 @@ def penalty_eigenvalues(q: float, n: int) -> EigenSequence:
 
 @dataclass(frozen=True, eq=False)
 class BasisHandle:
-    """Orthonormal transform Phi: the cosine transform, or the dense
-    eigenvector matrix of ``exact_model``.
+    """The orthonormal cosine transform Phi on n sites.
 
     ``forward`` applies Phi^T (analysis), ``inverse`` applies Phi (synthesis).
-    A cosine handle holds only n; its dense matrix is cached per n.
+    The handle holds only n; its dense matrix is cached per n.
     """
 
     n: int
-    _matrix: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense Phi (n x n); built on demand for the cosine transform."""
-        if self._matrix is not None:
-            return self._matrix
+        """Dense Phi (n x n), built on demand."""
         return _dct_matrix(self.n)
 
     def forward(self, y) -> np.ndarray:
@@ -173,43 +164,20 @@ class BasisHandle:
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.n:
             raise EbsplinesError(f"expected length {self.n}, got {y.shape[-1]}")
-        if self._matrix is None:
-            return dct(y, type=2, norm="ortho", axis=-1)
-        return y @ self._matrix
+        return dct(y, type=2, norm="ortho", axis=-1)
 
     def inverse(self, coeffs) -> np.ndarray:
         """Design values Phi @ coeffs.  Accepts (..., n) arrays."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape[-1] != self.n:
             raise EbsplinesError(f"expected length {self.n}, got {c.shape[-1]}")
-        if self._matrix is None:
-            return idct(c, type=2, norm="ortho", axis=-1)
-        return c @ self._matrix.T
+        return idct(c, type=2, norm="ortho", axis=-1)
 
 
 @functools.lru_cache(maxsize=8)
 def _dct_matrix(n: int) -> np.ndarray:
     # synthesis matrix: column k is the orthonormal cosine of frequency k-1
     return dct(np.eye(n), type=2, norm="ortho", axis=0).T
-
-
-@functools.lru_cache(maxsize=8)
-def _exact_eigen(q: int, n: int) -> tuple[BasisHandle, np.ndarray]:
-    # order-q finite differences scaled so the quadratic form approximates
-    # the integral of (f^(q))^2; symmetric by construction
-    D = np.eye(n)
-    for _ in range(q):
-        D = np.diff(D, axis=0)
-    K = float(n) ** (2 * q - 1) * (D.T @ D)
-    K = 0.5 * (K + K.T)
-    w, U = np.linalg.eigh(K)
-    # D has rank n - q, so exactly the first q eigenvalues vanish; a relative
-    # threshold would also wipe out genuine small ones at large n
-    w[:q] = 0.0
-    # deterministic column signs
-    j = np.argmax(np.abs(U), axis=0)
-    U = U * np.sign(U[j, np.arange(n)])
-    return BasisHandle(n=n, _matrix=U), n * w
 
 
 def make_basis(grid: DesignGrid, q: float) -> BasisHandle:
@@ -269,22 +237,3 @@ def spectral_model(grid: DesignGrid, q: float) -> SpectralModel:
     """The production model: the cosine basis with the penalty's phase."""
     return SpectralModel(grid=grid, q=float(q), eigen=penalty_eigenvalues(q, grid.n),
                          basis=make_basis(grid, q))
-
-
-def exact_model(grid: DesignGrid, q: float) -> SpectralModel:
-    """The exact-eigen test oracle: the eigensolve of the assembled order-q
-    difference penalty, its eigenvectors as basis and its own n*eta sequence.
-
-    Restricted to q in {1, 2} and n <= 512 (higher orders are numerically
-    unreliable); raises ``EbsplinesError`` outside that range.
-    """
-    n = grid.n
-    if q not in (1, 2) or int(q) != q:
-        raise EbsplinesError(
-            f"exact_model supports q in {{1, 2}}, got q = {q}")
-    if n > _EXACT_MAX_N:
-        raise EbsplinesError(
-            f"exact_model supports n <= {_EXACT_MAX_N}, got n = {n}")
-    basis, values = _exact_eigen(int(q), n)
-    return SpectralModel(grid=grid, q=float(q),
-                         eigen=EigenSequence(q=float(q), n=n, values=values), basis=basis)

@@ -300,14 +300,17 @@ def test_recorded_sums_are_the_scan_kernels_sums():
             assert sums.tobytes() == ref.tobytes()
 
 
-def test_exact_model_solve_ignores_a_production_familys_sums():
-    # the sums belong to the family's own models, not to an order and a size
+def test_stand_alone_model_solve_ignores_a_production_familys_sums():
+    # the sums belong to the family's own models, not to an order and a size:
+    # a solve that read the family's (spoiled) sums would not match the loop
     grid = e.design_grid(256)
     y = e.Generator(kind="f1-spectral").values(grid) \
         + 0.01 * np.random.default_rng(3).standard_normal(256)
     fam = e.ModelFamily(grid)
     e.fit(fam, y)
-    assert fam._entry(2.0)[1].all()
-    m = e.exact_model(grid, 2.0)
+    sums = fam._entry(2.0)[1]
+    assert sums.all()
+    sums[:] = np.nan
+    m = e.spectral_model(grid, 2.0)
     x = m.basis.forward(y)
     assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)

@@ -113,101 +113,82 @@ def test_stacked_transforms_equal_row_by_row(n):
             assert all(stacked[k].tobytes() == single(y[k]).tobytes() for k in range(rows))
 
 
-class TestExactBackend:
+def _penalty(q, n):
+    """The assembled order-q difference penalty n^(2q-1) D_q^T D_q, whose
+    quadratic form approximates the integral of (f^(q))^2."""
+    D = np.diff(np.eye(n), q, axis=0)
+    return float(n) ** (2 * q - 1) * (D.T @ D)
+
+
+def _penalty_eigenvalues(q, n):
+    """n*eta of the assembled order-q penalty, by a dense symmetric eigensolve."""
+    return n * np.linalg.eigvalsh(_penalty(q, n))
+
+
+def _first_difference_eigenvalues(n):
+    """The closed form n^2 * 4 sin^2(pi (i-1) / (2n)) of n*eta at q = 1."""
+    i = np.arange(1, n + 1, dtype=float)
+    return n * n * 4.0 * np.sin(np.pi * (i - 1.0) / (2.0 * n)) ** 2
+
+
+class TestFirstDifferencePenalty:
+    """At q = 1 the cosine basis is the exact eigenbasis of the assembled
+    penalty, so its eigenvalues have a closed form."""
+
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    def test_cosine_basis_diagonalizes_the_penalty(self, n):
+        Phi = e.make_basis(e.design_grid(n), 1.0).matrix
+        exact = _first_difference_eigenvalues(n)
+        err = np.abs(Phi.T @ (n * _penalty(1, n)) @ Phi - np.diag(exact)).max()
+        assert err <= 1e-14 * exact.max()
+
     def test_first_order_eigenvalue_window(self):
-        # dense symmetric eigensolve of the assembled first-order penalty;
         # agreement window reflects the 1+o(1) factor
         n = 64
-        m = e.exact_model(e.design_grid(n), 1.0)
+        exact = _first_difference_eigenvalues(n)
         i = np.arange(1, n + 1)
-        ratio = m.eigen.values[1:n // 4] / (PI2 * (i[1:n // 4] - 1.0) ** 2)
+        ratio = exact[1:n // 4] / (PI2 * (i[1:n // 4] - 1.0) ** 2)
         assert np.all((ratio > 0.9) & (ratio < 1.1))
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_first_order_agreement_in_uniformity_range(self, n):
-        m = e.exact_model(e.design_grid(n), 1.0)
         asym = e.eigenvalues(1.0, n).values
         top = int(n ** (2.0 / 3.0))
-        ratio = m.eigen.values[1:top] / asym[1:top]
+        ratio = _first_difference_eigenvalues(n)[1:top] / asym[1:top]
         assert np.all(np.abs(ratio - 1.0) < 0.1)
-
-    @pytest.mark.parametrize("n", [64, 128])
-    def test_second_order_matches_phase_shifted_rates(self, n):
-        # the assembled second-order penalty follows pi^4 (i - 3/2)^4 at small
-        # i (free-boundary phase), converging to pi^4 (i - 2)^4 only at large i
-        m = e.exact_model(e.design_grid(n), 2.0)
-        i = np.arange(1, n + 1, dtype=float)
-        shifted = PI4 * (i - 1.5) ** 4
-        ratio = m.eigen.values[2:12] / shifted[2:12]
-        assert np.all(np.abs(ratio - 1.0) < 0.1)
-        asym = e.eigenvalues(2.0, n).values
-        j = n // 4
-        assert m.eigen.values[j] / asym[j] == pytest.approx(1.0, abs=0.35)
-
-    def test_polynomials_in_exact_null_space(self):
-        # lines are annihilated by second differences, so a linear trend has
-        # no spectral mass beyond the first two columns
-        n = 128
-        m = e.exact_model(e.design_grid(n), 2.0)
-        line = 0.3 + 1.7 * m.grid.x
-        c = m.basis.forward(line)
-        assert np.abs(c[2:]).max() <= 1e-8 * np.abs(c).max()
-
-    def test_orthonormality(self):
-        m = e.exact_model(e.design_grid(100), 2.0)
-        err = np.abs(m.basis.matrix.T @ m.basis.matrix - np.eye(100)).max()
-        assert err < 1e-10
-
-    def test_dense_round_trip(self):
-        # the eigenvector basis transforms by matrix products, not the DCT
-        b = e.exact_model(e.design_grid(64), 2.0).basis
-        y = np.random.default_rng(6).standard_normal(64)
-        assert np.abs(b.inverse(b.forward(y)) - y).max() < 1e-13
-        assert np.abs(b.forward(b.inverse(y)) - y).max() < 1e-13
-
-    def test_unsupported_order(self):
-        with pytest.raises(EbsplinesError,
-                           match=r"exact_model supports q in \{1, 2\}, got q = 3.0"):
-            e.exact_model(e.design_grid(16), 3.0)
-
-    def test_unsupported_size(self):
-        with pytest.raises(EbsplinesError, match="exact_model supports n <= 512, got n = 600"):
-            e.exact_model(e.design_grid(600), 1.0)
 
 
 class TestPenaltyPhase:
     """The production sequence pi^(2q) (i - (q+1)/2)^(2q) against the
     eigenvalues of the assembled order-q difference penalty."""
 
-    @pytest.mark.parametrize("n", [128, 512])
-    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("q,n", [(1.0, 128), (1.0, 512), (2.0, 128), (2.0, 512),
+                                     (3.0, 128)])
     def test_analytic_tail_matches_exact_eigen(self, q, n):
-        g = e.design_grid(n)
-        analytic = e.spectral_model(g, q).eigen.values
-        exact = e.exact_model(g, q).eigen.values
+        # at q = 2, n = 512 the first value checked (~500) is tiny next to the
+        # largest (~1e12) but genuine
         d = int(q)
+        analytic = e.spectral_model(e.design_grid(n), q).eigen.values
+        exact = _penalty_eigenvalues(d, n)
         ratio = exact[d:d + 10] / analytic[d:d + 10]
         assert np.all(np.abs(ratio - 1.0) < 0.02)
 
-    def test_analytic_tail_matches_third_difference_penalty(self):
-        n, q = 128, 3
-        D = np.diff(np.eye(n), q, axis=0)
-        exact = n * np.linalg.eigvalsh(float(n) ** (2 * q - 1) * (D.T @ D))
-        analytic = e.spectral_model(e.design_grid(n), 3.0).eigen.values
-        ratio = exact[q:q + 10] / analytic[q:q + 10]
-        assert np.all(np.abs(ratio - 1.0) < 0.02)
-
-    def test_exact_null_space_is_q_dimensional_at_the_size_limit(self):
-        # the third eigenvalue (~500) is tiny next to the largest (~1e12) but
-        # genuine; only the first q may be zeroed
-        m = e.exact_model(e.design_grid(512), 2.0)
-        assert int(np.sum(m.eigen.values == 0.0)) == 2
-        assert m.eigen.values[2] == pytest.approx(PI4 * 1.5 ** 4, rel=0.02)
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_second_order_matches_phase_shifted_rates(self, n):
+        # the assembled second-order penalty follows pi^4 (i - 3/2)^4 at small
+        # i (free-boundary phase), converging to pi^4 (i - 2)^4 only at large i
+        exact = _penalty_eigenvalues(2, n)
+        i = np.arange(1, n + 1, dtype=float)
+        shifted = PI4 * (i - 1.5) ** 4
+        ratio = exact[2:12] / shifted[2:12]
+        assert np.all(np.abs(ratio - 1.0) < 0.1)
+        asym = e.eigenvalues(2.0, n).values
+        j = n // 4
+        assert exact[j] / asym[j] == pytest.approx(1.0, abs=0.35)
 
     def test_phase_is_recorded(self):
         g = e.design_grid(64)
         assert e.spectral_model(g, 2.0).eigen.offset == 1.5
-        assert e.exact_model(g, 2.0).eigen.offset is None
         assert e.ModelFamily(g).model(2.5).eigen.offset == 1.75
         assert e.eigenvalues(2.0, 64).offset == 2.0
 
