@@ -186,6 +186,15 @@ class TestPenaltyPhase:
         j = n // 4
         assert exact[j] / asym[j] == pytest.approx(1.0, abs=0.35)
 
+    def test_exact_null_space_is_q_dimensional_at_the_size_limit(self):
+        # the third eigenvalue (~500) is tiny next to the largest (~1e12) but
+        # genuine; only the first q sit at roundoff, and only q are zeroed
+        exact = _penalty_eigenvalues(2, 512)
+        assert int(np.sum(np.abs(exact) < 1e-12 * exact.max())) == 2
+        assert exact[2] == pytest.approx(PI4 * 1.5 ** 4, rel=0.02)
+        analytic = e.spectral_model(e.design_grid(512), 2.0).eigen.values
+        assert int(np.sum(analytic == 0.0)) == 2
+
     def test_phase_is_recorded(self):
         g = e.design_grid(64)
         assert e.spectral_model(g, 2.0).eigen.offset == 1.5
