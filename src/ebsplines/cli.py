@@ -7,7 +7,10 @@ constants.  This module holds only argv handling and file I/O.  Exit codes:
 0 success, 2 input error, 3 numeric failure.  Diagnostics go to stderr;
 every subcommand writes its JSON payload to ``--out``, or to stdout without
 it or with ``--stdout``.  All file outputs are written atomically (temp file
-+ rename).
++ rename); a path that cannot be written is an input error.  CSV outputs hold
+each value as ``"%.10g" % x`` would, byte for byte: vectorised in blocks of
+about 8k values, the blocks with nan, inf or a nonzero |x| outside [1e-13,
+1e31) through that one ``%``.
 """
 
 from __future__ import annotations
@@ -40,17 +43,20 @@ EXIT_NUMERIC = 3
 _SPACING_RTOL = 1e-4
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ebs-")
+def _atomic_write(path: str, chunks) -> None:
+    """Write the bytes objects ``chunks`` to a temp file beside ``path``, then
+    rename it to ``path``."""
+    tmp = None
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-ebs-")
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise EbsplinesError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:  # gone after the rename
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -107,17 +113,97 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
     return x, a[:, 1]
 
 
+_U64 = np.uint64
+_P10 = np.array([float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(-22, 23)])  # at k + 22
+_D1 = _U64(48) + np.arange(10, dtype=_U64)  # ASCII digits; a string is a little-endian word
+_D2 = (_D1[:, None] | _D1 << _U64(8)).ravel()
+_D5 = ((_D2[:, None] | _D2 << _U64(16)).ravel()[:, None] | _D1 << _U64(32)).ravel()  # 00000-99999
+# per decade X = -13..31 (at X + 13): the digit block's point, the sign and
+# "0.000" before it, and the exponent and separator after it
+_POINT_AT = np.array([max(x + 1, 0) if -4 <= x <= 9 else 1 for x in range(-13, 32)])
+_PREFIX = np.array([(sign + "0." + "0" * (-x - 1) if -4 <= x < 0 else sign).encode()
+                    for sign in "\0-" for x in range(-13, 32)], "S8").view(_U64)
+_SUFFIX = np.array([("\0\0\0" + ("" if -4 <= x <= 9 else "e%+03d" % x) + sep).encode()
+                    for x in range(-13, 32) for sep in ",\n"], "S8").view(_U64)
+# (lo, hi) words of 16 bytes: the first k set, and a point at byte k > 0
+_MASK = np.array([b"\xff" * k for k in range(17)], "S16").view(_U64).reshape(-1, 2).T
+_DOT = np.array([b"\0" * k + b"."[:k] for k in range(11)], "S16").view(_U64).reshape(-1, 2).T
+
+
+def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 10 significant digits d of each a in [1e-13, 1e31), rounded half
+    even on a's exact binary value, and its decade X: a ~ d * 10^(X - 9)."""
+    X = np.clip(np.floor(np.log10(a)), -13, 31).astype(np.intp)
+    hi = a * _P10[31 - X]  # for X <= 9 one rounding, by at most 2^-20 below 2^34
+    d = np.rint(hi)
+    # exact where hi may round across a half-integer, where X > 9 and where
+    # hi nears 10^9 or 10^10: a carry, or log10 one off next to a power of
+    # ten, which then rounds to 10^9 at either decade
+    r = np.flatnonzero((np.abs(hi - np.floor(hi) - 0.5) <= 2.0 ** -18)
+                       | (hi < 1e9 + 1) | (hi > 1e10 - 1) | (X > 9))
+    if len(r):
+        a, s = a[r], 9 - X[r]
+        m = np.floor(a * _P10[s + 22])  # a * 10^s lies in (m - 1/2, m + 3/2)
+        # the sign of a * 10^s - t, exact: the factor that takes 10^|s| (exact
+        # for |s| <= 22) times it is p + e, Dekker's two-product
+        t, pos = m + 0.5, s >= 0
+        x, y = np.where(pos, a, t), _P10[np.abs(s) + 22]
+        p = x * y
+        cx, cy = x * 134217729.0, y * 134217729.0  # Veltkamp's split at 2^27 + 1
+        xh, yh = cx - (cx - x), cy - (cy - y)
+        e = ((xh * yh - p) + xh * (y - yh) + (x - xh) * yh) + (x - xh) * (y - yh)
+        c = np.where(pos, (p - t) + e, (a - p) - e)
+        m += (c > 0) | (c == 0) & (m % 2 == 1)
+        d[r], X[r] = np.where(m == 1e10, 1e9, m), X[r] + (m == 1e10)
+    return d, X
+
+
+def _render(v: np.ndarray, last: np.ndarray) -> bytes:
+    """``"%.10g" % x`` of each x in v, then "\\n" where ``last`` is set and ","
+    elsewhere; each x is 0 or of magnitude in [1e-13, 1e31).  A value is three
+    words: sign and prefix, the digits with their point, then exponent and
+    separator; the zero bytes between them are dropped."""
+    zero = v == 0
+    d, X = _digits(np.where(zero, 1.0, np.abs(v)))
+    d[zero], X[zero] = 0, 0  # "0": one digit, before the point
+    q = np.floor(d / 1e5)
+    w = _D5[np.stack([q, d - 1e5 * q]).astype(np.intp)]  # the two 5-digit halves
+    sig = (np.frexp((w ^ _D5[0]).astype(float))[1] + 7) // 8  # up to the last nonzero digit
+    digits = np.where(sig[1] > 0, 5 + sig[1], sig[0])
+    point = _POINT_AT[X + 13]
+    keep = np.where(digits > point, digits + 1, point)  # bytes kept of the block
+    lo, hi = w[0] | w[1] << _U64(40), w[1] >> _U64(24)  # the 10 digits as bytes 0-9
+    m_lo, m_hi = _MASK[0][point], _MASK[1][point]  # 1-D gathers: 2-D ones cost 3x
+    tail = lo & ~m_lo  # the digits after the point move up a byte
+    lo = (lo & m_lo | tail << _U64(8) | _DOT[0][point]) & _MASK[0][keep]
+    hi = (hi & m_hi | (hi & ~m_hi) << _U64(8) | tail >> _U64(56) | _DOT[1][point]) & _MASK[1][keep]
+    return np.stack([_PREFIX[np.signbit(v) * 45 + X + 13], lo, hi | _SUFFIX[2 * X + 26 + last]],
+                    1).tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: str, header: str, columns) -> None:
-    """Columns of numbers as CSV, each value in %.10g, by one ``%``."""
+    """Columns of numbers as CSV, each value as ``"%.10g" % x`` writes it, in
+    blocks of about 8k values: ``_render`` takes a block whose values are all
+    0 or of magnitude in [1e-13, 1e31), one ``%`` any other block."""
     a = np.column_stack(columns)
-    row = ",".join(["%.10g"] * a.shape[1]) + "\n"
-    _atomic_write(path, header + "\n" + row * len(a) % tuple(a.ravel().tolist()))
+    rows, k = max(1, 8192 // a.shape[1]), a.shape[1]
+    last, row = np.arange(rows * k) % k == k - 1, ",".join(["%.10g"] * k) + "\n"
+
+    def block(v: np.ndarray) -> bytes:
+        m = np.abs(v)
+        if ((m == 0) | (m >= 1e-13) & (m < 1e31)).all():  # nan fails both
+            return _render(v, last[:len(v)])
+        return (row * (len(v) // k) % tuple(v.tolist())).encode()
+
+    # formatted as the file is written, so one block's text is held at a time
+    _atomic_write(path, itertools.chain([header.encode() + b"\n"], (
+        block(a[i:i + rows].ravel()) for i in range(0, len(a), rows))))
 
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write(args.out, text + "\n")
+        _atomic_write(args.out, [(text + "\n").encode()])
     if args.stdout or not args.out:
         print(text)
 
@@ -155,8 +241,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_credible(args) -> int:
-    if args.draws < 0:
-        raise EbsplinesError(f"--draws must be >= 0, got {args.draws}")
+    for flag, value in (("--draws", args.draws), ("--seed", args.seed)):
+        if value < 0:
+            raise EbsplinesError(f"{flag} must be >= 0, got {value}")
     if (args.draws > 0) != bool(args.samples_csv):
         raise EbsplinesError("--draws >= 1 and --samples-csv must be given together")
     x, y = _read_xy_csv(args.input)
@@ -205,7 +292,7 @@ def _cmd_simulate(args) -> int:
     report = run_study(cfg)
     _emit(report.to_dict(), args)
     if args.table:
-        _atomic_write(args.table, report.table_csv())
+        _atomic_write(args.table, [report.table_csv().encode()])
     return 0
 
 

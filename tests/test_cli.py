@@ -262,6 +262,97 @@ class TestCsvOutput:
         np.savetxt(buf, a, fmt="%.10g", delimiter=",", header=header, comments="")
         assert out.read_bytes() == buf.getvalue().encode()
 
+    @staticmethod
+    def _per_value(a):
+        """The CSV bytes of a 2-D array, one ``"%.10g" % x`` per value."""
+        return ("v\n" + "".join(",".join("%.10g" % x for x in row) + "\n"
+                                for row in a.tolist())).encode()
+
+    @staticmethod
+    def _fast_values(case, rng):
+        """Values of the vectorised writer's range: 0 or |x| in [1e-13, 1e31)."""
+        if case == "bits":  # random bit patterns, the ones in range
+            v = rng.integers(0, 2 ** 64, 400_000, dtype=np.uint64).view(float)
+            return v[(np.abs(v) >= 1e-13) & (np.abs(v) < 1e31)]
+        if case == "binades":  # 40 values of each binade 2^-43 .. 2^102, both signs
+            v = ((1 + rng.random((146, 40))) * 2.0 ** np.arange(-43, 103)[:, None]).ravel()
+            return v[v < 1e31] * rng.choice([-1.0, 1.0], np.count_nonzero(v < 1e31))
+        if case == "dyadic":
+            # odd m / 2^j has j decimals ending in 5: at i integer digits and
+            # j = 11 - i it is an exact tie at the 10th digit
+            ties = [rng.integers(10 ** (i - 1) << (11 - i), 10 ** i << (11 - i), 300) | 1
+                    for i in range(1, 11)]
+            v = np.concatenate([t / 2.0 ** (11 - i) for i, t in zip(range(1, 11), ties)])
+            many = (rng.integers(1, 2 ** 45, 20_000) | 1) / 2.0 ** rng.integers(1, 60, 20_000)
+            k = np.arange(3000.0)
+            return np.concatenate([v, many[many >= 1e-13], 1e10 + k, 1e10 + k + 0.5,
+                                   (10 * rng.integers(10 ** 9, 10 ** 10, 300) + 5) * 1e3])
+        if case == "near-ties":  # the doubles next to d + 1/2 at the 10th digit
+            x = rng.integers(-13, 31, 3000)
+            t = (rng.integers(10 ** 9, 10 ** 10, 3000) + 0.5) * 10.0 ** (x - 9)
+            return np.concatenate([t, np.nextafter(t, 0), np.nextafter(t, np.inf)])
+        if case == "powers-of-ten":  # 3 neighbours each side of 10^k and 10^k (1 - 5e-11)
+            p = 10.0 ** np.arange(-12, 31)
+            v = [np.concatenate([p, p * (1 - 5e-11)])]
+            for direction in (0, np.inf):
+                w = v[0]
+                for _ in range(3):
+                    w = np.nextafter(w, direction)
+                    v.append(w)
+            return np.concatenate(v)
+        assert case == "zeros"
+        v = rng.standard_normal(2000)
+        v[::7], v[3::7] = 0.0, -0.0
+        return v
+
+    @pytest.mark.parametrize("case", ["bits", "binades", "dyadic", "near-ties",
+                                      "powers-of-ten", "zeros"])
+    def test_vectorised_blocks_match_per_value_format(self, tmp_path, case):
+        v = self._fast_values(case, np.random.default_rng(9))
+        v = np.concatenate([v, -v[: len(v) // 3]])
+        m = np.abs(v)
+        assert ((m == 0) | (m >= 1e-13) & (m < 1e31)).all() and len(v) > 500
+        a = np.resize(v, (-(-len(v) // 21), 21))  # rows of 21, as the samples CSV
+        out = tmp_path / "v.csv"
+        cli._write_csv(str(out), "v", (a,))
+        assert out.read_bytes() == self._per_value(a)
+
+    def test_blocks_mix_fallback_and_vectorised_rows(self, tmp_path):
+        # blocks of 8192 // 21 = 390 rows: only the first and third hold values
+        # that the vectorised path leaves to the one-% format
+        a = np.random.default_rng(10).standard_normal((2000, 21)) * 10.0 ** np.arange(-10, 11)
+        a[0, :7] = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, -1e31, 9.999e-14]
+        a[800, 3] = 2e300
+        out = tmp_path / "mixed.csv"
+        cli._write_csv(str(out), "v", (a[:, :1], a[:, 1:]))
+        assert out.read_bytes() == self._per_value(a)
+
+
+class TestUnwritableOutput:
+    """A path that cannot be written exits 2 naming it, with no traceback
+    and no temp file left behind."""
+
+    @staticmethod
+    def _argv(flag, data, config, bad):
+        return {"fit --out": ["fit", data, "--out", bad],
+                "fit --fitted-csv": ["fit", data, "--fitted-csv", bad],
+                "credible --samples-csv": ["credible", data, "--draws", "2",
+                                           "--samples-csv", bad],
+                "simulate --table": ["simulate", config, "--table", bad]}[flag]
+
+    @pytest.mark.parametrize("flag", ["fit --out", "fit --fitted-csv",
+                                      "credible --samples-csv", "simulate --table"])
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_exits_2_and_leaves_no_temp_file(self, tmp_path, sample_csv, capsys, flag, where):
+        config = TestSimulateCommand()._config(tmp_path)
+        bad = tmp_path / ("missing/out.x" if where == "missing-directory" else "a-directory")
+        if where == "a-directory":
+            bad.mkdir()
+        before = set(tmp_path.iterdir())
+        assert main(self._argv(flag, str(sample_csv), str(config), str(bad))) == 2
+        assert f"error: cannot write {bad}: " in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before  # the temp file sits beside the target
+
 
 class TestCredibleCommand:
     def test_ball_and_samples(self, tmp_path, sample_csv):
@@ -310,6 +401,17 @@ class TestCredibleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and what in err
         assert not out.exists() and not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--draws", "2", "--samples-csv", "s.csv"], []],
+                             ids=["with-curves", "ball-only"])
+    def test_negative_seed_exits_2_before_reading(self, tmp_path, capsys, flags):
+        # the data file does not exist: the seed is refused before it is read
+        out = tmp_path / "ball.json"
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        assert main(["credible", str(tmp_path / "absent.csv"), "--seed", "-3",
+                     "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -3\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_selection_flags_in_fit_payload(self, tmp_path, sample_csv):
         out = tmp_path / "ball.json"

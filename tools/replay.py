@@ -11,8 +11,11 @@ fresh lambda solve, small n, a generator not scaled by its range), two ``compare
 reports (one at alpha = 0.1 whose config also carries the Monte Carlo
 oracle's ``mc_draws`` and ``radius_seed``), ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
-four data files, the ``oracle`` payloads of both generators at q = 1 to 4
-and one ``kappa`` payload, and the reports of ``coverage_experiment`` and
+four data files, a ``credible`` request of the benchmark's shape (n = 2000,
+``--draws 20``), ``fit --fitted-csv`` on f1 data scaled by 2^-60 (every y and
+fitted value below 1e-13, so each CSV block takes the one-``%`` format), the
+``oracle`` payloads of both generators at q = 1 to 4 and one ``kappa``
+payload, and the reports of ``coverage_experiment`` and
 ``gcv_ball_experiment`` (JSON and ``repr``, so float bits show), the
 ``repr`` of q_hat, q* and lambda_hat of five library fits on the grid
 (1.2, 1.7, 2.2, 2.7, 3.2) whose q* rounds below it (f1 at n = 128,
@@ -107,6 +110,22 @@ def main(out: str) -> None:
         assert cli.main(["credible", data, "--out", path(f"{tag}.ball.json"),
                          "--samples-csv", path(f"{tag}.samples.csv"), "--draws", "5",
                          "--seed", "3"]) == 0
+
+    # the benchmark's request: n = 2000, 20 posterior curves
+    grid = e.design_grid(2000)
+    y = e.Generator(kind="f2-cosine").values(grid) + 0.01 * rng.standard_normal(2000)
+    with open(path("request.csv"), "w") as fh:
+        fh.write("y\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    assert cli.main(["credible", path("request.csv"), "--seed", "7", "--draws", "20",
+                     "--mc-draws", "10000", "--samples-csv", path("request.samples.csv"),
+                     "--out", path("request.ball.json")]) == 0
+    # data far below 1e-13: every block of the fitted CSV takes the one-% format
+    y = 2.0 ** -60 * (e.Generator(kind="f1-spectral").values(grid)
+                      + 0.01 * rng.standard_normal(2000))
+    with open(path("tiny.csv"), "w") as fh:
+        fh.write("y\n" + "".join(f"{v!r}\n" for v in y.tolist()))
+    assert cli.main(["fit", path("tiny.csv"), "--out", path("tiny.fit.json"),
+                     "--fitted-csv", path("tiny.fitted.csv")]) == 0
 
     for kind in ("f1-spectral", "f2-cosine"):
         for q in ("1", "2", "3", "4"):
