@@ -117,7 +117,8 @@ _U64 = np.uint64
 _P10 = np.array([float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(-22, 23)])  # at k + 22
 _D1 = _U64(48) + np.arange(10, dtype=_U64)  # ASCII digits; a string is a little-endian word
 _D2 = (_D1[:, None] | _D1 << _U64(8)).ravel()
-_D5 = ((_D2[:, None] | _D2 << _U64(16)).ravel()[:, None] | _D1 << _U64(32)).ravel()  # 00000-99999
+_D4 = (_D2[:, None] | _D2 << _U64(16)).ravel()  # 0000-9999
+_ZEROS = np.array([b"0" * 8, b"00"], "S8").view(_U64)[:, None]  # "0000000000" as (lo, hi)
 # per decade X = -13..31 (at X + 13): the digit block's point, the sign and
 # "0.000" before it, and the exponent and separator after it
 _POINT_AT = np.array([max(x + 1, 0) if -4 <= x <= 9 else 1 for x in range(-13, 32)])
@@ -166,13 +167,14 @@ def _render(v: np.ndarray, last: np.ndarray) -> bytes:
     zero = v == 0
     d, X = _digits(np.where(zero, 1.0, np.abs(v)))
     d[zero], X[zero] = 0, 0  # "0": one digit, before the point
-    q = np.floor(d / 1e5)
-    w = _D5[np.stack([q, d - 1e5 * q]).astype(np.intp)]  # the two 5-digit halves
-    sig = (np.frexp((w ^ _D5[0]).astype(float))[1] + 7) // 8  # up to the last nonzero digit
-    digits = np.where(sig[1] > 0, 5 + sig[1], sig[0])
+    q, g = np.floor(d / 1e4), np.floor(d / 1e8)
+    w = _D4[np.stack([g, q - 1e4 * g, d - 1e4 * q]).astype(np.intp)]  # 2 + 4 + 4 digits
+    # the 10 digits as bytes 0-9 of (lo, hi), and how many up to the last nonzero one
+    lo, hi = w[0] >> _U64(16) | w[1] << _U64(16) | w[2] << _U64(48), w[2] >> _U64(16)
+    sig = (np.frexp((np.stack([lo, hi]) ^ _ZEROS).astype(float))[1] + 7) // 8
+    digits = np.where(sig[1] > 0, 8 + sig[1], sig[0])
     point = _POINT_AT[X + 13]
     keep = np.where(digits > point, digits + 1, point)  # bytes kept of the block
-    lo, hi = w[0] | w[1] << _U64(40), w[1] >> _U64(24)  # the 10 digits as bytes 0-9
     m_lo, m_hi = _MASK[0][point], _MASK[1][point]  # 1-D gathers: 2-D ones cost 3x
     tail = lo & ~m_lo  # the digits after the point move up a byte
     lo = (lo & m_lo | tail << _U64(8) | _DOT[0][point]) & _MASK[0][keep]
