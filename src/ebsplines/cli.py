@@ -7,7 +7,9 @@ constants.  This module holds only argv handling and file I/O.  Exit codes:
 0 success, 2 input error, 3 numeric failure.  Diagnostics go to stderr;
 every subcommand writes its JSON payload to ``--out``, or to stdout without
 it or with ``--stdout``.  All file outputs are written atomically (temp file
-+ rename); a path that cannot be written is an input error.  CSV outputs hold
++ rename), with the mode ``open(path, "w")`` gives a new file; a path that
+cannot be written is an input error, found before any input is read or
+experiment run.  CSV outputs hold
 each value as ``"%.10g" % x`` would, byte for byte: vectorised in blocks of
 about 8k values, the blocks with nan, inf or a nonzero |x| outside [1e-13,
 1e31) through that one ``%``.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import itertools
 import json
@@ -45,12 +48,15 @@ _SPACING_RTOL = 1e-4
 
 def _atomic_write(path: str, chunks) -> None:
     """Write the bytes objects ``chunks`` to a temp file beside ``path``, then
-    rename it to ``path``."""
+    rename it to ``path``, with the mode ``open(path, "w")`` gives a new file."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-ebs-")
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
+        umask = os.umask(0)  # mkstemp makes the file owner-only
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         raise EbsplinesError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -58,6 +64,21 @@ def _atomic_write(path: str, chunks) -> None:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
     print(f"wrote {path}", file=sys.stderr)
+
+
+def _check_outputs(paths) -> None:
+    """Fail on each given output path as ``_atomic_write`` would, before any
+    work is done: the path is a directory, or no temp file can be made beside it."""
+    for path in filter(None, paths):
+        try:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-ebs-")
+            os.close(fd)
+            os.unlink(tmp)
+        except OSError as exc:
+            raise EbsplinesError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
@@ -421,6 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_outputs(getattr(args, flag, None)
+                       for flag in ("out", "fitted_csv", "samples_csv", "table"))
         return args.func(args)
     except EbsplinesError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,13 +38,14 @@ def gcv_criterion(model: SpectralModel, coeffs, lam: float) -> float:
 def _crit_rows(n, u, v, w):
     """The rows r^2 and sum r of GCV, v = 1 + u, r = u/v, for each row of
     u = lam * nz (see ``selection._scan``), and their finish for squared tail
-    coefficients x2: GCV = n x2.r^2 / (sum r)^2."""
+    coefficients x2: GCV = n x2.r^2 / (sum r)^2; as in ``selection._t_rows``
+    it does not read v and takes an index ``i`` of rows."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.multiply(u, u, out=w)
     den = u.sum(axis=-1)
     # np.vecdot, as in ``selection._t_rows``: the BLAS dot of np.dot per row
-    return lambda x2: n * np.vecdot(w, x2) / (den * den)
+    return lambda x2, i=slice(None): n * np.vecdot(w[i], x2) / (den[i] * den[i])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,10 @@ only at a fixed phase c of n*eta = pi^(2q) (i - c)^(2q); it leaves out the
 term -q/(i - c) of the production phase c = (q+1)/2 (ROADMAP item 1).
 ``solve_lambda`` finds the root of T_lam for one q.  ``_fits``, behind
 ``fit``, holds the order selection once: the q-grid checks, each order's
-lambda solve and T_q there, the q rule and the rescale of T_q to data units.
+lambda solve and T_q there, the q rule, one solve per order off a refined
+grid for the rows whose q_hat it is, and the rescale of T_q to data units.
+Solves run as lanes side by side (``_lockstep``); the rows of a round do not
+see the data, so lanes at one lambda share its row (``_scan``).
 
 ``fit``, ``solve_lambda`` and ``gcv.select_lambda_gcv`` guard their data with
 ``_unit_scale``; the criteria at one lambda return values, not a selection,
@@ -113,7 +116,9 @@ def _t_rows(n, g, u, v, w, s=None):
     T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz).
     ``s``, a slot per row, keeps sum(g/v): while a slot is 0, the pass that
     computes the sums fills them (whole, never a partial sum); filled slots
-    (the sums are positive) replace that pass."""
+    (the sums are positive) replace that pass.  The finish reads u, w and
+    the sums, not v, and takes an index ``i`` of rows: x2 at row i[k] (all
+    rows without it)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.divide(u if g is None else np.multiply(u, g, out=w), v, out=w)
@@ -124,7 +129,8 @@ def _t_rows(n, g, u, v, w, s=None):
         s = t
     # np.vecdot runs the BLAS dot of np.dot on every (row, x2) pair, over
     # stacks too; a @ x2 would sum in another order
-    return lambda x2: np.vecdot(w, x2) / n - np.vecdot(u, x2) * s / (n * n)
+    return lambda x2, i=slice(None): (np.vecdot(w[i], x2) / n
+                                      - np.vecdot(u[i], x2) * s[i] / (n * n))
 
 
 def _log_grid(points: int) -> np.ndarray:
@@ -142,17 +148,35 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
     lambda, it also takes the block's slots (see ``_t_rows``).  Rows do not
     see the data: each block is built once, and its finish reduces it by
     ``np.vecdot`` and ``sum(axis=-1)``, element-wise otherwise, so a value
-    does not depend on the block, stack or lane it is computed in."""
+    does not depend on the block, stack or lane it is computed in.  So lanes
+    at one lambda share its row: when the distinct lambdas fill fewer blocks
+    than the lanes, the blocks hold those, and each block finishes the lanes
+    of its rows at most a block of lanes at a time, their x2 gathered into
+    the second buffer (v), which no finish reads."""
     step = max(1, _BLOCK_ENTRIES // len(nz))
+    keys, row = lams, None
+    if lanes is not None and len(lams) > step:
+        index = {}  # the row of each distinct lambda, keyed on its exact float
+        at = [index.setdefault(lam, len(index)) for lam in lams.tolist()]
+        if -(-len(index) // step) < -(-len(lams) // step):
+            keys, row, lanes = np.array(list(index)), np.array(at), np.asarray(lanes)
     bufs = np.empty((3, min(step, len(lams)), len(nz)))
     vals = np.empty(len(lams) if lanes is not None else (len(x2s), len(lams)))
-    for s in range(0, len(lams), step):
+    for s in range(0, len(keys), step):
         j = slice(s, s + step)
-        u, v, w = bufs[:, :len(lams[j])]
-        np.multiply(lams[j, None], nz, out=u)
+        u, v, w = bufs[:, :len(keys[j])]
+        np.multiply(keys[j, None], nz, out=u)
         finish = rows_fn(u, v, w) if sums is None else rows_fn(u, v, w, sums[j])
-        vals[..., j] = finish(x2s[:, None] if lanes is None
-                              else x2s if len(x2s) == 1 else x2s[lanes[j]])
+        if row is None:
+            vals[..., j] = finish(x2s[:, None] if lanes is None
+                                  else x2s if len(x2s) == 1 else x2s[lanes[j]])
+            continue
+        mine = np.flatnonzero((row >= s) & (row < s + step))
+        for c in range(0, len(mine), step):
+            k = mine[c:c + step]
+            # mode "clip": with "raise", np.take buffers its output
+            x2 = x2s if len(x2s) == 1 else np.take(x2s, lanes[k], 0, bufs[1, :len(k)], "clip")
+            vals[k] = finish(x2, row[k] - s)
     return vals
 
 
@@ -468,8 +492,8 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         tqs[:, j] = _scan(functools.partial(_t_rows, n, m.eigen.log_tail), x2s, nz,
                           np.array([sol.lam for sol in sols[j]]), np.arange(len(x)))
 
-    fits = []
-    for r, (xk, k, tvals) in enumerate(zip(x, ks.tolist(), tqs)):
+    picks = []  # per row: the positive T_q, q* and q_hat
+    for tvals in tqs:
         pos = tvals > 1e-10 * float(np.max(np.abs(tvals)))
         if not pos.any():
             q_star = qgrid[-1]
@@ -480,14 +504,15 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
             t0, t1 = float(tvals[j - 1]), float(tvals[j])
             q0, q1 = qgrid[j - 1], qgrid[j]
             q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
-        q_hat = float(min(max(math.floor(q_star + 0.5), math.ceil(qgrid[0])),
-                          math.floor(qgrid[-1])))
-
-        model, sums = family._entry(q_hat)
-        if q_hat in qgrid:
-            sol = sols[qgrid.index(q_hat)][r]
-        else:  # off a refined grid
-            sol, = _solve_lambdas(model.eigen, _tails(model.eigen, xk[None])[0], sums=sums)
+        picks.append((pos, q_star, float(min(max(math.floor(q_star + 0.5), math.ceil(qgrid[0])),
+                                             math.floor(qgrid[-1])))))
+    fits, by_q = [], dict(zip(qgrid, sols))
+    for q in sorted({p[2] for p in picks} - by_q.keys()):  # off a refined grid
+        rows = [r for r, p in enumerate(picks) if p[2] == q]  # one solve of them all
+        m, sums = family._entry(q)
+        by_q[q] = dict(zip(rows, _solve_lambdas(m.eigen, _tails(m.eigen, x[rows])[0], sums=sums)))
+    for r, (xk, k, tvals, (pos, q_star, q_hat)) in enumerate(zip(x, ks.tolist(), tqs, picks)):
+        model, sol = family.model(q_hat), by_q[q_hat][r]
         s2 = sigma2_hat(model, xk, sol.lam)
         e = math.frexp(s2)[1] + 2 * k
         if s2 > 0 and not sys.float_info.min_exp <= e <= sys.float_info.max_exp:

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -352,6 +354,33 @@ class TestUnwritableOutput:
         assert main(self._argv(flag, str(sample_csv), str(config), str(bad))) == 2
         assert f"error: cannot write {bad}: " in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == before  # the temp file sits beside the target
+
+    @pytest.mark.parametrize("flag", ["fit --fitted-csv", "simulate --table"])
+    def test_nothing_is_written_before_a_bad_path_is_found(self, tmp_path, sample_csv,
+                                                           capsys, flag):
+        # the JSON payload comes first: to --out for fit, to stdout for simulate
+        config = TestSimulateCommand()._config(tmp_path)
+        bad = tmp_path / "missing" / "out.csv"
+        argv = self._argv(flag, str(sample_csv), str(config), str(bad))
+        if flag.startswith("fit"):
+            argv += ["--out", str(tmp_path / "a.json")]
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {bad}: No such file or directory\n"
+        assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_take_the_mode_a_new_file_gets(tmp_path, sample_csv, umask, mode):
+    out, fitted = tmp_path / "fit.json", tmp_path / "fitted.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["fit", str(sample_csv), "--out", str(out), "--fitted-csv", str(fitted)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert stat.S_IMODE(fitted.stat().st_mode) == mode
 
 
 class TestCredibleCommand:

@@ -314,3 +314,49 @@ def test_stand_alone_model_solve_ignores_a_production_familys_sums():
     m = e.spectral_model(grid, 2.0)
     x = m.basis.forward(y)
     assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)
+
+
+# -- lanes at one lambda share its row -----------------------------------------
+
+def _counting(rows_fn, built):
+    """``rows_fn``, adding the number of rows each call builds to built[0]."""
+    def rows(u, v, w, *sums):
+        built[0] += len(u)
+        return rows_fn(u, v, w, *sums)
+    return rows
+
+
+@pytest.mark.parametrize("n,stack", [(1000, 32), (1000, 1), (8192, 5)])
+def test_lanes_that_share_rows_equal_lanes_scanned_alone(n, stack):
+    # each of 3 blocks' worth of distinct lambdas serves 3 lanes in shuffled
+    # order; at n = 8192 a block holds 2 rows, so the shared rows span 3
+    # blocks, and a stack of one row serves every lane uncopied
+    m, y = _data(n, 3.0)
+    rng = np.random.default_rng(n + stack)
+    x2s, nz = selection._tails(m.eigen, m.basis.forward(
+        y + 0.01 * rng.standard_normal((stack, n))))
+    step = selection._BLOCK_ENTRIES // len(nz)
+    assert step == (16 if n == 1000 else 2)
+    distinct = 10.0 ** rng.uniform(-28, 0, 3 * step)
+    lams = rng.permutation(np.repeat(distinct, 3))
+    lanes = rng.integers(0, stack, len(lams))
+    for rows_fn in (functools.partial(selection._t_rows, n, None),
+                    functools.partial(selection._t_rows, n, m.eigen.log_tail),
+                    functools.partial(gcv._crit_rows, n)):
+        built = [0]
+        vals = selection._scan(_counting(rows_fn, built), x2s, nz, lams, lanes)
+        assert built[0] == len(distinct)
+        alone = [selection._scan(rows_fn, x2s, nz, lams[k:k + 1], lanes[k:k + 1])
+                 for k in range(len(lams))]
+        assert vals.tobytes() == np.concatenate(alone).tobytes()
+
+
+def test_lanes_at_three_lambdas_build_three_rows():
+    m, y = _data(1000, 2.0)
+    x2s, nz = selection._tails(m.eigen, m.basis.forward(
+        y + 0.01 * np.random.default_rng(1).standard_normal((32, 1000))))
+    lams = np.array([1e-12, 1e-9, 1e-6])[np.arange(32) % 3]
+    built = [0]
+    rows_fn = _counting(functools.partial(selection._t_rows, 1000, None), built)
+    selection._scan(rows_fn, x2s, nz, lams, np.arange(32))
+    assert built[0] == 3

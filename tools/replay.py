@@ -5,9 +5,11 @@
 Run it once per source tree and compare the directories with ``diff -r``:
 a change that keeps every seeded output shows no difference.  The outputs
 are the ``simulate`` report and table of the two acceptance studies and of
-six more studies (boundary solves at large noise, an odd n, a real-valued
+seven more studies (boundary solves at large noise, an odd n, a real-valued
 order grid, one that holds no integer order, so that every q_hat takes a
-fresh lambda solve, small n, a generator not scaled by its range), two ``compare``
+fresh lambda solve, small n, a generator not scaled by its range, and one
+block of 8 replicates at n = 4096, where a block of scan rows holds 4 rows
+and the lanes at one lambda share its row), two ``compare``
 reports (one at alpha = 0.1 whose config also carries the Monte Carlo
 oracle's ``mc_draws`` and ``radius_seed``), ``fit --out --fitted-csv`` with
 and without ``--qstep 0.3`` and ``credible`` (ball JSON and samples CSV) on
@@ -23,10 +25,13 @@ sigma = 0.01 and at n = 1000, sigma = 3), so that the grid clamps q_hat, and a
 sequence of library fits on one warm ``ModelFamily`` per size (6 at
 n = 16,385, 2 at n = 64,000, f1 and f2 in turn): the ``repr`` of lambda_hat,
 q_hat, q*, sigma2_hat and the per-order lambda_hat and T_q, and the sha256 of
-the fitted values, and the ``repr`` of the lambda_hat of ``solve_lambda`` and
-``select_lambda_gcv`` (q = 3) and of ``fit`` on one f1 data set (n = 1000,
-sigma = 0.01) at the data scales 2^-520, 1 and 2^510 (or of the error a call
-raises).  It takes 3 to 10 seconds on two cores.
+the fitted values, the same of 32 replicates at n = 4096 selected together
+(``selection._fits``; a scan of their lanes builds more than one block of
+shared rows) with their GCV lambdas at q = 3, and the ``repr`` of the
+lambda_hat of ``solve_lambda`` and ``select_lambda_gcv`` (q = 3) and of
+``fit`` on one f1 data set (n = 1000, sigma = 0.01) at the data scales
+2^-520, 1 and 2^510 (or of the error a call raises).  It takes 3 to 10
+seconds on two cores.
 
 The run needs a fixed BLAS thread count: at large n (measured at n = 16,000
 and 64,000) OpenBLAS splits ``np.dot`` and ``np.vecdot`` across threads and
@@ -47,7 +52,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 import ebsplines as e
-from ebsplines import cli
+from ebsplines import cli, gcv, selection
 
 
 def main(out: str) -> None:
@@ -81,6 +86,8 @@ def main(out: str) -> None:
                         "sigma": 0.05, "seed": 14})
     simulate("f2-unscaled", {"generator": {"kind": "f2-cosine", "scale_by_range": False},
                              "n": 500, "replicates": 20, "sigma": 0.05, "seed": 15})
+    simulate("f1-n4096", {"generator": {"kind": "f1-spectral"}, "n": 4096, "replicates": 8,
+                          "sigma": 0.01, "seed": 17})
 
     def compare(tag, cfg):
         with open(path(f"{tag}.cfg.json"), "w") as fh:
@@ -167,6 +174,19 @@ def main(out: str) -> None:
                                [(d.q, d.lambda_hat, d.t_q_value)
                                 for d in res.selection.per_q])) + "\n")
                 fh.write(hashlib.sha256(res.fitted.tobytes()).hexdigest() + "\n")
+
+    # 32 replicates selected together at n = 4096 (4 rows per block of scan
+    # rows): an experiment's block of 8 replicates seldom hands a scan more
+    # than 8 lanes, whose shared rows then fit one block; 32 lanes' span several
+    family = e.ModelFamily(e.design_grid(4096))
+    y = f1.values(family.grid) + 0.01 * np.random.default_rng(3).standard_normal((32, 4096))
+    with open(path("batch-4096.txt"), "w") as fh:
+        for res in selection._fits(family, y):
+            fh.write(repr((res.lambda_hat, res.q_hat, res.q_star, res.sigma2_hat,
+                           [(d.lambda_hat, d.t_q_value) for d in res.selection.per_q]))
+                     + "\n" + hashlib.sha256(res.fitted.tobytes()).hexdigest() + "\n")
+        m = family.model(3.0)
+        fh.write(repr([g.lambda_f_hat for g in gcv._select_gcvs(m, m.basis.forward(y))]) + "\n")
 
     # the selectors at unit scale and at scales whose squares leave the float range
     family = e.ModelFamily(e.design_grid(1000))
