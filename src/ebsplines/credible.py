@@ -228,21 +228,9 @@ class CredibleBall:
         }
 
 
-def _ball(result: FitResult, L: float, spec: RadiusSpec, radii: dict) -> CredibleBall:
-    """``credible_ball`` with r_n taken from ``radii`` by (q_hat, lambda_hat),
-    and computed into it when missing.  r_n depends on (n, q, lambda, alpha)
-    only, so one dict serves the fits of one ``ModelFamily`` under one
-    ``spec``; the coverage experiments keep one for the whole call."""
+def _check_inflation(L: float) -> None:
     if not 1 <= L < math.inf:
         raise EbsplinesError(f"need L >= 1 and L < inf, got {L}")
-    key = (result.q_hat, result.lambda_hat)
-    r = radii.get(key)
-    if r is None:
-        r = radii[key] = radius(result.model, result.lambda_hat, spec)
-    return CredibleBall(center=result.fitted,
-                        radius=math.sqrt(result.sigma2_hat) * L * r,
-                        L=L, alpha=spec.alpha,
-                        lambda_hat=result.lambda_hat, q_hat=result.q_hat)
 
 
 def credible_ball(result: FitResult, L: float = 2.0,
@@ -251,7 +239,12 @@ def credible_ball(result: FitResult, L: float = 2.0,
 
     1 <= L < inf; L = 2 dominates 1 + sqrt((2q-1)/(2q)) uniformly in q.
     """
-    return _ball(result, L, spec, {})
+    _check_inflation(L)
+    r = radius(result.model, result.lambda_hat, spec)
+    return CredibleBall(center=result.fitted,
+                        radius=math.sqrt(result.sigma2_hat) * L * r,
+                        L=L, alpha=spec.alpha,
+                        lambda_hat=result.lambda_hat, q_hat=result.q_hat)
 
 
 def sample_posterior(result: FitResult, draws: int, seed: int = 0) -> np.ndarray:

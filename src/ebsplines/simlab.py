@@ -5,10 +5,11 @@ signal with polynomially decaying coefficients ``(i+1)^(-beta) cos(2i)`` on
 the cosine basis (beta = 3), and the analytic ``cos(5 pi x)``.  Both are
 scaled by their range.  Three experiments draw i.i.d. Gaussian noise around
 the true function, one seeded substream per replicate (so results do not
-depend on the order in which replicates run), and reduce what one replicate
-loop, ``_blocks``, yields per block: the adaptive fits of the first sample
-and, per GCV order, the lambdas GCV selects on the last sample and the errors
-of its fits of the first, all bit for bit as one replicate at a time:
+depend on the order in which replicates run).  One replicate loop,
+``_record``, returns one row per replicate: the adaptive fit of the first
+sample and, per GCV order, the lambda GCV selects on the last sample and the
+error of its fit of the first, all bit for bit as one replicate at a time.
+Each report is a reduction of that record:
 
 * ``run_study`` fits the adaptive empirical-Bayes spline and the GCV
   comparator at fixed orders and aggregates smoothing-parameter moments,
@@ -20,8 +21,9 @@ of its fits of the first, all bit for bit as one replicate at a time:
   ball with the GCV fit and measures the resulting loss of coverage against
   the empirical-Bayes ball on matched data.
 
-Both coverage experiments compute the exact radius once per distinct
-(q_hat, lambda_hat) of the whole call: lambda_hat is a midpoint of the
+Both coverage experiments build the adaptive credible balls with one
+reduction of the record, ``_eb_balls``, which computes the exact radius once
+per distinct (q_hat, lambda_hat) of the call: lambda_hat is a midpoint of the
 log-lambda bisection, so a few dozen radii serve hundreds of replicates, and
 the balls are the same bits as one ``credible_ball`` per replicate.
 """
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .credible import RadiusSpec, _ball, radius
+from .credible import RadiusSpec, _check_inflation, radius
 from .errors import EbsplinesError
 from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
@@ -246,10 +248,11 @@ def _moments(a: np.ndarray) -> tuple[float, float]:
     return float(np.mean(a)), 0.0
 
 
-def _design(generator, n: int, convention: str = "midpoint"):
+def _design(generator, n: int, sigma, convention: str = "midpoint"):
     """The model family on the design of n points, the true function values
     on it and their name: ``generator`` is an object with a ``values(grid)``
-    method or the n values themselves."""
+    method or the n values themselves.  Checks sigma as the config readers do."""
+    _noise_level(sigma)
     family = ModelFamily(design_grid(n, convention))
     if hasattr(generator, "values"):
         f_true = np.asarray(generator.values(family.grid), dtype=float)
@@ -262,23 +265,30 @@ def _design(generator, n: int, convention: str = "midpoint"):
     return family, f_true, str(name)
 
 
-def _blocks(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
-            count: int, samples: int = 1, gcv_orders=(), qgrid=None):
-    """The experiments' one replicate loop.  Per block of replicates it yields
-    the adaptive fits of the first sample and, for each GCV order q, the
-    lambdas GCV selects on the last sample and the mean squared errors of the
-    order-q fits of the first sample at those lambdas.
+def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
+            count: int, samples: int = 1, gcv_orders=(), qgrid=None) -> np.ndarray:
+    """The experiments' one replicate loop: a structured array with one row per
+    replicate.  Its columns are the adaptive fit of the first sample (``q_hat``,
+    ``lambda_hat``, ``sigma2_hat``, its ``mse`` against f_true and ``lambda_q``,
+    the lambda of each grid order) and, one entry per GCV order q,
+    ``gcv_lambda``, the lambda GCV selects on the last sample, and ``gcv_mse``,
+    the error of the order-q fit of the first sample at that lambda.
 
     Replicate k draws its ``samples`` vectors f_true + sigma * eps, in order,
     from ``default_rng`` on the k-th child of the seed's ``SeedSequence``, so
-    every replicate replays bit for bit whatever runs before it.  A block
-    holds at most max(1, 2^15 // n) replicates in order (256 KB per sample)
-    and each sample is transformed once.  The loop drops a block before it
-    draws the next; so must the caller, or the experiments' memory is not O(n).
+    every row replays bit for bit whatever runs before it.  Rows are fitted in
+    blocks of at most max(1, 2^15 // n) replicates (256 KB per sample), each
+    sample is transformed once, and only the rows outlive a block: memory is
+    O(n) plus the record.
     """
     if count < 1:
         raise EbsplinesError("need at least one replicate")
     n = len(f_true)
+    width = len(default_q_grid(n) if qgrid is None else qgrid)
+    rec = np.empty(count, [("q_hat", float), ("lambda_hat", float), ("sigma2_hat", float),
+                           ("mse", float), ("lambda_q", float, (width,)),
+                           ("gcv_lambda", float, (len(gcv_orders),)),
+                           ("gcv_mse", float, (len(gcv_orders),))])
     streams = np.random.SeedSequence(seed).spawn(count)
     size = max(1, 2**15 // n)
     for s in range(0, count, size):
@@ -289,14 +299,18 @@ def _blocks(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
         # res.coeffs is Phi^T y on the basis all orders share (see ``fit``)
         x = [np.array([res.coeffs for res in fits]), *map(family.basis.forward, y[1:])]
         del y
-        gcv = dict.fromkeys(gcv_orders)
-        for q in gcv:
+        rows = rec[s:s + size]
+        for name in ("q_hat", "lambda_hat", "sigma2_hat"):
+            rows[name] = [getattr(res, name) for res in fits]
+        rows["mse"] = [np.mean((res.fitted - f_true) ** 2) for res in fits]
+        rows["lambda_q"] = [[dg.lambda_hat for dg in res.selection.per_q] for res in fits]
+        for j, q in enumerate(gcv_orders):
             m = family.model(q)
             lams = [g.lambda_f_hat for g in _select_gcvs(m, x[-1])]
-            gcv[q] = lams, np.mean((_smooth(m, x[0], lams) - f_true) ** 2, axis=-1)
-        del x
-        yield fits, gcv
-        del fits, gcv
+            rows["gcv_lambda"][:, j] = lams
+            rows["gcv_mse"][:, j] = np.mean((_smooth(m, x[0], lams) - f_true) ** 2, axis=-1)
+        del fits, x  # before the next block: memory stays O(n)
+    return rec
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
@@ -305,43 +319,44 @@ def run_study(config: StudyConfig) -> SimulationReport:
     All methods see identical data streams; aggregates are invariant to the
     order in which replicates run.
     """
-    family, gen_values, _ = _design(config.generator, config.n, config.design_convention)
+    family, gen_values, _ = _design(config.generator, config.n, config.sigma,
+                                    config.design_convention)
     qgrid = config.resolved_q_grid()
-
-    eb_lam, eb_err, q_hat = [], [], []
-    by_q: dict[float, list] = {q: [] for q in qgrid}
-    gcv_lam: dict[float, list] = {q: [] for q in config.gcv_orders}
-    gcv_err: dict[float, list] = {q: [] for q in config.gcv_orders}
-
-    for fits, gcv in _blocks(family, gen_values, config.sigma, config.seed,
-                             config.replicates, 1, config.gcv_orders, qgrid):
-        for res in fits:
-            eb_lam.append(res.lambda_hat)
-            eb_err.append(float(np.mean((res.fitted - gen_values) ** 2)))
-            q_hat.append(res.q_hat)
-            for dg in res.selection.per_q:
-                by_q[dg.q].append(dg.lambda_hat)
-        for q, (lams, errs) in gcv.items():
-            gcv_lam[q] += lams
-            gcv_err[q].extend(errs)
-        del fits, gcv  # before the next block: memory stays O(n)
-
-    mean_eb, var_eb = _moments(eb_lam)
-    amse_eb = float(np.mean(eb_err))
+    rec = _record(family, gen_values, config.sigma, config.seed, config.replicates, 1,
+                  config.gcv_orders, qgrid)
+    mean_eb, var_eb = _moments(rec["lambda_hat"])
+    amse_eb = float(np.mean(rec["mse"]))
     eb_row = MethodRow(method="EB", q=None, mean_lambda=mean_eb,
                        var_lambda=var_eb, amse=amse_eb, ratio=None)
     gcv_rows = []
-    for q in config.gcv_orders:
-        m_l, v_l = _moments(gcv_lam[q])
-        amse = float(np.mean(gcv_err[q]))
-        gcv_rows.append(MethodRow(method="GCV", q=float(q), mean_lambda=m_l,
-                                  var_lambda=v_l, amse=amse,
-                                  ratio=amse / amse_eb))
-    counts = {float(v): int(c) for v, c in
-              zip(*np.unique(q_hat, return_counts=True))}
-    lam_by_q = {float(q): _moments(by_q[q]) for q in qgrid}
+    for j, q in enumerate(config.gcv_orders):
+        m_l, v_l = _moments(rec["gcv_lambda"][:, j])
+        amse = float(np.mean(rec["gcv_mse"][:, j]))
+        gcv_rows.append(MethodRow(method="GCV", q=float(q), mean_lambda=m_l, var_lambda=v_l,
+                                  amse=amse, ratio=amse / amse_eb))
+    lam_by_q = {float(q): _moments(rec["lambda_q"][:, j]) for j, q in enumerate(qgrid)}
     return SimulationReport(config=config, eb=eb_row, gcv=tuple(gcv_rows),
-                            q_hat_counts=counts, eb_lambda_by_q=lam_by_q)
+                            q_hat_counts=_q_hat_counts(rec), eb_lambda_by_q=lam_by_q)
+
+
+def _q_hat_counts(rec: np.ndarray) -> dict:
+    """How many replicates chose each q_hat, by increasing q_hat."""
+    return {float(v): int(c) for v, c in zip(*np.unique(rec["q_hat"], return_counts=True))}
+
+
+def _eb_balls(family: ModelFamily, rec: np.ndarray, L: float,
+              spec: RadiusSpec) -> tuple[np.ndarray, int]:
+    """The credible ball of each record row, as its radius
+    sigma_hat * L * r_n(lambda_hat, q_hat), and how many of the balls hold the
+    truth (sqrt(mse) <= radius), the same bits as one ``credible_ball`` and
+    ``contains`` per row.  r_n depends on (n, q, lambda, alpha) only and
+    lambda_hat takes few values (a midpoint of the log-lambda bisection), so
+    r_n is computed once per distinct (q_hat, lambda_hat) of the record."""
+    keys = list(zip(rec["q_hat"].tolist(), rec["lambda_hat"].tolist()))
+    r_n = {k: radius(family.model(k[0]), k[1], spec) for k in dict.fromkeys(keys)}
+    radii = np.array([math.sqrt(s2) * L * r_n[k]
+                      for s2, k in zip(rec["sigma2_hat"].tolist(), keys)])
+    return radii, int(np.count_nonzero(np.sqrt(rec["mse"]) <= radii))
 
 
 @dataclass(frozen=True)
@@ -371,26 +386,16 @@ def coverage_experiment(generator, n: int, replicates: int, L: float = 2.0,
     sample on the midpoint design, builds the ball and records membership of
     the truth plus the realized radius.
     """
-    family, f_true, gen_name = _design(generator, n)
-    hits = 0
-    radii = []
-    q_counts: dict[float, int] = {}
-    r_n: dict = {}  # one exact radius per distinct (q_hat, lambda_hat)
-    for fits, _ in _blocks(family, f_true, sigma, seed, replicates):
-        for res in fits:
-            ball = _ball(res, L, spec, r_n)
-            hits += ball.contains(f_true)
-            radii.append(ball.radius)
-            q_counts[res.q_hat] = q_counts.get(res.q_hat, 0) + 1
-        del fits  # before the next block: memory stays O(n)
-
-    radii = np.asarray(radii)
+    _check_inflation(L)
+    family, f_true, gen_name = _design(generator, n, sigma)
+    rec = _record(family, f_true, sigma, seed, replicates)
+    radii, hits = _eb_balls(family, rec, L, spec)
     quants = {str(p): float(np.quantile(radii, p)) for p in (0.1, 0.25, 0.5, 0.75, 0.9)}
     return CoverageReport(generator=gen_name, n=n, replicates=replicates,
                           L=L, alpha=spec.alpha, sigma=sigma,
                           coverage=hits / replicates,
                           radius_quantiles=quants,
-                          q_hat_counts={str(k): v for k, v in sorted(q_counts.items())},
+                          q_hat_counts={str(k): v for k, v in _q_hat_counts(rec).items()},
                           seed=seed)
 
 
@@ -424,7 +429,7 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
     matched empirical-Bayes arm fits the first sample and builds its own ball
     with L = 2 for contrast.
     """
-    family, f_true, gen_name = _design(generator, n, convention)
+    family, f_true, gen_name = _design(generator, n, sigma, convention)
     if beta is None:
         beta = getattr(generator, "beta", None)
     if beta is None:
@@ -436,18 +441,13 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
                              method="numeric-root").lambda_q
     ball_radius = sigma * radius(model_beta, lam_beta, spec)
 
-    hits_gcv = {float(q): 0 for q in q_choices}
-    hits_eb = 0
-    r_n: dict = {}  # one exact radius per distinct (q_hat, lambda_hat)
-    for fits, gcv in _blocks(family, f_true, sigma, seed, replicates, 2, hits_gcv):
-        hits_eb += sum(_ball(r, 2.0, spec, r_n).contains(f_true) for r in fits)
-        for q, (_, errs) in gcv.items():
-            hits_gcv[q] += sum(math.sqrt(err) <= ball_radius for err in errs)
-        del fits, gcv  # before the next block: memory stays O(n)
-
+    orders = tuple(dict.fromkeys(map(float, q_choices)))
+    rec = _record(family, f_true, sigma, seed, replicates, 2, orders)
+    hits_gcv = np.count_nonzero(np.sqrt(rec["gcv_mse"]) <= ball_radius, axis=0)
+    hits_eb = _eb_balls(family, rec, 2.0, spec)[1]
     return GcvBallReport(
         generator=gen_name, n=n, replicates=replicates, beta=float(beta),
         alpha=spec.alpha, sigma=sigma,
-        coverage_gcv_ball={str(q): h / replicates for q, h in hits_gcv.items()},
+        coverage_gcv_ball={str(q): int(h) / replicates for q, h in zip(orders, hits_gcv)},
         coverage_eb_ball=hits_eb / replicates,
         gcv_ball_radius=float(ball_radius), seed=seed)

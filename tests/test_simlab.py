@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 import ebsplines as e
 from ebsplines import credible, simlab
 from ebsplines.errors import EbsplinesError
+from ebsplines.selection import _smooth
 from ebsplines.simlab import _compare_kwargs
 
 F1 = e.Generator(kind="f1-spectral")
@@ -93,6 +96,29 @@ class TestStudyHarness:
         assert rep.eb.var_lambda == 0.0
         assert rep.q_hat_counts == {res.q_hat: 1}
 
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_record_rows_equal_separate_fits_across_blocks(self, samples):
+        # at n = 4096 replicates run in blocks of 8: 12 replicates span two
+        n, orders = 4096, (2.0, 3.0)
+        family = e.ModelFamily(e.design_grid(n))
+        f = F1.values(family.grid)
+        rec = simlab._record(family, f, 0.01, 7, 12, samples, orders)
+        assert len(rec) == 12
+        for row, stream in zip(rec, np.random.SeedSequence(7).spawn(12)):
+            rng = np.random.default_rng(stream)
+            y = [f + 0.01 * rng.standard_normal(n) for _ in range(samples)]
+            res = e.fit(e.ModelFamily(e.design_grid(n)), y[0])
+            assert row["q_hat"] == res.q_hat and row["lambda_hat"] == res.lambda_hat
+            assert row["sigma2_hat"] == res.sigma2_hat
+            assert row["mse"] == np.mean((res.fitted - f) ** 2)
+            assert row["lambda_q"].tolist() == [d.lambda_hat for d in res.selection.per_q]
+            for j, q in enumerate(orders):
+                m = family.model(q)
+                lam = e.select_lambda_gcv(m, y[-1]).lambda_f_hat
+                assert row["gcv_lambda"][j] == lam
+                assert row["gcv_mse"][j] == np.mean(
+                    (_smooth(m, m.basis.forward(y[0]), lam) - f) ** 2)
+
     def test_one_forward_transform_per_replicate(self, monkeypatch):
         # the GCV arms select and smooth from the fit's own coefficients
         calls = []
@@ -174,8 +200,17 @@ EXPERIMENTS = {
 }
 
 
-def _same_ball(a, b) -> bool:
-    return a.to_dict() == b.to_dict() and np.array_equal(a.center, b.center)
+@functools.cache
+def _reference_balls():
+    """One ``fit`` and ``credible_ball`` per replicate of ``EXPERIMENTS``, on
+    the first sample of each replicate's seeded stream, and the truth."""
+    family = e.ModelFamily(e.design_grid(1000))
+    f = F1.values(family.grid)
+    balls = []
+    for stream in np.random.SeedSequence(5).spawn(80):
+        y = f + 0.01 * np.random.default_rng(stream).standard_normal(1000)
+        balls.append(e.credible_ball(e.fit(family, y), L=2.0))
+    return balls, f
 
 
 class TestOneRadiusPerDistinctFit:
@@ -183,10 +218,10 @@ class TestOneRadiusPerDistinctFit:
     @pytest.mark.parametrize("name,own", [("coverage", 0), ("gcv-ball", 1)])
     def test_radius_runs_once_per_distinct_q_hat_and_lambda_hat(self, monkeypatch,
                                                                 name, own):
-        keys, calls = [], []
-        ball, exact = simlab._ball, credible.radius
-        monkeypatch.setattr(simlab, "_ball", lambda res, *a: keys.append(
-            (res.q_hat, res.lambda_hat)) or ball(res, *a))
+        records, calls = [], []
+        record, exact = simlab._record, credible.radius
+        monkeypatch.setattr(simlab, "_record",
+                            lambda *a: records.append(record(*a)) or records[-1])
 
         def counted(*args, **kwargs):
             calls.append(args)
@@ -195,34 +230,86 @@ class TestOneRadiusPerDistinctFit:
         monkeypatch.setattr(credible, "radius", counted)
         monkeypatch.setattr(simlab, "radius", counted)
         EXPERIMENTS[name]()
+        [rec] = records
+        keys = list(zip(rec["q_hat"].tolist(), rec["lambda_hat"].tolist()))
         assert len(keys) == 80
         assert len(calls) == len(set(keys)) + own
         # one dict per block of replicates would compute more
         assert sum(len(set(keys[i:i + 32])) for i in range(0, 80, 32)) > len(set(keys))
 
     @pytest.mark.parametrize("name", EXPERIMENTS)
-    def test_reports_equal_one_credible_ball_per_replicate(self, monkeypatch, name):
+    def test_reports_equal_one_credible_ball_per_replicate(self, name):
         got = EXPERIMENTS[name]()
-        with monkeypatch.context() as m:
-            m.setattr(simlab, "_ball",
-                      lambda res, L, spec, radii: e.credible_ball(res, L=L, spec=spec))
-            ref = EXPERIMENTS[name]()
+        balls, f = _reference_balls()
+        covered = sum(b.contains(f) for b in balls) / 80
+        if name == "coverage":
+            radii = [b.radius for b in balls]
+            counts = collections.Counter(b.q_hat for b in balls)
+            ref = e.CoverageReport(
+                generator="f1-spectral", n=1000, replicates=80, L=2.0, alpha=0.05,
+                sigma=0.01, coverage=covered,
+                radius_quantiles={str(p): float(np.quantile(radii, p))
+                                  for p in (0.1, 0.25, 0.5, 0.75, 0.9)},
+                q_hat_counts={str(k): v for k, v in sorted(counts.items())}, seed=5)
+        else:  # the GCV arm is checked against separate fits in TestStudyHarness
+            ref = dataclasses.replace(got, coverage_eb_ball=covered)
         assert repr(got) == repr(ref)
         assert json.dumps(got.to_dict()) == json.dumps(ref.to_dict())
 
-    def test_shared_radii_tell_orders_apart(self):
+    def test_shared_radii_tell_orders_apart(self, monkeypatch):
         family = e.ModelFamily(e.design_grid(256))
-        y = e.Generator(kind="f2-cosine").values(family.grid) \
-            + 0.05 * np.random.default_rng(8).standard_normal(256)
-        res = e.fit(family, y)
+        f = e.Generator(kind="f2-cosine").values(family.grid)
+        res = e.fit(family, f + 0.05 * np.random.default_rng(8).standard_normal(256))
         q = res.q_hat + 1.0
-        other = dataclasses.replace(res, model=family.model(q), q_hat=q)
+        fits = (res, dataclasses.replace(res, model=family.model(q), q_hat=q), res)
+        rec = np.zeros(3, [(name, float) for name in ("q_hat", "lambda_hat", "sigma2_hat", "mse")])
+        for name in ("q_hat", "lambda_hat", "sigma2_hat"):
+            rec[name] = [getattr(r, name) for r in fits]
+        rec["mse"] = [np.mean((r.fitted - f) ** 2) for r in fits]
         spec = e.RadiusSpec(alpha=0.1)
-        radii = {}
-        balls = [credible._ball(r, 2.0, spec, radii) for r in (res, other, res)]
-        ref = [e.credible_ball(r, L=2.0, spec=spec) for r in (res, other)]
-        assert all(map(_same_ball, balls, ref + ref[:1]))
-        assert balls[0].radius != balls[1].radius and len(radii) == 2
+        calls = []
+        exact = simlab.radius
+        monkeypatch.setattr(simlab, "radius", lambda *a: calls.append(a) or exact(*a))
+        radii, hits = simlab._eb_balls(family, rec, 2.0, spec)
+        ref = [e.credible_ball(r, L=2.0, spec=spec) for r in fits]
+        assert radii.tolist() == [b.radius for b in ref]
+        assert hits == sum(b.contains(f) for b in ref)
+        assert radii[0] != radii[1] and len(calls) == 2
+
+
+# each experiment at a given noise level, with every other argument valid
+AT_SIGMA = {
+    "run_study": lambda sigma: e.run_study(
+        e.StudyConfig(generator=F1, n=64, replicates=2, sigma=sigma)),
+    "coverage_experiment": lambda sigma: e.coverage_experiment(F1, 64, 2, sigma=sigma),
+    "gcv_ball_experiment": lambda sigma: e.gcv_ball_experiment(
+        F1, 64, (2.0,), 2, sigma=sigma),
+}
+
+
+class TestExperimentArguments:
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """The calls of the replicate fits and of the oracle lambda."""
+        calls = []
+        monkeypatch.setattr(simlab, "_fits", lambda *a: calls.append("_fits"))
+        monkeypatch.setattr(simlab, "oracle_lambda", lambda *a, **k: calls.append("oracle"))
+        return calls
+
+    @pytest.mark.parametrize("sigma", [-0.01, math.nan])
+    @pytest.mark.parametrize("name", AT_SIGMA)
+    def test_noise_level_is_checked_before_any_work(self, work, name, sigma):
+        with pytest.raises(EbsplinesError) as exc:
+            AT_SIGMA[name](sigma)
+        assert str(exc.value) == f"sigma must be finite and >= 0, got {sigma}"
+        assert work == []
+
+    @pytest.mark.parametrize("L", [0.5, math.inf, math.nan])
+    def test_inflation_is_checked_before_any_replicate(self, work, L):
+        with pytest.raises(EbsplinesError) as exc:
+            e.coverage_experiment(F1, 1000, 64, L=L)
+        assert str(exc.value) == f"need L >= 1 and L < inf, got {L}"
+        assert work == []
 
 
 class TestConfigReaders:

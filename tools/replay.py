@@ -2,8 +2,16 @@
 
     PYTHONPATH=<tree>/src python tools/replay.py OUTDIR
 
+    PYTHONPATH=<tree>/src python tools/replay.py OUTDIR --check OTHER/MANIFEST
+
 Run it once per source tree and compare the directories with ``diff -r``:
-a change that keeps every seeded output shows no difference.  The outputs
+a change that keeps every seeded output shows no difference.  Each run also
+writes ``OUTDIR/MANIFEST``: a header line naming the environment (NumPy,
+SciPy, the BLAS build and ``OPENBLAS_NUM_THREADS``) and one ``sha256  file``
+line per output.  With ``--check`` the run compares its manifest with another
+one: it refuses (exit 2) when the headers differ, since the outputs are only
+comparable under one environment, and otherwise names each output that
+moved, appeared or went missing (exit 1 if any did, 0 if none).  The outputs
 are the ``simulate`` report and table of the two acceptance studies and of
 seven more studies (boundary solves at large noise, an odd n, a real-valued
 order grid, one that holds no integer order, so that every q_hat takes a
@@ -41,6 +49,7 @@ therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before NumPy loads, unless the
 environment already sets it; set the same value for both trees.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -50,6 +59,7 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
+import scipy
 
 import ebsplines as e
 from ebsplines import cli, gcv, selection
@@ -205,7 +215,45 @@ def main(out: str) -> None:
                 fh.write(f"{name} {c!r}: {got!r}\n")
 
 
+def manifest(out: str) -> list[str]:
+    """The environment header and one ``sha256  file`` line per output."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines = [f"# numpy {np.__version__}, scipy {scipy.__version__}, blas {blas['name']} "
+             f"{blas['version']}, OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}"]
+    for name in sorted(os.listdir(out)):
+        if name != "MANIFEST":
+            with open(os.path.join(out, name), "rb") as fh:
+                lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+    return lines
+
+
+def check(lines: list[str], other: list[str]) -> int:
+    """Compare a manifest with another: 2 if their environments differ, else
+    1 if any output moved, appeared or went missing, else 0."""
+    if lines[0] != other[0]:
+        print(f"refused: this run's environment\n  {lines[0]}\nis not the other manifest's\n"
+              f"  {other[0]}")
+        return 2
+    new, old = (dict(line.split("  ", 1)[::-1] for line in m[1:]) for m in (lines, other))
+    moved = sorted(name for name in new.keys() | old.keys() if new.get(name) != old.get(name))
+    for name in moved:
+        print("moved:" if name in new and name in old else
+              "new:" if name in new else "missing:", name)
+    print(f"{len(new.keys() | old.keys()) - len(moved)} of {len(new)} outputs unchanged")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    main(sys.argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir")
+    parser.add_argument("--check", metavar="MANIFEST",
+                        help="compare this run's manifest with MANIFEST")
+    args = parser.parse_args()
+    if args.check:
+        with open(args.check) as fh:  # before the run, which may overwrite it
+            other = fh.read().splitlines()
+    main(args.outdir)
+    lines = manifest(args.outdir)
+    with open(os.path.join(args.outdir, "MANIFEST"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    sys.exit(check(lines, other) if args.check else 0)
