@@ -163,20 +163,10 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ten, which then rounds to 10^9 at either decade
     r = np.flatnonzero((np.abs(hi - np.floor(hi) - 0.5) <= 2.0 ** -18)
                        | (hi < 1e9 + 1) | (hi > 1e10 - 1) | (X > 9))
-    if len(r):
-        a, s = a[r], 9 - X[r]
-        m = np.floor(a * _P10[s + 22])  # a * 10^s lies in (m - 1/2, m + 3/2)
-        # the sign of a * 10^s - t, exact: the factor that takes 10^|s| (exact
-        # for |s| <= 22) times it is p + e, Dekker's two-product
-        t, pos = m + 0.5, s >= 0
-        x, y = np.where(pos, a, t), _P10[np.abs(s) + 22]
-        p = x * y
-        cx, cy = x * 134217729.0, y * 134217729.0  # Veltkamp's split at 2^27 + 1
-        xh, yh = cx - (cx - x), cy - (cy - y)
-        e = ((xh * yh - p) + xh * (y - yh) + (x - xh) * yh) + (x - xh) * (y - yh)
-        c = np.where(pos, (p - t) + e, (a - p) - e)
-        m += (c > 0) | (c == 0) & (m % 2 == 1)
-        d[r], X[r] = np.where(m == 1e10, 1e9, m), X[r] + (m == 1e10)
+    if len(r):  # "%.9e" rounds half even as "%.10g" does, to 15 bytes "d.ddddddddde+XX"
+        t = np.frombuffer(("%.9e" * len(r) % tuple(a[r].tolist())).encode(), np.uint8) - 48.0
+        d[r] = t.reshape(-1, 15)[:, [0, *range(2, 11)]] @ 10.0 ** np.arange(9, -1, -1)
+        X[r] = -(t[12::15] + 4) * (10 * t[13::15] + t[14::15])  # t is bytes less "0": "+" is -5
     return d, X
 
 

@@ -14,8 +14,9 @@ a quadratic form in independent chi-squares.  ``radius`` computes that
 probability exactly by inverting the characteristic function of Q_r (Imhof
 1961; Davies 1980) with the trapezoid rule, to an error below 1e-10, and
 solves for r to a relative 1e-10.  The result is deterministic, needs O(n)
-memory and has no Monte Carlo error; ``oracles.mc_radius`` keeps the seeded
-Monte Carlo quantile as the independent check.  The empirical credible ball
+memory and has no Monte Carlo error.  ``RadiusSpec.mc_draws`` and ``seed``
+are read by the tests' seeded Monte Carlo check of it and by
+``perfbench/layertrace.py``, not by the library.  The empirical credible ball
 has center at the fit and radius sigma_hat * L * r_n(lambda_hat, q_hat).
 ``sample_posterior`` draws whole curves from the fitted posterior (a
 multivariate t realized as a Gaussian scale mixture in the spectral domain).
@@ -39,9 +40,9 @@ from .spectral import SpectralModel, rms_norm, smoother_weights
 class RadiusSpec:
     """Settings of the posterior-quantile radius.
 
-    ``alpha`` sets the level.  ``mc_draws`` and ``seed`` configure only the
-    Monte Carlo oracle ``oracles.mc_radius``; the exact ``radius`` does not
-    read them.
+    ``alpha`` sets the level.  The exact ``radius`` does not read
+    ``mc_draws`` or ``seed``: the tests' seeded Monte Carlo check of it and
+    ``perfbench/layertrace.py`` do.
     """
 
     alpha: float = 0.05

@@ -15,8 +15,6 @@ X^2, so that is their exact expectation under Y = f + sigma eps.
 ``polished_tail_check`` verifies the tail-regularity condition under which
 order selection is consistent, with blocks [j, 2j] (rho = 2 in Szabo, van der
 Vaart and van Zanten 2015).
-``mc_radius`` is the seeded Monte Carlo quantile of the credible-ball distance
-law, the independent check of the exact ``credible.radius``.
 """
 
 from __future__ import annotations
@@ -27,16 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .credible import RadiusSpec
 from .errors import EbsplinesError
 from .selection import _solve_lambdas, _t_at, _tails
-from .spectral import SpectralModel, eigenvalues, penalty_eigenvalues, smoother_weights
+from .spectral import eigenvalues, penalty_eigenvalues
 
 
 def kappa(q: float, m: int, l: int) -> float:
     """Trace constant kappa_q(m, l); log-Gamma evaluation avoids overflow."""
-    if not q > 0.5:
-        raise EbsplinesError(f"need q > 1/2, got {q}")
+    if not 0.5 < q < math.inf:
+        raise EbsplinesError(f"need 1/2 < q < inf, got {q}")
     if l < 1:
         raise EbsplinesError(f"need l >= 1, got l = {l}")
     if m < 0:
@@ -169,29 +166,24 @@ def polished_tail_check(B, L: float = 2.0, N: int = 10) -> PolishedTailResult:
     ratio of tail mass to block mass and where it occurs; scale-invariant in B.
     """
     b2 = np.asarray(B, dtype=float) ** 2
+    if not np.isfinite(b2).all():
+        raise EbsplinesError("need coefficients with finite squares")
     n = len(b2)
     jmax = n // 2
-    if N > jmax:
-        raise EbsplinesError(f"need N <= n/2 = {jmax}, got N = {N}")
+    if not 1 <= N <= jmax:
+        raise EbsplinesError(f"need 1 <= N <= n/2 = {jmax}, got N = {N}")
     # suffix sums accumulate from the small end, so block masses deep in the
     # tail stay representable (a forward cumsum would lose them to rounding)
     suffix = np.concatenate([np.cumsum(b2[::-1])[::-1], [0.0]])
-    worst_j, worst_ratio = N, 0.0
-    holds = True
-    for j in range(N, jmax + 1):
-        tail = suffix[j - 1]
-        hi = min(2 * j, n)
-        block = suffix[j - 1] - suffix[hi]
-        if tail == 0.0:
-            ratio = 0.0
-        elif block == 0.0:
-            ratio = math.inf
-        else:
-            ratio = tail / block
-        if ratio > worst_ratio:
-            worst_ratio, worst_j = ratio, j
-        if ratio > L:
-            holds = False
+    j = np.arange(N, jmax + 1)
+    tail = suffix[j - 1]
+    block = tail - suffix[np.minimum(2 * j, n)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(tail == 0.0, 0.0, np.where(block == 0.0, math.inf, tail / block))
+    k = int(np.argmax(ratio))
+    # the first worst j; N when every ratio is 0
+    worst_j, worst_ratio = int(j[k]), float(ratio[k])
+    holds = not np.any(ratio > L)
     return PolishedTailResult(holds=holds, worst_j=worst_j, worst_ratio=worst_ratio)
 
 
@@ -209,32 +201,3 @@ def asymptotic_variances(q: float) -> SelectorVariances:
     gcv = 2.0 * kappa(q, 4, 2) / (4.0 * kappa(q, 1, 2) - 3.0 * kappa(q, 1, 3)) ** 2
     return SelectorVariances(eb=eb, gcv=gcv, ratio=gcv / eb)
 
-
-# Draws per block of the Monte Carlo distance law: bounds its memory at
-# _MC_BLOCK * n floats instead of mc_draws * n.
-_MC_BLOCK = 500
-
-
-def mc_distances(model: SpectralModel, lam: float, spec: RadiusSpec) -> np.ndarray:
-    """``spec.mc_draws`` seeded draws of the posterior distance law
-    (1/N) sum_i w_i eps_i^2, eps ~ N(0, I_n), N ~ chi^2_n.
-
-    The normals are drawn row by row in blocks and the chi-squares after all
-    of them, so the draws are those of one (mc_draws x n) bank from
-    ``default_rng(spec.seed)``.
-    """
-    w = smoother_weights(model.eigen, lam)
-    n = model.n
-    rng = np.random.default_rng(spec.seed)
-    num = np.empty(spec.mc_draws)
-    for start in range(0, spec.mc_draws, _MC_BLOCK):
-        z = rng.standard_normal((min(_MC_BLOCK, spec.mc_draws - start), n))
-        num[start:start + len(z)] = (z * z) @ w
-    return num / rng.chisquare(n, size=spec.mc_draws)
-
-
-def mc_radius(model: SpectralModel, lam: float, spec: RadiusSpec) -> float:
-    """Monte Carlo r_n(lam, q): square root of the empirical (1-alpha)
-    quantile of ``mc_distances``.  Deterministic given (n, lam, q, spec)."""
-    return math.sqrt(float(np.quantile(mc_distances(model, lam, spec),
-                                       1.0 - spec.alpha)))

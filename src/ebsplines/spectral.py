@@ -26,7 +26,6 @@ transform.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -115,8 +114,8 @@ def eigenvalues(q: float, n: int, offset: float | None = None) -> EigenSequence:
     The first floor(q) entries are exactly zero.  Non-integer q uses the same
     formula with a real exponent and offset.
     """
-    if not q > 0.5:
-        raise EbsplinesError(f"penalty order must exceed 1/2, got {q}")
+    if not 0.5 < q < math.inf:
+        raise EbsplinesError(f"penalty order must be finite and exceed 1/2, got {q}")
     if n < 4:
         raise EbsplinesError(f"need n >= 4, got {n}")
     d = int(math.floor(q))
@@ -149,15 +148,15 @@ class BasisHandle:
     """The orthonormal cosine transform Phi on n sites.
 
     ``forward`` applies Phi^T (analysis), ``inverse`` applies Phi (synthesis).
-    The handle holds only n; its dense matrix is cached per n.
+    The handle holds only n; its dense matrix is built on each request.
     """
 
     n: int
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense Phi (n x n), built on demand."""
-        return _dct_matrix(self.n)
+        """Dense Phi (n x n): column k is the orthonormal cosine of frequency k-1."""
+        return dct(np.eye(self.n), type=2, norm="ortho", axis=0).T
 
     def forward(self, y) -> np.ndarray:
         """Spectral coefficients X = Phi^T y.  Accepts (..., n) arrays."""
@@ -172,12 +171,6 @@ class BasisHandle:
         if c.shape[-1] != self.n:
             raise EbsplinesError(f"expected length {self.n}, got {c.shape[-1]}")
         return idct(c, type=2, norm="ortho", axis=-1)
-
-
-@functools.lru_cache(maxsize=8)
-def _dct_matrix(n: int) -> np.ndarray:
-    # synthesis matrix: column k is the orthonormal cosine of frequency k-1
-    return dct(np.eye(n), type=2, norm="ortho", axis=0).T
 
 
 def make_basis(grid: DesignGrid, q: float) -> BasisHandle:

@@ -589,6 +589,15 @@ class TestBadConfigs:
         assert main(["simulate", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}: {key}: 'x' is not a number\n"
 
+    def test_infinite_order_in_the_grid_exits_2(self, tmp_path, capsys):
+        p, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
+                                 "replicates": 2, "q_grid": [1, math.inf]}))
+        assert main(["simulate", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: penalty order must be finite and exceed 1/2, got inf\n"
+        assert not out.exists()
+
     def test_valid_orders_are_echoed_as_given(self, tmp_path):
         p, out = tmp_path / "cfg.json", tmp_path / "out.json"
         p.write_text(json.dumps({"generator": {"kind": "f1-spectral", "params": {"beta": 3}},
@@ -685,3 +694,15 @@ class TestOracleAndKappa:
 
     def test_kappa_domain_error_exits_2(self):
         assert main(["kappa", "--q", "1", "--m", "0", "--l", "0"]) == 2
+
+    @pytest.mark.parametrize("argv,what", [
+        (["kappa", "--q", "inf", "--m", "0", "--l", "1"], "need 1/2 < q < inf, got inf"),
+        (["oracle", "--q", "inf", "--n", "200", "--sigma", "0.01"],
+         "penalty order must be finite and exceed 1/2, got inf"),
+    ], ids=["kappa", "oracle"])
+    def test_infinite_order_exits_2(self, tmp_path, capsys, argv, what):
+        # an infinite order is a usage error (2), not a numeric failure (3)
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {what}\n"
+        assert not out.exists()

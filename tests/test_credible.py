@@ -8,7 +8,36 @@ from scipy.stats import f as f_dist
 
 import ebsplines as e
 from ebsplines.errors import EbsplinesError
-from ebsplines.oracles import mc_distances, mc_radius
+
+# Draws per block of the Monte Carlo distance law: bounds its memory at
+# _MC_BLOCK * n floats instead of mc_draws * n.
+_MC_BLOCK = 500
+
+
+def _mc_distances(model, lam, spec):
+    """``spec.mc_draws`` seeded draws of the posterior distance law
+    (1/N) sum_i w_i eps_i^2, eps ~ N(0, I_n), N ~ chi^2_n: the independent
+    check of the exact ``radius``.
+
+    The normals are drawn row by row in blocks and the chi-squares after all
+    of them, so the draws are those of one (mc_draws x n) bank from
+    ``default_rng(spec.seed)``.
+    """
+    w = e.smoother_weights(model.eigen, lam)
+    n = model.n
+    rng = np.random.default_rng(spec.seed)
+    num = np.empty(spec.mc_draws)
+    for start in range(0, spec.mc_draws, _MC_BLOCK):
+        z = rng.standard_normal((min(_MC_BLOCK, spec.mc_draws - start), n))
+        num[start:start + len(z)] = (z * z) @ w
+    return num / rng.chisquare(n, size=spec.mc_draws)
+
+
+def _mc_radius(model, lam, spec):
+    """Monte Carlo r_n(lam, q): square root of the empirical (1-alpha)
+    quantile of ``_mc_distances``.  Deterministic given (n, lam, q, spec)."""
+    return math.sqrt(float(np.quantile(_mc_distances(model, lam, spec),
+                                       1.0 - spec.alpha)))
 
 
 def _fit_smooth(n=64, sigma=0.05, seed=0):
@@ -82,19 +111,19 @@ class TestExactRadius:
         for q in (2.0, 3.0):
             m = fam.model(q)
             for lam in (lams[q], 1e-4):
-                t = np.sort(mc_distances(m, lam, spec))
+                t = np.sort(_mc_distances(m, lam, spec))
                 k = spec.mc_draws * p
                 se = 0.5 * (t[math.ceil(k + s)] - t[math.floor(k - s)])
-                r2_mc = float(np.quantile(t, p))  # mc_radius(m, lam, spec) ** 2
+                r2_mc = float(np.quantile(t, p))  # _mc_radius(m, lam, spec) ** 2
                 r2 = e.radius(m, lam, spec) ** 2
                 assert abs(r2 - r2_mc) <= 3.0 * se, (q, lam, r2, r2_mc, se)
 
     def test_monte_carlo_oracle_is_the_quantile_of_its_draws(self):
         m = e.spectral_model(e.design_grid(128), 2.0)
         spec = e.RadiusSpec(mc_draws=2000, seed=4)
-        r = mc_radius(m, 1e-4, spec)
-        assert r == mc_radius(m, 1e-4, spec)
-        assert r * r == float(np.quantile(mc_distances(m, 1e-4, spec), 0.95))
+        r = _mc_radius(m, 1e-4, spec)
+        assert r == _mc_radius(m, 1e-4, spec)
+        assert r * r == float(np.quantile(_mc_distances(m, 1e-4, spec), 0.95))
 
     @pytest.mark.parametrize("n", [64, 500, 2000])
     @pytest.mark.parametrize("q", [1, 2, 3])
@@ -163,7 +192,7 @@ class TestExactRadius:
         assert all(b[0] == a[1] for a, b in zip(brackets, brackets[1:]))
         p = 1.0 - spec.alpha
         k, s = spec.mc_draws * p, math.sqrt(spec.mc_draws * p * (1.0 - p))
-        t = np.sort(mc_distances(m, 1.0, spec))
+        t = np.sort(_mc_distances(m, 1.0, spec))
         assert t[math.floor(k - 3.0 * s)] <= r * r <= t[math.ceil(k + 3.0 * s)]
 
     @staticmethod

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ebsplines
-from ebsplines import cli, selection, simlab
+from ebsplines import cli, oracles, selection, simlab, spectral
 
 SRC = Path(ebsplines.__file__).parent
 
@@ -39,6 +39,19 @@ def test_criteria_and_balls_import_no_experiment_code(module):
 
 def test_spectral_imports_only_errors():
     assert _siblings("spectral") <= {"errors"}
+
+
+def test_oracles_hold_no_monte_carlo_radius():
+    # the seeded Monte Carlo radius is the tests' check of the exact radius
+    # (tests/test_credible.py), so oracles needs nothing from credible
+    assert "credible" not in _siblings("oracles")
+    assert not {"mc_distances", "mc_radius"} & set(dir(oracles))
+
+
+def test_basis_matrix_is_not_cached():
+    # BasisHandle.matrix builds its n x n matrix per call; no module-level
+    # cache keeps such matrices for the life of the process
+    assert not hasattr(spectral, "_dct_matrix")
 
 
 def test_parser_sees_the_imports():

@@ -29,6 +29,8 @@ class TestKappa:
             e.kappa(1.0, -1, 2)
         with pytest.raises(EbsplinesError):
             e.kappa(0.4, 0, 1)
+        with pytest.raises(EbsplinesError):
+            e.kappa(math.inf, 0, 1)
 
 
 class TestTraceApproximation:
@@ -260,8 +262,41 @@ class TestPolishedTail:
         assert r1.worst_ratio == pytest.approx(r2.worst_ratio, rel=1e-9)
 
     def test_N_validation(self):
-        with pytest.raises(EbsplinesError):
-            e.polished_tail_check(np.ones(64), N=60)
+        # j runs over N..n/2 and indexes suffix sums from 1
+        for N in (60, 33, 0, -5):
+            with pytest.raises(EbsplinesError, match="1 <= N <= n/2"):
+                e.polished_tail_check(np.ones(64), N=N)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_squares_rejected(self, bad):
+        # a nan or inf mass would otherwise pass as a tail that holds
+        B = np.ones(64)
+        B[40] = bad
+        with pytest.raises(EbsplinesError, match="finite squares"):
+            e.polished_tail_check(B)
+
+    def test_N_at_the_ends_of_its_range(self):
+        B = np.ones(64)
+        for N in (1, 32):
+            res = e.polished_tail_check(B, L=2.0, N=N)
+            assert type(res.worst_ratio) is float and type(res.worst_j) is int
+        # j = n/2: the tail from 32 is 33 ones, its block [32, 64] as many
+        res = e.polished_tail_check(B, N=32)
+        assert (res.holds, res.worst_j, res.worst_ratio) == (True, 32, 1.0)
+
+    def test_matches_the_defining_inequality_per_j(self):
+        # the worst j and its ratio, from the inequality at each j
+        rng = np.random.default_rng(5)
+        for n, N in ((64, 1), (101, 7), (256, 10)):
+            B = rng.standard_normal(n) * rng.integers(0, 2, n) * np.arange(1, n + 1.0) ** -1.5
+            b2, ratios = B ** 2, []
+            for j in range(N, n // 2 + 1):
+                tail, block = b2[j - 1:].sum(), b2[j - 1:min(2 * j, n)].sum()
+                ratios.append(0.0 if tail == 0 else math.inf if block == 0 else tail / block)
+            res = e.polished_tail_check(B, L=2.0, N=N)
+            assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
+            assert ratios[res.worst_j - N] == pytest.approx(max(ratios), rel=1e-12)
+            assert res.holds == (max(ratios) <= 2.0)
 
 
 class TestSelectorVariances:

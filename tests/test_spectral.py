@@ -48,7 +48,7 @@ class TestEigenvalues:
         assert eig.null_dim == 2
         assert np.all(np.diff(eig.values[2:]) > 0)
 
-    @pytest.mark.parametrize("q,n", [(0.5, 20), (0.3, 20), (2.0, 3), (3.0, 6)])
+    @pytest.mark.parametrize("q,n", [(0.5, 20), (0.3, 20), (2.0, 3), (3.0, 6), (math.inf, 20)])
     def test_rejects_bad_domain(self, q, n):
         with pytest.raises(EbsplinesError):
             e.eigenvalues(q, n)
