@@ -156,13 +156,18 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 10 significant digits d of each a in [1e-13, 1e31), rounded half
     even on a's exact binary value, and its decade X: a ~ d * 10^(X - 9)."""
     X = np.clip(np.floor(np.log10(a)), -13, 31).astype(np.intp)
-    hi = a * _P10[31 - X]  # for X <= 9 one rounding, by at most 2^-20 below 2^34
+    # a * 10^(9 - X), or a / 10^(X - 9) for X > 9: the power of ten is exact
+    # either way (|9 - X| <= 22), so hi is one rounding, by at most 2^-20
+    # below 2^34
+    hi = a * _P10[31 - X]
+    big = np.flatnonzero(X > 9)
+    hi[big] = a[big] / _P10[X[big] + 13]
     d = np.rint(hi)
-    # exact where hi may round across a half-integer, where X > 9 and where
-    # hi nears 10^9 or 10^10: a carry, or log10 one off next to a power of
-    # ten, which then rounds to 10^9 at either decade
+    # exact where hi may round across a half-integer and where hi nears
+    # 10^9 or 10^10: a carry, or log10 one off next to a power of ten,
+    # which then rounds to 10^9 at either decade
     r = np.flatnonzero((np.abs(hi - np.floor(hi) - 0.5) <= 2.0 ** -18)
-                       | (hi < 1e9 + 1) | (hi > 1e10 - 1) | (X > 9))
+                       | (hi < 1e9 + 1) | (hi > 1e10 - 1))
     if len(r):  # "%.9e" rounds half even as "%.10g" does, to 15 bytes "d.ddddddddde+XX"
         t = np.frombuffer(("%.9e" * len(r) % tuple(a[r].tolist())).encode(), np.uint8) - 48.0
         d[r] = t.reshape(-1, 15)[:, [0, *range(2, 11)]] @ 10.0 ** np.arange(9, -1, -1)

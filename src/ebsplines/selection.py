@@ -19,6 +19,11 @@ with sums over i > d.  As lambda -> 0, sum 1/(1+u) -> n - d, so T_lam ->
 after an interior dip below zero, which the selector and the numeric oracle
 lambda (``oracles``: the same solve on E X^2) bracket on a 33-point scan;
 without one the solve is a boundary (f1, q = 1, sigma = 0.01: n <= 300).
+The brackets read only the signs of that scan (``_grid_signs``): each row is
+built up to the index past which u >= 1e3, the rest of each sum is bounded
+in closed form, and a full row is built only where the bounds, widened by
+the rounding error of the sums, leave a sign open; so the brackets, and the
+roots, are those of full rows bit for bit.
 
 Every order shares the cosine coefficients X, so dX^2/dq is exactly zero.
 The weight log(n*eta) (``EigenSequence.log_tail``) is q d log(n*eta)/dq
@@ -138,15 +143,25 @@ def _log_grid(points: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(LAMBDA_MIN), math.log(LAMBDA_MAX), points))
 
 
+def _outer(lams: np.ndarray, nz: np.ndarray, out: np.ndarray) -> None:
+    """The block of rows lam * nz, one row per lambda, into ``out``: one BLAS
+    product for several rows (a broadcast multiply takes twice as long), a
+    multiply for one row (the product packs nz first); both round each entry
+    once, so the bits do not depend on the block."""
+    if len(lams) > 1:
+        np.dot(lams[:, None], nz[None, :], out=out)
+    else:
+        np.multiply(lams[:, None], nz, out=out)
+
+
 def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
-          lanes=None, sums=None) -> np.ndarray:
+          lanes=None) -> np.ndarray:
     """A criterion of the stack ``x2s`` of squared tail coefficients at each of
     ``lams``, (replicates x lambdas), or with ``lanes`` of row lanes[k] at lams[k]
     (a stack of one row serves every lane uncopied).  ``rows_fn(u, v, w)``
     builds a block of rows u = lam * nz in place, in three buffers of at most
-    ``_BLOCK_ENTRIES`` entries (one row at least); with ``sums``, a slot per
-    lambda, it also takes the block's slots (see ``_t_rows``).  Rows do not
-    see the data: each block is built once, and its finish reduces it by
+    ``_BLOCK_ENTRIES`` entries (one row at least).  Rows do not see the
+    data: each block is built once, and its finish reduces it by
     ``np.vecdot`` and ``sum(axis=-1)``, element-wise otherwise, so a value
     does not depend on the block, stack or lane it is computed in.  So lanes
     at one lambda share its row: when the distinct lambdas fill fewer blocks
@@ -165,8 +180,8 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
     for s in range(0, len(keys), step):
         j = slice(s, s + step)
         u, v, w = bufs[:, :len(keys[j])]
-        np.multiply(keys[j, None], nz, out=u)
-        finish = rows_fn(u, v, w) if sums is None else rows_fn(u, v, w, sums[j])
+        _outer(keys[j], nz, u)
+        finish = rows_fn(u, v, w)
         if row is None:
             vals[..., j] = finish(x2s[:, None] if lanes is None
                                   else x2s if len(x2s) == 1 else x2s[lanes[j]])
@@ -236,6 +251,12 @@ class LambdaSolve:
 _SCAN_GRID = _log_grid(33)
 _BISECT_ITER = 200
 
+# u = lam * n eta past which the bracket scan bounds a row rather than
+# building it (``_grid_signs``): the bounds are then within 2/(1 + 1e3).
+_SATURATED = 1e3
+_EPS = 2.0 ** -53  # unit roundoff of float64
+_TINY = np.finfo(float).tiny  # 2^-1022
+
 
 def _bisect_log(a: float, b: float, rtol: float, tol: float = 0.0):
     """Root of f between a and b, f(a) < 0 <= f(b), by bisection in log
@@ -300,17 +321,92 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     return replace(sol, t_value=float(np.ldexp(sol.t_value, 2 * k)))
 
 
+def _grid_signs(eigen: EigenSequence, x2s: np.ndarray, sums=None) -> np.ndarray:
+    """The signs (-1, 0, 1) of the T_lam values ``_scan`` gives at the scan
+    lambdas, (replicates x lambdas), for the stack x2s of squared tail
+    coefficients, from rows built only up to a cut.
+
+    The eigenvalues ascend, so past a cut K every u = lam * nz is at least
+    ``_SATURATED``; K depends on the model and lambda, not on the data.  A
+    block of rows stops at the cut of its smallest lambda.  With delta =
+    1/(1 + lam nz_K), the parts past K of A = sum x2 r/v and B = sum x2 r
+    lie in [(1 - delta)^2, 1] (1/lam) sum x2/nz and [1 - delta, 1] sum x2
+    (sums from K on); S = sum 1/v is the model's kept sum.  A lambda is
+    settled when, for every row, the bounds on T_lam = A/n - B S/n^2,
+    widened by the slack 3 gamma_(n+16) (A/n + B S/n^2) + 2^-1022 at their
+    upper ends, exclude 0; otherwise it is built again as a full row
+    (K = len(nz)), where both bounds are ``_scan``'s value.  The slack: A
+    and B each add at most n nonnegative terms, each a few roundings off its
+    exact value, so in ``_scan`` as in the bounds each is within
+    gamma_(n+16) = (n+16) eps / (1 - (n+16) eps) of its exact value (Higham
+    2002, section 3.1); a third gamma covers the rounding of the bounds
+    themselves, and 2^-1022 the products that underflow (2^-1075 each).
+    The bounds need S whole, so a model that does not keep all its ``sums``
+    builds full rows, which keep them.
+    """
+    n, nz, lams, m = eigen.n, eigen.tail, _SCAN_GRID, len(eigen.tail)
+    s = np.zeros(len(lams)) if sums is None else sums
+    cut = (np.searchsorted(nz, _SATURATED / lams) if s.all() else np.full(len(lams), m)).tolist()
+    blocks, j = [], 0
+    while j < len(lams):  # the rows from j on, as many as a buffer holds at j's cut
+        k = min(len(lams), j + max(1, _BLOCK_ENTRIES // max(cut[j], 1)))
+        blocks.append((slice(j, k), cut[j]))
+        cut[j:k] = [cut[j]] * (k - j)
+        j = k
+    # sum x2 and sum x2/nz past each cut < len(nz): one reduceat pass each,
+    # and a last column of zeros for the full rows
+    heads = np.array(sorted({h for _, h in blocks if h < m}), dtype=np.intp)
+    t = np.zeros((2, len(x2s), len(heads) + 1))
+    if len(heads):
+        x, at = x2s[:, heads[0]:], heads - heads[0]
+        np.add.reduceat(x, at, axis=-1, out=t[0, :, :-1])
+        np.add.reduceat(x / nz[heads[0]:], at, axis=-1, out=t[1, :, :-1])
+        np.add.accumulate(t[..., ::-1], axis=-1, out=t[..., ::-1])
+    cut = np.array(cut)
+    p, ql = np.take(t, np.searchsorted(heads, cut), axis=-1)
+    ql /= lams
+    uk = lams * np.take(nz, cut, mode="clip")
+    e = uk / (1.0 + uk)  # 1 - delta
+    nf, n2 = float(n), float(n * n)  # exact
+    g = 3.0 * (n + 16) * _EPS / (1.0 - (n + 16) * _EPS)
+    ab = np.empty((2, len(x2s), len(lams)))
+    buf = np.empty(3 * min(len(lams) * m, max(_BLOCK_ENTRIES, m)))
+    while True:
+        for blk, head in blocks:
+            rows = blk.stop - blk.start
+            u, v, w = buf[:3 * rows * head].reshape(3, rows, head)
+            _outer(lams[blk], nz[:head], u)
+            _t_rows(n, None, u, v, w, s[blk])  # fills a block's missing sums whole
+            x2 = x2s[:, None, :head]
+            np.vecdot(w, x2, out=ab[0][:, blk])
+            np.vecdot(u, x2, out=ab[1][:, blk])
+        # the finish of ``_t_rows`` at the two ends of the bounds; with
+        # K = len(nz) both are its value
+        a, b = ab
+        a_hi, b_hi = (a + ql) / nf, (b + p) * s / n2
+        lo = (a + e * e * ql) / nf - b_hi
+        hi = a_hi - (b + e * p) * s / n2
+        settled = (np.maximum(lo, -hi) > g * (a_hi + b_hi) + _TINY) | (cut == m)
+        if settled.all():
+            return np.sign(lo + hi)
+        todo = np.flatnonzero(~settled.all(axis=0))
+        cut[todo], p[:, todo], ql[:, todo] = m, 0.0, 0.0
+        blocks = [(slice(j, j + 1), m) for j in todo.tolist()]
+
+
 def _solve_lambdas(eigen: EigenSequence, x2s: np.ndarray, tol=None,
                    sums=None) -> list[LambdaSolve]:
     """``solve_lambda`` for each row of the stack x2s of squared tail
     coefficients, every bracket a lane, with the scan sums ``sums`` that the
-    model's family keeps (``ModelFamily``)."""
+    model's family keeps (``ModelFamily``).  The brackets come from the
+    signs of T_lam on the scan grid (``_grid_signs``), the same as the signs
+    of ``_scan``'s values, so the roots are the same bit for bit."""
     n, nz = eigen.n, eigen.tail
     tols = ((1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300) if tol is None
             else [tol] * len(x2s))
     rows = functools.partial(_t_rows, n, None)
 
-    tv = _scan(rows, x2s, nz, _SCAN_GRID, sums=sums)
+    tv = _grid_signs(eigen, x2s, sums)
     ks, js = np.nonzero((tv[:, :-1] < 0) & (tv[:, 1:] > 0))
     roots = _lockstep([_bisect_log(_SCAN_GRID[j], _SCAN_GRID[j + 1], 1e-14, tols[k])
                        for k, j in zip(ks, js)],
@@ -341,7 +437,9 @@ class ModelFamily:
     order.  All orders use the transform ``basis``: a fit transforms data once.
     With each model it keeps the sums sum(1/(1 + lam n eta)) at the 33 scan
     lambdas of T_lam, which do not see the data: the model's first scan
-    records them (0 before), and every later one skips their pass.
+    builds full rows and records them (0 before); every later one skips
+    their pass and, as the bounds of ``_grid_signs`` need the whole sum,
+    builds each row only up to its cut.
     """
 
     def __init__(self, grid: DesignGrid):

@@ -329,6 +329,30 @@ class TestCsvOutput:
         cli._write_csv(str(out), "v", (a[:, :1], a[:, 1:]))
         assert out.read_bytes() == self._per_value(a)
 
+    def test_large_magnitudes_render_as_per_value_format(self):
+        # [1e10, 1e31): the digits come from a / 10^(X - 9), an exact power
+        # of ten, so these values take the vectorised digits too
+        rng = np.random.default_rng(11)
+        x = rng.integers(10, 31, 4000)
+        d = rng.integers(10 ** 9, 10 ** 10, 4000)
+        ties = (d + 0.5) * 10.0 ** (x - 9)  # half-way digit strings, to rounding
+        exact = [(10 * int(k) + 5) * 10 ** j for k, j in zip(d[:600], x[:600] % 6)]
+        exact = np.array([float(v) for v in exact if float(v) == v])  # exact ties
+        p = 10.0 ** np.arange(10, 31)
+        near = [p, p * (1 - 5e-11), p * (1 + 5e-11)]
+        for direction in (0, np.inf):
+            w = p
+            for _ in range(3):
+                w = np.nextafter(w, direction)
+                near.append(w)
+        v = np.concatenate([10.0 ** rng.uniform(10, 31, 20_000), ties,
+                            np.nextafter(ties, 0), np.nextafter(ties, np.inf), exact, *near])
+        v = v[(v >= 1e10) & (v < 1e31)]
+        v[::3] = -v[::3]
+        assert len(exact) > 300
+        got = cli._render(v, np.ones(len(v), bool))
+        assert got == "".join("%.10g\n" % t for t in v.tolist()).encode()
+
 
 class TestUnwritableOutput:
     """A path that cannot be written exits 2 naming it, with no traceback

@@ -1,8 +1,9 @@
 """The blocked log-lambda scans (``selection._scan``) against the public
 criteria, against this file's own loop formulas and against the
 one-lambda-at-a-time solvers built from them, a block of replicates
-against batches of one, and fits on a family that keeps its scan sums
-against fits on a fresh one, bit for bit."""
+against batches of one, fits on a family that keeps its scan sums
+against fits on a fresh one, bit for bit, and the bracketing scan's signs
+from rows cut short (``selection._grid_signs``) against full rows."""
 
 import dataclasses
 import functools
@@ -241,20 +242,23 @@ def test_a_block_of_replicates_equals_batches_of_one(kind, sigma):
 
 # -- the scan sums a family keeps, against a fresh family ---------------------
 
-_SCAN = selection._scan
+_SCAN, _GRID_SIGNS = selection._scan, selection._grid_signs
 
 
 def _fit_bits(monkeypatch, family, y, qgrid):
-    """What a fit reports, as exact reprs, and the bytes of its fitted values
-    and of every scan it ran (the T_lam values of the bracketing scans too)."""
+    """What a fit reports, as exact reprs, and the bytes of its fitted values,
+    of every scan it ran and of the T_lam signs of its bracketing scans."""
     scans = []
 
-    def scan(*args, **kwargs):
-        vals = _SCAN(*args, **kwargs)
-        scans.append(vals.tobytes())
-        return vals
+    def recording(f):
+        def call(*args, **kwargs):
+            vals = f(*args, **kwargs)
+            scans.append(vals.tobytes())
+            return vals
+        return call
 
-    monkeypatch.setattr(selection, "_scan", scan)
+    monkeypatch.setattr(selection, "_scan", recording(_SCAN))
+    monkeypatch.setattr(selection, "_grid_signs", recording(_GRID_SIGNS))
     res = e.fit(family, y, qgrid)
     return res, (repr((res.lambda_hat, res.q_hat, res.q_star, res.sigma2_hat, res.boundary,
                        [(d.q, d.lambda_hat, d.t_q_value, d.boundary)
@@ -314,6 +318,108 @@ def test_stand_alone_model_solve_ignores_a_production_familys_sums():
     m = e.spectral_model(grid, 2.0)
     x = m.basis.forward(y)
     assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)
+
+
+# -- the bracketing scan's signs, from rows built up to a cut -----------------
+
+def _loop_signs(x2s, nz, n):
+    return np.sign([[_loop_t_lam(x2, nz, n, lam) for lam in selection._SCAN_GRID]
+                    for x2 in x2s])
+
+
+def _recording_heads(monkeypatch):
+    """The length of the rows of each block built from here on."""
+    heads = []
+    outer = selection._outer
+
+    def record(lams, nz, out):
+        heads.append(len(nz))
+        outer(lams, nz, out)
+
+    monkeypatch.setattr(selection, "_outer", record)
+    return heads
+
+
+@pytest.mark.parametrize("n", [8, 1000, 16385])
+def test_bracket_signs_equal_the_full_rows_signs(n, monkeypatch):
+    # f1 and f2 at four noise levels, two of them at data scales whose
+    # squares leave the float range, and the oracle rows E X^2 = B^2 + sigma^2;
+    # one row per block makes every cut a block's head, the empty one too
+    fam = e.ModelFamily(e.design_grid(n))
+    rng = np.random.default_rng(n)
+    ys, oracle = [], []
+    for kind in ("f1-spectral", "f2-cosine"):
+        f = e.Generator(kind=kind).values(fam.grid)
+        ys += [f + sigma * rng.standard_normal(n) for sigma in (0.001, 0.01, 1.0, 3.0)]
+        oracle.append(fam.basis.forward(f) ** 2 + 0.01 ** 2)
+    ys += [2.0 ** -520 * ys[1], 2.0 ** 510 * ys[5]]
+    x = fam.basis.forward(selection._unit_scale(np.array(ys), "y")[0])
+    entries = selection._BLOCK_ENTRIES
+    empty = full = False
+    for q in e.default_q_grid(n):
+        m, sums = fam._entry(q)
+        nz = m.eigen.tail
+        x2s = np.vstack([selection._tails(m.eigen, x)[0], np.array(oracle)[:, m.null_dim:]])
+        want = _loop_signs(x2s, nz, n)
+        assert np.array_equal(selection._grid_signs(m.eigen, x2s), want)  # no sums: full rows
+        assert not sums.any()
+        assert np.array_equal(selection._grid_signs(m.eigen, x2s, sums), want)  # keeps them
+        assert sums.all()
+        for block in (entries, 1):
+            monkeypatch.setattr(selection, "_BLOCK_ENTRIES", block)
+            heads = _recording_heads(monkeypatch)
+            assert np.array_equal(selection._grid_signs(m.eigen, x2s, sums), want)
+            for k in (0, 9, len(x2s) - 1):  # a stack of one row
+                assert np.array_equal(selection._grid_signs(m.eigen, x2s[k:k + 1], sums),
+                                      want[k:k + 1])
+            empty |= 0 in heads
+            full |= len(nz) in heads
+        monkeypatch.setattr(selection, "_BLOCK_ENTRIES", entries)
+    assert full and (empty or n == 8)
+
+
+def test_a_sign_within_the_slack_takes_the_full_row(monkeypatch):
+    # T_lam is linear in x2, so between two rows whose signs differ at a
+    # grid lambda lies a row on which it is 0 to rounding.  Rows that are 0
+    # from that lambda's cut on make the bounds meet at the cut row's value,
+    # which rounds otherwise than the full row's: only the slack keeps the
+    # full row's sign (with no slack, some of these rows change sign)
+    n = 1000
+    monkeypatch.setattr(selection, "_BLOCK_ENTRIES", 1)  # each row cut at its own cut
+    fam = e.ModelFamily(e.design_grid(n))
+    m, sums = fam._entry(3.0)
+    nz = m.eigen.tail
+    f = e.Generator(kind="f1-spectral").values(fam.grid)
+    noise = np.random.default_rng(5).standard_normal(n)
+    pair = selection._tails(m.eigen, fam.basis.forward(
+        selection._unit_scale(np.array([f + 0.01 * noise, f + noise]), "y")[0]))[0]
+    cut = np.searchsorted(nz, selection._SATURATED / selection._SCAN_GRID)
+    for j in np.flatnonzero((cut > 0) & (cut < len(nz))):
+        a, b = pair * (np.arange(len(nz)) < cut[j])
+        t_ab = [_loop_t_lam(x2, nz, n, selection._SCAN_GRID[j]) for x2 in (a, b)]
+        if t_ab[0] * t_ab[1] < 0:
+            break
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        t_mid = _loop_t_lam((1 - mid) * a + mid * b, nz, n, selection._SCAN_GRID[j])
+        lo, hi = (mid, hi) if (t_mid > 0) == (t_ab[0] > 0) else (lo, mid)
+    rows = ((1 - lo) * a + lo * b) * (1 + np.random.default_rng(1).integers(
+        -4, 5, (256, len(nz))) * 2.0 ** -52)
+    want = np.sign(selection._scan(functools.partial(selection._t_rows, n, None),
+                                   rows, nz, selection._SCAN_GRID))
+    assert {-1.0, 1.0} <= set(want[:, j])
+    rebuilt = 0
+    selection._grid_signs(m.eigen, rows[:1], sums)  # the model keeps its sums
+    heads = _recording_heads(monkeypatch)
+    # one row at a time: a lambda that one row leaves open is built again
+    # for the whole stack
+    for row, signs in zip(rows, want):
+        del heads[:]
+        assert np.array_equal(selection._grid_signs(m.eigen, row[None], sums)[0], signs)
+        assert set(heads[33:]) <= {len(nz)}  # each lambda left open, in full
+        rebuilt += len(heads) > 33
+    assert rebuilt > 32
 
 
 # -- lanes at one lambda share its row -----------------------------------------

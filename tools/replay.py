@@ -33,7 +33,9 @@ sigma = 0.01 and at n = 1000, sigma = 3), so that the grid clamps q_hat, and a
 sequence of library fits on one warm ``ModelFamily`` per size (6 at
 n = 16,385, 2 at n = 64,000, f1 and f2 in turn): the ``repr`` of lambda_hat,
 q_hat, q*, sigma2_hat and the per-order lambda_hat and T_q, and the sha256 of
-the fitted values, the same of 32 replicates at n = 4096 selected together
+the fitted values, the same of two fits at sigma = 1 on a warm family at
+n = 64,000 (roots at large lambda, where the bracketing scan builds its
+shortest rows), the same of 32 replicates at n = 4096 selected together
 (``selection._fits``; a scan of their lanes builds more than one block of
 shared rows) with their GCV lambdas at q = 3, and the ``repr`` of the
 lambda_hat of ``solve_lambda`` and ``select_lambda_gcv`` (q = 3) and of
@@ -184,6 +186,17 @@ def main(out: str) -> None:
                                [(d.q, d.lambda_hat, d.t_q_value)
                                 for d in res.selection.per_q])) + "\n")
                 fh.write(hashlib.sha256(res.fitted.tobytes()).hexdigest() + "\n")
+
+    # sigma = 1 on a warm family at n = 64,000: the roots sit at large lambda,
+    # where the bracketing scan builds its shortest rows
+    family = e.ModelFamily(e.design_grid(64000))
+    with open(path("warm-family-64000-sigma1.txt"), "w") as fh:
+        for seed in (1, 2):  # the first fit keeps the scan sums, the second reads them
+            y = f1.values(family.grid) + np.random.default_rng(seed).standard_normal(64000)
+            res = e.fit(family, y)
+            fh.write(repr((res.lambda_hat, res.q_hat, res.q_star, res.sigma2_hat,
+                           [(d.lambda_hat, d.t_q_value) for d in res.selection.per_q]))
+                     + "\n" + hashlib.sha256(res.fitted.tobytes()).hexdigest() + "\n")
 
     # 32 replicates selected together at n = 4096 (4 rows per block of scan
     # rows): an experiment's block of 8 replicates seldom hands a scan more
