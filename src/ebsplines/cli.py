@@ -82,7 +82,7 @@ def _check_outputs(paths) -> None:
 
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
-    """CSV with header ``x,y`` or ``y``; raises EbsplinesError with the
+    """UTF-8 CSV with header ``x,y`` or ``y``; raises EbsplinesError with the
     offending line number on malformed or non-finite input, and on x that is
     not strictly increasing and equally spaced (the fit assumes an
     equidistant design)."""
@@ -93,13 +93,14 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray | None, np.ndarray]:
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header, records = next(reader), list(reader)
         except StopIteration:
             raise EbsplinesError(f"{path}: empty file") from None
-        cols = [c.strip().lower() for c in header]
-        if cols not in (["x", "y"], ["y"]):
-            raise EbsplinesError(f"{path}: line 1: header must be 'x,y' or 'y'")
-        records = list(reader)
+        except UnicodeDecodeError:
+            raise EbsplinesError(f"{path}: not UTF-8 text") from None
+    cols = [c.strip().lower() for c in header]
+    if cols not in (["x", "y"], ["y"]):
+        raise EbsplinesError(f"{path}: line 1: header must be 'x,y' or 'y'")
     rows = [row for row in records if row]
     try:  # every field in one pass
         a = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
@@ -287,11 +288,11 @@ def _parse_config(path: str, overrides: dict, parse):
     file (parsing runs before the experiment, so the experiment's own errors
     keep their message)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
     except OSError as exc:
         raise EbsplinesError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise EbsplinesError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise EbsplinesError(f"{path}: config must be a JSON object")

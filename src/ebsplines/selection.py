@@ -119,19 +119,14 @@ def _t_rows(n, g, u, v, w, s=None):
     place of u, v and w.  Returns the finish for squared tail coefficients x2
     (see ``_scan``): (1/n) x2.(r g/v) - (1/n^2) (x2.r) sum(g/v), which is
     T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz).
-    ``s``, a slot per row, keeps sum(g/v): while a slot is 0, the pass that
-    computes the sums fills them (whole, never a partial sum); filled slots
-    (the sums are positive) replace that pass.  The finish reads u, w and
-    the sums, not v, and takes an index ``i`` of rows: x2 at row i[k] (all
-    rows without it)."""
+    Given sums ``s``, sum(g/v) per row, replace their pass.  The finish
+    reads u, w and the sums, not v, and takes an index ``i`` of rows: x2 at
+    row i[k] (all rows without it)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.divide(u if g is None else np.multiply(u, g, out=w), v, out=w)
-    if s is None or not s.all():
-        t = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
-        if s is not None:
-            s[:] = t
-        s = t
+    if s is None:
+        s = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
     # np.vecdot runs the BLAS dot of np.dot on every (row, x2) pair, over
     # stacks too; a @ x2 would sum in another order
     return lambda x2, i=slice(None): (np.vecdot(w[i], x2) / n
@@ -321,32 +316,42 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     return replace(sol, t_value=float(np.ldexp(sol.t_value, 2 * k)))
 
 
+def _scan_sums(eigen: EigenSequence) -> np.ndarray:
+    """The sums S = sum 1/(1 + lam nz) of T_lam's rows at the scan lambdas,
+    by ``_scan``'s blocks and ``_t_rows``'s pass, so bit for bit its sums."""
+    nz, lams, step = eigen.tail, _SCAN_GRID, max(1, _BLOCK_ENTRIES // len(eigen.tail))
+    buf, s = np.empty((min(step, len(lams)), len(nz))), np.empty(len(lams))
+    for j in range(0, len(lams), step):
+        v = buf[:len(lams[j:j + step])]
+        _outer(lams[j:j + step], nz, v)
+        s[j:j + step] = np.divide(1.0, np.add(v, 1.0, out=v), out=v).sum(axis=-1)
+    return s
+
+
 def _grid_signs(eigen: EigenSequence, x2s: np.ndarray, sums=None) -> np.ndarray:
     """The signs (-1, 0, 1) of the T_lam values ``_scan`` gives at the scan
     lambdas, (replicates x lambdas), for the stack x2s of squared tail
-    coefficients, from rows built only up to a cut.
+    coefficients, from rows built only up to a cut; ``sums`` are the
+    model's ``_scan_sums``, built here when not given.
 
     The eigenvalues ascend, so past a cut K every u = lam * nz is at least
     ``_SATURATED``; K depends on the model and lambda, not on the data.  A
     block of rows stops at the cut of its smallest lambda.  With delta =
     1/(1 + lam nz_K), the parts past K of A = sum x2 r/v and B = sum x2 r
     lie in [(1 - delta)^2, 1] (1/lam) sum x2/nz and [1 - delta, 1] sum x2
-    (sums from K on); S = sum 1/v is the model's kept sum.  A lambda is
-    settled when, for every row, the bounds on T_lam = A/n - B S/n^2,
-    widened by the slack 3 gamma_(n+16) (A/n + B S/n^2) + 2^-1022 at their
-    upper ends, exclude 0; otherwise it is built again as a full row
-    (K = len(nz)), where both bounds are ``_scan``'s value.  The slack: A
+    (sums from K on); S = sum 1/v is whole.  A lambda is settled when, for
+    every row, the bounds on T_lam = A/n - B S/n^2, widened by the slack
+    3 gamma_(n+16) (A/n + B S/n^2) + 2^-1022 at their upper ends, exclude
+    0; otherwise its signs are those of ``_scan``'s full rows.  The slack: A
     and B each add at most n nonnegative terms, each a few roundings off its
     exact value, so in ``_scan`` as in the bounds each is within
     gamma_(n+16) = (n+16) eps / (1 - (n+16) eps) of its exact value (Higham
     2002, section 3.1); a third gamma covers the rounding of the bounds
     themselves, and 2^-1022 the products that underflow (2^-1075 each).
-    The bounds need S whole, so a model that does not keep all its ``sums``
-    builds full rows, which keep them.
     """
     n, nz, lams, m = eigen.n, eigen.tail, _SCAN_GRID, len(eigen.tail)
-    s = np.zeros(len(lams)) if sums is None else sums
-    cut = (np.searchsorted(nz, _SATURATED / lams) if s.all() else np.full(len(lams), m)).tolist()
+    s = _scan_sums(eigen) if sums is None else sums
+    cut = np.searchsorted(nz, _SATURATED / lams).tolist()
     blocks, j = [], 0
     while j < len(lams):  # the rows from j on, as many as a buffer holds at j's cut
         k = min(len(lams), j + max(1, _BLOCK_ENTRIES // max(cut[j], 1)))
@@ -371,34 +376,31 @@ def _grid_signs(eigen: EigenSequence, x2s: np.ndarray, sums=None) -> np.ndarray:
     g = 3.0 * (n + 16) * _EPS / (1.0 - (n + 16) * _EPS)
     ab = np.empty((2, len(x2s), len(lams)))
     buf = np.empty(3 * min(len(lams) * m, max(_BLOCK_ENTRIES, m)))
-    while True:
-        for blk, head in blocks:
-            rows = blk.stop - blk.start
-            u, v, w = buf[:3 * rows * head].reshape(3, rows, head)
-            _outer(lams[blk], nz[:head], u)
-            _t_rows(n, None, u, v, w, s[blk])  # fills a block's missing sums whole
-            x2 = x2s[:, None, :head]
-            np.vecdot(w, x2, out=ab[0][:, blk])
-            np.vecdot(u, x2, out=ab[1][:, blk])
-        # the finish of ``_t_rows`` at the two ends of the bounds; with
-        # K = len(nz) both are its value
-        a, b = ab
-        a_hi, b_hi = (a + ql) / nf, (b + p) * s / n2
-        lo = (a + e * e * ql) / nf - b_hi
-        hi = a_hi - (b + e * p) * s / n2
-        settled = (np.maximum(lo, -hi) > g * (a_hi + b_hi) + _TINY) | (cut == m)
-        if settled.all():
-            return np.sign(lo + hi)
-        todo = np.flatnonzero(~settled.all(axis=0))
-        cut[todo], p[:, todo], ql[:, todo] = m, 0.0, 0.0
-        blocks = [(slice(j, j + 1), m) for j in todo.tolist()]
+    for blk, head in blocks:
+        rows = blk.stop - blk.start
+        u, v, w = buf[:3 * rows * head].reshape(3, rows, head)
+        _outer(lams[blk], nz[:head], u)
+        _t_rows(n, None, u, v, w, s[blk])
+        x2 = x2s[:, None, :head]
+        np.vecdot(w, x2, out=ab[0][:, blk])
+        np.vecdot(u, x2, out=ab[1][:, blk])
+    # the finish of ``_t_rows`` at the two ends of the bounds
+    a, b = ab
+    a_hi, b_hi = (a + ql) / nf, (b + p) * s / n2
+    lo = (a + e * e * ql) / nf - b_hi
+    hi = a_hi - (b + e * p) * s / n2
+    signs = np.sign(lo + hi)
+    todo = np.flatnonzero(~(np.maximum(lo, -hi) > g * (a_hi + b_hi) + _TINY).all(axis=0))
+    if len(todo):
+        signs[:, todo] = np.sign(_scan(functools.partial(_t_rows, n, None), x2s, nz, lams[todo]))
+    return signs
 
 
 def _solve_lambdas(eigen: EigenSequence, x2s: np.ndarray, tol=None,
                    sums=None) -> list[LambdaSolve]:
     """``solve_lambda`` for each row of the stack x2s of squared tail
     coefficients, every bracket a lane, with the scan sums ``sums`` that the
-    model's family keeps (``ModelFamily``).  The brackets come from the
+    model's family keeps (``ModelFamily``), if any.  The brackets come from the
     signs of T_lam on the scan grid (``_grid_signs``), the same as the signs
     of ``_scan``'s values, so the roots are the same bit for bit."""
     n, nz = eigen.n, eigen.tail
@@ -436,10 +438,8 @@ class ModelFamily:
     the cosine basis with the order-q penalty-phase eigenvalues, cached per
     order.  All orders use the transform ``basis``: a fit transforms data once.
     With each model it keeps the sums sum(1/(1 + lam n eta)) at the 33 scan
-    lambdas of T_lam, which do not see the data: the model's first scan
-    builds full rows and records them (0 before); every later one skips
-    their pass and, as the bounds of ``_grid_signs`` need the whole sum,
-    builds each row only up to its cut.
+    lambdas of T_lam (``_scan_sums``), built with the model and never
+    written after: they do not see the data, and every scan on it reads them.
     """
 
     def __init__(self, grid: DesignGrid):
@@ -453,7 +453,7 @@ class ModelFamily:
     def _entry(self, q) -> tuple[SpectralModel, np.ndarray]:
         q = float(q)
         if q not in self._models:
-            self._models[q] = (spectral_model(self.grid, q), np.zeros(len(_SCAN_GRID)))
+            self._models[q] = (m := spectral_model(self.grid, q), _scan_sums(m.eigen))
         return self._models[q]
 
 

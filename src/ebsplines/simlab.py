@@ -131,6 +131,13 @@ def _noise_level(sigma) -> float:
     return sigma
 
 
+def _seed(seed: int) -> int:
+    """A seed, which must be >= 0 (``np.random.SeedSequence`` takes no other)."""
+    if seed < 0:
+        raise EbsplinesError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _shared_keys(d: dict) -> dict:
     """The entries that study and compare configs share, checked, by their
     ``StudyConfig`` names."""
@@ -139,7 +146,7 @@ def _shared_keys(d: dict) -> dict:
         raise EbsplinesError(f"unknown design convention {convention!r}")
     return dict(generator=Generator.from_dict(d["generator"]),
                 n=_integer(d, "n", 1000), replicates=_integer(d, "replicates", 200),
-                sigma=_noise_level(d.get("sigma", 0.01)), seed=_integer(d, "seed", 0),
+                sigma=_noise_level(d.get("sigma", 0.01)), seed=_seed(_integer(d, "seed", 0)),
                 design_convention=convention)
 
 
@@ -289,7 +296,7 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
                            ("mse", float), ("lambda_q", float, (width,)),
                            ("gcv_lambda", float, (len(gcv_orders),)),
                            ("gcv_mse", float, (len(gcv_orders),))])
-    streams = np.random.SeedSequence(seed).spawn(count)
+    streams = np.random.SeedSequence(_seed(seed)).spawn(count)
     size = max(1, 2**15 // n)
     for s in range(0, count, size):
         rngs = map(np.random.default_rng, streams[s:s + size])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ebsplines as e
-from ebsplines import cli
+from ebsplines import cli, simlab
 from ebsplines.cli import main
 
 
@@ -139,14 +139,18 @@ class TestFitCommand:
         ({1500: "0.75"}, "line 1500: expected 2 fields"),
         # the first bad line is named, whatever is wrong further down
         ({1499: "0.75,1,2", 1500: "nan,1", 1501: "x,y"}, "line 1499: expected 2 fields"),
-    ], ids=["bad-field", "non-finite", "short-row", "first-of-three"])
+        # the byte 0xff, in the header and far down the file
+        ({1: "x,\udcffy"}, "not UTF-8 text"),
+        ({1500: "0.75,\udcff"}, "not UTF-8 text"),
+    ], ids=["bad-field", "non-finite", "short-row", "first-of-three", "non-utf8-header",
+            "non-utf8-row"])
     def test_bad_line_is_named(self, tmp_path, capsys, edits, what):
         g = e.design_grid(2000)
         lines = ["x,y"] + [f"{x!r},{math.cos(x)!r}" for x in g.x.tolist()]
         for lineno, text in edits.items():
             lines[lineno - 1] = text
         p = tmp_path / "xy.csv"
-        p.write_text("\n".join(lines) + "\n")
+        p.write_text("\n".join(lines) + "\n", errors="surrogateescape")
         out = tmp_path / "fit.json"
         assert main(["fit", str(p), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {p}: {what}\n"
@@ -582,16 +586,32 @@ class TestBadConfigs:
         # checked when the config is read, before the experiment builds its grid
         ({"generator": {"kind": "f1-spectral"}, "n": 64, "design_convention": 5},
          "unknown design convention 5"),
+        # np.random.SeedSequence takes no negative seed
+        ({"generator": {"kind": "f1-spectral"}, "n": 64, "seed": -3},
+         "seed must be >= 0, got -3"),
+        # the raw bytes of a config that is not UTF-8
+        (b'{"generator": {"kind": "f1-spectral\xff"}}', "can't decode byte 0xff"),
     ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
             "negative-sigma", "nan-sigma", "n-float", "replicates-bool", "seed-string",
-            "sigma-bool", "scale-string", "convention-int"])
+            "sigma-bool", "scale-string", "convention-int", "negative-seed", "non-utf8"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
+        p.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
         assert main([command, str(p), "--out", str(tmp_path / "out.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: ") and what in err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_override_exits_2_before_any_replicate(self, tmp_path, capsys,
+                                                                 monkeypatch, command):
+        monkeypatch.setattr(simlab, "_fits", None)  # a replicate would fail otherwise
+        p, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
+                                 "replicates": 2, "seed": 5}))
+        assert main([command, str(p), "--seed", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: seed must be >= 0, got -3\n"
+        assert not out.exists()
 
     def test_compare_ignores_monte_carlo_keys(self, tmp_path):
         # mc_draws and radius_seed configure only the Monte Carlo oracle, which

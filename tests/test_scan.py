@@ -287,21 +287,23 @@ def test_fits_on_a_warm_family_equal_fits_on_a_fresh_one(n, spacing, monkeypatch
 
 
 def test_recorded_sums_are_the_scan_kernels_sums():
+    # a new family's sums, before any fit, are the sums as the kernel
+    # computes them: a block of rows 1 + lam * nz at a time; a fit reads
+    # them and writes nothing
     for n in (200, 1000, 16385):
         fam = e.ModelFamily(e.design_grid(n))
-        assert not fam._entry(3.0)[1].any()  # nothing recorded before a scan
-        e.fit(fam, e.Generator(kind="f1-spectral").values(fam.grid)
-              + 0.01 * np.random.default_rng(n).standard_normal(n))
+        refs = {}
         for q in e.default_q_grid(n):
             m, sums = fam._entry(q)
-            # the sums as the kernel computed them before it kept them: a
-            # block of rows 1 + lam * nz at a time
             nz = m.eigen.tail
             step = max(1, selection._BLOCK_ENTRIES // len(nz))
-            ref = np.concatenate([
+            refs[q] = np.concatenate([
                 (1.0 / (1.0 + selection._SCAN_GRID[s:s + step, None] * nz)).sum(axis=-1)
-                for s in range(0, 33, step)])
-            assert sums.tobytes() == ref.tobytes()
+                for s in range(0, 33, step)]).tobytes()
+            assert sums.tobytes() == refs[q]
+        e.fit(fam, e.Generator(kind="f1-spectral").values(fam.grid)
+              + 0.01 * np.random.default_rng(n).standard_normal(n))
+        assert {q: fam._entry(q)[1].tobytes() for q in refs} == refs
 
 
 def test_stand_alone_model_solve_ignores_a_production_familys_sums():
@@ -361,10 +363,8 @@ def test_bracket_signs_equal_the_full_rows_signs(n, monkeypatch):
         nz = m.eigen.tail
         x2s = np.vstack([selection._tails(m.eigen, x)[0], np.array(oracle)[:, m.null_dim:]])
         want = _loop_signs(x2s, nz, n)
-        assert np.array_equal(selection._grid_signs(m.eigen, x2s), want)  # no sums: full rows
-        assert not sums.any()
-        assert np.array_equal(selection._grid_signs(m.eigen, x2s, sums), want)  # keeps them
-        assert sums.all()
+        assert np.array_equal(selection._grid_signs(m.eigen, x2s), want)  # builds its sums
+        assert np.array_equal(selection._grid_signs(m.eigen, x2s, sums), want)  # the family's
         for block in (entries, 1):
             monkeypatch.setattr(selection, "_BLOCK_ENTRIES", block)
             heads = _recording_heads(monkeypatch)
@@ -410,7 +410,6 @@ def test_a_sign_within_the_slack_takes_the_full_row(monkeypatch):
                                    rows, nz, selection._SCAN_GRID))
     assert {-1.0, 1.0} <= set(want[:, j])
     rebuilt = 0
-    selection._grid_signs(m.eigen, rows[:1], sums)  # the model keeps its sums
     heads = _recording_heads(monkeypatch)
     # one row at a time: a lambda that one row leaves open is built again
     # for the whole stack
@@ -420,6 +419,27 @@ def test_a_sign_within_the_slack_takes_the_full_row(monkeypatch):
         assert set(heads[33:]) <= {len(nz)}  # each lambda left open, in full
         rebuilt += len(heads) > 33
     assert rebuilt > 32
+
+
+@pytest.mark.parametrize("n", [1000, 16385])
+def test_fresh_families_and_stand_alone_solves_cut_their_rows(n, monkeypatch):
+    # a family builds each model's scan sums with the model, and a solve on a
+    # model of no family builds them for its scan: the first fit on a new
+    # family and a stand-alone solve build bracket rows up to their cuts
+    grid = e.design_grid(n)
+    y = e.Generator(kind="f1-spectral").values(grid) \
+        + 0.01 * np.random.default_rng(n).standard_normal(n)
+    fam = e.ModelFamily(grid)
+    heads = _recording_heads(monkeypatch)
+    res = e.fit(fam, y)
+    assert min(heads) < n - 6  # every order's tail holds n - 6 entries at least
+    for d in res.selection.per_q:
+        assert d.lambda_hat == _loop_solve_lambda(fam.model(d.q), res.coeffs).lam
+    m = e.spectral_model(grid, 3.0)
+    x = m.basis.forward(y)
+    del heads[:]
+    assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)
+    assert min(heads) < len(m.eigen.tail)
 
 
 # -- lanes at one lambda share its row -----------------------------------------

@@ -277,13 +277,12 @@ class TestOneRadiusPerDistinctFit:
         assert radii[0] != radii[1] and len(calls) == 2
 
 
-# each experiment at a given noise level, with every other argument valid
-AT_SIGMA = {
-    "run_study": lambda sigma: e.run_study(
-        e.StudyConfig(generator=F1, n=64, replicates=2, sigma=sigma)),
-    "coverage_experiment": lambda sigma: e.coverage_experiment(F1, 64, 2, sigma=sigma),
-    "gcv_ball_experiment": lambda sigma: e.gcv_ball_experiment(
-        F1, 64, (2.0,), 2, sigma=sigma),
+# each experiment on two replicates with the keyword arguments given, every
+# other argument valid
+TWO_REPLICATES = {
+    "run_study": lambda **kw: e.run_study(e.StudyConfig(generator=F1, n=64, replicates=2, **kw)),
+    "coverage_experiment": lambda **kw: e.coverage_experiment(F1, 64, 2, **kw),
+    "gcv_ball_experiment": lambda **kw: e.gcv_ball_experiment(F1, 64, (2.0,), 2, **kw),
 }
 
 
@@ -297,12 +296,20 @@ class TestExperimentArguments:
         return calls
 
     @pytest.mark.parametrize("sigma", [-0.01, math.nan])
-    @pytest.mark.parametrize("name", AT_SIGMA)
+    @pytest.mark.parametrize("name", TWO_REPLICATES)
     def test_noise_level_is_checked_before_any_work(self, work, name, sigma):
         with pytest.raises(EbsplinesError) as exc:
-            AT_SIGMA[name](sigma)
+            TWO_REPLICATES[name](sigma=sigma)
         assert str(exc.value) == f"sigma must be finite and >= 0, got {sigma}"
         assert work == []
+
+    @pytest.mark.parametrize("name", TWO_REPLICATES)
+    def test_negative_seed_is_refused_before_any_replicate(self, monkeypatch, name):
+        # np.random.SeedSequence would raise a bare ValueError on it
+        monkeypatch.setattr(simlab, "_fits", None)  # a replicate would fail otherwise
+        with pytest.raises(EbsplinesError) as exc:
+            TWO_REPLICATES[name](seed=-3)
+        assert str(exc.value) == "seed must be >= 0, got -3"
 
     @pytest.mark.parametrize("L", [0.5, math.inf, math.nan])
     def test_inflation_is_checked_before_any_replicate(self, work, L):

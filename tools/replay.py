@@ -191,7 +191,7 @@ def main(out: str) -> None:
     # where the bracketing scan builds its shortest rows
     family = e.ModelFamily(e.design_grid(64000))
     with open(path("warm-family-64000-sigma1.txt"), "w") as fh:
-        for seed in (1, 2):  # the first fit keeps the scan sums, the second reads them
+        for seed in (1, 2):  # a fit on a fresh family, then one on the same family
             y = f1.values(family.grid) + np.random.default_rng(seed).standard_normal(64000)
             res = e.fit(family, y)
             fh.write(repr((res.lambda_hat, res.q_hat, res.q_star, res.sigma2_hat,
