@@ -142,7 +142,7 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
         else:
             lam = (spectrum.n * energy / (sigma2 * kappa(q, 0, 2))) ** (-2.0 * q / (2.0 * q + 1.0))
     elif method == "numeric-root":
-        sol, = _solve_lambdas(eig, x2[None])
+        (sol,), = _solve_lambdas([(eig, x2[None])])
         lam = math.inf if sol.boundary else sol.lam
     else:
         raise EbsplinesError(f"unknown oracle method {method!r}")

@@ -19,22 +19,26 @@ with sums over i > d.  As lambda -> 0, sum 1/(1+u) -> n - d, so T_lam ->
 after an interior dip below zero, which the selector and the numeric oracle
 lambda (``oracles``: the same solve on E X^2) bracket on a 33-point scan;
 without one the solve is a boundary (f1, q = 1, sigma = 0.01: n <= 300).
-The brackets read only the signs of that scan (``_grid_signs``): each row is
-built up to the index past which u >= 1e3, the rest of each sum is bounded
-in closed form, and a full row is built only where the bounds, widened by
-the rounding error of the sums, leave a sign open; so the brackets, and the
-roots, are those of full rows bit for bit.
+The brackets read only the signs of that scan (``_grid_signs``), and the
+bisection only the signs at its midpoints: each row is built only on the
+band 1e-3 <= u < 1e3, the rest of each sum is bounded in closed form
+(``_t_bounds``; below the band through A = B - sum X^2 r^2 and
+S = m - sum r, r = u/(1+u)), and a full row is built only where the bounds,
+widened by the rounding error of the sums, leave a sign open, and in each
+solve's last round; so the brackets, roots and residuals are those of full
+rows bit for bit.  Nothing is kept between solves.
 
 Every order shares the cosine coefficients X, so dX^2/dq is exactly zero.
 The weight log(n*eta) (``EigenSequence.log_tail``) is q d log(n*eta)/dq
 only at a fixed phase c of n*eta = pi^(2q) (i - c)^(2q); it leaves out the
 term -q/(i - c) of the production phase c = (q+1)/2 (ROADMAP item 1).
 ``solve_lambda`` finds the root of T_lam for one q.  ``_fits``, behind
-``fit``, holds the order selection once: the q-grid checks, each order's
-lambda solve and T_q there, the q rule, one solve per order off a refined
-grid for the rows whose q_hat it is, and the rescale of T_q to data units.
-Solves run as lanes side by side (``_lockstep``); the rows of a round do not
-see the data, so lanes at one lambda share its row (``_scan``).
+``fit``, holds the order selection once: the q-grid checks, every order's
+lambda solves and T_q there, the q rule, one solve of the orders off a
+refined grid for the rows whose q_hat they are, and the rescale of T_q to
+data units.  Solves run as lanes side by side, every order's in one
+lockstep (``_lockstep``); the rows of a round do not see the data, so lanes
+at one lambda share its row (``_scan``).
 
 ``fit``, ``solve_lambda`` and ``gcv.select_lambda_gcv`` guard their data with
 ``_unit_scale``; the criteria at one lambda return values, not a selection,
@@ -44,6 +48,7 @@ and take their coefficients as given, unguarded.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -113,20 +118,18 @@ def _loglik(eigen: EigenSequence, x2: np.ndarray, lam: float) -> float:
     return -0.5 * eigen.n * log_share + 0.5 * float(np.sum(log_r))
 
 
-def _t_rows(n, g, u, v, w, s=None):
+def _t_rows(n, g, u, v, w):
     """The rows of a rescaled derivative that do not see the data, for each
     row of u = lam * nz: r g/v, r and sum(g/v), v = 1 + u, r = u/v, built in
     place of u, v and w.  Returns the finish for squared tail coefficients x2
     (see ``_scan``): (1/n) x2.(r g/v) - (1/n^2) (x2.r) sum(g/v), which is
     T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz).
-    Given sums ``s``, sum(g/v) per row, replace their pass.  The finish
-    reads u, w and the sums, not v, and takes an index ``i`` of rows: x2 at
-    row i[k] (all rows without it)."""
+    The finish reads u, w and the sums, not v, and takes an index ``i`` of
+    rows: x2 at row i[k] (all rows without it)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.divide(u if g is None else np.multiply(u, g, out=w), v, out=w)
-    if s is None:
-        s = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
+    s = np.divide(1.0 if g is None else g, v, out=v).sum(axis=-1)
     # np.vecdot runs the BLAS dot of np.dot on every (row, x2) pair, over
     # stacks too; a @ x2 would sum in another order
     return lambda x2, i=slice(None): (np.vecdot(w[i], x2) / n
@@ -150,7 +153,7 @@ def _outer(lams: np.ndarray, nz: np.ndarray, out: np.ndarray) -> None:
 
 
 def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
-          lanes=None) -> np.ndarray:
+          lanes=None, buf=None) -> np.ndarray:
     """A criterion of the stack ``x2s`` of squared tail coefficients at each of
     ``lams``, (replicates x lambdas), or with ``lanes`` of row lanes[k] at lams[k]
     (a stack of one row serves every lane uncopied).  ``rows_fn(u, v, w)``
@@ -162,7 +165,8 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
     at one lambda share its row: when the distinct lambdas fill fewer blocks
     than the lanes, the blocks hold those, and each block finishes the lanes
     of its rows at most a block of lanes at a time, their x2 gathered into
-    the second buffer (v), which no finish reads."""
+    the second buffer (v), which no finish reads.  The buffers are carved
+    from ``buf`` (``_scratch``) when it is given."""
     step = max(1, _BLOCK_ENTRIES // len(nz))
     keys, row = lams, None
     if lanes is not None and len(lams) > step:
@@ -170,7 +174,8 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
         at = [index.setdefault(lam, len(index)) for lam in lams.tolist()]
         if -(-len(index) // step) < -(-len(lams) // step):
             keys, row, lanes = np.array(list(index)), np.array(at), np.asarray(lanes)
-    bufs = np.empty((3, min(step, len(lams)), len(nz)))
+    shape = (3, min(step, len(lams)), len(nz))
+    bufs = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
     vals = np.empty(len(lams) if lanes is not None else (len(x2s), len(lams)))
     for s in range(0, len(keys), step):
         j = slice(s, s + step)
@@ -246,32 +251,38 @@ class LambdaSolve:
 _SCAN_GRID = _log_grid(33)
 _BISECT_ITER = 200
 
-# u = lam * n eta past which the bracket scan bounds a row rather than
-# building it (``_grid_signs``): the bounds are then within 2/(1 + 1e3).
+# M: the bracket scan and the bisection build T_lam's rows only on the band
+# 1/M <= u < M of u = lam * n eta and bound the rest in closed form, to
+# about 1/M of its size (``_t_bounds``).  The band of each scan lambda
+# starts at n eta = 1/(M lam) and ends at n eta = M/lam.
 _SATURATED = 1e3
+_BAND_ENDS = np.concatenate([1.0 / (_SATURATED * _SCAN_GRID), _SATURATED / _SCAN_GRID])
 _EPS = 2.0 ** -53  # unit roundoff of float64
-_TINY = np.finfo(float).tiny  # 2^-1022
+_TINY = 2.0 ** -1022  # the smallest normal float
 
 
 def _bisect_log(a: float, b: float, rtol: float, tol: float = 0.0):
     """Root of f between a and b, f(a) < 0 <= f(b), by bisection in log
-    lambda, as a lane of ``_lockstep``: yields each midpoint m, is sent f(m).
+    lambda, as a lane of ``_lockstep``: yields each midpoint m with whether
+    it is the last (b/a < 1 + rtol, or the iteration cap), is sent f(m).
 
     Only the sign of f steers the search, so rescaling f (T_lam is quadratic
-    in the data) moves no midpoint.  Stops at the first midpoint m with
+    in the data) moves no midpoint, and where the sign is known beyond the
+    tolerance, +-inf serves for f(m).  Stops at the first midpoint m with
     |f(m)| <= tol or with b/a < 1 + rtol, and returns (m, f(m)).
     """
     for _ in range(_BISECT_ITER):
         m = math.sqrt(a * b)
-        fm = yield m
-        if abs(fm) <= tol or b / a < 1.0 + rtol:
+        last = b / a < 1.0 + rtol
+        fm = yield m, last
+        if abs(fm) <= tol or last:
             return m, fm
         if fm >= 0:
             b = m
         else:
             a = m
     m = math.sqrt(a * b)
-    return m, (yield m)
+    return m, (yield m, True)
 
 
 def _lockstep(lanes: list, f) -> list:
@@ -312,124 +323,302 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     """
     x, (k,) = _unit_scale(np.asarray(coeffs, dtype=float)[None], "coeffs")
     tol = None if tol is None else float(np.ldexp(tol, -2 * k))
-    sol, = _solve_lambdas(model.eigen, _tails(model.eigen, x)[0], tol)
+    (sol,), = _solve_lambdas([(model.eigen, _tails(model.eigen, x)[0])], tol)
     return replace(sol, t_value=float(np.ldexp(sol.t_value, 2 * k)))
 
 
-def _scan_sums(eigen: EigenSequence) -> np.ndarray:
-    """The sums S = sum 1/(1 + lam nz) of T_lam's rows at the scan lambdas,
-    by ``_scan``'s blocks and ``_t_rows``'s pass, so bit for bit its sums."""
-    nz, lams, step = eigen.tail, _SCAN_GRID, max(1, _BLOCK_ENTRIES // len(eigen.tail))
-    buf, s = np.empty((min(step, len(lams)), len(nz))), np.empty(len(lams))
-    for j in range(0, len(lams), step):
-        v = buf[:len(lams[j:j + step])]
-        _outer(lams[j:j + step], nz, v)
-        s[j:j + step] = np.divide(1.0, np.add(v, 1.0, out=v), out=v).sum(axis=-1)
-    return s
+def _ends(eigen: EigenSequence, x2s: np.ndarray, cuts: np.ndarray,
+          out: np.ndarray, buf: np.ndarray) -> None:
+    """Into ``out`` (10 x replicates x lambdas), per row of x2s and lambda j,
+    the head i < H = cuts[0, j] and the tail i >= K = cuts[1, j] of T_lam's
+    row, side by side: H and K, nz[H - 1] and nz[K], then sum x2 nz and sum
+    x2/nz, sum x2 nz^2 and sum x2, and sum nz and sum 1/nz, over the head
+    and the tail (0 over an empty part, whose nz is clipped into the row).
+    Each sum adds up the parts between the distinct cuts, from one
+    ``reduceat`` pass over products built in ``buf`` (``_scratch``)."""
+    nz, m, r = eigen.tail, len(eigen.tail), len(x2s)
+    hs, ts = sorted(set(cuts[0].tolist()) - {0}), sorted(set(cuts[1].tolist()) - {m})
+    # the parts [0, hs[0]), ..., [hs[-2], hs[-1]) after a 0 for H = 0, and
+    # [ts[0], ts[1]), ..., [ts[-1], m) before a 0 for K = m; rows x2 nz,
+    # x2 nz^2 and nz over the heads, x2/nz, x2 and 1/nz over the tails
+    sums = np.zeros((2 * r + 1, len(hs) + len(ts) + 2))
+    if hs:
+        at, top, part = [0, *hs[:-1]], hs[-1], sums[:, 1:len(hs) + 1]
+        x = np.multiply(x2s[:, :top], nz[:top], out=buf[:r * top].reshape(r, top))
+        np.add.reduceat(x, at, axis=1, out=part[:r])
+        np.add.reduceat(np.multiply(x, nz[:top], out=x), at, axis=1, out=part[r:-1])
+        np.add.reduceat(nz[:top], at, out=part[-1])
+        np.cumsum(sums[:, :len(hs) + 1], axis=1, out=sums[:, :len(hs) + 1])
+    if ts:
+        at, low, part = [k - ts[0] for k in ts], ts[0], sums[:, len(hs) + 1:-1]
+        inv = np.divide(1.0, nz[low:], out=buf[:m - low])
+        x = np.multiply(x2s[:, low:], inv, out=buf[m - low:(r + 1) * (m - low)].reshape(r, -1))
+        np.add.reduceat(x, at, axis=1, out=part[:r])
+        np.add.reduceat(x2s[:, low:], at, axis=1, out=part[r:-1])
+        np.add.reduceat(inv, at, out=part[-1])
+        back = sums[:, :len(hs):-1]
+        np.cumsum(back, axis=1, out=back)
+    c = cuts.shape[1]
+    sums = sums[:, np.concatenate([np.searchsorted(hs, cuts[0], "right"),
+                                   np.searchsorted(ts, cuts[1]) + len(hs) + 1])]
+    out[:2] = cuts[:, None]
+    out[2], out[3] = nz[np.maximum(cuts[0] - 1, 0)], nz[np.minimum(cuts[1], m - 1)]
+    out[4:8] = sums[:-1].reshape(2, r, 2, c).transpose(0, 2, 1, 3).reshape(4, r, c)
+    out[8:] = sums[-1].reshape(2, 1, c)
 
 
-def _grid_signs(eigen: EigenSequence, x2s: np.ndarray, sums=None) -> np.ndarray:
-    """The signs (-1, 0, 1) of the T_lam values ``_scan`` gives at the scan
-    lambdas, (replicates x lambdas), for the stack x2s of squared tail
-    coefficients, from rows built only up to a cut; ``sums`` are the
-    model's ``_scan_sums``, built here when not given.
+def _band(lams: np.ndarray, nz: np.ndarray, x2: np.ndarray, buf: np.ndarray):
+    """The sums A = x2.(r/v), B = x2.r and S = sum 1/v of T_lam on the rows
+    lam * nz, one per lambda, v = 1 + u, r = u/v, built in ``buf``, for each
+    row of the stack x2 (replicates x 1 x len(nz)).  They feed bounds only,
+    so they take 1/v once and multiply by it, each term a few roundings
+    off, where ``_t_rows`` divides."""
+    u, v, w = buf[:3 * len(lams) * len(nz)].reshape(3, len(lams), len(nz))
+    _outer(lams, nz, u)
+    np.divide(1.0, np.add(u, 1.0, out=v), out=v)
+    np.multiply(u, v, out=u)
+    np.multiply(u, v, out=w)
+    return np.vecdot(w, x2), np.vecdot(u, x2), v.sum(axis=-1)
 
-    The eigenvalues ascend, so past a cut K every u = lam * nz is at least
-    ``_SATURATED``; K depends on the model and lambda, not on the data.  A
-    block of rows stops at the cut of its smallest lambda.  With delta =
-    1/(1 + lam nz_K), the parts past K of A = sum x2 r/v and B = sum x2 r
-    lie in [(1 - delta)^2, 1] (1/lam) sum x2/nz and [1 - delta, 1] sum x2
-    (sums from K on); S = sum 1/v is whole.  A lambda is settled when, for
-    every row, the bounds on T_lam = A/n - B S/n^2, widened by the slack
-    3 gamma_(n+16) (A/n + B S/n^2) + 2^-1022 at their upper ends, exclude
-    0; otherwise its signs are those of ``_scan``'s full rows.  The slack: A
-    and B each add at most n nonnegative terms, each a few roundings off its
+
+def _band_rows(lams: np.ndarray, nzs: list, x2s: list, buf: np.ndarray) -> tuple:
+    """``_band``'s sums on rows of any lengths: row k lams[k] * nzs[k] with
+    coefficients x2s[k], the rows side by side in ``buf`` (``_scratch``),
+    each summed by one ``reduceat``."""
+    at = [0, *itertools.accumulate(map(len, nzs))]
+    u, x2, w = buf[:3 * at[-1]].reshape(3, at[-1])
+    np.concatenate(nzs, out=u)
+    np.concatenate(x2s, out=x2)
+    np.multiply(u, lams[0] if len(lams) == 1 else np.repeat(lams, np.diff(at)), out=u)
+    np.divide(1.0, np.add(u, 1.0, out=w), out=w)  # 1/v
+    s = np.add.reduceat(w, at[:-1])
+    np.multiply(np.multiply(u, w, out=u), x2, out=x2)  # x2 r
+    b = np.add.reduceat(x2, at[:-1])
+    return np.add.reduceat(np.multiply(x2, w, out=x2), at[:-1]), b, s
+
+
+def _t_bounds(n: int, lam, a, b, s, head, tail, tol=0.0):
+    """The ends lo <= T_lam <= hi at lam, and the slack past which an end
+    fixes the sign of ``_scan``'s T_lam and puts it beyond +-tol, from the
+    sums a, b, s of A, B and S built on a band of the row (``_band``,
+    ``_band_rows``) and ``_ends``' head before it and tail past it.  Elementwise, on arrays as
+    on floats.
+
+    Tail, u >= u_K: with e = u_K/(1 + u_K), r = u/v lies in [e, 1], r/v =
+    r^2/u in [e^2, 1]/u and 1/v = r/u in [e, 1]/u, so the tail's parts of
+    A, B and S lie in [e^2, 1] (1/lam) sum x2/nz, [e, 1] sum x2 and [e, 1]
+    (1/lam) sum 1/nz.  Head, u <= u_h = lam nz_(H-1): T_lam is about
+    (d/n^2) B there, which bounds on A and S would lose to the cancellation
+    of A/n against B S/n^2; but A = B - C, C = sum x2 r^2, and S = H - sum r
+    hold exactly on the head, with r in [(1 - u_h) u, u], so its B, C and
+    sum r lie in [1 - u_h, 1] lam sum x2 nz, [(1 - u_h)^2, 1] lam^2 sum
+    x2 nz^2 and [1 - u_h, 1] lam sum nz.  T_lam rises with the head's B (by
+    (n - S)/n^2 >= 0, as S <= m < n) and sum r (by B/n^2) and with the
+    tail's A, and falls with the head's C and the tail's B and S, so its
+    ends lie at two corners of this box.
+
+    The slack is 6 gamma_(n+16) (A/n + B S/n^2 + tol) + 2^-1022/lam + tol
+    at the upper ends of A and B S, gamma_k = k eps/(1 - k eps).  A, B and
+    S each add at most n nonnegative terms, each a few roundings off its
     exact value, so in ``_scan`` as in the bounds each is within
-    gamma_(n+16) = (n+16) eps / (1 - (n+16) eps) of its exact value (Higham
-    2002, section 3.1); a third gamma covers the rounding of the bounds
-    themselves, and 2^-1022 the products that underflow (2^-1075 each).
+    gamma_(n+16) of its exact value (Higham 2002, section 3.1).  B S/n^2
+    then takes 2 gammas on each side, 4 in all (S is summed otherwise here
+    than in ``_scan``), and A/n 2; the other 2 cover the rounding of the
+    bounds' own arithmetic (the factors lam, e and 1 - u_h, the sums of the
+    parts, the head's C and sum r, at most 1e-3 of B and S) and of adding
+    tol.  A product that underflows is off by 2^-1075, which the tail's
+    1/lam scales by at most 1e28: 2^-1022/lam covers them.
     """
-    n, nz, lams, m = eigen.n, eigen.tail, _SCAN_GRID, len(eigen.tail)
-    s = _scan_sums(eigen) if sums is None else sums
-    cut = np.searchsorted(nz, _SATURATED / lams).tolist()
+    h, nzh, hb, hc, hr, _, nzk, tq, tp, ts = (*head, *tail)
+    f = 1.0 - lam * nzh  # r/u >= 1 - u_h on the head
+    uk = lam * nzk
+    e = uk / (1.0 + uk)  # r >= e on the tail
+    hb, hc, hr, tq, ts = lam * hb, lam * lam * hc, lam * hr, tq / lam, ts / lam
+    n2 = float(n * n)  # exact
+    a_hi, b_hi, s_hi = a + tq + hb, b + tp + hb, s + ts + h
+    lo = (a + e * e * tq + f * hb - hc) / n - (b + tp + f * hb) * (s_hi - f * hr) / n2
+    hi = (a_hi - f * f * hc) / n - (b + e * tp + hb) * (s + e * ts + h - hr) / n2
+    g = 6.0 * (n + 16) * _EPS / (1.0 - (n + 16) * _EPS)
+    return lo, hi, g * (a_hi / n + b_hi * s_hi / n2 + tol) + _TINY / lam + tol
+
+
+def _chunks(sizes: list):
+    """Runs of consecutive indices into ``sizes`` whose sizes add up to at
+    most ``_BLOCK_ENTRIES``, or are one size: what a buffer holds at once."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > _BLOCK_ENTRIES:
+            yield range(start, i)
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        yield range(start, len(sizes))
+
+
+def _bracket_parts(eigen: EigenSequence, x2s: np.ndarray, out: np.ndarray,
+                   buf: np.ndarray) -> None:
+    """Into ``out`` (13 x replicates x lambdas), per row of x2s and scan
+    lambda: the head and the tail of T_lam's row (``_ends``), then the sums
+    A, B and S of ``_band`` on the band between them; and in a second half,
+    if ``out`` has one, the head and tail at the lambda's own cuts, for the
+    midpoints of the brackets next to it (``_solve_lambdas``).
+
+    The eigenvalues ascend, so with M = ``_SATURATED`` every u = lam * nz
+    is below 1/M before a head cut H and at least M from a tail cut K on;
+    H and K depend on the model and lambda, not on the data.  A block of
+    rows is built on the band from the H of its largest lambda to the K of
+    its smallest, as many rows as a buffer holds; an empty band builds
+    nothing."""
+    nz, lams = eigen.tail, _SCAN_GRID
+    own = np.searchsorted(nz, _BAND_ENDS).tolist()
+    head, cut = own[:len(lams)], own[len(lams):]
     blocks, j = [], 0
-    while j < len(lams):  # the rows from j on, as many as a buffer holds at j's cut
-        k = min(len(lams), j + max(1, _BLOCK_ENTRIES // max(cut[j], 1)))
-        blocks.append((slice(j, k), cut[j]))
-        cut[j:k] = [cut[j]] * (k - j)
+    while j < len(lams):  # rows j to k - 1 on the band from k - 1's head to j's cut
+        k = j + 1
+        if head[j] < cut[j]:
+            while (k < len(lams) and head[k] < cut[k]
+                   and (k + 1 - j) * (cut[j] - head[k]) <= _BLOCK_ENTRIES):
+                k += 1
+            blocks.append((j, k))
+            head[j:k], cut[j:k] = [head[k - 1]] * (k - j), [cut[j]] * (k - j)
         j = k
-    # sum x2 and sum x2/nz past each cut < len(nz): one reduceat pass each,
-    # and a last column of zeros for the full rows
-    heads = np.array(sorted({h for _, h in blocks if h < m}), dtype=np.intp)
-    t = np.zeros((2, len(x2s), len(heads) + 1))
-    if len(heads):
-        x, at = x2s[:, heads[0]:], heads - heads[0]
-        np.add.reduceat(x, at, axis=-1, out=t[0, :, :-1])
-        np.add.reduceat(x / nz[heads[0]:], at, axis=-1, out=t[1, :, :-1])
-        np.add.accumulate(t[..., ::-1], axis=-1, out=t[..., ::-1])
-    cut = np.array(cut)
-    p, ql = np.take(t, np.searchsorted(heads, cut), axis=-1)
-    ql /= lams
-    uk = lams * np.take(nz, cut, mode="clip")
-    e = uk / (1.0 + uk)  # 1 - delta
-    nf, n2 = float(n), float(n * n)  # exact
-    g = 3.0 * (n + 16) * _EPS / (1.0 - (n + 16) * _EPS)
-    ab = np.empty((2, len(x2s), len(lams)))
-    buf = np.empty(3 * min(len(lams) * m, max(_BLOCK_ENTRIES, m)))
-    for blk, head in blocks:
-        rows = blk.stop - blk.start
-        u, v, w = buf[:3 * rows * head].reshape(3, rows, head)
-        _outer(lams[blk], nz[:head], u)
-        _t_rows(n, None, u, v, w, s[blk])
-        x2 = x2s[:, None, :head]
-        np.vecdot(w, x2, out=ab[0][:, blk])
-        np.vecdot(u, x2, out=ab[1][:, blk])
-    # the finish of ``_t_rows`` at the two ends of the bounds
-    a, b = ab
-    a_hi, b_hi = (a + ql) / nf, (b + p) * s / n2
-    lo = (a + e * e * ql) / nf - b_hi
-    hi = a_hi - (b + e * p) * s / n2
+    if out.shape[-1] > len(lams):  # and at the lambdas' own cuts
+        head, cut = head + own[:len(lams)], cut + own[len(lams):]
+    _ends(eigen, x2s, np.array([head, cut]), out[:10], buf)
+    out[10:] = 0.0
+    for j, k in blocks:
+        band = slice(head[j], cut[j])
+        out[10, :, j:k], out[11, :, j:k], out[12, :, j:k] = _band(
+            lams[j:k], nz[band], x2s[:, None, band], buf)
+
+
+def _scratch(problems: list) -> np.ndarray:
+    """A buffer for the products ``_ends`` sums and the rows ``_band``,
+    ``_band_rows`` and ``_scan`` build, for any of ``problems``: one per
+    solve, as a fresh large array costs a page fault per 4 KB."""
+    return np.empty(max(max(len(x2s) + 1, 3) * x2s.shape[1] + 3 * _BLOCK_ENTRIES
+                        for _, x2s in problems))
+
+
+def _grid_signs(problems: list, buf: np.ndarray | None = None,
+                own: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The signs (-1, 0, 1) of the T_lam values ``_scan`` gives at the scan
+    lambdas for the stacks x2s of squared tail coefficients of ``problems``
+    [(eigen, x2s), ...], models on one grid, their rows one after another,
+    (rows x lambdas); and their ``_bracket_parts`` (13 x rows x lambdas, and
+    with ``own`` a second half at the lambdas' own cuts, from which
+    ``_solve_lambdas`` bounds the midpoints of its brackets).
+    One pass of ``_t_bounds`` bounds every row.  A lambda is settled for a
+    stack when, for every row of it, the bounds, widened by their slack,
+    exclude 0; otherwise its signs are those of ``_scan``'s full rows."""
+    buf = _scratch(problems) if buf is None else buf
+    at = [0, *itertools.accumulate(len(x2s) for _, x2s in problems)]
+    parts = np.empty((13, at[-1], (1 + own) * len(_SCAN_GRID)))
+    for (eigen, x2s), r0, r1 in zip(problems, at, at[1:]):
+        _bracket_parts(eigen, x2s, parts[:, r0:r1], buf)
+    n, grid = problems[0][0].n, parts[..., :len(_SCAN_GRID)]
+    lo, hi, slack = _t_bounds(n, _SCAN_GRID, *grid[10:], grid[:10:2], grid[1:10:2])
     signs = np.sign(lo + hi)
-    todo = np.flatnonzero(~(np.maximum(lo, -hi) > g * (a_hi + b_hi) + _TINY).all(axis=0))
-    if len(todo):
-        signs[:, todo] = np.sign(_scan(functools.partial(_t_rows, n, None), x2s, nz, lams[todo]))
-    return signs
+    open_ = ~(np.maximum(lo, -hi) > slack)
+    for (eigen, x2s), r0, r1 in zip(problems, at, at[1:]) if open_.any() else ():
+        todo = np.flatnonzero(open_[r0:r1].any(axis=0))
+        if len(todo):
+            signs[r0:r1, todo] = np.sign(_scan(functools.partial(_t_rows, n, None), x2s,
+                                               eigen.tail, _SCAN_GRID[todo], None, buf))
+    return signs, parts
 
 
-def _solve_lambdas(eigen: EigenSequence, x2s: np.ndarray, tol=None,
-                   sums=None) -> list[LambdaSolve]:
-    """``solve_lambda`` for each row of the stack x2s of squared tail
-    coefficients, every bracket a lane, with the scan sums ``sums`` that the
-    model's family keeps (``ModelFamily``), if any.  The brackets come from the
-    signs of T_lam on the scan grid (``_grid_signs``), the same as the signs
-    of ``_scan``'s values, so the roots are the same bit for bit."""
-    n, nz = eigen.n, eigen.tail
-    tols = ((1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300) if tol is None
-            else [tol] * len(x2s))
+def _solve_lambdas(problems: list, tol=None) -> list[list[LambdaSolve]]:
+    """``solve_lambda`` for each row of each stack x2s of squared tail
+    coefficients of ``problems`` [(eigen, x2s), ...], models on one grid,
+    every bracket a lane of one lockstep.  The brackets come from the signs
+    of T_lam on the scan grid (``_grid_signs``), the same as the signs of
+    ``_scan``'s values.  In stacks of rows the lanes at one lambda share
+    full rows (``_scan``).  A single row's lane bounds its midpoints
+    instead: they lie between its bracket's lambdas, so the head before the
+    upper one's band and the tail past the lower one's stay head and tail
+    at each of them.  A round builds a midpoint's row on that band only
+    (``_band_rows``, the round's bands side by side), with the bracket
+    scan's head and tail sums, and takes the sign from the bounds
+    (``_t_bounds``, in floats for the round's few lanes) where they put
+    T_lam beyond +-tol.  It builds the full row where they do not and in a
+    lane's last round, so the brackets, roots and t_values are ``_scan``'s
+    bit for bit."""
+    n = problems[0][0].n
     rows = functools.partial(_t_rows, n, None)
+    tols = (np.full(sum(len(x2s) for _, x2s in problems), float(tol)) if tol is not None else
+            np.concatenate([(1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300)
+                            for _, x2s in problems]))
+    # a stack of rows shares full rows among its lanes at one lambda; the
+    # lanes of single rows bound their midpoints on their bands
+    single = all(len(x2s) == 1 for _, x2s in problems)
+    buf = _scratch(problems)
+    signs, parts = _grid_signs(problems, buf, single)
+    gs, js = np.nonzero((signs[:, :-1] < 0) & (signs[:, 1:] > 0))
+    # per lane: its problem and row there, the head at its upper lambda and
+    # the tail at its lower (their own cuts), its tolerance, and its band's
+    # eigenvalues and coefficients
+    own = js + len(_SCAN_GRID) * single
+    heads, tails, tols = parts[:10:2, gs, own + 1], parts[1:10:2, gs, own], tols[gs]
+    sizes = [len(x2s) for _, x2s in problems]
+    lane_p = np.repeat(np.arange(len(problems)), sizes)[gs]
+    lane_k = gs - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)[gs]
+    bands = [(problems[p][0].tail[a:b], problems[p][1][k, a:b])
+             for p, k, a, b in zip(lane_p.tolist(), lane_k.tolist(),
+                                   heads[0].astype(int).tolist(), tails[0].astype(int).tolist())]
+    heads_l, tails_l, tols_l = heads.T.tolist(), tails.T.tolist(), tols.tolist()
 
-    tv = _grid_signs(eigen, x2s, sums)
-    ks, js = np.nonzero((tv[:, :-1] < 0) & (tv[:, 1:] > 0))
-    roots = _lockstep([_bisect_log(_SCAN_GRID[j], _SCAN_GRID[j + 1], 1e-14, tols[k])
-                       for k, j in zip(ks, js)],
-                      lambda m, live: _scan(rows, x2s, nz, np.array(m), ks[live]))
-    sols = [None] * len(x2s)
-    for k, (lam, t_at) in zip(ks.tolist(), roots):
+    def full_rows(lams, live):
+        """T_lam of the lanes ``live`` at ``lams`` on full rows (``_scan``:
+        the lanes of an order at one lambda share its row)."""
+        lams, live = np.array(lams), np.array(live, dtype=int)
+        at, vals = np.searchsorted(lane_p[live], np.arange(len(problems) + 1)), np.empty(len(live))
+        for (eigen, x2s), a, b in zip(problems, at, at[1:]):
+            if a < b:
+                vals[a:b] = _scan(rows, x2s, eigen.tail, lams[a:b], lane_k[live[a:b]], buf)
+        return vals.tolist()
+
+    def values(points, live):
+        lams, vals = [m for m, _ in points], [None] * len(live)
+        # single rows: each midpoint's row on its band (side by side), its
+        # sign where the bounds, in floats, put T_lam beyond +-tol
+        todo = [i for i, (_, last) in enumerate(points) if single and not last]
+        sums = np.zeros((3, len(todo)))  # A, B and S on each band, 0 on an empty one
+        built = [c for c, i in enumerate(todo) if len(bands[live[i]][0])]
+        for run in _chunks([len(bands[live[todo[c]]][0]) for c in built]):
+            part = [built[r] for r in run]
+            sums[:, part] = _band_rows(np.array([lams[todo[c]] for c in part]),
+                                       *zip(*(bands[live[todo[c]]] for c in part)), buf)
+        for i, (a, b, s) in zip(todo, sums.T.tolist()):
+            lo, hi, slack = _t_bounds(n, lams[i], a, b, s, heads_l[live[i]], tails_l[live[i]],
+                                      tols_l[live[i]])
+            vals[i] = math.inf if lo > slack else -math.inf if -hi > slack else None
+        rest = [i for i, val in enumerate(vals) if val is None]
+        for i, val in zip(rest, full_rows([lams[i] for i in rest], [live[i] for i in rest])):
+            vals[i] = val
+        return vals
+
+    roots = _lockstep([_bisect_log(_SCAN_GRID[j], _SCAN_GRID[j + 1], 1e-14, t)
+                       for j, t in zip(js.tolist(), tols_l)], values)
+    sols = [[None] * len(x2s) for _, x2s in problems]
+    for p, k, (lam, t_at) in zip(lane_p.tolist(), lane_k.tolist(), roots):
         # a later root of the row wins only by a higher marginal likelihood
-        if sols[k] is None or (_loglik(eigen, x2s[k], lam)
-                               > _loglik(eigen, x2s[k], sols[k].lam)):
-            sols[k] = LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
+        eigen, x2s = problems[p]
+        if sols[p][k] is None or (_loglik(eigen, x2s[k], lam)
+                                  > _loglik(eigen, x2s[k], sols[p][k].lam)):
+            sols[p][k] = LambdaSolve(lam=float(lam), t_value=float(t_at), boundary=False)
 
     # Rows without a root anywhere in the (extended) interval.  The marginal
     # likelihood diverges as lambda -> 0, so the fallback does not compare
     # likelihoods: it returns the end of the theory interval [1/n, 1] with the
     # smaller |T_lam|, the smoothing end on ties, and sets the boundary flag.
-    none = [k for k, sol in enumerate(sols) if sol is None]
-    if none:
-        ends = np.array([LAMBDA_MAX, 1.0 / n])
-        for k, t in zip(none, _scan(rows, x2s[none], nz, ends)):
-            e = int(abs(t[1]) < abs(t[0]))
-            sols[k] = LambdaSolve(lam=float(ends[e]), t_value=float(t[e]), boundary=True)
+    ends = np.array([LAMBDA_MAX, 1.0 / n])
+    for (eigen, x2s), sol in zip(problems, sols):
+        none = [k for k, s in enumerate(sol) if s is None]
+        if none:
+            for k, t in zip(none, _scan(rows, x2s[none], eigen.tail, ends)):
+                e = int(abs(t[1]) < abs(t[0]))
+                sol[k] = LambdaSolve(lam=float(ends[e]), t_value=float(t[e]), boundary=True)
     return sols
 
 
@@ -437,23 +626,17 @@ class ModelFamily:
     """The production models on one design grid: ``spectral_model(grid, q)``,
     the cosine basis with the order-q penalty-phase eigenvalues, cached per
     order.  All orders use the transform ``basis``: a fit transforms data once.
-    With each model it keeps the sums sum(1/(1 + lam n eta)) at the 33 scan
-    lambdas of T_lam (``_scan_sums``), built with the model and never
-    written after: they do not see the data, and every scan on it reads them.
     """
 
     def __init__(self, grid: DesignGrid):
         self.grid = grid
         self.basis = make_basis(grid, 1.0)  # the cosine basis ignores the order
-        self._models: dict[float, tuple[SpectralModel, np.ndarray]] = {}
+        self._models: dict[float, SpectralModel] = {}
 
     def model(self, q: float) -> SpectralModel:
-        return self._entry(q)[0]
-
-    def _entry(self, q) -> tuple[SpectralModel, np.ndarray]:
         q = float(q)
         if q not in self._models:
-            self._models[q] = (m := spectral_model(self.grid, q), _scan_sums(m.eigen))
+            self._models[q] = spectral_model(self.grid, q)
         return self._models[q]
 
 
@@ -581,14 +764,15 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         raise EbsplinesError("q grid values must exceed 1/2")
     x = family.basis.forward(x)
 
-    # per order, every row's lambda solve and T_q there (unit scale)
-    sols, tqs = [], np.empty((len(x), len(qgrid)))
-    for j, q in enumerate(qgrid):
-        m, sums = family._entry(q)
-        x2s, nz = _tails(m.eigen, x)
-        sols.append(_solve_lambdas(m.eigen, x2s, sums=sums))
-        tqs[:, j] = _scan(functools.partial(_t_rows, n, m.eigen.log_tail), x2s, nz,
-                          np.array([sol.lam for sol in sols[j]]), np.arange(len(x)))
+    # every order's lambda solves, side by side, and T_q there (unit scale);
+    # x2 past each null space, copied for a stack (``_scan`` gathers rows faster then)
+    x2 = x ** 2
+    problems = [(eigen, np.ascontiguousarray(x2[:, eigen.null_dim:])) for eigen in
+                (family.model(q).eigen for q in qgrid)]
+    sols, tqs = _solve_lambdas(problems), np.empty((len(x), len(qgrid)))
+    for j, ((eigen, x2s), sol) in enumerate(zip(problems, sols)):
+        tqs[:, j] = _scan(functools.partial(_t_rows, n, eigen.log_tail), x2s, eigen.tail,
+                          np.array([s.lam for s in sol]), np.arange(len(x)))
 
     picks = []  # per row: the positive T_q, q* and q_hat
     for tvals in tqs:
@@ -605,10 +789,13 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         picks.append((pos, q_star, float(min(max(math.floor(q_star + 0.5), math.ceil(qgrid[0])),
                                              math.floor(qgrid[-1])))))
     fits, by_q = [], dict(zip(qgrid, sols))
-    for q in sorted({p[2] for p in picks} - by_q.keys()):  # off a refined grid
-        rows = [r for r, p in enumerate(picks) if p[2] == q]  # one solve of them all
-        m, sums = family._entry(q)
-        by_q[q] = dict(zip(rows, _solve_lambdas(m.eigen, _tails(m.eigen, x[rows])[0], sums=sums)))
+    off = {q: [r for r, p in enumerate(picks) if p[2] == q]  # off a refined grid
+           for q in sorted({p[2] for p in picks} - by_q.keys())}
+    if off:  # one solve of them all
+        eigens = [family.model(q).eigen for q in off]
+        for (q, rows), sol in zip(off.items(), _solve_lambdas(
+                [(eigen, x2[rows, eigen.null_dim:]) for eigen, rows in zip(eigens, off.values())])):
+            by_q[q] = dict(zip(rows, sol))
     for r, (xk, k, tvals, (pos, q_star, q_hat)) in enumerate(zip(x, ks.tolist(), tqs, picks)):
         model, sol = family.model(q_hat), by_q[q_hat][r]
         s2 = sigma2_hat(model, xk, sol.lam)

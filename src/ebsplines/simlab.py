@@ -255,11 +255,13 @@ def _moments(a: np.ndarray) -> tuple[float, float]:
     return float(np.mean(a)), 0.0
 
 
-def _design(generator, n: int, sigma, convention: str = "midpoint"):
+def _design(generator, n: int, sigma, seed: int, convention: str = "midpoint"):
     """The model family on the design of n points, the true function values
     on it and their name: ``generator`` is an object with a ``values(grid)``
-    method or the n values themselves.  Checks sigma as the config readers do."""
+    method or the n values themselves.  Checks sigma and the seed as the
+    config readers do, before any work."""
     _noise_level(sigma)
+    _seed(seed)
     family = ModelFamily(design_grid(n, convention))
     if hasattr(generator, "values"):
         f_true = np.asarray(generator.values(family.grid), dtype=float)
@@ -296,7 +298,7 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
                            ("mse", float), ("lambda_q", float, (width,)),
                            ("gcv_lambda", float, (len(gcv_orders),)),
                            ("gcv_mse", float, (len(gcv_orders),))])
-    streams = np.random.SeedSequence(_seed(seed)).spawn(count)
+    streams = np.random.SeedSequence(seed).spawn(count)
     size = max(1, 2**15 // n)
     for s in range(0, count, size):
         rngs = map(np.random.default_rng, streams[s:s + size])
@@ -326,7 +328,7 @@ def run_study(config: StudyConfig) -> SimulationReport:
     All methods see identical data streams; aggregates are invariant to the
     order in which replicates run.
     """
-    family, gen_values, _ = _design(config.generator, config.n, config.sigma,
+    family, gen_values, _ = _design(config.generator, config.n, config.sigma, config.seed,
                                     config.design_convention)
     qgrid = config.resolved_q_grid()
     rec = _record(family, gen_values, config.sigma, config.seed, config.replicates, 1,
@@ -394,7 +396,7 @@ def coverage_experiment(generator, n: int, replicates: int, L: float = 2.0,
     the truth plus the realized radius.
     """
     _check_inflation(L)
-    family, f_true, gen_name = _design(generator, n, sigma)
+    family, f_true, gen_name = _design(generator, n, sigma, seed)
     rec = _record(family, f_true, sigma, seed, replicates)
     radii, hits = _eb_balls(family, rec, L, spec)
     quants = {str(p): float(np.quantile(radii, p)) for p in (0.1, 0.25, 0.5, 0.75, 0.9)}
@@ -436,7 +438,7 @@ def gcv_ball_experiment(generator, n: int, q_choices, replicates: int,
     matched empirical-Bayes arm fits the first sample and builds its own ball
     with L = 2 for contrast.
     """
-    family, f_true, gen_name = _design(generator, n, sigma, convention)
+    family, f_true, gen_name = _design(generator, n, sigma, seed, convention)
     if beta is None:
         beta = getattr(generator, "beta", None)
     if beta is None:

@@ -1,9 +1,10 @@
 """The blocked log-lambda scans (``selection._scan``) against the public
 criteria, against this file's own loop formulas and against the
 one-lambda-at-a-time solvers built from them, a block of replicates
-against batches of one, fits on a family that keeps its scan sums
-against fits on a fresh one, bit for bit, and the bracketing scan's signs
-from rows cut short (``selection._grid_signs``) against full rows."""
+against batches of one, fits on a warm family against fits on a fresh one,
+bit for bit, the bracketing scan's signs from rows built on a band
+(``selection._grid_signs``) against full rows, and the bounds of T_lam
+(``selection._t_bounds``) against the loop formula."""
 
 import dataclasses
 import functools
@@ -218,7 +219,7 @@ def test_a_block_of_replicates_equals_batches_of_one(kind, sigma):
         assert _same(res, e.fit(fam, yk, qgrid))
     for q in (1.0, 6.0):  # fit covers every order; these two span the null spaces
         m = fam.model(q)
-        sols = selection._solve_lambdas(m.eigen, selection._tails(m.eigen, x)[0])
+        sols, = selection._solve_lambdas([(m.eigen, selection._tails(m.eigen, x)[0])])
         gcvs = gcv._select_gcvs(m, x)
         for k in range(37):
             assert _same(sols[k], e.solve_lambda(m, x[k]))
@@ -240,7 +241,7 @@ def test_a_block_of_replicates_equals_batches_of_one(kind, sigma):
         assert sum(a < 0 < b for a, b in zip(tv, tv[1:])) == 2
 
 
-# -- the scan sums a family keeps, against a fresh family ---------------------
+# -- fits on a warm family, against a fresh family -----------------------------
 
 _SCAN, _GRID_SIGNS = selection._scan, selection._grid_signs
 
@@ -250,15 +251,15 @@ def _fit_bits(monkeypatch, family, y, qgrid):
     of every scan it ran and of the T_lam signs of its bracketing scans."""
     scans = []
 
-    def recording(f):
+    def recording(f, signs=lambda vals: vals):
         def call(*args, **kwargs):
             vals = f(*args, **kwargs)
-            scans.append(vals.tobytes())
+            scans.append(signs(vals).tobytes())
             return vals
         return call
 
     monkeypatch.setattr(selection, "_scan", recording(_SCAN))
-    monkeypatch.setattr(selection, "_grid_signs", recording(_GRID_SIGNS))
+    monkeypatch.setattr(selection, "_grid_signs", recording(_GRID_SIGNS, lambda out: out[0]))
     res = e.fit(family, y, qgrid)
     return res, (repr((res.lambda_hat, res.q_hat, res.q_star, res.sigma2_hat, res.boundary,
                        [(d.q, d.lambda_hat, d.t_q_value, d.boundary)
@@ -286,43 +287,59 @@ def test_fits_on_a_warm_family_equal_fits_on_a_fresh_one(n, spacing, monkeypatch
     assert off_grid or spacing == 0.5
 
 
-def test_recorded_sums_are_the_scan_kernels_sums():
-    # a new family's sums, before any fit, are the sums as the kernel
-    # computes them: a block of rows 1 + lam * nz at a time; a fit reads
-    # them and writes nothing
-    for n in (200, 1000, 16385):
-        fam = e.ModelFamily(e.design_grid(n))
-        refs = {}
-        for q in e.default_q_grid(n):
-            m, sums = fam._entry(q)
-            nz = m.eigen.tail
-            step = max(1, selection._BLOCK_ENTRIES // len(nz))
-            refs[q] = np.concatenate([
-                (1.0 / (1.0 + selection._SCAN_GRID[s:s + step, None] * nz)).sum(axis=-1)
-                for s in range(0, 33, step)]).tobytes()
-            assert sums.tobytes() == refs[q]
-        e.fit(fam, e.Generator(kind="f1-spectral").values(fam.grid)
-              + 0.01 * np.random.default_rng(n).standard_normal(n))
-        assert {q: fam._entry(q)[1].tobytes() for q in refs} == refs
+@pytest.mark.parametrize("n", [200, 1000, 16385])
+def test_t_lam_lies_within_its_bounds(n):
+    # the loop formula's T_lam lies within the bounds, widened by their
+    # slack: at each scan lambda, from the sums at its block's cuts, and at a
+    # lambda inside each bracket, from the sums at its ends' own cuts (the
+    # band's sums by the loop formula too); a family keeps only its models
+    fam = e.ModelFamily(e.design_grid(n))
+    rng = np.random.default_rng(n)
+    ys = [e.Generator(kind=kind).values(fam.grid) + sigma * rng.standard_normal(n)
+          for kind in ("f1-spectral", "f2-cosine") for sigma in (0.01, 1.0)]
+    x = fam.basis.forward(selection._unit_scale(np.array(ys), "y")[0])
+    grid, cols = selection._SCAN_GRID, len(selection._SCAN_GRID)
+    mids = np.exp(rng.uniform(np.log(grid[:-1]), np.log(grid[1:])))
+    for q in e.default_q_grid(n):
+        m = fam.model(q)
+        x2s, nz = selection._tails(m.eigen, x)
+        _, parts = selection._grid_signs([(m.eigen, x2s)])
+        at = parts[..., :cols]
+        lo, hi, slack = selection._t_bounds(n, grid, *at[10:], at[:10:2], at[1:10:2])
+        t = np.array([[_loop_t_lam(x2, nz, n, lam) for lam in grid] for x2 in x2s])
+        assert (lo - slack <= t).all() and (t <= hi + slack).all()
+        own = parts[:10, :, cols:]
+        for x2, ends in zip(x2s, own.transpose(1, 0, 2)):
+            sums = []
+            for j, lam in enumerate(mids):
+                band = slice(int(ends[0, j + 1]), int(ends[1, j]))
+                u = lam * nz[band]
+                r = u / (1.0 + u)
+                sums.append((x2[band] @ (r / (1.0 + u)), x2[band] @ r, np.sum(1.0 / (1.0 + u))))
+            lo, hi, slack = selection._t_bounds(n, mids, *np.array(sums).T, ends[::2, 1:],
+                                                ends[1::2, :-1])
+            t = np.array([_loop_t_lam(x2, nz, n, lam) for lam in mids])
+            assert (lo - slack <= t).all() and (t <= hi + slack).all()
+    e.fit(fam, ys[0])
+    assert vars(fam).keys() == {"grid", "basis", "_models"}
+    assert all(type(v) is e.SpectralModel for v in fam._models.values())
 
 
-def test_stand_alone_model_solve_ignores_a_production_familys_sums():
-    # the sums belong to the family's own models, not to an order and a size:
-    # a solve that read the family's (spoiled) sums would not match the loop
+def test_stand_alone_model_solve_equals_the_familys():
+    # a family keeps nothing that a solve reads: after a fit on a production
+    # family, a model of no family solves as the family's model of its order
+    # and as the loop solver
     grid = e.design_grid(256)
     y = e.Generator(kind="f1-spectral").values(grid) \
         + 0.01 * np.random.default_rng(3).standard_normal(256)
     fam = e.ModelFamily(grid)
     e.fit(fam, y)
-    sums = fam._entry(2.0)[1]
-    assert sums.all()
-    sums[:] = np.nan
     m = e.spectral_model(grid, 2.0)
     x = m.basis.forward(y)
-    assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)
+    assert e.solve_lambda(m, x) == e.solve_lambda(fam.model(2.0), x) == _loop_solve_lambda(m, x)
 
 
-# -- the bracketing scan's signs, from rows built up to a cut -----------------
+# -- the bracketing scan's signs, from rows built on a band -------------------
 
 def _loop_signs(x2s, nz, n):
     return np.sign([[_loop_t_lam(x2, nz, n, lam) for lam in selection._SCAN_GRID]
@@ -342,11 +359,26 @@ def _recording_heads(monkeypatch):
     return heads
 
 
+def _recording_scans(monkeypatch):
+    """The lambdas of the full rows ``_scan`` builds from here on."""
+    lams = []
+
+    def scan(rows_fn, x2s, nz, at, *rest):
+        lams.extend(at.tolist())
+        return _SCAN(rows_fn, x2s, nz, at, *rest)
+
+    monkeypatch.setattr(selection, "_scan", scan)
+    return lams
+
+
 @pytest.mark.parametrize("n", [8, 1000, 16385])
 def test_bracket_signs_equal_the_full_rows_signs(n, monkeypatch):
     # f1 and f2 at four noise levels, two of them at data scales whose
-    # squares leave the float range, and the oracle rows E X^2 = B^2 + sigma^2;
-    # one row per block makes every cut a block's head, the empty one too
+    # squares leave the float range, and the oracle rows E X^2 = B^2 + sigma^2,
+    # order by order and all orders in one scan.  Each order has lambdas whose
+    # band 1e-3 <= u < 1e3 is empty, which build nothing, and bands cut at one
+    # end or both; at q = 1 and 2 and n = 16,385 some rows are all head
+    # (u < 1e-3 across the row).  One row per block makes each band a block
     fam = e.ModelFamily(e.design_grid(n))
     rng = np.random.default_rng(n)
     ys, oracle = [], []
@@ -357,81 +389,95 @@ def test_bracket_signs_equal_the_full_rows_signs(n, monkeypatch):
     ys += [2.0 ** -520 * ys[1], 2.0 ** 510 * ys[5]]
     x = fam.basis.forward(selection._unit_scale(np.array(ys), "y")[0])
     entries = selection._BLOCK_ENTRIES
-    empty = full = False
+    problems, wants = [], []
     for q in e.default_q_grid(n):
-        m, sums = fam._entry(q)
+        m = fam.model(q)
         nz = m.eigen.tail
         x2s = np.vstack([selection._tails(m.eigen, x)[0], np.array(oracle)[:, m.null_dim:]])
         want = _loop_signs(x2s, nz, n)
-        assert np.array_equal(selection._grid_signs(m.eigen, x2s), want)  # builds its sums
-        assert np.array_equal(selection._grid_signs(m.eigen, x2s, sums), want)  # the family's
+        head, cut = np.split(np.searchsorted(nz, selection._BAND_ENDS), 2)
+        bands = [int(c - h) for h, c in zip(head, cut) if h < c]
+        assert (head == cut).any() and ((head < cut) & ((head > 0) | (cut < len(nz)))).any()
+        if n == 16385 and q <= 2:
+            assert (head == len(nz)).any()
         for block in (entries, 1):
             monkeypatch.setattr(selection, "_BLOCK_ENTRIES", block)
-            heads = _recording_heads(monkeypatch)
-            assert np.array_equal(selection._grid_signs(m.eigen, x2s, sums), want)
+            heads, full = _recording_heads(monkeypatch), _recording_scans(monkeypatch)
+            assert np.array_equal(selection._grid_signs([(m.eigen, x2s)])[0], want)
+            # all-head rows are settled: there T_lam is about (d/n^2) B, which
+            # only the head's identities keep from the bounds' width
+            assert not set(selection._SCAN_GRID[head == len(nz)].tolist()) & set(full)
+            if block == 1:
+                assert heads[:len(bands)] == bands
             for k in (0, 9, len(x2s) - 1):  # a stack of one row
-                assert np.array_equal(selection._grid_signs(m.eigen, x2s[k:k + 1], sums),
+                assert np.array_equal(selection._grid_signs([(m.eigen, x2s[k:k + 1])])[0],
                                       want[k:k + 1])
-            empty |= 0 in heads
-            full |= len(nz) in heads
         monkeypatch.setattr(selection, "_BLOCK_ENTRIES", entries)
-    assert full and (empty or n == 8)
+        problems.append((m.eigen, x2s))
+        wants.append(want)
+    assert np.array_equal(selection._grid_signs(problems)[0], np.vstack(wants))
 
 
 def test_a_sign_within_the_slack_takes_the_full_row(monkeypatch):
     # T_lam is linear in x2, so between two rows whose signs differ at a
-    # grid lambda lies a row on which it is 0 to rounding.  Rows that are 0
-    # from that lambda's cut on make the bounds meet at the cut row's value,
-    # which rounds otherwise than the full row's: only the slack keeps the
-    # full row's sign (with no slack, some of these rows change sign)
-    n = 1000
-    monkeypatch.setattr(selection, "_BLOCK_ENTRIES", 1)  # each row cut at its own cut
+    # grid lambda lies a row on which it is 0 to rounding.  Where the band
+    # 1e-3 <= u < 1e3 holds the whole row (n = 200, q = 1), nothing is bound
+    # in closed form and the bounds meet at the band's sums, which round
+    # otherwise than the full row's: only the slack keeps the full row's sign
+    # (with no slack, some of these rows change sign)
+    n = 200
     fam = e.ModelFamily(e.design_grid(n))
-    m, sums = fam._entry(3.0)
+    m = fam.model(1.0)
     nz = m.eigen.tail
     f = e.Generator(kind="f1-spectral").values(fam.grid)
     noise = np.random.default_rng(5).standard_normal(n)
-    pair = selection._tails(m.eigen, fam.basis.forward(
+    a, b = selection._tails(m.eigen, fam.basis.forward(
         selection._unit_scale(np.array([f + 0.01 * noise, f + noise]), "y")[0]))[0]
-    cut = np.searchsorted(nz, selection._SATURATED / selection._SCAN_GRID)
-    for j in np.flatnonzero((cut > 0) & (cut < len(nz))):
-        a, b = pair * (np.arange(len(nz)) < cut[j])
-        t_ab = [_loop_t_lam(x2, nz, n, selection._SCAN_GRID[j]) for x2 in (a, b)]
-        if t_ab[0] * t_ab[1] < 0:
-            break
+    head, cut = np.split(np.searchsorted(nz, selection._BAND_ENDS), 2)
+    lams = selection._SCAN_GRID
+    j = next(j for j in np.flatnonzero((head == 0) & (cut == len(nz)))
+             if _loop_t_lam(a, nz, n, lams[j]) * _loop_t_lam(b, nz, n, lams[j]) < 0)
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        t_mid = _loop_t_lam((1 - mid) * a + mid * b, nz, n, selection._SCAN_GRID[j])
-        lo, hi = (mid, hi) if (t_mid > 0) == (t_ab[0] > 0) else (lo, mid)
+        t_mid = _loop_t_lam((1 - mid) * a + mid * b, nz, n, lams[j])
+        lo, hi = (mid, hi) if (t_mid > 0) == (_loop_t_lam(a, nz, n, lams[j]) > 0) else (lo, mid)
     rows = ((1 - lo) * a + lo * b) * (1 + np.random.default_rng(1).integers(
         -4, 5, (256, len(nz))) * 2.0 ** -52)
     want = np.sign(selection._scan(functools.partial(selection._t_rows, n, None),
-                                   rows, nz, selection._SCAN_GRID))
+                                   rows, nz, lams))
     assert {-1.0, 1.0} <= set(want[:, j])
+    full = []
+
+    def scan(rows_fn, x2s, nz, lams, *rest):
+        full.append((len(nz), lams.tolist()))
+        return _SCAN(rows_fn, x2s, nz, lams, *rest)
+
+    monkeypatch.setattr(selection, "_scan", scan)
     rebuilt = 0
-    heads = _recording_heads(monkeypatch)
-    # one row at a time: a lambda that one row leaves open is built again
-    # for the whole stack
-    for row, signs in zip(rows, want):
-        del heads[:]
-        assert np.array_equal(selection._grid_signs(m.eigen, row[None], sums)[0], signs)
-        assert set(heads[33:]) <= {len(nz)}  # each lambda left open, in full
-        rebuilt += len(heads) > 33
+    for row, signs in zip(rows, want):  # one row at a time
+        del full[:]
+        assert np.array_equal(selection._grid_signs([(m.eigen, row[None])])[0][0], signs)
+        assert all(size == len(nz) for size, _ in full)  # each lambda left open, in full
+        rebuilt += any(lams[j] in built for _, built in full)
     assert rebuilt > 32
 
 
 @pytest.mark.parametrize("n", [1000, 16385])
 def test_fresh_families_and_stand_alone_solves_cut_their_rows(n, monkeypatch):
-    # a family builds each model's scan sums with the model, and a solve on a
-    # model of no family builds them for its scan: the first fit on a new
-    # family and a stand-alone solve build bracket rows up to their cuts
+    # a family keeps nothing for its later fits: the first fit on a new family
+    # builds the rows a later fit builds, bracket rows on their bands, and a
+    # solve on a model of no family cuts its rows too
     grid = e.design_grid(n)
     y = e.Generator(kind="f1-spectral").values(grid) \
         + 0.01 * np.random.default_rng(n).standard_normal(n)
     fam = e.ModelFamily(grid)
     heads = _recording_heads(monkeypatch)
     res = e.fit(fam, y)
+    fresh = list(heads)
+    del heads[:]
+    e.fit(fam, y)
+    assert heads == fresh
     assert min(heads) < n - 6  # every order's tail holds n - 6 entries at least
     for d in res.selection.per_q:
         assert d.lambda_hat == _loop_solve_lambda(fam.model(d.q), res.coeffs).lam
@@ -442,13 +488,55 @@ def test_fresh_families_and_stand_alone_solves_cut_their_rows(n, monkeypatch):
     assert min(heads) < len(m.eigen.tail)
 
 
+# -- the bisection rounds, on rows built on a band ------------------------------
+
+@pytest.mark.parametrize("n", [16385, 64000])
+def test_large_solves_equal_the_loop_solver(n, monkeypatch):
+    # lambda and t_value of solve_lambda against the loop solver at q = 1 to
+    # 6, f1 and f2 at sigma = 0.01 and 1.  At q >= 2 every round's band row
+    # is shorter than the row, and the bounds settle most midpoints on it
+    # (the last round of a solve that stops at |T_lam| <= tol is not); each
+    # solve's last round builds its full row
+    fam = e.ModelFamily(e.design_grid(n))
+    band_rows, full = [], set()
+    rows_of = selection._band_rows
+
+    def rows(lams, nzs, x2s, buf):
+        band_rows.extend(zip(np.atleast_1d(lams).tolist(), map(len, nzs)))
+        return rows_of(lams, nzs, x2s, buf)
+
+    def scan(rows_fn, x2s, nz, lams, *rest):
+        full.update(lams.tolist())
+        return _SCAN(rows_fn, x2s, nz, lams, *rest)
+
+    monkeypatch.setattr(selection, "_band_rows", rows)
+    monkeypatch.setattr(selection, "_scan", scan)
+    rng, settled = np.random.default_rng(n), []
+    for kind in ("f1-spectral", "f2-cosine"):
+        f = e.Generator(kind=kind).values(fam.grid)
+        for sigma in (0.01, 1.0):
+            y = f + sigma * rng.standard_normal(n)
+            for q in e.default_q_grid(n):
+                m = fam.model(q)
+                x = m.basis.forward(y)
+                del band_rows[:]
+                full.clear()
+                sol = e.solve_lambda(m, x)
+                assert sol == _loop_solve_lambda(m, x)
+                assert sol.boundary or sol.lam in full
+                if q >= 2 and not sol.boundary:
+                    assert all(size < len(m.eigen.tail) for _, size in band_rows)
+                    settled += [lam not in full for lam, _ in band_rows]
+    assert sum(settled) > 0.8 * len(settled) > 100
+
+
 # -- lanes at one lambda share its row -----------------------------------------
 
 def _counting(rows_fn, built):
     """``rows_fn``, adding the number of rows each call builds to built[0]."""
-    def rows(u, v, w, *sums):
+    def rows(u, v, w):
         built[0] += len(u)
-        return rows_fn(u, v, w, *sums)
+        return rows_fn(u, v, w)
     return rows
 
 

@@ -304,12 +304,13 @@ class TestExperimentArguments:
         assert work == []
 
     @pytest.mark.parametrize("name", TWO_REPLICATES)
-    def test_negative_seed_is_refused_before_any_replicate(self, monkeypatch, name):
-        # np.random.SeedSequence would raise a bare ValueError on it
-        monkeypatch.setattr(simlab, "_fits", None)  # a replicate would fail otherwise
+    def test_negative_seed_is_refused_before_any_replicate(self, work, name):
+        # np.random.SeedSequence would raise a bare ValueError on it; the GCV
+        # ball experiment solves its oracle lambda before any replicate
         with pytest.raises(EbsplinesError) as exc:
             TWO_REPLICATES[name](seed=-3)
         assert str(exc.value) == "seed must be >= 0, got -3"
+        assert work == []
 
     @pytest.mark.parametrize("L", [0.5, math.inf, math.nan])
     def test_inflation_is_checked_before_any_replicate(self, work, L):

@@ -37,10 +37,12 @@ the fitted values, the same of two fits at sigma = 1 on a warm family at
 n = 64,000 (roots at large lambda, where the bracketing scan builds its
 shortest rows), the same of 32 replicates at n = 4096 selected together
 (``selection._fits``; a scan of their lanes builds more than one block of
-shared rows) with their GCV lambdas at q = 3, and the ``repr`` of the
+shared rows) with their GCV lambdas at q = 3, the ``repr`` of lambda and
+t_value of stand-alone ``solve_lambda`` calls at n = 64,000 (f1 at
+sigma = 0.001, 0.01 and 1, q = 1, 2 and 3), and the ``repr`` of the
 lambda_hat of ``solve_lambda`` and ``select_lambda_gcv`` (q = 3) and of
 ``fit`` on one f1 data set (n = 1000, sigma = 0.01) at the data scales
-2^-520, 1 and 2^510 (or of the error a call raises).  It takes 3 to 10
+2^-520, 1 and 2^510 (or of the error a call raises).  It takes 4 to 12
 seconds on two cores.
 
 The run needs a fixed BLAS thread count: at large n (measured at n = 16,000
@@ -210,6 +212,17 @@ def main(out: str) -> None:
                      + "\n" + hashlib.sha256(res.fitted.tobytes()).hexdigest() + "\n")
         m = family.model(3.0)
         fh.write(repr([g.lambda_f_hat for g in gcv._select_gcvs(m, m.basis.forward(y))]) + "\n")
+
+    # stand-alone lambda solves at n = 64,000, whose bisection rounds bound
+    # their midpoints on the band 1e-3 <= lam n eta < 1e3 of each row
+    family = e.ModelFamily(e.design_grid(64000))
+    with open(path("solve-64000.txt"), "w") as fh:
+        for sigma in (0.001, 0.01, 1.0):
+            y = f1.values(family.grid) + sigma * np.random.default_rng(4).standard_normal(64000)
+            for q in (1.0, 2.0, 3.0):
+                m = family.model(q)
+                sol = e.solve_lambda(m, m.basis.forward(y))
+                fh.write(repr((sigma, q, sol.lam, sol.t_value)) + "\n")
 
     # the selectors at unit scale and at scales whose squares leave the float range
     family = e.ModelFamily(e.design_grid(1000))
