@@ -21,7 +21,8 @@ lambda (``oracles``: the same solve on E X^2) bracket on a 33-point scan;
 without one the solve is a boundary (f1, q = 1, sigma = 0.01: n <= 300).
 The brackets read only the signs of that scan (``_grid_signs``), and the
 bisection only the signs at its midpoints: each row is built only on the
-band 1e-3 <= u < 1e3, the rest of each sum is bounded in closed form
+band 1e-3 <= u < 1e3 (at one set of cuts per scan lambda, which the
+midpoints reuse), the rest of each sum is bounded in closed form
 (``_t_bounds``; below the band through A = B - sum X^2 r^2 and
 S = m - sum r, r = u/(1+u)), and a full row is built only where the bounds,
 widened by the rounding error of the sums, leave a sign open, and in each
@@ -315,12 +316,14 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     -- that outcome is data, not an error.
 
     The default residual tolerance is 1e-3/n relative to the mean squared
-    coefficient (T_lam is quadratic in the data); an explicit ``tol`` is
-    honored absolutely.  The solve runs on coeffs / 2^k (``_unit_scale``) with
+    coefficient (T_lam is quadratic in the data); an explicit ``tol``, finite
+    and >= 0, is honored absolutely.  The solve runs on coeffs / 2^k (``_unit_scale``) with
     tol / 4^k, so lambda does not depend on the data's scale; t_value is
     scaled back, to +-inf (NumPy warns) past the float range.  A non-finite
     coefficient raises ``EbsplinesError``.
     """
+    if tol is not None and not 0 <= tol < math.inf:
+        raise EbsplinesError(f"need a finite tol >= 0, got {tol}")
     x, (k,) = _unit_scale(np.asarray(coeffs, dtype=float)[None], "coeffs")
     tol = None if tol is None else float(np.ldexp(tol, -2 * k))
     (sol,), = _solve_lambdas([(model.eigen, _tails(model.eigen, x)[0])], tol)
@@ -367,42 +370,35 @@ def _ends(eigen: EigenSequence, x2s: np.ndarray, cuts: np.ndarray,
     out[8:] = sums[-1].reshape(2, 1, c)
 
 
-def _band(lams: np.ndarray, nz: np.ndarray, x2: np.ndarray, buf: np.ndarray):
-    """The sums A = x2.(r/v), B = x2.r and S = sum 1/v of T_lam on the rows
-    lam * nz, one per lambda, v = 1 + u, r = u/v, built in ``buf``, for each
-    row of the stack x2 (replicates x 1 x len(nz)).  They feed bounds only,
-    so they take 1/v once and multiply by it, each term a few roundings
-    off, where ``_t_rows`` divides."""
-    u, v, w = buf[:3 * len(lams) * len(nz)].reshape(3, len(lams), len(nz))
-    _outer(lams, nz, u)
-    np.divide(1.0, np.add(u, 1.0, out=v), out=v)
-    np.multiply(u, v, out=u)
-    np.multiply(u, v, out=w)
-    return np.vecdot(w, x2), np.vecdot(u, x2), v.sum(axis=-1)
-
-
-def _band_rows(lams: np.ndarray, nzs: list, x2s: list, buf: np.ndarray) -> tuple:
-    """``_band``'s sums on rows of any lengths: row k lams[k] * nzs[k] with
-    coefficients x2s[k], the rows side by side in ``buf`` (``_scratch``),
-    each summed by one ``reduceat``."""
-    at = [0, *itertools.accumulate(map(len, nzs))]
-    u, x2, w = buf[:3 * at[-1]].reshape(3, at[-1])
-    np.concatenate(nzs, out=u)
-    np.concatenate(x2s, out=x2)
-    np.multiply(u, lams[0] if len(lams) == 1 else np.repeat(lams, np.diff(at)), out=u)
-    np.divide(1.0, np.add(u, 1.0, out=w), out=w)  # 1/v
-    s = np.add.reduceat(w, at[:-1])
-    np.multiply(np.multiply(u, w, out=u), x2, out=x2)  # x2 r
-    b = np.add.reduceat(x2, at[:-1])
-    return np.add.reduceat(np.multiply(x2, w, out=x2), at[:-1]), b, s
+def _band_rows(lams: np.ndarray, bands: list, buf: np.ndarray) -> np.ndarray:
+    """T_lam's sums A = x2.(r/v), B = x2.r and S = sum 1/v, v = 1 + u,
+    r = u/v (3 x rows, 0 on an empty row) on the rows u = lams[k] * nz of
+    bands[k] = (nz, x2), side by side in ``buf`` (a fresh buffer if they do
+    not fit), each summed by one ``reduceat``.  They feed bounds only, so,
+    as in ``_bracket_parts``, they multiply by 1/v where ``_t_rows`` divides."""
+    sizes = [len(nz) for nz, _ in bands]
+    at = np.cumsum([0, *sizes])
+    sums, full = np.zeros((3, len(bands))), np.flatnonzero(sizes)
+    if len(full):
+        u, x2, w = (buf if len(buf) >= 3 * at[-1] else np.empty(3 * at[-1]))[
+            :3 * at[-1]].reshape(3, at[-1])
+        for lam, (nz, _), a, b in zip(lams.tolist(), bands, at.tolist(), at[1:].tolist()):
+            np.multiply(nz, lam, out=u[a:b])
+        np.concatenate([x2 for _, x2 in bands], out=x2)
+        np.divide(1.0, np.add(u, 1.0, out=w), out=w)  # 1/v
+        sums[2, full] = np.add.reduceat(w, at[full])
+        np.multiply(np.multiply(u, w, out=u), x2, out=x2)  # x2 r
+        sums[1, full] = np.add.reduceat(x2, at[full])
+        sums[0, full] = np.add.reduceat(np.multiply(x2, w, out=x2), at[full])
+    return sums
 
 
 def _t_bounds(n: int, lam, a, b, s, head, tail, tol=0.0):
     """The ends lo <= T_lam <= hi at lam, and the slack past which an end
     fixes the sign of ``_scan``'s T_lam and puts it beyond +-tol, from the
-    sums a, b, s of A, B and S built on a band of the row (``_band``,
-    ``_band_rows``) and ``_ends``' head before it and tail past it.  Elementwise, on arrays as
-    on floats.
+    sums a, b, s of A, B and S built on a band of the row
+    (``_bracket_parts``, ``_band_rows``) and ``_ends``' head before it and
+    tail past it.  Elementwise, on arrays as on floats.
 
     Tail, u >= u_K: with e = u_K/(1 + u_K), r = u/v lies in [e, 1], r/v =
     r^2/u in [e^2, 1]/u and 1/v = r/u in [e, 1]/u, so the tail's parts of
@@ -442,37 +438,22 @@ def _t_bounds(n: int, lam, a, b, s, head, tail, tol=0.0):
     return lo, hi, g * (a_hi / n + b_hi * s_hi / n2 + tol) + _TINY / lam + tol
 
 
-def _chunks(sizes: list):
-    """Runs of consecutive indices into ``sizes`` whose sizes add up to at
-    most ``_BLOCK_ENTRIES``, or are one size: what a buffer holds at once."""
-    start, total = 0, 0
-    for i, size in enumerate(sizes):
-        if i > start and total + size > _BLOCK_ENTRIES:
-            yield range(start, i)
-            start, total = i, 0
-        total += size
-    if start < len(sizes):
-        yield range(start, len(sizes))
-
-
 def _bracket_parts(eigen: EigenSequence, x2s: np.ndarray, out: np.ndarray,
                    buf: np.ndarray) -> None:
     """Into ``out`` (13 x replicates x lambdas), per row of x2s and scan
-    lambda: the head and the tail of T_lam's row (``_ends``), then the sums
-    A, B and S of ``_band`` on the band between them; and in a second half,
-    if ``out`` has one, the head and tail at the lambda's own cuts, for the
-    midpoints of the brackets next to it (``_solve_lambdas``).
+    lambda: the head and the tail of T_lam's row at its block's cuts
+    (``_ends``), then A, B and S on the band between them (as ``_band_rows``).
 
-    The eigenvalues ascend, so with M = ``_SATURATED`` every u = lam * nz
-    is below 1/M before a head cut H and at least M from a tail cut K on;
-    H and K depend on the model and lambda, not on the data.  A block of
-    rows is built on the band from the H of its largest lambda to the K of
-    its smallest, as many rows as a buffer holds; an empty band builds
-    nothing."""
+    The eigenvalues ascend, so every u = lam * nz is below 1/M before a
+    lambda's own head cut and at least M from its own tail cut on (M =
+    ``_SATURATED``).  A block of rows is built on the band from the head
+    cut of its largest lambda to the tail cut of its smallest, as many rows
+    as a buffer holds (none on an empty band), and takes these as its
+    lambdas' cuts; so the head at lam_(j+1)'s cut and the tail at lam_j's
+    stay head and tail at every lambda between them (``_solve_lambdas``)."""
     nz, lams = eigen.tail, _SCAN_GRID
     own = np.searchsorted(nz, _BAND_ENDS).tolist()
-    head, cut = own[:len(lams)], own[len(lams):]
-    blocks, j = [], 0
+    head, cut, blocks, j = own[:len(lams)], own[len(lams):], [], 0
     while j < len(lams):  # rows j to k - 1 on the band from k - 1's head to j's cut
         k = j + 1
         if head[j] < cut[j]:
@@ -482,42 +463,43 @@ def _bracket_parts(eigen: EigenSequence, x2s: np.ndarray, out: np.ndarray,
             blocks.append((j, k))
             head[j:k], cut[j:k] = [head[k - 1]] * (k - j), [cut[j]] * (k - j)
         j = k
-    if out.shape[-1] > len(lams):  # and at the lambdas' own cuts
-        head, cut = head + own[:len(lams)], cut + own[len(lams):]
     _ends(eigen, x2s, np.array([head, cut]), out[:10], buf)
     out[10:] = 0.0
     for j, k in blocks:
         band = slice(head[j], cut[j])
-        out[10, :, j:k], out[11, :, j:k], out[12, :, j:k] = _band(
-            lams[j:k], nz[band], x2s[:, None, band], buf)
+        u, v, w = buf[:3 * (k - j) * (cut[j] - head[j])].reshape(3, k - j, -1)
+        _outer(lams[j:k], nz[band], u)
+        np.divide(1.0, np.add(u, 1.0, out=v), out=v)  # 1/v
+        np.multiply(np.multiply(u, v, out=u), v, out=w)  # r and r/v
+        x2 = x2s[:, None, band]
+        out[10, :, j:k], out[11, :, j:k], out[12, :, j:k] = (
+            np.vecdot(w, x2), np.vecdot(u, x2), v.sum(axis=-1))
 
 
 def _scratch(problems: list) -> np.ndarray:
-    """A buffer for the products ``_ends`` sums and the rows ``_band``,
-    ``_band_rows`` and ``_scan`` build, for any of ``problems``: one per
-    solve, as a fresh large array costs a page fault per 4 KB."""
+    """A buffer for the products ``_ends`` sums and the rows
+    ``_bracket_parts``, ``_band_rows`` and ``_scan`` build, for any of
+    ``problems``: one per solve, as a fresh large array costs a page fault
+    per 4 KB."""
     return np.empty(max(max(len(x2s) + 1, 3) * x2s.shape[1] + 3 * _BLOCK_ENTRIES
                         for _, x2s in problems))
 
 
-def _grid_signs(problems: list, buf: np.ndarray | None = None,
-                own: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _grid_signs(problems: list, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The signs (-1, 0, 1) of the T_lam values ``_scan`` gives at the scan
     lambdas for the stacks x2s of squared tail coefficients of ``problems``
     [(eigen, x2s), ...], models on one grid, their rows one after another,
-    (rows x lambdas); and their ``_bracket_parts`` (13 x rows x lambdas, and
-    with ``own`` a second half at the lambdas' own cuts, from which
-    ``_solve_lambdas`` bounds the midpoints of its brackets).
+    (rows x lambdas); and their ``_bracket_parts`` (13 x rows x lambdas).
     One pass of ``_t_bounds`` bounds every row.  A lambda is settled for a
     stack when, for every row of it, the bounds, widened by their slack,
     exclude 0; otherwise its signs are those of ``_scan``'s full rows."""
     buf = _scratch(problems) if buf is None else buf
     at = [0, *itertools.accumulate(len(x2s) for _, x2s in problems)]
-    parts = np.empty((13, at[-1], (1 + own) * len(_SCAN_GRID)))
+    parts = np.empty((13, at[-1], len(_SCAN_GRID)))
     for (eigen, x2s), r0, r1 in zip(problems, at, at[1:]):
         _bracket_parts(eigen, x2s, parts[:, r0:r1], buf)
-    n, grid = problems[0][0].n, parts[..., :len(_SCAN_GRID)]
-    lo, hi, slack = _t_bounds(n, _SCAN_GRID, *grid[10:], grid[:10:2], grid[1:10:2])
+    n = problems[0][0].n
+    lo, hi, slack = _t_bounds(n, _SCAN_GRID, *parts[10:], parts[:10:2], parts[1:10:2])
     signs = np.sign(lo + hi)
     open_ = ~(np.maximum(lo, -hi) > slack)
     for (eigen, x2s), r0, r1 in zip(problems, at, at[1:]) if open_.any() else ():
@@ -532,74 +514,60 @@ def _solve_lambdas(problems: list, tol=None) -> list[list[LambdaSolve]]:
     """``solve_lambda`` for each row of each stack x2s of squared tail
     coefficients of ``problems`` [(eigen, x2s), ...], models on one grid,
     every bracket a lane of one lockstep.  The brackets come from the signs
-    of T_lam on the scan grid (``_grid_signs``), the same as the signs of
-    ``_scan``'s values.  In stacks of rows the lanes at one lambda share
-    full rows (``_scan``).  A single row's lane bounds its midpoints
-    instead: they lie between its bracket's lambdas, so the head before the
-    upper one's band and the tail past the lower one's stay head and tail
-    at each of them.  A round builds a midpoint's row on that band only
-    (``_band_rows``, the round's bands side by side), with the bracket
-    scan's head and tail sums, and takes the sign from the bounds
-    (``_t_bounds``, in floats for the round's few lanes) where they put
-    T_lam beyond +-tol.  It builds the full row where they do not and in a
-    lane's last round, so the brackets, roots and t_values are ``_scan``'s
-    bit for bit."""
+    of ``_scan``'s T_lam on the scan grid (``_grid_signs``).  In stacks of
+    rows the lanes at one lambda share full rows (``_scan``).  A single
+    row's midpoint takes the head at its bracket's upper lambda's cuts and
+    the tail at the lower's (``_bracket_parts``), builds its row on the band
+    between them (``_band_rows``) and its sign from ``_t_bounds`` (in
+    floats) where they put T_lam beyond +-tol.  The full row is built where
+    they do not and in a lane's last round, so the brackets, roots and
+    t_values are ``_scan``'s bit for bit."""
     n = problems[0][0].n
     rows = functools.partial(_t_rows, n, None)
-    tols = (np.full(sum(len(x2s) for _, x2s in problems), float(tol)) if tol is not None else
+    sizes = [len(x2s) for _, x2s in problems]
+    tols = (np.full(sum(sizes), float(tol)) if tol is not None else
             np.concatenate([(1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300)
                             for _, x2s in problems]))
-    # a stack of rows shares full rows among its lanes at one lambda; the
-    # lanes of single rows bound their midpoints on their bands
-    single = all(len(x2s) == 1 for _, x2s in problems)
     buf = _scratch(problems)
-    signs, parts = _grid_signs(problems, buf, single)
+    signs, parts = _grid_signs(problems, buf)
     gs, js = np.nonzero((signs[:, :-1] < 0) & (signs[:, 1:] > 0))
-    # per lane: its problem and row there, the head at its upper lambda and
-    # the tail at its lower (their own cuts), its tolerance, and its band's
-    # eigenvalues and coefficients
-    own = js + len(_SCAN_GRID) * single
-    heads, tails, tols = parts[:10:2, gs, own + 1], parts[1:10:2, gs, own], tols[gs]
-    sizes = [len(x2s) for _, x2s in problems]
-    lane_p = np.repeat(np.arange(len(problems)), sizes)[gs]
-    lane_k = gs - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)[gs]
-    bands = [(problems[p][0].tail[a:b], problems[p][1][k, a:b])
-             for p, k, a, b in zip(lane_p.tolist(), lane_k.tolist(),
-                                   heads[0].astype(int).tolist(), tails[0].astype(int).tolist())]
-    heads_l, tails_l, tols_l = heads.T.tolist(), tails.T.tolist(), tols.tolist()
-
-    def full_rows(lams, live):
-        """T_lam of the lanes ``live`` at ``lams`` on full rows (``_scan``:
-        the lanes of an order at one lambda share its row)."""
-        lams, live = np.array(lams), np.array(live, dtype=int)
-        at, vals = np.searchsorted(lane_p[live], np.arange(len(problems) + 1)), np.empty(len(live))
-        for (eigen, x2s), a, b in zip(problems, at, at[1:]):
-            if a < b:
-                vals[a:b] = _scan(rows, x2s, eigen.tail, lams[a:b], lane_k[live[a:b]], buf)
-        return vals.tolist()
+    # per lane: its problem and row there, and its tolerance
+    starts = np.cumsum([0, *sizes])
+    lane_p = np.searchsorted(starts, gs, "right") - 1
+    lane_k, tols = gs - starts[lane_p], tols[gs].tolist()
+    # a single row's lanes: the head at the upper lambda's cuts, the tail at
+    # the lower's and the band between them (eigenvalues and coefficients)
+    single = max(sizes) == 1
+    sides = [(parts[:10:2, g, j + 1].tolist(), parts[1:10:2, g, j].tolist())
+             for g, j in zip(gs.tolist(), js.tolist())] if single else []
+    bands = [(problems[g][0].tail[int(h[0]):int(t[0])], problems[g][1][0, int(h[0]):int(t[0])])
+             for g, (h, t) in zip(gs.tolist(), sides)]
 
     def values(points, live):
         lams, vals = [m for m, _ in points], [None] * len(live)
-        # single rows: each midpoint's row on its band (side by side), its
-        # sign where the bounds, in floats, put T_lam beyond +-tol
-        todo = [i for i, (_, last) in enumerate(points) if single and not last]
-        sums = np.zeros((3, len(todo)))  # A, B and S on each band, 0 on an empty one
-        built = [c for c, i in enumerate(todo) if len(bands[live[i]][0])]
-        for run in _chunks([len(bands[live[todo[c]]][0]) for c in built]):
-            part = [built[r] for r in run]
-            sums[:, part] = _band_rows(np.array([lams[todo[c]] for c in part]),
-                                       *zip(*(bands[live[todo[c]]] for c in part)), buf)
-        for i, (a, b, s) in zip(todo, sums.T.tolist()):
-            lo, hi, slack = _t_bounds(n, lams[i], a, b, s, heads_l[live[i]], tails_l[live[i]],
-                                      tols_l[live[i]])
-            vals[i] = math.inf if lo > slack else -math.inf if -hi > slack else None
+        # a single row's midpoints: each one's row on its band, its sign
+        # where the bounds, in floats, put T_lam beyond +-tol
+        todo = [i for i, (_, last) in enumerate(points) if not last] if single else []
+        if todo:
+            sums = _band_rows(np.array([lams[i] for i in todo]), [bands[live[i]] for i in todo],
+                              buf)
+            for i, (a, b, s) in zip(todo, sums.T.tolist()):
+                lo, hi, slack = _t_bounds(n, lams[i], a, b, s, *sides[live[i]], tols[live[i]])
+                vals[i] = math.inf if lo > slack else -math.inf if -hi > slack else None
+        # the rest on full rows (``_scan``: lanes of an order at one lambda
+        # share its row); the lanes, like the problems, run in order
         rest = [i for i, val in enumerate(vals) if val is None]
-        for i, val in zip(rest, full_rows([lams[i] for i in rest], [live[i] for i in rest])):
-            vals[i] = val
+        lv, lm = np.array(live, dtype=int)[rest], np.array(lams)[rest]
+        at = np.searchsorted(lane_p[lv], np.arange(len(problems) + 1))
+        for (eigen, x2s), a, b in zip(problems, at, at[1:]):
+            if a < b:
+                got = _scan(rows, x2s, eigen.tail, lm[a:b], lane_k[lv[a:b]], buf)
+                for i, val in zip(rest[a:b], got.tolist()):
+                    vals[i] = val
         return vals
 
     roots = _lockstep([_bisect_log(_SCAN_GRID[j], _SCAN_GRID[j + 1], 1e-14, t)
-                       for j, t in zip(js.tolist(), tols_l)], values)
+                       for j, t in zip(js.tolist(), tols)], values)
     sols = [[None] * len(x2s) for _, x2s in problems]
     for p, k, (lam, t_at) in zip(lane_p.tolist(), lane_k.tolist(), roots):
         # a later root of the row wins only by a higher marginal likelihood
@@ -642,8 +610,9 @@ class ModelFamily:
 
 def default_q_grid(n: int, q_max: int | None = None,
                    refine: float | None = None) -> tuple[float, ...]:
-    """Integer grid {1, ..., q_max}; with ``refine`` a real-valued grid of that
-    spacing (the theory-faithful mode uses spacing ~ 1/log(n)^2).
+    """Integer grid {1, ..., q_max}; with ``refine`` = h the real-valued grid
+    1 + k h, k = 0, 1, ..., up to q_max (the theory-faithful mode uses
+    spacing ~ 1/log(n)^2).
 
     Orders live in (1/2, log n]; the default q_max is 6, capped at log(n)
     for small designs.
@@ -659,8 +628,8 @@ def default_q_grid(n: int, q_max: int | None = None,
         return tuple(float(q) for q in range(1, q_max + 1))
     if not 0 < refine < math.inf:
         raise EbsplinesError(f"refinement spacing must be positive and finite, got {refine}")
-    vals = np.arange(1.0, q_max + 0.5 * refine, refine)
-    return tuple(float(v) for v in vals)
+    vals = 1.0 + refine * np.arange(int((q_max - 1) / refine) + 2)  # 1 + k h, exact at k = 0
+    return tuple(float(v) for v in vals if v <= q_max)
 
 
 @dataclass(frozen=True)

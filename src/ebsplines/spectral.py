@@ -112,7 +112,8 @@ def eigenvalues(q: float, n: int, offset: float | None = None) -> EigenSequence:
     the assembled penalty actually has at the low indices that decide a fit.
 
     The first floor(q) entries are exactly zero.  Non-integer q uses the same
-    formula with a real exponent and offset.
+    formula with a real exponent and offset.  A sequence past the float range
+    raises ``EbsplinesError``.
     """
     if not 0.5 < q < math.inf:
         raise EbsplinesError(f"penalty order must be finite and exceed 1/2, got {q}")
@@ -127,7 +128,10 @@ def eigenvalues(q: float, n: int, offset: float | None = None) -> EigenSequence:
         raise EbsplinesError(
             f"offset {c} must lie below the first non-null index {d + 1}")
     vals = np.zeros(n)
-    vals[d:] = np.pi ** (2.0 * q) * (i[d:] - c) ** (2.0 * q)
+    with np.errstate(over="ignore"):  # the largest, last value is checked
+        vals[d:] = np.float64(np.pi) ** (2.0 * q) * (i[d:] - c) ** (2.0 * q)
+    if not math.isfinite(vals[-1]):
+        raise EbsplinesError(f"the order-{q} eigenvalues overflow the float range at n = {n}")
     return EigenSequence(q=float(q), n=n, values=vals, offset=c)
 
 

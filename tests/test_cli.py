@@ -750,3 +750,13 @@ class TestOracleAndKappa:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {what}\n"
         assert not out.exists()
+
+    def test_order_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # pi^120 (i - c)^120 overflows at n = 1000: the payload read
+        # "lambda_closed_form": 0.0 and "derivative_energy": Infinity
+        out = tmp_path / "out.json"
+        assert main(["oracle", "--n", "1000", "--q", "60", "--sigma", "0.01",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the order-60.0 eigenvalues overflow the float range at n = 1000\n")
+        assert not out.exists()

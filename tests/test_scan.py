@@ -291,25 +291,25 @@ def test_fits_on_a_warm_family_equal_fits_on_a_fresh_one(n, spacing, monkeypatch
 def test_t_lam_lies_within_its_bounds(n):
     # the loop formula's T_lam lies within the bounds, widened by their
     # slack: at each scan lambda, from the sums at its block's cuts, and at a
-    # lambda inside each bracket, from the sums at its ends' own cuts (the
-    # band's sums by the loop formula too); a family keeps only its models
+    # lambda inside each bracket, from the sums at the upper end's block's
+    # head cut and the lower end's block's tail cut (the band's sums by the
+    # loop formula too); a family keeps only its models
     fam = e.ModelFamily(e.design_grid(n))
     rng = np.random.default_rng(n)
     ys = [e.Generator(kind=kind).values(fam.grid) + sigma * rng.standard_normal(n)
           for kind in ("f1-spectral", "f2-cosine") for sigma in (0.01, 1.0)]
     x = fam.basis.forward(selection._unit_scale(np.array(ys), "y")[0])
-    grid, cols = selection._SCAN_GRID, len(selection._SCAN_GRID)
+    grid = selection._SCAN_GRID
     mids = np.exp(rng.uniform(np.log(grid[:-1]), np.log(grid[1:])))
     for q in e.default_q_grid(n):
         m = fam.model(q)
         x2s, nz = selection._tails(m.eigen, x)
         _, parts = selection._grid_signs([(m.eigen, x2s)])
-        at = parts[..., :cols]
-        lo, hi, slack = selection._t_bounds(n, grid, *at[10:], at[:10:2], at[1:10:2])
+        assert parts.shape == (13, len(x2s), len(grid))
+        lo, hi, slack = selection._t_bounds(n, grid, *parts[10:], parts[:10:2], parts[1:10:2])
         t = np.array([[_loop_t_lam(x2, nz, n, lam) for lam in grid] for x2 in x2s])
         assert (lo - slack <= t).all() and (t <= hi + slack).all()
-        own = parts[:10, :, cols:]
-        for x2, ends in zip(x2s, own.transpose(1, 0, 2)):
+        for x2, ends in zip(x2s, parts[:10].transpose(1, 0, 2)):
             sums = []
             for j, lam in enumerate(mids):
                 band = slice(int(ends[0, j + 1]), int(ends[1, j]))
@@ -501,9 +501,9 @@ def test_large_solves_equal_the_loop_solver(n, monkeypatch):
     band_rows, full = [], set()
     rows_of = selection._band_rows
 
-    def rows(lams, nzs, x2s, buf):
-        band_rows.extend(zip(np.atleast_1d(lams).tolist(), map(len, nzs)))
-        return rows_of(lams, nzs, x2s, buf)
+    def rows(lams, bands, buf):
+        band_rows.extend(zip(lams.tolist(), (len(nz) for nz, _ in bands)))
+        return rows_of(lams, bands, buf)
 
     def scan(rows_fn, x2s, nz, lams, *rest):
         full.update(lams.tolist())

@@ -172,6 +172,18 @@ class TestSolveLambda:
         lam_oracle = e.oracle_lambda(f1_spectrum, 1e-4, 3.0, "numeric-root").lambda_q
         assert sol.lam == pytest.approx(lam_oracle, rel=0.35)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_a_negative_or_non_finite_tol(self, tol, family1000, f1_values):
+        # a negative tol made the bounds' slack negative, which settled
+        # midpoints on the wrong side (tol = -1 gave lambda = 7.50e-14 with
+        # T_lam = -2.7e-6 here); a NaN slack settled none
+        x = family1000.basis.forward(
+            f1_values + 0.01 * np.random.default_rng(1).standard_normal(1000))
+        with pytest.raises(EbsplinesError, match="need a finite tol >= 0"):
+            e.solve_lambda(family1000.model(3.0), x, tol)
+        sol = e.solve_lambda(family1000.model(3.0), x, 0.0)
+        assert sol.lam == pytest.approx(2.797e-13, rel=1e-3) and not sol.boundary
+
     def test_scale_equivariance(self):
         n = 128
         m = _model(n, 2.0)
@@ -293,7 +305,9 @@ class TestSelectQ:
     @pytest.mark.parametrize("qgrid,message", [
         ((2.0, 1.0), "q grid must be strictly increasing"),
         ((0.5, 1.0), "q grid values must exceed 1/2"),
-    ], ids=["decreasing", "at-one-half"])
+        # an order whose eigenvalues overflow returned sigma2_hat = nan
+        ((3.0, 60.0), "order-60.0 eigenvalues overflow the float range at n = 1000"),
+    ], ids=["decreasing", "at-one-half", "past-the-float-range"])
     def test_malformed_grid_rejected(self, family1000, f1_values, qgrid, message):
         with pytest.raises(EbsplinesError, match=message):
             e.fit(family1000, f1_values, qgrid)
@@ -419,6 +433,16 @@ class TestQGrid:
         g = e.default_q_grid(1000, q_max=3, refine=0.25)
         assert g[0] == 1.0 and g[-1] == 3.0
         assert np.allclose(np.diff(g), 0.25)
+
+    def test_refined_grid_is_one_plus_k_h(self):
+        # 1 + k h holds every integer order exactly at h = 0.1 (a running
+        # sum drifted to 2.000000000000001, ..., 6.000000000000004), and the
+        # grid stops at q_max (at h = 0.3 a running sum reached 6.1)
+        g = e.default_q_grid(1000, refine=0.1)
+        assert g == tuple(1.0 + 0.1 * k for k in range(51))
+        assert g[::10] == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        g = e.default_q_grid(1000, refine=0.3)
+        assert g == tuple(1.0 + 0.3 * k for k in range(17)) and g[-1] <= 6.0
 
     def test_q_max_above_log_n_rejected(self):
         with pytest.raises(EbsplinesError):

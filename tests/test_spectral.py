@@ -53,6 +53,14 @@ class TestEigenvalues:
         with pytest.raises(EbsplinesError):
             e.eigenvalues(q, n)
 
+    @pytest.mark.parametrize("q", [60.0, 400.0])
+    def test_rejects_a_sequence_past_the_float_range(self, q):
+        # pi^(2q) (n - c)^(2q) overflows at n = 1000 (at q = 400 so does pi^(2q))
+        with pytest.raises(EbsplinesError,
+                           match=f"order-{q} eigenvalues overflow the float range at n = 1000"):
+            e.penalty_eigenvalues(q, 1000)
+        assert math.isfinite(e.penalty_eigenvalues(40.0, 1000).values[-1])
+
 
 class TestAnalyticBasis:
     @pytest.mark.parametrize("n", [16, 64, 257, 512])
