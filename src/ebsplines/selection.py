@@ -628,7 +628,8 @@ def default_q_grid(n: int, q_max: int | None = None,
         return tuple(float(q) for q in range(1, q_max + 1))
     if not 0 < refine < math.inf:
         raise EbsplinesError(f"refinement spacing must be positive and finite, got {refine}")
-    vals = 1.0 + refine * np.arange(int((q_max - 1) / refine) + 2)  # 1 + k h, exact at k = 0
+    # 1 + k h, not a running sum, for every k up to (q_max - 1)/h however it rounds
+    vals = 1.0 + refine * np.arange(int((q_max - 1) / refine) + 2)
     return tuple(float(v) for v in vals if v <= q_max)
 
 

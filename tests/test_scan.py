@@ -210,7 +210,7 @@ def test_a_block_of_replicates_equals_batches_of_one(kind, sigma):
     assert len(fits) == 37
     for yk, res in zip(y, fits):
         assert _same(res, e.fit(fam, yk))
-    # 1.3, 1.6, ..., 6.1 holds 4 but no other integer order: a q_hat off the
+    # 1.3, 1.6, ..., 5.8 holds 4 but no other integer order: a q_hat off the
     # grid takes a fresh lambda solve, in a block as in a fit of its own
     qgrid = e.default_q_grid(1000, refine=0.3)[1:]
     fits = selection._fits(fam, y, qgrid)

@@ -10,9 +10,10 @@ f1 at sigma = 0.01 (noise ``default_rng(3)``, the default order grid, a warm
 stack of 32 rows at n = 1000 and one of 16 rows at n = 2000, the stacks
 ``simulate`` and ``compare`` select together.
 
-For every case the tool first asserts that both trees give the same
+For every case the tool first checks that both trees give the same
 lambda_hat, q_hat, q* and per-order diagnostics (q, lambda_hat, T_q and the
-boundary flag, compared by ``repr``, so bit for bit).  Then it times the two
+boundary flag, compared by ``repr``, so bit for bit), and exits 1 where they
+differ.  Then it times the two
 trees in alternation, one call each per round with the order swapped every
 round, and prints the median of each tree, their ratio (new / old) and the
 share of rounds in which the new tree was faster.  R rounds per case default
@@ -40,7 +41,8 @@ CASES = [("single", 1000, 1, 1000), ("single", 16000, 1, 100), ("single", 64000,
 
 
 def load(src: str, name: str):
-    """The package ``ebsplines`` under ``src`` (or ``src/src``), as ``name``."""
+    """The package ``ebsplines`` of a tree's ``src`` directory (or of the
+    tree), imported under the package name ``name``."""
     root = src if os.path.isdir(os.path.join(src, "ebsplines")) else os.path.join(src, "src")
     pkg = os.path.join(root, "ebsplines")
     spec = importlib.util.spec_from_file_location(
