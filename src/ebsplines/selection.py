@@ -334,9 +334,9 @@ def _ends(eigen: EigenSequence, x2s: np.ndarray, cuts: np.ndarray,
           out: np.ndarray, buf: np.ndarray) -> None:
     """Into ``out`` (10 x replicates x lambdas), per row of x2s and lambda j,
     the head i < H = cuts[0, j] and the tail i >= K = cuts[1, j] of T_lam's
-    row, side by side: H and K, nz[H - 1] and nz[K], then sum x2 nz and sum
-    x2/nz, sum x2 nz^2 and sum x2, and sum nz and sum 1/nz, over the head
-    and the tail (0 over an empty part, whose nz is clipped into the row).
+    row, side by side: H and K, nz[H - 1] (0 if H = 0) and nz[K] (nz[m - 1]
+    if K = m), then sum x2 nz and sum x2/nz, sum x2 nz^2 and sum x2, and
+    sum nz and sum 1/nz, over the head and the tail (0 over an empty part).
     Each sum adds up the parts between the distinct cuts, from one
     ``reduceat`` pass over products built in ``buf`` (``_scratch``)."""
     nz, m, r = eigen.tail, len(eigen.tail), len(x2s)
@@ -365,7 +365,7 @@ def _ends(eigen: EigenSequence, x2s: np.ndarray, cuts: np.ndarray,
     sums = sums[:, np.concatenate([np.searchsorted(hs, cuts[0], "right"),
                                    np.searchsorted(ts, cuts[1]) + len(hs) + 1])]
     out[:2] = cuts[:, None]
-    out[2], out[3] = nz[np.maximum(cuts[0] - 1, 0)], nz[np.minimum(cuts[1], m - 1)]
+    out[2], out[3] = nz[cuts[0] - 1] * (cuts[0] > 0), nz[np.minimum(cuts[1], m - 1)]
     out[4:8] = sums[:-1].reshape(2, r, 2, c).transpose(0, 2, 1, 3).reshape(4, r, c)
     out[8:] = sums[-1].reshape(2, 1, c)
 

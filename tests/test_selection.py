@@ -312,6 +312,15 @@ class TestSelectQ:
         with pytest.raises(EbsplinesError, match=message):
             e.fit(family1000, f1_values, qgrid)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_order_near_the_float_range_fits_without_overflow(self, family1000, f1_values):
+        # at q = 44 the eigenvalues reach 7.6e306: the bounds of a column
+        # with an empty head took 1 - lam nz[0] for its factor, whose square
+        # overflowed (RuntimeWarning) and left the bound NaN
+        y = f1_values + 0.01 * np.random.default_rng(1).standard_normal(1000)
+        res = e.fit(family1000, y, (44.0,))
+        assert res.boundary and res.lambda_hat == 1.0
+
     def test_t_q_weight_has_one_definition(self, family1000, f1_values, f1_spectrum,
                                            monkeypatch):
         # T_q is linear in its weight, and doubling is exact: t_q, the
