@@ -39,7 +39,7 @@ def _crit_rows(n, u, v, w):
     """The rows r^2 and sum r of GCV, v = 1 + u, r = u/v, for each row of
     u = lam * nz (see ``selection._scan``), and their finish for squared tail
     coefficients x2: GCV = n x2.r^2 / (sum r)^2; as in ``selection._t_rows``
-    it does not read v and takes an index ``i`` of rows."""
+    it takes an index ``i`` of rows."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.multiply(u, u, out=w)

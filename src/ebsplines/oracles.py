@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import EbsplinesError
-from .selection import _solve_lambdas, _t_at, _tails
+from .selection import _solve_lambdas, _t_at, _tails, _unit_scale
 from .spectral import eigenvalues, penalty_eigenvalues
 
 
@@ -89,13 +89,19 @@ class SignalSpectrum:
         return float(np.dot(self.B ** 2, eig.values)) / self.n
 
 
-def _expected_x2(spectrum: SignalSpectrum, sigma2: float, q: float):
+def _expected_x2(spectrum: SignalSpectrum, sigma2: float, q: float, unit: bool = False):
     """The production eigenvalues at order q and E X^2 = B^2 + sigma^2 beyond
-    their null space."""
+    their null space; with ``unit``, of B / 2^k and sigma^2 / 4^k, k from
+    ``_unit_scale`` of B with sigma appended (exact, and inside the float
+    range at any scale of B and sigma)."""
     if not 0 <= sigma2 < math.inf:
         raise EbsplinesError(f"need 0 <= sigma2 < inf, got {sigma2}")
+    b = spectrum.B
+    if unit:
+        b, (k,) = _unit_scale(np.append(b, math.sqrt(sigma2))[None], "B")
+        b, sigma2 = b[0, :-1], float(np.ldexp(sigma2, -2 * k))
     eig = penalty_eigenvalues(q, spectrum.n)
-    return eig, _tails(eig, spectrum.B)[0] + sigma2
+    return eig, _tails(eig, b)[0] + sigma2
 
 
 def expected_t_lambda(spectrum: SignalSpectrum, sigma2: float, lam: float,
@@ -127,11 +133,12 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
     energy (signal inside the null space) yields the infinity sentinel.
     numeric-root: the root of E T_lam, by the selector's own lambda solve
     (``selection.solve_lambda``: scan, bisection, tolerance and multi-root
-    rule) on the row E X^2 = B^2 + sigma^2; a boundary solve (no interior
-    root, see ``selection``) yields the infinity sentinel.
+    rule) on the row E X^2 = B^2 + sigma^2, at unit scale as ``solve_lambda``
+    runs (so lambda does not depend on the scale of B and sigma); a boundary
+    solve (no interior root, see ``selection``) yields the infinity sentinel.
     sigma2 must be finite and >= 0, and > 0 for the closed form.
     """
-    eig, x2 = _expected_x2(spectrum, sigma2, q)
+    eig, x2 = _expected_x2(spectrum, sigma2, q, unit=True)
     energy = spectrum.derivative_energy(q)
     if method == "closed-form":
         if sigma2 == 0:

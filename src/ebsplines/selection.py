@@ -35,13 +35,15 @@ only at a fixed phase c of n*eta = pi^(2q) (i - c)^(2q); it leaves out the
 term -q/(i - c) of the production phase c = (q+1)/2 (ROADMAP item 1).
 ``solve_lambda`` finds the root of T_lam for one q.  ``_fits``, behind
 ``fit``, holds the order selection once: the q-grid checks, every order's
-lambda solves and T_q there, the q rule, one solve of the orders off a
-refined grid for the rows whose q_hat they are, and the rescale of T_q to
-data units.  Solves run as lanes side by side, every order's in one
-lockstep (``_lockstep``); the rows of a round do not see the data, so lanes
-at one lambda share its row (``_scan``).
+lambda solves and T_q there (each order on a view of one array of squared
+coefficients), the q rule, one solve of the orders off a refined grid for
+the rows whose q_hat they are, and the rescale of T_q to data units.  Solves
+run as lanes side by side, every order's in one lockstep (``_lockstep``);
+the rows of a round do not see the data, so lanes at one lambda share its
+row (``_scan``).
 
-``fit``, ``solve_lambda`` and ``gcv.select_lambda_gcv`` guard their data with
+``fit``, ``solve_lambda``, ``gcv.select_lambda_gcv``, a study's GCV arm
+(``simlab._record``) and the numeric oracle lambda guard their data with
 ``_unit_scale``; the criteria at one lambda return values, not a selection,
 and take their coefficients as given, unguarded.
 """
@@ -125,8 +127,8 @@ def _t_rows(n, g, u, v, w):
     place of u, v and w.  Returns the finish for squared tail coefficients x2
     (see ``_scan``): (1/n) x2.(r g/v) - (1/n^2) (x2.r) sum(g/v), which is
     T_lam for g = None (g = 1, without its pass) and T_q for g = log(nz).
-    The finish reads u, w and the sums, not v, and takes an index ``i`` of
-    rows: x2 at row i[k] (all rows without it)."""
+    The finish takes an index ``i`` of rows: x2 at row i[k] (all rows
+    without it)."""
     np.add(u, 1.0, out=v)
     np.divide(u, v, out=u)
     np.divide(u if g is None else np.multiply(u, g, out=w), v, out=w)
@@ -165,9 +167,9 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
     does not depend on the block, stack or lane it is computed in.  So lanes
     at one lambda share its row: when the distinct lambdas fill fewer blocks
     than the lanes, the blocks hold those, and each block finishes the lanes
-    of its rows at most a block of lanes at a time, their x2 gathered into
-    the second buffer (v), which no finish reads.  The buffers are carved
-    from ``buf`` (``_scratch``) when it is given."""
+    of its rows at most a block of lanes at a time, their x2 gathered by
+    indexing (``np.take`` copies a row-strided stack whole first).  The
+    buffers are carved from ``buf`` (``_scratch``) when it is given."""
     step = max(1, _BLOCK_ENTRIES // len(nz))
     keys, row = lams, None
     if lanes is not None and len(lams) > step:
@@ -190,8 +192,7 @@ def _scan(rows_fn, x2s: np.ndarray, nz: np.ndarray, lams: np.ndarray,
         mine = np.flatnonzero((row >= s) & (row < s + step))
         for c in range(0, len(mine), step):
             k = mine[c:c + step]
-            # mode "clip": with "raise", np.take buffers its output
-            x2 = x2s if len(x2s) == 1 else np.take(x2s, lanes[k], 0, bufs[1, :len(k)], "clip")
+            x2 = x2s if len(x2s) == 1 else x2s[lanes[k]]
             vals[k] = finish(x2, row[k] - s)
     return vals
 
@@ -628,6 +629,9 @@ def default_q_grid(n: int, q_max: int | None = None,
         return tuple(float(q) for q in range(1, q_max + 1))
     if not 0 < refine < math.inf:
         raise EbsplinesError(f"refinement spacing must be positive and finite, got {refine}")
+    if 1.0 + refine * n <= q_max:  # order n + 1 is on the grid: refuse it before allocating
+        raise EbsplinesError(f"refinement spacing {refine} gives {(q_max - 1) / refine + 1:.6g} "
+                             f"orders, more than n = {n}")
     # 1 + k h, not a running sum, for every k up to (q_max - 1)/h however it rounds
     vals = 1.0 + refine * np.arange(int((q_max - 1) / refine) + 2)
     return tuple(float(v) for v in vals if v <= q_max)
@@ -734,11 +738,9 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         raise EbsplinesError("q grid values must exceed 1/2")
     x = family.basis.forward(x)
 
-    # every order's lambda solves, side by side, and T_q there (unit scale);
-    # x2 past each null space, copied for a stack (``_scan`` gathers rows faster then)
+    # every order's lambda solves, side by side, and T_q there (unit scale), on views of x2
     x2 = x ** 2
-    problems = [(eigen, np.ascontiguousarray(x2[:, eigen.null_dim:])) for eigen in
-                (family.model(q).eigen for q in qgrid)]
+    problems = [(m.eigen, x2[:, m.null_dim:]) for m in map(family.model, qgrid)]
     sols, tqs = _solve_lambdas(problems), np.empty((len(x), len(qgrid)))
     for j, ((eigen, x2s), sol) in enumerate(zip(problems, sols)):
         tqs[:, j] = _scan(functools.partial(_t_rows, n, eigen.log_tail), x2s, eigen.tail,

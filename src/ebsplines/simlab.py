@@ -42,7 +42,7 @@ from .credible import RadiusSpec, _check_inflation, radius
 from .errors import EbsplinesError
 from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
-from .selection import ModelFamily, _fits, _smooth, default_q_grid
+from .selection import ModelFamily, _fits, _smooth, _unit_scale, default_q_grid
 from .spectral import DESIGN_CONVENTIONS, DesignGrid, design_grid, make_basis
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "custom-spectrum")
@@ -313,9 +313,11 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
             rows[name] = [getattr(res, name) for res in fits]
         rows["mse"] = [np.mean((res.fitted - f_true) ** 2) for res in fits]
         rows["lambda_q"] = [[dg.lambda_hat for dg in res.selection.per_q] for res in fits]
+        # GCV on the last sample's coefficients at unit scale, as ``select_lambda_gcv``
+        gx = _unit_scale(x[-1], "coeffs")[0]
         for j, q in enumerate(gcv_orders):
             m = family.model(q)
-            lams = [g.lambda_f_hat for g in _select_gcvs(m, x[-1])]
+            lams = [g.lambda_f_hat for g in _select_gcvs(m, gx)]
             rows["gcv_lambda"][:, j] = lams
             rows["gcv_mse"][:, j] = np.mean((_smooth(m, x[0], lams) - f_true) ** 2, axis=-1)
         del fits, x  # before the next block: memory stays O(n)

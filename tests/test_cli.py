@@ -128,6 +128,15 @@ class TestFitCommand:
             f"error: refinement spacing must be positive and finite, got {step}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "credible"])
+    def test_a_qstep_of_more_than_n_orders_exits_2(self, tmp_path, sample_csv, capsys, command):
+        # n = 128, q_max = 4: 3e300 orders, which np.arange refused with a ValueError (exit 1)
+        out = tmp_path / "out.json"
+        assert main([command, str(sample_csv), "--qstep", "1e-300", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: refinement spacing 1e-300 gives 3e+300 orders, more than n = 128\n")
+        assert not out.exists()
+
     def test_empty_file_exits_2(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

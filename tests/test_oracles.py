@@ -208,6 +208,15 @@ class TestOracleLambda:
                                 mismatches.append((n, kind, q, s2, c))
         assert mismatches == []
 
+    def test_numeric_root_at_the_ends_of_the_float_range(self):
+        # on the raw E X^2 = B^2 + sigma^2 the squares overflowed at 2^510
+        # (the infinity sentinel) and lost digits at 2^-500 (1.5399e-12)
+        fam = e.ModelFamily(e.design_grid(400))
+        B = fam.model(3.0).basis.forward(e.Generator(kind="f1-spectral").values(fam.grid))
+        lams = [e.oracle_lambda(e.SignalSpectrum(B=np.ldexp(B, k)), math.ldexp(1e-4, 2 * k),
+                                3.0, "numeric-root").lambda_q for k in (0, 510, -500)]
+        assert lams == [lams[0]] * 3 and lams[0] == pytest.approx(5.8033e-13, rel=1e-4)
+
     def test_closed_form_vs_numeric_root_on_log_scale(self, f1_spectrum):
         lc = e.oracle_lambda(f1_spectrum, 1e-4, 3.0, "closed-form").lambda_q
         ln = e.oracle_lambda(f1_spectrum, 1e-4, 3.0, "numeric-root").lambda_q

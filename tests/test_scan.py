@@ -172,6 +172,23 @@ def test_scans_stay_within_a_few_rows_of_memory_at_large_n():
     assert peak < 4 * 2**20
 
 
+def test_a_warm_stack_of_fits_stays_within_three_mb():
+    # 32 rows at n = 1000, the block ``simulate`` selects together: x and x^2
+    # (0.5 MB), the scratch buffer and the bracket parts (0.66 MB each) and
+    # the scan buffers, about 2.5 MB; a copy of x^2 per order took it to 4 MB
+    fam = e.ModelFamily(e.design_grid(1000))
+    f = e.Generator(kind="f1-spectral").values(fam.grid)
+    y = f + 0.01 * np.random.default_rng(0).standard_normal((32, 1000))
+    selection._fits(fam, y)
+    tracemalloc.start()
+    try:
+        selection._fits(fam, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 # -- a block of replicates against batches of one ----------------------------
 
 def _same(a, b):

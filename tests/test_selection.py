@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -460,6 +461,16 @@ class TestQGrid:
     def test_q_max_below_one_rejected(self):
         with pytest.raises(EbsplinesError, match="q_max must be >= 1"):
             e.default_q_grid(1000, q_max=0)
+
+    def test_a_grid_of_more_than_n_orders_is_refused(self):
+        # h = 1e-300 made np.arange raise "Maximum allowed size exceeded",
+        # 1e-12 asked for 29 TiB; at n = 400 (q_max = 5) h = 0.01 puts order
+        # 401 on the grid, 1 + 0.01 * 400 = 5.0, and h = 0.0125 stops at 321
+        for h, orders in ((1e-300, "4e+300"), (1e-12, "4e+12"), (5e-324, "inf"), (0.01, "401")):
+            with pytest.raises(EbsplinesError, match=re.escape(
+                    f"refinement spacing {h} gives {orders} orders, more than n = 400")):
+                e.default_q_grid(400, refine=h)
+        assert len(e.default_q_grid(400, refine=0.0125)) == 321
 
 
 def test_model_family_real_order():

@@ -96,6 +96,24 @@ class TestStudyHarness:
         assert rep.eb.var_lambda == 0.0
         assert rep.q_hat_counts == {res.q_hat: 1}
 
+    def test_a_study_does_not_depend_on_the_data_scale(self):
+        # f1's coefficients and sigma scaled by 2^510 or 2^-500: GCV on the raw
+        # coefficients fell to the bottom of its grid at q = 2 (R 7.58 for 0.94)
+        n = 400
+        g = e.design_grid(n)
+        B = e.make_basis(g, 1.0).forward(F1.values(g))
+
+        def study(k):
+            gen = e.Generator(kind="custom-spectrum", params={"coeffs": np.ldexp(B, k)},
+                              scale_by_range=False)
+            rep = e.run_study(e.StudyConfig(generator=gen, n=n, replicates=6,
+                                            sigma=math.ldexp(0.01, k), seed=3))
+            rows = [(r.q, r.mean_lambda, r.var_lambda, math.ldexp(r.amse, -2 * k), r.ratio)
+                    for r in (rep.eb, *rep.gcv)]
+            return rows, rep.q_hat_counts, rep.eb_lambda_by_q
+
+        assert study(510) == study(0) == study(-500)
+
     @pytest.mark.parametrize("samples", [1, 2])
     def test_record_rows_equal_separate_fits_across_blocks(self, samples):
         # at n = 4096 replicates run in blocks of 8: 12 replicates span two

@@ -6,9 +6,11 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two trees (or the trees
 themselves).  Each is loaded under its own package name (``ebsplines_old``,
 ``ebsplines_new``), so both run side by side on the same data.  The cases are
 f1 at sigma = 0.01 (noise ``default_rng(3)``, the default order grid, a warm
-``ModelFamily`` per tree): single rows at n = 1000, 16,000 and 64,000, a
-stack of 32 rows at n = 1000 and one of 16 rows at n = 2000, the stacks
-``simulate`` and ``compare`` select together.
+``ModelFamily`` per tree): single rows at n = 1000, 16,000 and 64,000, and
+the stacks ``simlab._record`` hands ``_fits`` (a block of max(1, 2^15 // n)
+replicates): 32 rows at n = 1000 and 16 at n = 2000, which ``simulate`` and
+``compare`` select together, and 8 rows at n = 4096 and 2 at n = 16,000,
+where the stacks' rows are long.
 
 For every case the tool first checks that both trees give the same
 lambda_hat, q_hat, q* and per-order diagnostics (q, lambda_hat, T_q and the
@@ -17,8 +19,9 @@ differ.  Then it times the two
 trees in alternation, one call each per round with the order swapped every
 round, and prints the median of each tree, their ratio (new / old) and the
 share of rounds in which the new tree was faster.  R rounds per case default
-to 1000 / 100 / 30 at n = 1000 / 16,000 / 64,000 and 300 for the stacks, about
-20 seconds in all on two cores.
+to 1000 / 100 / 30 for the single rows at n = 1000 / 16,000 / 64,000, 300 for
+the stacks at n = 1000 and 2000 and 100 for the two longer ones, about 30
+seconds in all on two cores.
 
 The BLAS thread count is set to 1 before NumPy loads (unless the environment
 sets it), so a timing does not depend on how OpenBLAS splits a product.
@@ -37,7 +40,8 @@ import numpy as np
 
 # (label, n, rows, default rounds)
 CASES = [("single", 1000, 1, 1000), ("single", 16000, 1, 100), ("single", 64000, 1, 30),
-         ("stack", 1000, 32, 300), ("stack", 2000, 16, 300)]
+         ("stack", 1000, 32, 300), ("stack", 2000, 16, 300), ("stack", 4096, 8, 100),
+         ("stack", 16000, 2, 100)]
 
 
 def load(src: str, name: str):
