@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -46,17 +45,21 @@ EXIT_NUMERIC = 3
 _SPACING_RTOL = 1e-4
 
 
+def _new_file_beside(path: str) -> tuple[int, str]:
+    """Create a temp file beside ``path``, named from ``os.urandom``, with the
+    mode ``open(path, "w")`` gives a new file; return its descriptor and name."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-ebs-{os.urandom(8).hex()}")
+    return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+
+
 def _atomic_write(path: str, chunks) -> None:
     """Write the bytes objects ``chunks`` to a temp file beside ``path``, then
-    rename it to ``path``, with the mode ``open(path, "w")`` gives a new file."""
+    rename it to ``path``."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-ebs-")
+        fd, tmp = _new_file_beside(path)
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
-        umask = os.umask(0)  # mkstemp makes the file owner-only
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         raise EbsplinesError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -73,8 +76,7 @@ def _check_outputs(paths) -> None:
         try:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".tmp-ebs-")
+            fd, tmp = _new_file_beside(path)
             os.close(fd)
             os.unlink(tmp)
         except OSError as exc:

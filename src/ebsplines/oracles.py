@@ -89,19 +89,16 @@ class SignalSpectrum:
         return float(np.dot(self.B ** 2, eig.values)) / self.n
 
 
-def _expected_x2(spectrum: SignalSpectrum, sigma2: float, q: float, unit: bool = False):
-    """The production eigenvalues at order q and E X^2 = B^2 + sigma^2 beyond
-    their null space; with ``unit``, of B / 2^k and sigma^2 / 4^k, k from
-    ``_unit_scale`` of B with sigma appended (exact, and inside the float
-    range at any scale of B and sigma)."""
+def _sigma2(sigma2: float) -> float:
     if not 0 <= sigma2 < math.inf:
         raise EbsplinesError(f"need 0 <= sigma2 < inf, got {sigma2}")
-    b = spectrum.B
-    if unit:
-        b, (k,) = _unit_scale(np.append(b, math.sqrt(sigma2))[None], "B")
-        b, sigma2 = b[0, :-1], float(np.ldexp(sigma2, -2 * k))
+    return sigma2
+
+
+def _expected_x2(spectrum: SignalSpectrum, sigma2: float, q: float):
+    """Order-q production eigenvalues and E X^2 = B^2 + sigma^2 past their null space."""
     eig = penalty_eigenvalues(q, spectrum.n)
-    return eig, _tails(eig, b)[0] + sigma2
+    return eig, _tails(eig, spectrum.B)[0] + _sigma2(sigma2)
 
 
 def expected_t_lambda(spectrum: SignalSpectrum, sigma2: float, lam: float,
@@ -133,27 +130,30 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
     energy (signal inside the null space) yields the infinity sentinel.
     numeric-root: the root of E T_lam, by the selector's own lambda solve
     (``selection.solve_lambda``: scan, bisection, tolerance and multi-root
-    rule) on the row E X^2 = B^2 + sigma^2, at unit scale as ``solve_lambda``
-    runs (so lambda does not depend on the scale of B and sigma); a boundary
-    solve (no interior root, see ``selection``) yields the infinity sentinel.
-    sigma2 must be finite and >= 0, and > 0 for the closed form.
+    rule) on the row E X^2 = B^2 + sigma^2; a boundary solve (no interior root,
+    see ``selection``) yields the infinity sentinel.  Both run on B / 2^k and
+    sigma^2 / 4^k, k from ``_unit_scale`` of (B, sigma): lambda is free of the
+    scale of B and sigma, and the energy, scaled back by 4^k, is ``inf`` past
+    the float range.  sigma2 must be finite and >= 0 (> 0 for the closed form).
     """
-    eig, x2 = _expected_x2(spectrum, sigma2, q, unit=True)
-    energy = spectrum.derivative_energy(q)
+    b, (k,) = _unit_scale(np.append(spectrum.B, math.sqrt(_sigma2(sigma2)))[None], "B")
+    b2, s2 = b[0, :-1] ** 2, float(np.ldexp(sigma2, -2 * k))
+    eig = penalty_eigenvalues(q, spectrum.n)
+    energy = float(np.dot(b2, eig.values)) / spectrum.n
     if method == "closed-form":
         if sigma2 == 0:
             raise EbsplinesError("need sigma2 > 0 for the closed form, got 0")
-        total = float(np.sum(np.asarray(spectrum.B) ** 2))
-        if energy <= 0 or (total > 0 and energy < 1e-26 * total):
-            lam = math.inf
-        else:
-            lam = (spectrum.n * energy / (sigma2 * kappa(q, 0, 2))) ** (-2.0 * q / (2.0 * q + 1.0))
+        den = s2 * kappa(q, 0, 2)  # 0 only for a sigma negligible next to B: lambda -> 0
+        vanishing = energy <= 0 or energy < 1e-26 * float(np.sum(b2))
+        lam = math.inf if vanishing else (
+            spectrum.n * energy / den if den else math.inf) ** (-2.0 * q / (2.0 * q + 1.0))
     elif method == "numeric-root":
-        (sol,), = _solve_lambdas([(eig, x2[None])])
+        (sol,), = _solve_lambdas([(eig, (b2[eig.null_dim:] + s2)[None])])
         lam = math.inf if sol.boundary else sol.lam
     else:
         raise EbsplinesError(f"unknown oracle method {method!r}")
-    return OracleResult(lambda_q=lam, derivative_energy=energy)
+    with np.errstate(over="ignore"):  # inf past the float range
+        return OracleResult(lambda_q=lam, derivative_energy=float(np.ldexp(energy, 2 * k)))
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,10 @@ def polished_tail_check(B, L: float = 2.0, N: int = 10) -> PolishedTailResult:
     Indices are 1-based as in the defining inequality.  Returns the worst
     ratio of tail mass to block mass and where it occurs; scale-invariant in B.
     """
-    b2 = np.asarray(B, dtype=float) ** 2
-    if not np.isfinite(b2).all():
+    b = np.asarray(B, dtype=float)
+    if not np.isfinite(b).all():
         raise EbsplinesError("need coefficients with finite squares")
+    b2 = _unit_scale(b[None], "B")[0][0] ** 2  # squares of B / 2^k: exact at any scale
     n = len(b2)
     jmax = n // 2
     if not 1 <= N <= jmax:
@@ -187,11 +188,9 @@ def polished_tail_check(B, L: float = 2.0, N: int = 10) -> PolishedTailResult:
     block = tail - suffix[np.minimum(2 * j, n)]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(tail == 0.0, 0.0, np.where(block == 0.0, math.inf, tail / block))
-    k = int(np.argmax(ratio))
-    # the first worst j; N when every ratio is 0
-    worst_j, worst_ratio = int(j[k]), float(ratio[k])
-    holds = not np.any(ratio > L)
-    return PolishedTailResult(holds=holds, worst_j=worst_j, worst_ratio=worst_ratio)
+    i = int(np.argmax(ratio))  # the first worst j; N when every ratio is 0
+    return PolishedTailResult(holds=not np.any(ratio > L), worst_j=int(j[i]),
+                              worst_ratio=float(ratio[i]))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,20 @@ class Generator:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise EbsplinesError(f"unknown generator kind {self.kind!r}")
+        # custom-spectrum's coeffs is a list of numbers, every other param one number
+        for key, v in self.params.items():
+            what = f"generator params {key!r}"
+            if (self.kind, key) != ("custom-spectrum", "coeffs"):
+                _numbers(what, [v])
+            elif isinstance(v, (list, tuple, np.ndarray)):
+                _numbers(what, v)
+            else:
+                raise EbsplinesError(f"{what}: {v!r} is not a list of numbers")
+        if self.kind == "custom-spectrum" and "coeffs" not in self.params:
+            raise EbsplinesError("generator params 'coeffs': missing, custom-spectrum needs it")
+        if self.beta is not None and not 0.5 < self.beta < math.inf:
+            raise EbsplinesError(f"generator params 'beta': {self.params['beta']!r} is not "
+                                 "an order: need 1/2 < beta < inf")
 
     @property
     def beta(self) -> float | None:
@@ -70,7 +84,7 @@ class Generator:
     def values(self, grid: DesignGrid) -> np.ndarray:
         n = grid.n
         if self.kind == "f1-spectral":
-            beta = float(self.params.get("beta", 3.0))
+            beta = self.beta
             d = int(math.floor(beta))
             i = np.arange(1, n + 1, dtype=float)
             coeffs = np.zeros(n)
@@ -97,13 +111,15 @@ class Generator:
 
     @staticmethod
     def from_dict(d: dict) -> "Generator":
-        params = dict(d.get("params", {}))
-        for key, v in params.items():
-            _numbers(f"generator params {key!r}", v if np.ndim(v) else [v])
+        if not isinstance(d, dict):
+            raise EbsplinesError(f"generator: {d!r} is not an object")
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise EbsplinesError(f"generator params: {params!r} is not an object")
         scale = d.get("scale_by_range", True)
         if not isinstance(scale, bool):
             raise EbsplinesError(f"generator scale_by_range: {scale!r} is not a boolean")
-        return Generator(kind=d["kind"], params=params, scale_by_range=scale)
+        return Generator(kind=d["kind"], params=dict(params), scale_by_range=scale)
 
 
 def _numbers(what: str, values) -> None:

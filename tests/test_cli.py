@@ -420,6 +420,21 @@ def test_outputs_take_the_mode_a_new_file_gets(tmp_path, sample_csv, umask, mode
     assert stat.S_IMODE(fitted.stat().st_mode) == mode
 
 
+@pytest.mark.parametrize("command", ["fit", "credible"])
+def test_outputs_leave_the_umask_alone(tmp_path, sample_csv, monkeypatch, command):
+    # the temp file takes its mode from os.open, not from a round trip through
+    # the process's umask (the benchmark and the tests run main in-process)
+    def umask(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", umask)
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    extra = (["--fitted-csv", str(csv)] if command == "fit"
+             else ["--draws", "2", "--samples-csv", str(csv)])
+    assert main([command, str(sample_csv), "--out", str(out), *extra]) == 0
+    assert out.exists() and csv.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out.csv", "out.json"]
+
+
 class TestCredibleCommand:
     def test_ball_and_samples(self, tmp_path, sample_csv):
         out = tmp_path / "ball.json"
@@ -600,9 +615,26 @@ class TestBadConfigs:
          "seed must be >= 0, got -3"),
         # the raw bytes of a config that is not UTF-8
         (b'{"generator": {"kind": "f1-spectral\xff"}}', "can't decode byte 0xff"),
+        # generator params: custom-spectrum needs its coeffs, every other param
+        # is one number, and f1's beta is an order
+        ({"generator": {"kind": "custom-spectrum"}, "n": 64, "replicates": 2},
+         "generator params 'coeffs': missing, custom-spectrum needs it"),
+        ({"generator": {"kind": "custom-spectrum", "params": {"coeffs": 3}}, "n": 64},
+         "generator params 'coeffs': 3 is not a list of numbers"),
+        ({"generator": {"kind": "f2-cosine", "params": {"half_periods": [1, 2]}}, "n": 64,
+          "replicates": 2}, "generator params 'half_periods': [1, 2] is not a number"),
+        ({"generator": {"kind": "f1-spectral", "params": {"beta": [3]}}, "n": 64,
+          "replicates": 2}, "generator params 'beta': [3] is not a number"),
+        ({"generator": {"kind": "f1-spectral", "params": {"beta": -1}}, "n": 64,
+          "replicates": 2}, "generator params 'beta': -1 is not an order"),
+        ({"generator": "f1-spectral", "n": 64}, "generator: 'f1-spectral' is not an object"),
+        ({"generator": {"kind": "f1-spectral", "params": [3]}, "n": 64},
+         "generator params: [3] is not an object"),
     ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
             "negative-sigma", "nan-sigma", "n-float", "replicates-bool", "seed-string",
-            "sigma-bool", "scale-string", "convention-int", "negative-seed", "non-utf8"])
+            "sigma-bool", "scale-string", "convention-int", "negative-seed", "non-utf8",
+            "coeffs-missing", "coeffs-scalar", "half-periods-list", "beta-list",
+            "beta-negative", "generator-string", "params-list"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
         p.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())

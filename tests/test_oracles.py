@@ -208,14 +208,39 @@ class TestOracleLambda:
                                 mismatches.append((n, kind, q, s2, c))
         assert mismatches == []
 
-    def test_numeric_root_at_the_ends_of_the_float_range(self):
-        # on the raw E X^2 = B^2 + sigma^2 the squares overflowed at 2^510
-        # (the infinity sentinel) and lost digits at 2^-500 (1.5399e-12)
+    @staticmethod
+    def _f1_at_scales(method):
+        # B 2^k with sigma^2 4^k, f1 at n = 400, q = 3
         fam = e.ModelFamily(e.design_grid(400))
         B = fam.model(3.0).basis.forward(e.Generator(kind="f1-spectral").values(fam.grid))
-        lams = [e.oracle_lambda(e.SignalSpectrum(B=np.ldexp(B, k)), math.ldexp(1e-4, 2 * k),
-                                3.0, "numeric-root").lambda_q for k in (0, 510, -500)]
-        assert lams == [lams[0]] * 3 and lams[0] == pytest.approx(5.8033e-13, rel=1e-4)
+        return [e.oracle_lambda(e.SignalSpectrum(B=np.ldexp(B, k)), math.ldexp(1e-4, 2 * k),
+                                3.0, method) for k in (0, 400, 500, 510, -500)]
+
+    def test_numeric_root_at_the_ends_of_the_float_range(self):
+        # on the raw E X^2 = B^2 + sigma^2 the squares overflowed at 2^510
+        # (the infinity sentinel) and lost digits at 2^-500 (1.5399e-12); the
+        # raw derivative energy overflowed at 2^500 with a RuntimeWarning
+        lams = [r.lambda_q for r in self._f1_at_scales("numeric-root")]
+        assert lams == [lams[0]] * 5 and lams[0] == pytest.approx(5.8033e-13, rel=1e-4)
+
+    def test_closed_form_at_the_ends_of_the_float_range(self):
+        # on the raw squares the derivative energy overflowed at 2^500 and
+        # 2^510 (lambda 0.0) and the last digit moved at 2^-500; the energy
+        # is reported scaled back by 4^k, inf past the float range
+        res = self._f1_at_scales("closed-form")
+        lams = [r.lambda_q for r in res]
+        assert lams == [lams[0]] * 5 and lams[0] == pytest.approx(2.7924e-14, rel=1e-4)
+        energy = res[0].derivative_energy
+        assert [r.derivative_energy for r in res] == [
+            energy, math.ldexp(energy, 800), math.inf, math.inf, math.ldexp(energy, -1000)]
+
+    def test_negligible_noise_gives_a_vanishing_closed_form(self, f1_spectrum):
+        # sigma^2 / 4^k underflows next to B = 1e10 B_f1: n energy / sigma^2
+        # is past the float range and lambda its limit 0 (at 5e-324 the
+        # closed form divided by zero on the raw sigma^2 too)
+        spec = e.SignalSpectrum(B=1e10 * f1_spectrum.B)
+        for s2 in (1e-300, 1e-310, 5e-324):
+            assert e.oracle_lambda(spec, s2, 3.0, "closed-form").lambda_q == 0.0
 
     def test_closed_form_vs_numeric_root_on_log_scale(self, f1_spectrum):
         lc = e.oracle_lambda(f1_spectrum, 1e-4, 3.0, "closed-form").lambda_q
@@ -269,6 +294,15 @@ class TestPolishedTail:
         r2 = e.polished_tail_check(c * B, L=2.0, N=5)
         assert r1.holds == r2.holds and r1.worst_j == r2.worst_j
         assert r1.worst_ratio == pytest.approx(r2.worst_ratio, rel=1e-9)
+
+    def test_scale_invariance_at_the_ends_of_the_float_range(self):
+        # on the raw squares B 2^520 overflowed (an error) and B 2^-560
+        # underflowed (every mass 0: holds, ratio 0)
+        B = np.random.default_rng(0).standard_normal(256)
+        res = [e.polished_tail_check(np.ldexp(B, k), L=2.0, N=5) for k in (0, 520, -520, -560)]
+        assert res == [res[0]] * 4
+        assert (res[0].holds, res[0].worst_j) == (False, 5)
+        assert res[0].worst_ratio == pytest.approx(51.18, abs=0.01)
 
     def test_N_validation(self):
         # j runs over N..n/2 and indexes suffix sums from 1

@@ -46,12 +46,12 @@ def test_blocked_grids_equal_scalar_criteria(n, q):
         # reference is the loop formulas below
         assert np.array_equal(t, [_loop_t_lam(x2, nz, n, l) for l in grid])
         assert np.array_equal(g, [_loop_gcv(m, x, l) for l in grid])
-    # T_q runs on the same kernel with the weights log(n eta)
+    # T_q runs on the same kernel with the model's T_q weight
+    ln = m.eigen.log_tail
     for grid in lams[:2]:
-        tq, = selection._scan(functools.partial(selection._t_rows, n, np.log(nz)),
-                              x2[None], nz, grid)
+        tq, = selection._scan(functools.partial(selection._t_rows, n, ln), x2[None], nz, grid)
         assert np.array_equal(tq, [e.t_q(m, x, l) for l in grid])
-        assert np.array_equal(tq, [_loop_t_q(x2, nz, n, l) for l in grid])
+        assert np.array_equal(tq, [_loop_t_q(x2, nz, ln, n, l) for l in grid])
 
 
 # -- the solvers as they were before the blocked scans: one lambda per call --
@@ -64,10 +64,9 @@ def _loop_t_lam(x2, nz, n, lam):
     return a - b
 
 
-def _loop_t_q(x2, nz, n, lam):
+def _loop_t_q(x2, nz, ln, n, lam):
     u = lam * nz
     r = u / (1.0 + u)
-    ln = np.log(nz)
     a = float(np.dot(x2, r * ln / (1.0 + u))) / n
     b = float(np.dot(x2, r)) * float(np.sum(ln / (1.0 + u))) / (n * n)
     return a - b

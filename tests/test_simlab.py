@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,27 @@ class TestGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(EbsplinesError):
             e.Generator(kind="mystery")
+
+    @pytest.mark.parametrize("kind,params,what", [
+        ("custom-spectrum", {}, "'coeffs': missing"),
+        ("custom-spectrum", {"coeffs": 2.0}, "'coeffs': 2.0 is not a list of numbers"),
+        ("custom-spectrum", {"coeffs": [1.0, "x"]}, "'coeffs': 'x' is not a number"),
+        ("custom-spectrum", {"coeffs": np.ones(8), "degree": [1]},
+         "'degree': [1] is not a number"),
+        ("f2-cosine", {"half_periods": np.array([1.0, 2.0])}, "'half_periods': array("),
+        ("f1-spectral", {"beta": [3]}, "'beta': [3] is not a number"),
+        ("f1-spectral", {"beta": True}, "'beta': True is not a number"),
+        ("f1-spectral", {"beta": -1}, "'beta': -1 is not an order"),
+        ("f1-spectral", {"beta": 0.5}, "'beta': 0.5 is not an order"),
+        ("f1-spectral", {"beta": math.inf}, "'beta': inf is not an order"),
+        ("f1-spectral", {"beta": math.nan}, "'beta': nan is not an order"),
+    ], ids=["coeffs-missing", "coeffs-scalar", "coeffs-string", "degree-list",
+            "half-periods-array", "beta-list", "beta-bool", "beta-negative", "beta-half",
+            "beta-inf", "beta-nan"])
+    def test_params_are_checked_where_the_generator_is_made(self, kind, params, what):
+        # the library's Generator takes the checks a config's does
+        with pytest.raises(EbsplinesError, match=re.escape(f"generator params {what}")):
+            e.Generator(kind=kind, params=params)
 
     def test_custom_spectrum_length_mismatch(self):
         gen = e.Generator(kind="custom-spectrum", params={"coeffs": np.ones(8)})
