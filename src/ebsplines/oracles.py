@@ -84,9 +84,16 @@ class SignalSpectrum:
     def derivative_energy(self, q: float) -> float:
         """(1/n) sum B_i^2 n*eta_{q,i} -- the computable surrogate for the
         squared q-th derivative norm, on the production (penalty-phase)
-        eigenvalues."""
-        eig = penalty_eigenvalues(q, self.n)
-        return float(np.dot(self.B ** 2, eig.values)) / self.n
+        eigenvalues; ``_energy`` of B / 2^k (``_unit_scale``)."""
+        b, (k,) = _unit_scale(self.B[None], "B")
+        return _energy(b[0] ** 2, penalty_eigenvalues(q, self.n).values, k)[1]
+
+
+def _energy(b2: np.ndarray, values: np.ndarray, k: int) -> tuple[float, float]:
+    """(1/n) sum b2 n*eta of b2 = (B / 2^k)^2, and it times 4^k (``inf`` past floats)."""
+    energy = float(np.dot(b2, values)) / len(b2)
+    with np.errstate(over="ignore"):
+        return energy, float(np.ldexp(energy, 2 * k))
 
 
 def _sigma2(sigma2: float) -> float:
@@ -139,7 +146,7 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
     b, (k,) = _unit_scale(np.append(spectrum.B, math.sqrt(_sigma2(sigma2)))[None], "B")
     b2, s2 = b[0, :-1] ** 2, float(np.ldexp(sigma2, -2 * k))
     eig = penalty_eigenvalues(q, spectrum.n)
-    energy = float(np.dot(b2, eig.values)) / spectrum.n
+    energy, scaled = _energy(b2, eig.values, k)
     if method == "closed-form":
         if sigma2 == 0:
             raise EbsplinesError("need sigma2 > 0 for the closed form, got 0")
@@ -152,8 +159,7 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
         lam = math.inf if sol.boundary else sol.lam
     else:
         raise EbsplinesError(f"unknown oracle method {method!r}")
-    with np.errstate(over="ignore"):  # inf past the float range
-        return OracleResult(lambda_q=lam, derivative_energy=float(np.ldexp(energy, 2 * k)))
+    return OracleResult(lambda_q=lam, derivative_energy=scaled)
 
 
 @dataclass(frozen=True)

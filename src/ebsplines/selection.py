@@ -27,7 +27,8 @@ midpoints reuse), the rest of each sum is bounded in closed form
 S = m - sum r, r = u/(1+u)), and a full row is built only where the bounds,
 widened by the rounding error of the sums, leave a sign open, and in each
 solve's last round; so the brackets, roots and residuals are those of full
-rows bit for bit.  Nothing is kept between solves.
+rows bit for bit.  A ``ModelFamily`` keeps each order's data-free scan plan
+(``_scan_plan``: cuts, blocks, sums of n*eta), and no sum that sees the data.
 
 Every order shares the cosine coefficients X, so dX^2/dq is exactly zero.
 The weight log(n*eta) (``EigenSequence.log_tail``) is q d log(n*eta)/dq
@@ -331,44 +332,66 @@ def solve_lambda(model: SpectralModel, coeffs, tol: float | None = None) -> Lamb
     return replace(sol, t_value=float(np.ldexp(sol.t_value, 2 * k)))
 
 
-def _ends(eigen: EigenSequence, x2s: np.ndarray, cuts: np.ndarray,
-          out: np.ndarray, buf: np.ndarray) -> None:
-    """Into ``out`` (10 x replicates x lambdas), per row of x2s and lambda j,
-    the head i < H = cuts[0, j] and the tail i >= K = cuts[1, j] of T_lam's
-    row, side by side: H and K, nz[H - 1] (0 if H = 0) and nz[K] (nz[m - 1]
-    if K = m), then sum x2 nz and sum x2/nz, sum x2 nz^2 and sum x2, and
-    sum nz and sum 1/nz, over the head and the tail (0 over an empty part).
-    Each sum adds up the parts between the distinct cuts, from one
-    ``reduceat`` pass over products built in ``buf`` (``_scratch``)."""
-    nz, m, r = eigen.tail, len(eigen.tail), len(x2s)
-    hs, ts = sorted(set(cuts[0].tolist()) - {0}), sorted(set(cuts[1].tolist()) - {m})
-    # the parts [0, hs[0]), ..., [hs[-2], hs[-1]) after a 0 for H = 0, and
-    # [ts[0], ts[1]), ..., [ts[-1], m) before a 0 for K = m; rows x2 nz,
-    # x2 nz^2 and nz over the heads, x2/nz, x2 and 1/nz over the tails
-    sums = np.zeros((2 * r + 1, len(hs) + len(ts) + 2))
+def _scan_plan(nz: np.ndarray) -> tuple:
+    """What the bracket scan on the tail eigenvalues nz takes from nz alone,
+    none of it as long as nz: the blocks (j, k, H, K), rows j to k - 1 on
+    the band [H, K) (``_bracket_parts``); the parts ``_ends`` sums; and per
+    lambda (6 x lambdas) H, K, nz[H - 1] (0 if H = 0), nz[K] (nz[m - 1] if
+    K = m), sum nz over the head and sum 1/nz over the tail.  As nz ascends,
+    u = lam * nz < 1/M before a lambda's own head cut and >= M from its own
+    tail cut on (M = ``_SATURATED``).  A block spans the band from its
+    largest lambda's head cut to its smallest's tail cut, as many rows as a
+    buffer holds (none on an empty band); its lambdas take these cuts, so
+    lam_(j+1)'s head and lam_j's tail hold between them (``_solve_lambdas``)."""
+    lams, m, own = _SCAN_GRID, len(nz), np.searchsorted(nz, _BAND_ENDS).tolist()
+    head, cut, blocks, j = own[:len(lams)], own[len(lams):], [], 0
+    while j < len(lams):  # rows j to k - 1 on the band from k - 1's head to j's cut
+        k = j + 1
+        if head[j] < cut[j]:
+            while (k < len(lams) and head[k] < cut[k]
+                   and (k + 1 - j) * (cut[j] - head[k]) <= _BLOCK_ENTRIES):
+                k += 1
+            blocks.append((j, k, head[k - 1], cut[j]))
+            head[j:k], cut[j:k] = [head[k - 1]] * (k - j), [cut[j]] * (k - j)
+        j = k
+    hs, ts, cuts = sorted(set(head) - {0}), sorted(set(cut) - {m}), np.array([head, cut])
+    cols = np.concatenate([np.searchsorted(hs, cuts[0], "right"),
+                           np.searchsorted(ts, cuts[1]) + len(hs) + 1])
+    parts = hs, ts, np.array([0, *hs[:-1]]), np.array([k - ts[0] for k in ts], dtype=int), cols
+    sums = np.zeros(len(hs) + len(ts) + 2)  # as in ``_ends``: nz over the heads, 1/nz tails
     if hs:
-        at, top, part = [0, *hs[:-1]], hs[-1], sums[:, 1:len(hs) + 1]
+        np.cumsum(np.add.reduceat(nz[:hs[-1]], parts[2]), out=sums[1:len(hs) + 1])
+    if ts:
+        np.cumsum(np.add.reduceat(1.0 / nz[ts[0]:], parts[3])[::-1], out=sums[-2:len(hs):-1])
+    return blocks, parts, np.vstack([cuts, nz[cuts[0] - 1] * (cuts[0] > 0),
+                                     nz[np.minimum(cuts[1], m - 1)], sums[cols].reshape(2, -1)])
+
+
+def _ends(nz: np.ndarray, x2s: np.ndarray, parts: tuple, buf: np.ndarray) -> np.ndarray:
+    """Per row of x2s and lambda (4 x replicates x lambdas), sum x2 nz and
+    sum x2/nz, sum x2 nz^2 and sum x2, over the head i < H and the tail
+    i >= K of T_lam's row (0 over an empty part), from the parts between the
+    distinct cuts of ``parts`` (``_scan_plan``: cuts, offsets and columns),
+    summed in one ``reduceat`` pass over products built in ``buf``."""
+    (hs, ts, hat, tat, cols), m, r = parts, len(nz), len(x2s)
+    # the parts [0, hs[0]), ..., [hs[-2], hs[-1]) after a 0 for H = 0, and
+    # [ts[0], ts[1]), ..., [ts[-1], m) before a 0 for K = m
+    sums = np.zeros((2 * r, len(hs) + len(ts) + 2))
+    if hs:
+        top, part = hs[-1], sums[:, 1:len(hs) + 1]
         x = np.multiply(x2s[:, :top], nz[:top], out=buf[:r * top].reshape(r, top))
-        np.add.reduceat(x, at, axis=1, out=part[:r])
-        np.add.reduceat(np.multiply(x, nz[:top], out=x), at, axis=1, out=part[r:-1])
-        np.add.reduceat(nz[:top], at, out=part[-1])
+        np.add.reduceat(x, hat, axis=1, out=part[:r])
+        np.add.reduceat(np.multiply(x, nz[:top], out=x), hat, axis=1, out=part[r:])
         np.cumsum(sums[:, :len(hs) + 1], axis=1, out=sums[:, :len(hs) + 1])
     if ts:
-        at, low, part = [k - ts[0] for k in ts], ts[0], sums[:, len(hs) + 1:-1]
+        low, part = ts[0], sums[:, len(hs) + 1:-1]
         inv = np.divide(1.0, nz[low:], out=buf[:m - low])
         x = np.multiply(x2s[:, low:], inv, out=buf[m - low:(r + 1) * (m - low)].reshape(r, -1))
-        np.add.reduceat(x, at, axis=1, out=part[:r])
-        np.add.reduceat(x2s[:, low:], at, axis=1, out=part[r:-1])
-        np.add.reduceat(inv, at, out=part[-1])
+        np.add.reduceat(x, tat, axis=1, out=part[:r])
+        np.add.reduceat(x2s[:, low:], tat, axis=1, out=part[r:])
         back = sums[:, :len(hs):-1]
         np.cumsum(back, axis=1, out=back)
-    c = cuts.shape[1]
-    sums = sums[:, np.concatenate([np.searchsorted(hs, cuts[0], "right"),
-                                   np.searchsorted(ts, cuts[1]) + len(hs) + 1])]
-    out[:2] = cuts[:, None]
-    out[2], out[3] = nz[cuts[0] - 1] * (cuts[0] > 0), nz[np.minimum(cuts[1], m - 1)]
-    out[4:8] = sums[:-1].reshape(2, r, 2, c).transpose(0, 2, 1, 3).reshape(4, r, c)
-    out[8:] = sums[-1].reshape(2, 1, c)
+    return sums[:, cols].reshape(2, r, 2, -1).transpose(0, 2, 1, 3).reshape(4, r, -1)
 
 
 def _band_rows(lams: np.ndarray, bands: list, buf: np.ndarray) -> np.ndarray:
@@ -439,40 +462,20 @@ def _t_bounds(n: int, lam, a, b, s, head, tail, tol=0.0):
     return lo, hi, g * (a_hi / n + b_hi * s_hi / n2 + tol) + _TINY / lam + tol
 
 
-def _bracket_parts(eigen: EigenSequence, x2s: np.ndarray, out: np.ndarray,
+def _bracket_parts(nz: np.ndarray, x2s: np.ndarray, plan: tuple, out: np.ndarray,
                    buf: np.ndarray) -> None:
     """Into ``out`` (13 x replicates x lambdas), per row of x2s and scan
-    lambda: the head and the tail of T_lam's row at its block's cuts
-    (``_ends``), then A, B and S on the band between them (as ``_band_rows``).
-
-    The eigenvalues ascend, so every u = lam * nz is below 1/M before a
-    lambda's own head cut and at least M from its own tail cut on (M =
-    ``_SATURATED``).  A block of rows is built on the band from the head
-    cut of its largest lambda to the tail cut of its smallest, as many rows
-    as a buffer holds (none on an empty band), and takes these as its
-    lambdas' cuts; so the head at lam_(j+1)'s cut and the tail at lam_j's
-    stay head and tail at every lambda between them (``_solve_lambdas``)."""
-    nz, lams = eigen.tail, _SCAN_GRID
-    own = np.searchsorted(nz, _BAND_ENDS).tolist()
-    head, cut, blocks, j = own[:len(lams)], own[len(lams):], [], 0
-    while j < len(lams):  # rows j to k - 1 on the band from k - 1's head to j's cut
-        k = j + 1
-        if head[j] < cut[j]:
-            while (k < len(lams) and head[k] < cut[k]
-                   and (k + 1 - j) * (cut[j] - head[k]) <= _BLOCK_ENTRIES):
-                k += 1
-            blocks.append((j, k))
-            head[j:k], cut[j:k] = [head[k - 1]] * (k - j), [cut[j]] * (k - j)
-        j = k
-    _ends(eigen, x2s, np.array([head, cut]), out[:10], buf)
-    out[10:] = 0.0
-    for j, k in blocks:
-        band = slice(head[j], cut[j])
-        u, v, w = buf[:3 * (k - j) * (cut[j] - head[j])].reshape(3, k - j, -1)
-        _outer(lams[j:k], nz[band], u)
+    lambda: the plan's H, K, nz[H - 1] and nz[K], the head and tail sums of
+    ``_ends``, the plan's sum nz and sum 1/nz (see ``_t_bounds``), then A, B
+    and S on the band between the cuts, block by block (``_scan_plan``)."""
+    out[:4], out[8:10], out[10:] = plan[2][:4, None], plan[2][4:, None], 0.0
+    out[4:8] = _ends(nz, x2s, plan[1], buf)
+    for j, k, h, c in plan[0]:
+        u, v, w = buf[:3 * (k - j) * (c - h)].reshape(3, k - j, -1)
+        _outer(_SCAN_GRID[j:k], nz[h:c], u)
         np.divide(1.0, np.add(u, 1.0, out=v), out=v)  # 1/v
         np.multiply(np.multiply(u, v, out=u), v, out=w)  # r and r/v
-        x2 = x2s[:, None, band]
+        x2 = x2s[:, None, h:c]
         out[10, :, j:k], out[11, :, j:k], out[12, :, j:k] = (
             np.vecdot(w, x2), np.vecdot(u, x2), v.sum(axis=-1))
 
@@ -486,19 +489,21 @@ def _scratch(problems: list) -> np.ndarray:
                         for _, x2s in problems))
 
 
-def _grid_signs(problems: list, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _grid_signs(problems: list, buf: np.ndarray | None = None,
+                plans: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The signs (-1, 0, 1) of the T_lam values ``_scan`` gives at the scan
     lambdas for the stacks x2s of squared tail coefficients of ``problems``
     [(eigen, x2s), ...], models on one grid, their rows one after another,
-    (rows x lambdas); and their ``_bracket_parts`` (13 x rows x lambdas).
-    One pass of ``_t_bounds`` bounds every row.  A lambda is settled for a
-    stack when, for every row of it, the bounds, widened by their slack,
-    exclude 0; otherwise its signs are those of ``_scan``'s full rows."""
+    (rows x lambdas); and their ``_bracket_parts`` (13 x rows x lambdas) on
+    ``plans`` (planned here if not given), bounded by one ``_t_bounds`` pass.
+    A lambda is settled for a stack when the bounds of every row, widened by
+    their slack, exclude 0; otherwise its signs are ``_scan``'s full rows'."""
     buf = _scratch(problems) if buf is None else buf
     at = [0, *itertools.accumulate(len(x2s) for _, x2s in problems)]
     parts = np.empty((13, at[-1], len(_SCAN_GRID)))
-    for (eigen, x2s), r0, r1 in zip(problems, at, at[1:]):
-        _bracket_parts(eigen, x2s, parts[:, r0:r1], buf)
+    plans = [_scan_plan(eigen.tail) for eigen, _ in problems] if plans is None else plans
+    for (eigen, x2s), plan, r0, r1 in zip(problems, plans, at, at[1:]):
+        _bracket_parts(eigen.tail, x2s, plan, parts[:, r0:r1], buf)
     n = problems[0][0].n
     lo, hi, slack = _t_bounds(n, _SCAN_GRID, *parts[10:], parts[:10:2], parts[1:10:2])
     signs = np.sign(lo + hi)
@@ -511,15 +516,15 @@ def _grid_signs(problems: list, buf: np.ndarray | None = None) -> tuple[np.ndarr
     return signs, parts
 
 
-def _solve_lambdas(problems: list, tol=None) -> list[list[LambdaSolve]]:
+def _solve_lambdas(problems: list, tol=None, plans=None) -> list[list[LambdaSolve]]:
     """``solve_lambda`` for each row of each stack x2s of squared tail
     coefficients of ``problems`` [(eigen, x2s), ...], models on one grid,
     every bracket a lane of one lockstep.  The brackets come from the signs
-    of ``_scan``'s T_lam on the scan grid (``_grid_signs``).  In stacks of
-    rows the lanes at one lambda share full rows (``_scan``).  A single
-    row's midpoint takes the head at its bracket's upper lambda's cuts and
-    the tail at the lower's (``_bracket_parts``), builds its row on the band
-    between them (``_band_rows``) and its sign from ``_t_bounds`` (in
+    of ``_scan``'s T_lam on the scan grid (``_grid_signs`` on ``plans``).
+    In stacks of rows the lanes at one lambda share full rows (``_scan``).
+    A single row's midpoint takes the head at its bracket's upper lambda's
+    cuts and the tail at the lower's (``_scan_plan``), builds its row on the
+    band between them (``_band_rows``) and its sign from ``_t_bounds`` (in
     floats) where they put T_lam beyond +-tol.  The full row is built where
     they do not and in a lane's last round, so the brackets, roots and
     t_values are ``_scan``'s bit for bit."""
@@ -529,8 +534,9 @@ def _solve_lambdas(problems: list, tol=None) -> list[list[LambdaSolve]]:
     tols = (np.full(sum(sizes), float(tol)) if tol is not None else
             np.concatenate([(1e-3 / n) * np.maximum(np.mean(x2s, axis=-1), 1e-300)
                             for _, x2s in problems]))
-    buf = _scratch(problems)
-    signs, parts = _grid_signs(problems, buf)
+    plans = [_scan_plan(eigen.tail) for eigen, _ in problems] if plans is None else plans
+    buf = _scratch(problems)  # after the plans' buffers are freed
+    signs, parts = _grid_signs(problems, buf, plans)
     gs, js = np.nonzero((signs[:, :-1] < 0) & (signs[:, 1:] > 0))
     # per lane: its problem and row there, and its tolerance
     starts = np.cumsum([0, *sizes])
@@ -595,18 +601,25 @@ class ModelFamily:
     """The production models on one design grid: ``spectral_model(grid, q)``,
     the cosine basis with the order-q penalty-phase eigenvalues, cached per
     order.  All orders use the transform ``basis``: a fit transforms data once.
+    Beside each model it keeps the order's data-free scan plan (``_scan_plan``).
     """
 
     def __init__(self, grid: DesignGrid):
         self.grid = grid
         self.basis = make_basis(grid, 1.0)  # the cosine basis ignores the order
         self._models: dict[float, SpectralModel] = {}
+        self._plans: dict[float, tuple] = {}
 
     def model(self, q: float) -> SpectralModel:
         q = float(q)
         if q not in self._models:
             self._models[q] = spectral_model(self.grid, q)
         return self._models[q]
+
+    def _plan(self, q: float) -> tuple:
+        if (q := float(q)) not in self._plans:
+            self._plans[q] = _scan_plan(self.model(q).eigen.tail)
+        return self._plans[q]
 
 
 def default_q_grid(n: int, q_max: int | None = None,
@@ -741,10 +754,10 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
     # every order's lambda solves, side by side, and T_q there (unit scale), on views of x2
     x2 = x ** 2
     problems = [(m.eigen, x2[:, m.null_dim:]) for m in map(family.model, qgrid)]
-    sols, tqs = _solve_lambdas(problems), np.empty((len(x), len(qgrid)))
-    for j, ((eigen, x2s), sol) in enumerate(zip(problems, sols)):
-        tqs[:, j] = _scan(functools.partial(_t_rows, n, eigen.log_tail), x2s, eigen.tail,
-                          np.array([s.lam for s in sol]), np.arange(len(x)))
+    sols = _solve_lambdas(problems, plans=[family._plan(q) for q in qgrid])
+    tqs = np.column_stack([_scan(functools.partial(_t_rows, n, eigen.log_tail), x2s, eigen.tail,
+                                 np.array([s.lam for s in sol]), np.arange(len(x)))
+                           for (eigen, x2s), sol in zip(problems, sols)])
 
     picks = []  # per row: the positive T_q, q* and q_hat
     for tvals in tqs:
@@ -766,7 +779,8 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
     if off:  # one solve of them all
         eigens = [family.model(q).eigen for q in off]
         for (q, rows), sol in zip(off.items(), _solve_lambdas(
-                [(eigen, x2[rows, eigen.null_dim:]) for eigen, rows in zip(eigens, off.values())])):
+                [(eigen, x2[rows, eigen.null_dim:]) for eigen, rows in zip(eigens, off.values())],
+                plans=[family._plan(q) for q in off])):
             by_q[q] = dict(zip(rows, sol))
     for r, (xk, k, tvals, (pos, q_star, q_hat)) in enumerate(zip(x, ks.tolist(), tqs, picks)):
         model, sol = family.model(q_hat), by_q[q_hat][r]

@@ -234,6 +234,18 @@ class TestOracleLambda:
         assert [r.derivative_energy for r in res] == [
             energy, math.ldexp(energy, 800), math.inf, math.inf, math.ldexp(energy, -1000)]
 
+    def test_public_energy_equals_the_oracles_at_the_ends_of_the_float_range(self):
+        # ``SignalSpectrum.derivative_energy`` forms the energy on B / 2^k as
+        # the oracle does; on the raw squares it went subnormal at 2^-530
+        # (2.717e-312 against 3.655e-311) and overflowed at 2^500 with a
+        # RuntimeWarning
+        fam = e.ModelFamily(e.design_grid(400))
+        B = fam.model(3.0).basis.forward(e.Generator(kind="f1-spectral").values(fam.grid))
+        for k in (-530, 0, 500):
+            spec = e.SignalSpectrum(B=np.ldexp(B, k))
+            want = e.oracle_lambda(spec, math.ldexp(1e-4, 2 * k), 3.0).derivative_energy
+            assert spec.derivative_energy(3.0).hex() == want.hex()
+
     def test_negligible_noise_gives_a_vanishing_closed_form(self, f1_spectrum):
         # sigma^2 / 4^k underflows next to B = 1e10 B_f1: n energy / sigma^2
         # is past the float range and lambda its limit 0 (at 5e-324 the

@@ -309,7 +309,9 @@ def test_t_lam_lies_within_its_bounds(n):
     # slack: at each scan lambda, from the sums at its block's cuts, and at a
     # lambda inside each bracket, from the sums at the upper end's block's
     # head cut and the lower end's block's tail cut (the band's sums by the
-    # loop formula too); a family keeps only its models
+    # loop formula too); a family keeps its models and one scan plan per
+    # model, which has no part of length n and sees no data: it is the same
+    # after fits on two data sets and the same as a plan built afresh
     fam = e.ModelFamily(e.design_grid(n))
     rng = np.random.default_rng(n)
     ys = [e.Generator(kind=kind).values(fam.grid) + sigma * rng.standard_normal(n)
@@ -337,14 +339,74 @@ def test_t_lam_lies_within_its_bounds(n):
             t = np.array([_loop_t_lam(x2, nz, n, lam) for lam in mids])
             assert (lo - slack <= t).all() and (t <= hi + slack).all()
     e.fit(fam, ys[0])
-    assert vars(fam).keys() == {"grid", "basis", "_models"}
+    kept = {q: _plan_parts(plan) for q, plan in fam._plans.items()}
+    e.fit(fam, ys[3])
+    assert vars(fam).keys() == {"grid", "basis", "_models", "_plans"}
     assert all(type(v) is e.SpectralModel for v in fam._models.values())
+    assert fam._plans.keys() == fam._models.keys() == kept.keys()
+    for q, plan in fam._plans.items():
+        parts = _plan_parts(plan)
+        assert max(p.size for p in parts) <= 6 * len(grid)
+        assert all(n not in p.shape for p in parts)
+        assert _same_parts(parts, kept[q])
+        assert _same_parts(parts, _plan_parts(selection._scan_plan(fam.model(q).eigen.tail)))
+
+
+def _plan_parts(plan):
+    """The parts of a scan plan (``selection._scan_plan``), as arrays."""
+    blocks, (hs, ts, *offsets), fixed = plan
+    return [np.array(blocks, dtype=int).reshape(-1, 4), np.array(hs, dtype=int),
+            np.array(ts, dtype=int), *(np.array(a) for a in offsets), np.array(fixed)]
+
+
+def _same_parts(a, b):
+    return len(a) == len(b) and all(x.dtype == y.dtype and x.shape == y.shape
+                                    and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_a_family_plans_each_order_once(monkeypatch):
+    # three fits on one family plan each order of the default grid once, at
+    # its first fit; a solve on a model of no family plans on the call
+    fam = e.ModelFamily(e.design_grid(1000))
+    f = e.Generator(kind="f2-cosine").values(fam.grid)
+    rng = np.random.default_rng(7)
+    plan, planned = selection._scan_plan, []
+
+    def counting(nz):
+        planned.append(len(nz))
+        return plan(nz)
+
+    monkeypatch.setattr(selection, "_scan_plan", counting)
+    for _ in range(3):
+        e.fit(fam, f + 0.01 * rng.standard_normal(1000))
+    assert sorted(planned) == [1000 - q for q in range(6, 0, -1)]
+    m = e.spectral_model(fam.grid, 2.0)
+    e.solve_lambda(m, m.basis.forward(f))
+    assert planned[6:] == [998]
+
+
+def test_a_familys_first_fit_keeps_under_64_kb():
+    # what a family keeps past its models from its first fit, at n = 64,000:
+    # six plans of a few hundred numbers each, about 21 KB
+    fam = e.ModelFamily(e.design_grid(64000))
+    for q in e.default_q_grid(64000):
+        fam.model(q)
+    y = e.Generator(kind="f1-spectral").values(fam.grid) \
+        + 0.01 * np.random.default_rng(5).standard_normal(64000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        e.fit(fam, y)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fam._plans) == 6 and grown < 64 * 2**10
 
 
 def test_stand_alone_model_solve_equals_the_familys():
-    # a family keeps nothing that a solve reads: after a fit on a production
-    # family, a model of no family solves as the family's model of its order
-    # and as the loop solver
+    # a family keeps no sum that sees the data, only data-free scan plans:
+    # after a fit on a production family, a model of no family solves as the
+    # family's model of its order and as the loop solver
     grid = e.design_grid(256)
     y = e.Generator(kind="f1-spectral").values(grid) \
         + 0.01 * np.random.default_rng(3).standard_normal(256)
@@ -481,9 +543,9 @@ def test_a_sign_within_the_slack_takes_the_full_row(monkeypatch):
 
 @pytest.mark.parametrize("n", [1000, 16385])
 def test_fresh_families_and_stand_alone_solves_cut_their_rows(n, monkeypatch):
-    # a family keeps nothing for its later fits: the first fit on a new family
-    # builds the rows a later fit builds, bracket rows on their bands, and a
-    # solve on a model of no family cuts its rows too
+    # a family keeps no rows for its later fits, only data-free plans: the
+    # first fit on a new family builds the rows a later fit builds, bracket
+    # rows on their bands, and a solve on a model of no family cuts its rows too
     grid = e.design_grid(n)
     y = e.Generator(kind="f1-spectral").values(grid) \
         + 0.01 * np.random.default_rng(n).standard_normal(n)

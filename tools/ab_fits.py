@@ -15,13 +15,15 @@ where the stacks' rows are long.
 For every case the tool first checks that both trees give the same
 lambda_hat, q_hat, q* and per-order diagnostics (q, lambda_hat, T_q and the
 boundary flag, compared by ``repr``, so bit for bit), and exits 1 where they
-differ.  Then it times the two
-trees in alternation, one call each per round with the order swapped every
-round, and prints the median of each tree, their ratio (new / old) and the
-share of rounds in which the new tree was faster.  R rounds per case default
-to 1000 / 100 / 30 for the single rows at n = 1000 / 16,000 / 64,000, 300 for
-the stacks at n = 1000 and 2000 and 100 for the two longer ones, about 30
-seconds in all on two cores.
+differ.  Then it times the two trees in alternation, one call each per
+round with the order swapped every round, and prints the median of each
+tree, their ratio (new / old) and the share of rounds in which the new tree
+was faster.  A last line predicts ``perfbench``'s ``fit-ladder`` workload:
+the old and new time of one of its rounds (16 fits at n = 1000, 4 at 16,000
+and 1 at 64,000) from the single-row medians, and their ratio.  R rounds per
+case default to 1000 / 100 / 30 for the single rows at n = 1000 / 16,000 /
+64,000, 300 for the stacks at n = 1000 and 2000 and 100 for the two longer
+ones, about 30 seconds in all on two cores.
 
 The BLAS thread count is set to 1 before NumPy loads (unless the environment
 sets it), so a timing does not depend on how OpenBLAS splits a product.
@@ -42,6 +44,8 @@ import numpy as np
 CASES = [("single", 1000, 1, 1000), ("single", 16000, 1, 100), ("single", 64000, 1, 30),
          ("stack", 1000, 32, 300), ("stack", 2000, 16, 300), ("stack", 4096, 8, 100),
          ("stack", 16000, 2, 100)]
+# fits per round of ``perfbench``'s ``fit-ladder`` workload, by n
+LADDER = {1000: 16, 16000: 4, 64000: 1}
 
 
 def load(src: str, name: str):
@@ -73,6 +77,7 @@ def main(argv=None) -> int:
     trees = [load(args.old, "ebsplines_old"), load(args.new, "ebsplines_new")]
     print(f"{'case':<8} {'n':>6} {'rows':>4} {'old ms':>9} {'new ms':>9} {'new/old':>8} "
           f"{'new faster':>10}")
+    ladder = [0.0, 0.0]  # old, new: ms per fit-ladder round
     for label, n, rows, rounds in CASES:
         pkg = trees[1]
         grid = pkg.design_grid(n)
@@ -93,6 +98,11 @@ def main(argv=None) -> int:
         mo, mn = (1e3 * statistics.median(t) for t in times)
         faster = np.mean(np.array(times[1]) < np.array(times[0]))
         print(f"{label:<8} {n:>6} {rows:>4} {mo:>9.3f} {mn:>9.3f} {mn / mo:>8.3f} {faster:>10.2f}")
+        if label == "single":
+            ladder[0] += LADDER[n] * mo
+            ladder[1] += LADDER[n] * mn
+    print(f"fit-ladder round {ladder[0]:.3f} -> {ladder[1]:.3f} ms, "
+          f"new/old {ladder[1] / ladder[0]:.3f}")
     return 0
 
 
