@@ -38,9 +38,13 @@ def kappa(q: float, m: int, l: int) -> float:
         raise EbsplinesError(f"need l >= 1, got l = {l}")
     if m < 0:
         raise EbsplinesError(f"need m >= 0, got m = {m}")
-    h = 1.0 / (2.0 * q)
+    h = 0.5 / q  # 1/(2q), and not 0 where 2q overflows
     lg = gammaln(m + h) + gammaln(l - h) - gammaln(l + m)
-    return float(math.exp(lg) / (2.0 * math.pi * q))
+    if 2.0 * math.pi * q < math.inf:  # then lg < 709 too: exp(lg) is finite
+        return float(math.exp(lg) / (2.0 * math.pi * q))
+    # near q's top: Gamma(m + h) = Gamma(m + 1 + h)/(m + h), 2q (m + h) = q (2m + 1/q)
+    return math.exp(gammaln(m + 1 + h) + gammaln(l - h) - gammaln(l + m)
+                    - math.log(2.0 * m + 1.0 / q) - math.log(q)) / math.pi
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,10 @@ def trace_approx_check(q: float, lam: float, n: int, m: int, l: int) -> TraceChe
     """
     if not (0 < lam <= 1):
         raise EbsplinesError(f"need 0 < lambda <= 1, got {lam}")
+    approx = lam ** (-1.0 / (2.0 * q)) * kappa(q, m, l)  # which checks q, m and l first
     u = lam * eigenvalues(q, n).values
     term = u ** m / (1.0 + u) ** (m + l)  # 0^0 = 1 covers the null space
     exact = float(np.sum(term))
-    approx = lam ** (-1.0 / (2.0 * q)) * kappa(q, m, l)
     return TraceCheck(exact_sum=exact, approx=approx,
                       rel_err=(exact - approx) / approx)
 
@@ -184,8 +188,10 @@ def polished_tail_check(B, L: float = 2.0, N: int = 10) -> PolishedTailResult:
     b2 = _unit_scale(b[None], "B")[0][0] ** 2  # squares of B / 2^k: exact at any scale
     n = len(b2)
     jmax = n // 2
-    if not 1 <= N <= jmax:
-        raise EbsplinesError(f"need 1 <= N <= n/2 = {jmax}, got N = {N}")
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or not 1 <= N <= jmax:
+        raise EbsplinesError(f"need an integer 1 <= N <= n/2 = {jmax}, got N = {N!r}")
+    if not 1 <= L < math.inf:  # a tail over its block is >= 1: L < 1 never holds
+        raise EbsplinesError(f"need a finite L >= 1, got L = {L}")
     # suffix sums accumulate from the small end, so block masses deep in the
     # tail stay representable (a forward cumsum would lose them to rounding)
     suffix = np.concatenate([np.cumsum(b2[::-1])[::-1], [0.0]])

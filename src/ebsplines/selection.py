@@ -27,8 +27,8 @@ midpoints reuse), the rest of each sum is bounded in closed form
 S = m - sum r, r = u/(1+u)), and a full row is built only where the bounds,
 widened by the rounding error of the sums, leave a sign open, and in each
 solve's last round; so the brackets, roots and residuals are those of full
-rows bit for bit.  A ``ModelFamily`` keeps each order's data-free scan plan
-(``_scan_plan``: cuts, blocks, sums of n*eta), and no sum that sees the data.
+rows bit for bit.  A ``ModelFamily`` builds each order's scan plan with its
+model (``_scan_plan``: cuts, blocks, sums of n*eta; nothing of the data).
 
 Every order shares the cosine coefficients X, so dX^2/dq is exactly zero.
 The weight log(n*eta) (``EigenSequence.log_tail``) is q d log(n*eta)/dq
@@ -337,12 +337,13 @@ def _scan_plan(nz: np.ndarray) -> tuple:
     none of it as long as nz: the blocks (j, k, H, K), rows j to k - 1 on
     the band [H, K) (``_bracket_parts``); the parts ``_ends`` sums; and per
     lambda (6 x lambdas) H, K, nz[H - 1] (0 if H = 0), nz[K] (nz[m - 1] if
-    K = m), sum nz over the head and sum 1/nz over the tail.  As nz ascends,
-    u = lam * nz < 1/M before a lambda's own head cut and >= M from its own
-    tail cut on (M = ``_SATURATED``).  A block spans the band from its
-    largest lambda's head cut to its smallest's tail cut, as many rows as a
-    buffer holds (none on an empty band); its lambdas take these cuts, so
-    lam_(j+1)'s head and lam_j's tail hold between them (``_solve_lambdas``)."""
+    K = m), sum nz over the head and sum 1/nz over the tail (``_ends`` of a
+    row of ones).  As nz ascends, u = lam * nz < 1/M before a lambda's own
+    head cut and >= M from its own tail cut on (M = ``_SATURATED``).  A block
+    spans the band from its largest lambda's head cut to its smallest's tail
+    cut, as many rows as a buffer holds (none on an empty band); its lambdas
+    take these cuts, so lam_(j+1)'s head and lam_j's tail hold between them
+    (``_solve_lambdas``)."""
     lams, m, own = _SCAN_GRID, len(nz), np.searchsorted(nz, _BAND_ENDS).tolist()
     head, cut, blocks, j = own[:len(lams)], own[len(lams):], [], 0
     while j < len(lams):  # rows j to k - 1 on the band from k - 1's head to j's cut
@@ -358,13 +359,9 @@ def _scan_plan(nz: np.ndarray) -> tuple:
     cols = np.concatenate([np.searchsorted(hs, cuts[0], "right"),
                            np.searchsorted(ts, cuts[1]) + len(hs) + 1])
     parts = hs, ts, np.array([0, *hs[:-1]]), np.array([k - ts[0] for k in ts], dtype=int), cols
-    sums = np.zeros(len(hs) + len(ts) + 2)  # as in ``_ends``: nz over the heads, 1/nz tails
-    if hs:
-        np.cumsum(np.add.reduceat(nz[:hs[-1]], parts[2]), out=sums[1:len(hs) + 1])
-    if ts:
-        np.cumsum(np.add.reduceat(1.0 / nz[ts[0]:], parts[3])[::-1], out=sums[-2:len(hs):-1])
+    sums = _ends(nz, np.broadcast_to(1.0, (1, m)), parts, np.empty(m))[:2, 0]  # of ones
     return blocks, parts, np.vstack([cuts, nz[cuts[0] - 1] * (cuts[0] > 0),
-                                     nz[np.minimum(cuts[1], m - 1)], sums[cols].reshape(2, -1)])
+                                     nz[np.minimum(cuts[1], m - 1)], sums])
 
 
 def _ends(nz: np.ndarray, x2s: np.ndarray, parts: tuple, buf: np.ndarray) -> np.ndarray:
@@ -372,7 +369,7 @@ def _ends(nz: np.ndarray, x2s: np.ndarray, parts: tuple, buf: np.ndarray) -> np.
     sum x2/nz, sum x2 nz^2 and sum x2, over the head i < H and the tail
     i >= K of T_lam's row (0 over an empty part), from the parts between the
     distinct cuts of ``parts`` (``_scan_plan``: cuts, offsets and columns),
-    summed in one ``reduceat`` pass over products built in ``buf``."""
+    summed in one ``reduceat`` pass over products built in ``buf`` (x2/nz by one divide)."""
     (hs, ts, hat, tat, cols), m, r = parts, len(nz), len(x2s)
     # the parts [0, hs[0]), ..., [hs[-2], hs[-1]) after a 0 for H = 0, and
     # [ts[0], ts[1]), ..., [ts[-1], m) before a 0 for K = m
@@ -385,8 +382,7 @@ def _ends(nz: np.ndarray, x2s: np.ndarray, parts: tuple, buf: np.ndarray) -> np.
         np.cumsum(sums[:, :len(hs) + 1], axis=1, out=sums[:, :len(hs) + 1])
     if ts:
         low, part = ts[0], sums[:, len(hs) + 1:-1]
-        inv = np.divide(1.0, nz[low:], out=buf[:m - low])
-        x = np.multiply(x2s[:, low:], inv, out=buf[m - low:(r + 1) * (m - low)].reshape(r, -1))
+        x = np.divide(x2s[:, low:], nz[low:], out=buf[:r * (m - low)].reshape(r, -1))
         np.add.reduceat(x, tat, axis=1, out=part[:r])
         np.add.reduceat(x2s[:, low:], tat, axis=1, out=part[r:])
         back = sums[:, :len(hs):-1]
@@ -445,9 +441,9 @@ def _t_bounds(n: int, lam, a, b, s, head, tail, tol=0.0):
     then takes 2 gammas on each side, 4 in all (S is summed otherwise here
     than in ``_scan``), and A/n 2; the other 2 cover the rounding of the
     bounds' own arithmetic (the factors lam, e and 1 - u_h, the sums of the
-    parts, the head's C and sum r, at most 1e-3 of B and S) and of adding
-    tol.  A product that underflows is off by 2^-1075, which the tail's
-    1/lam scales by at most 1e28: 2^-1022/lam covers them.
+    parts with the tail's x2/nz, one rounding a term, the head's C and sum
+    r, at most 1e-3 of B and S) and of adding tol.  Underflow costs a product
+    2^-1075, which the tail's 1/lam scales by at most 1e28: 2^-1022/lam covers them.
     """
     h, nzh, hb, hc, hr, _, nzk, tq, tp, ts = (*head, *tail)
     f = 1.0 - lam * nzh  # r/u >= 1 - u_h on the head
@@ -481,11 +477,11 @@ def _bracket_parts(nz: np.ndarray, x2s: np.ndarray, plan: tuple, out: np.ndarray
 
 
 def _scratch(problems: list) -> np.ndarray:
-    """A buffer for the products ``_ends`` sums and the rows
-    ``_bracket_parts``, ``_band_rows`` and ``_scan`` build, for any of
+    """A buffer for the terms ``_ends`` sums (one per entry of x2s) and the
+    rows ``_bracket_parts``, ``_band_rows`` and ``_scan`` build, for any of
     ``problems``: one per solve, as a fresh large array costs a page fault
     per 4 KB."""
-    return np.empty(max(max(len(x2s) + 1, 3) * x2s.shape[1] + 3 * _BLOCK_ENTRIES
+    return np.empty(max(max(len(x2s), 3) * x2s.shape[1] + 3 * _BLOCK_ENTRIES
                         for _, x2s in problems))
 
 
@@ -601,7 +597,8 @@ class ModelFamily:
     """The production models on one design grid: ``spectral_model(grid, q)``,
     the cosine basis with the order-q penalty-phase eigenvalues, cached per
     order.  All orders use the transform ``basis``: a fit transforms data once.
-    Beside each model it keeps the order's data-free scan plan (``_scan_plan``).
+    Each model is built with its order's data-free scan plan (``_scan_plan``),
+    kept in ``_plans``: one plan per model, and no sum that sees the data.
     """
 
     def __init__(self, grid: DesignGrid):
@@ -611,15 +608,10 @@ class ModelFamily:
         self._plans: dict[float, tuple] = {}
 
     def model(self, q: float) -> SpectralModel:
-        q = float(q)
-        if q not in self._models:
-            self._models[q] = spectral_model(self.grid, q)
+        if (q := float(q)) not in self._models:
+            model = spectral_model(self.grid, q)
+            self._plans[q], self._models[q] = _scan_plan(model.eigen.tail), model
         return self._models[q]
-
-    def _plan(self, q: float) -> tuple:
-        if (q := float(q)) not in self._plans:
-            self._plans[q] = _scan_plan(self.model(q).eigen.tail)
-        return self._plans[q]
 
 
 def default_q_grid(n: int, q_max: int | None = None,
@@ -754,7 +746,7 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
     # every order's lambda solves, side by side, and T_q there (unit scale), on views of x2
     x2 = x ** 2
     problems = [(m.eigen, x2[:, m.null_dim:]) for m in map(family.model, qgrid)]
-    sols = _solve_lambdas(problems, plans=[family._plan(q) for q in qgrid])
+    sols = _solve_lambdas(problems, plans=[family._plans[q] for q in qgrid])
     tqs = np.column_stack([_scan(functools.partial(_t_rows, n, eigen.log_tail), x2s, eigen.tail,
                                  np.array([s.lam for s in sol]), np.arange(len(x)))
                            for (eigen, x2s), sol in zip(problems, sols)])
@@ -780,7 +772,7 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         eigens = [family.model(q).eigen for q in off]
         for (q, rows), sol in zip(off.items(), _solve_lambdas(
                 [(eigen, x2[rows, eigen.null_dim:]) for eigen, rows in zip(eigens, off.values())],
-                plans=[family._plan(q) for q in off])):
+                plans=[family._plans[q] for q in off])):
             by_q[q] = dict(zip(rows, sol))
     for r, (xk, k, tvals, (pos, q_star, q_hat)) in enumerate(zip(x, ks.tolist(), tqs, picks)):
         model, sol = family.model(q_hat), by_q[q_hat][r]

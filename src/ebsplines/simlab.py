@@ -59,15 +59,17 @@ class Generator:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise EbsplinesError(f"unknown generator kind {self.kind!r}")
-        # custom-spectrum's coeffs is a list of numbers, every other param one number
+        # custom-spectrum's coeffs is a list of numbers, every other param one
+        # number; all finite (beta's own check below names a non-finite beta)
         for key, v in self.params.items():
             what = f"generator params {key!r}"
-            if (self.kind, key) != ("custom-spectrum", "coeffs"):
-                _numbers(what, [v])
-            elif isinstance(v, (list, tuple, np.ndarray)):
-                _numbers(what, v)
-            else:
+            vals = v if (self.kind, key) == ("custom-spectrum", "coeffs") else [v]
+            if not isinstance(vals, (list, tuple, np.ndarray)):
                 raise EbsplinesError(f"{what}: {v!r} is not a list of numbers")
+            _numbers(what, vals)
+            bad = [x for x in vals if not math.isfinite(x)]
+            if bad and key != "beta":
+                raise EbsplinesError(f"{what}: {bad[0]!r} is not finite")
         if self.kind == "custom-spectrum" and "coeffs" not in self.params:
             raise EbsplinesError("generator params 'coeffs': missing, custom-spectrum needs it")
         if self.beta is not None and not 0.5 < self.beta < math.inf:

@@ -630,13 +630,21 @@ class TestBadConfigs:
         ({"generator": "f1-spectral", "n": 64}, "generator: 'f1-spectral' is not an object"),
         ({"generator": {"kind": "f1-spectral", "params": [3]}, "n": 64},
          "generator params: [3] is not an object"),
+        # a non-finite param is the generator's fault, not the data's
+        ({"generator": {"kind": "f2-cosine", "params": {"half_periods": math.inf}}, "n": 64,
+          "replicates": 2}, "generator params 'half_periods': inf is not finite"),
+        ({"generator": {"kind": "custom-spectrum", "params": {"coeffs": [1.0, math.nan]
+                                                              + [0.0] * 62}},
+          "n": 64, "replicates": 2}, "generator params 'coeffs': nan is not finite"),
     ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
             "negative-sigma", "nan-sigma", "n-float", "replicates-bool", "seed-string",
             "sigma-bool", "scale-string", "convention-int", "negative-seed", "non-utf8",
             "coeffs-missing", "coeffs-scalar", "half-periods-list", "beta-list",
-            "beta-negative", "generator-string", "params-list"])
+            "beta-negative", "generator-string", "params-list", "half-periods-inf",
+            "coeffs-nan"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
+        # json writes inf and nan as the Infinity and NaN a config may hold
         p.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
         assert main([command, str(p), "--out", str(tmp_path / "out.json")]) == 2
         err = capsys.readouterr().err
@@ -776,6 +784,17 @@ class TestOracleAndKappa:
         assert main(["oracle", "--n", "200", "--sigma", sigma, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {what}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("q", ["5e307", "1e308", "1.79e308"])
+    def test_kappa_near_the_top_of_the_float_range(self, capsys, q):
+        # strict JSON: no NaN or Infinity, and kappa_q(0, 1) near its limit 1/pi
+        assert main(["kappa", "--q", q, "--m", "0", "--l", "1", "--stdout"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["kappa"] == pytest.approx(1.0 / math.pi, abs=1e-12)
 
     def test_kappa_domain_error_exits_2(self):
         assert main(["kappa", "--q", "1", "--m", "0", "--l", "0"]) == 2

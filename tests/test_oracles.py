@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import gammaln
+
 import ebsplines as e
 from ebsplines.errors import EbsplinesError
 
@@ -31,6 +33,21 @@ class TestKappa:
             e.kappa(0.4, 0, 1)
         with pytest.raises(EbsplinesError):
             e.kappa(math.inf, 0, 1)
+
+    @pytest.mark.parametrize("q", [5e307, 1e308, 1.79e308])
+    def test_orders_near_the_top_of_the_float_range(self, q):
+        # kappa_q(0, 1) -> 1/pi as q grows, and kappa_q(m, l) -> Gamma(m) Gamma(l) /
+        # (2 pi q Gamma(l + m)) for m >= 1, a subnormal here: exp(lg) and 2 pi q
+        # leave the float range, their ratio does not
+        assert e.kappa(q, 0, 1) == pytest.approx(1.0 / math.pi, abs=1e-12)
+        assert e.kappa(q, 2, 2) == pytest.approx(1.0 / (12.0 * math.pi * q), rel=1e-9)
+
+    def test_keeps_its_bits_below_the_top_of_the_float_range(self):
+        # below q = 2.86e307, 2 pi q is finite and kappa is exp(lg) / (2 pi q) as ever
+        for q in (2.0, 2e307, 2.86e307):
+            h = 1.0 / (2.0 * q)
+            lg = gammaln(h) + gammaln(1.0 - h) - gammaln(1.0)
+            assert e.kappa(q, 0, 1) == math.exp(lg) / (2.0 * math.pi * q)
 
 
 class TestTraceApproximation:
@@ -61,6 +78,12 @@ class TestTraceApproximation:
     def test_lambda_outside_the_unit_interval_rejected(self, lam):
         with pytest.raises(EbsplinesError, match=f"need 0 < lambda <= 1, got {lam}"):
             e.trace_approx_check(2.0, lam, 1000, 0, 1)
+
+    def test_a_negative_power_is_refused_before_the_terms(self):
+        # kappa's check comes first: the terms u^m would divide by the null
+        # space's zeros (a RuntimeWarning, an error under the test settings)
+        with pytest.raises(EbsplinesError, match="need m >= 0, got m = -1"):
+            e.trace_approx_check(2.0, 1e-6, 1000, -1, 2)
 
     def test_exact_sum_monotone_in_lambda_for_m0(self):
         vals = [e.trace_approx_check(1.0, lam, 2000, 0, 1).exact_sum
@@ -317,10 +340,19 @@ class TestPolishedTail:
         assert res[0].worst_ratio == pytest.approx(51.18, abs=0.01)
 
     def test_N_validation(self):
-        # j runs over N..n/2 and indexes suffix sums from 1
-        for N in (60, 33, 0, -5):
+        # j runs over N..n/2 and indexes suffix sums from 1; N is an integer
+        for N in (60, 33, 0, -5, 2.5, 10.0, True, None):
             with pytest.raises(EbsplinesError, match="1 <= N <= n/2"):
                 e.polished_tail_check(np.ones(64), N=N)
+        B = np.ones(64)
+        assert e.polished_tail_check(B, N=np.int64(10)) == e.polished_tail_check(B, N=10)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0, -1.0, 0.999])
+    def test_L_must_be_finite_and_at_least_1(self, L):
+        # a tail over its block is >= 1, so L < 1 never holds, and a nan or
+        # infinite L would always hold
+        with pytest.raises(EbsplinesError, match="need a finite L >= 1"):
+            e.polished_tail_check(np.ones(64), L=L)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_squares_rejected(self, bad):

@@ -403,6 +403,30 @@ def test_a_familys_first_fit_keeps_under_64_kb():
     assert len(fam._plans) == 6 and grown < 64 * 2**10
 
 
+def test_a_model_comes_with_its_plan():
+    # the family plans an order when it builds its model, before any fit
+    fam = e.ModelFamily(e.design_grid(1000))
+    assert fam._plans == {}
+    m = fam.model(2)
+    assert fam._plans.keys() == fam._models.keys() == {2.0}
+    assert _same_parts(_plan_parts(fam._plans[2.0]),
+                       _plan_parts(selection._scan_plan(m.eigen.tail)))
+    assert fam.model(2.0) is m and fam._plans.keys() == {2.0}
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (8, 1000, 16385, 64000)
+                                 for q in (1.0, 2.2, 3.0, 6.0) if n > 2 * math.floor(q)])
+def test_plan_sums_match_exact_sums(n, q):
+    # the plan's sum nz over each scan lambda's head i < H and sum 1/nz over
+    # its tail i >= K, within (entries) eps of the exactly rounded sum
+    nz = e.ModelFamily(e.design_grid(n)).model(q).eigen.tail
+    fixed = selection._scan_plan(nz)[2]  # H, K, nz[H - 1], nz[K] and the two sums
+    for (h, k), (head, tail) in zip(fixed[:2].T.astype(int).tolist(), fixed[4:].T.tolist()):
+        for got, terms in ((head, nz[:h]), (tail, 1.0 / nz[k:])):
+            exact = math.fsum(terms)
+            assert abs(got - exact) <= len(terms) * 2.0 ** -53 * exact
+
+
 def test_stand_alone_model_solve_equals_the_familys():
     # a family keeps no sum that sees the data, only data-free scan plans:
     # after a fit on a production family, a model of no family solves as the

@@ -14,22 +14,25 @@ where the stacks' rows are long.
 
 For every case the tool first checks that both trees give the same
 lambda_hat, q_hat, q* and per-order diagnostics (q, lambda_hat, T_q and the
-boundary flag, compared by ``repr``, so bit for bit), and exits 1 where they
-differ.  Then it times the two trees in alternation, one call each per
-round with the order swapped every round, and prints the median of each
-tree, their ratio (new / old) and the share of rounds in which the new tree
-was faster.  A last line predicts ``perfbench``'s ``fit-ladder`` workload:
+boundary flag, compared by ``repr``, so bit for bit), on fresh families and
+again on the same families, now warm (what a family keeps shows only on its
+next fit), and exits 1 where they differ.  Then it times the two trees in
+alternation, one call each per round with the order swapped every round,
+and prints the median of each tree, their ratio (new / old) and the share
+of rounds in which the new tree was faster.  A last line predicts ``perfbench``'s ``fit-ladder`` workload:
 the old and new time of one of its rounds (16 fits at n = 1000, 4 at 16,000
 and 1 at 64,000) from the single-row medians, and their ratio.  R rounds per
 case default to 1000 / 100 / 30 for the single rows at n = 1000 / 16,000 /
 64,000, 300 for the stacks at n = 1000 and 2000 and 100 for the two longer
-ones, about 30 seconds in all on two cores.
+ones, about 30 seconds in all on two cores.  A first line gives each tree's
+``src/ebsplines/*.py`` line count (``cat src/ebsplines/*.py | wc -l``).
 
 The BLAS thread count is set to 1 before NumPy loads (unless the environment
 sets it), so a timing does not depend on how OpenBLAS splits a product.
 """
 
 import argparse
+import glob
 import importlib.util
 import os
 import statistics
@@ -48,11 +51,22 @@ CASES = [("single", 1000, 1, 1000), ("single", 16000, 1, 100), ("single", 64000,
 LADDER = {1000: 16, 16000: 4, 64000: 1}
 
 
+def package(src: str) -> str:
+    """The ``ebsplines`` directory of a tree's ``src`` directory (or of the tree)."""
+    root = src if os.path.isdir(os.path.join(src, "ebsplines")) else os.path.join(src, "src")
+    return os.path.join(root, "ebsplines")
+
+
+def lines(src: str) -> int:
+    """The lines of the package's modules, as ``cat *.py | wc -l`` counts them."""
+    files = sorted(glob.glob(os.path.join(package(src), "*.py")))
+    return sum(open(f, "rb").read().count(b"\n") for f in files)
+
+
 def load(src: str, name: str):
     """The package ``ebsplines`` of a tree's ``src`` directory (or of the
     tree), imported under the package name ``name``."""
-    root = src if os.path.isdir(os.path.join(src, "ebsplines")) else os.path.join(src, "src")
-    pkg = os.path.join(root, "ebsplines")
+    pkg = package(src)
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
     mod = importlib.util.module_from_spec(spec)
@@ -75,6 +89,7 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=None, help="rounds per case")
     args = ap.parse_args(argv)
     trees = [load(args.old, "ebsplines_old"), load(args.new, "ebsplines_new")]
+    print(f"src/ebsplines lines: old {lines(args.old)}, new {lines(args.new)}")
     print(f"{'case':<8} {'n':>6} {'rows':>4} {'old ms':>9} {'new ms':>9} {'new/old':>8} "
           f"{'new faster':>10}")
     ladder = [0.0, 0.0]  # old, new: ms per fit-ladder round
@@ -85,10 +100,12 @@ def main(argv=None) -> int:
         y = f + 0.01 * np.random.default_rng(3).standard_normal((rows, n))
         fams = [t.ModelFamily(t.design_grid(n)) for t in trees]
         runs = [lambda t=t, fam=fam: t.selection._fits(fam, y) for t, fam in zip(trees, fams)]
-        old, new = (outputs(run()) for run in runs)
-        if old != new:
-            print(f"{label} n = {n}, {rows} rows: the trees select differently", file=sys.stderr)
-            return 1
+        for state in ("fresh", "warm"):
+            old, new = (outputs(run()) for run in runs)
+            if old != new:
+                print(f"{label} n = {n}, {rows} rows: the trees select differently on "
+                      f"{state} families", file=sys.stderr)
+                return 1
         times = ([], [])
         for r in range(args.rounds or rounds):
             for k in ((0, 1) if r % 2 == 0 else (1, 0)):
