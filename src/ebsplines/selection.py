@@ -674,11 +674,17 @@ class FitResult:
     boundary: bool = False
 
 
-def _smooth(model: SpectralModel, x: np.ndarray, lam) -> np.ndarray:
-    """The order-q smoother at a fixed lambda > 0, Phi diag(w) x, for
-    x = Phi^T y, or for each row of a stack x at its own lambda lam[k]."""
+def _shrink(model: SpectralModel, x: np.ndarray, lam) -> np.ndarray:
+    """The coefficients diag(w) x of the order-q smoother at a fixed
+    lambda > 0, for x = Phi^T y, or for each row of a stack x at its own
+    lambda lam[k]."""
     w = 1.0 / (1.0 + np.multiply.outer(lam, model.eigen.values))
-    return model.basis.inverse(w * x)
+    return w * x
+
+
+def _smooth(model: SpectralModel, x: np.ndarray, lam) -> np.ndarray:
+    """The order-q smoother at a fixed lambda > 0, Phi diag(w) x (``_shrink``)."""
+    return model.basis.inverse(_shrink(model, x, lam))
 
 
 # Relative spread max(y) - min(y) at or below which data are constant to

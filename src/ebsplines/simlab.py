@@ -42,7 +42,7 @@ from .credible import RadiusSpec, _check_inflation, radius
 from .errors import EbsplinesError
 from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
-from .selection import ModelFamily, _fits, _smooth, _unit_scale, default_q_grid
+from .selection import ModelFamily, _fits, _shrink, _unit_scale, default_q_grid
 from .spectral import DESIGN_CONVENTIONS, DesignGrid, design_grid, make_basis
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "custom-spectrum")
@@ -125,10 +125,21 @@ class Generator:
 
 
 def _numbers(what: str, values) -> None:
-    """Reject a config entry that is not all numbers (booleans are not)."""
+    """Reject a config entry that is not all numbers (booleans are not), or
+    that holds an integer past the float range."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise EbsplinesError(f"{what}: {v!r} is not a number")
+        _float(what, v)
+
+
+def _float(what: str, v) -> float:
+    """float(v), or an error naming ``what`` for an integer past the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise EbsplinesError(f"{what}: an integer near 10^{int(math.log10(abs(v)))} "
+                             "is past the float range") from None
 
 
 def _integer(d: dict, key: str, default: int) -> int:
@@ -143,7 +154,7 @@ def _noise_level(sigma) -> float:
     """A config's sigma, which must be finite and >= 0 (a boolean is not)."""
     if isinstance(sigma, bool):
         raise EbsplinesError(f"sigma: {sigma!r} is not a number")
-    sigma = float(sigma)
+    sigma = _float("sigma", sigma)
     if not 0 <= sigma < math.inf:
         raise EbsplinesError(f"sigma must be finite and >= 0, got {sigma}")
     return sigma
@@ -299,7 +310,9 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
     ``lambda_hat``, ``sigma2_hat``, its ``mse`` against f_true and ``lambda_q``,
     the lambda of each grid order) and, one entry per GCV order q,
     ``gcv_lambda``, the lambda GCV selects on the last sample, and ``gcv_mse``,
-    the error of the order-q fit of the first sample at that lambda.
+    the error of the order-q fit of the first sample at that lambda, taken in
+    coefficient space against Phi^T f_true (the basis is orthonormal, so it
+    equals the error of the fitted values up to rounding).
 
     Replicate k draws its ``samples`` vectors f_true + sigma * eps, in order,
     from ``default_rng`` on the k-th child of the seed's ``SeedSequence``, so
@@ -317,6 +330,7 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
                            ("gcv_lambda", float, (len(gcv_orders),)),
                            ("gcv_mse", float, (len(gcv_orders),))])
     streams = np.random.SeedSequence(seed).spawn(count)
+    theta = family.basis.forward(f_true)
     size = max(1, 2**15 // n)
     for s in range(0, count, size):
         rngs = map(np.random.default_rng, streams[s:s + size])
@@ -337,7 +351,7 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
             m = family.model(q)
             lams = [g.lambda_f_hat for g in _select_gcvs(m, gx)]
             rows["gcv_lambda"][:, j] = lams
-            rows["gcv_mse"][:, j] = np.mean((_smooth(m, x[0], lams) - f_true) ** 2, axis=-1)
+            rows["gcv_mse"][:, j] = np.mean((_shrink(m, x[0], lams) - theta) ** 2, axis=-1)
         del fits, x  # before the next block: memory stays O(n)
     return rec
 

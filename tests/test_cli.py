@@ -636,12 +636,18 @@ class TestBadConfigs:
         ({"generator": {"kind": "custom-spectrum", "params": {"coeffs": [1.0, math.nan]
                                                               + [0.0] * 62}},
           "n": 64, "replicates": 2}, "generator params 'coeffs': nan is not finite"),
+        # a JSON integer past the float range
+        ({"generator": {"kind": "f1-spectral"}, "n": 64, "sigma": 10 ** 400},
+         "sigma: an integer near 10^400 is past the float range"),
+        ({"generator": {"kind": "f2-cosine", "params": {"half_periods": 10 ** 400}}, "n": 64,
+          "replicates": 2}, "generator params 'half_periods': an integer near 10^400 is past "
+         "the float range"),
     ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
             "negative-sigma", "nan-sigma", "n-float", "replicates-bool", "seed-string",
             "sigma-bool", "scale-string", "convention-int", "negative-seed", "non-utf8",
             "coeffs-missing", "coeffs-scalar", "half-periods-list", "beta-list",
             "beta-negative", "generator-string", "params-list", "half-periods-inf",
-            "coeffs-nan"])
+            "coeffs-nan", "sigma-huge-int", "half-periods-huge-int"])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
         # json writes inf and nan as the Infinity and NaN a config may hold

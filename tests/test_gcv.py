@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ebsplines as e
+from ebsplines import gcv, selection
 from ebsplines.errors import EbsplinesError
 
 
@@ -46,12 +47,33 @@ class TestSelectLambdaGcv:
         m = _model(128, 2.0)
         y = np.cos(2 * np.pi * m.grid.x) + 0.05 * np.random.default_rng(2).standard_normal(128)
         r1 = e.select_lambda_gcv(m, y)
-        for c in (9.0, 2.0 ** -520, 2.0 ** 510):
+        for c in (3.0, 9.0, 2.0 ** -520, 2.0 ** 510):
             r2 = e.select_lambda_gcv(m, c * y)
             assert r1.lambda_f_hat == r2.lambda_f_hat, c
         x = m.basis.forward(y)
         assert e.gcv_criterion(m, 9.0 * x, r1.lambda_f_hat) == pytest.approx(
             81.0 * e.gcv_criterion(m, x, r1.lambda_f_hat), rel=1e-10)
+
+    def test_a_few_evaluations_per_lane(self, monkeypatch):
+        # the lambdas the GCV scans get after the 60-point grid, on the stacks
+        # of a simulate block; golden section on the bracket took about 16
+        count = [0]
+        scan = gcv._scan
+
+        def counted(rows, x2s, nz, lams, lanes=None, buf=None):
+            count[0] += 0 if lanes is None else len(lams)
+            return scan(rows, x2s, nz, lams, lanes, buf)
+
+        monkeypatch.setattr(gcv, "_scan", counted)
+        fam = e.ModelFamily(e.design_grid(1000, "right"))
+        for kind in ("f1-spectral", "f2-cosine"):
+            f = e.Generator(kind=kind).values(fam.grid)
+            y = f + 0.01 * np.random.default_rng(11).standard_normal((32, 1000))
+            x = selection._unit_scale(fam.basis.forward(y), "x")[0]
+            count[0] = 0
+            for q in (2.0, 3.0, 4.0, 5.0, 6.0):
+                gcv._select_gcvs(fam.model(q), x)
+            assert count[0] / (5 * 32) <= 8, kind
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_rejected_with_index(self, bad):

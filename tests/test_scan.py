@@ -116,28 +116,59 @@ def _loop_gcv(model, x, lam):
 
 
 def _loop_select_lambda_gcv(model, y):
+    # the 60-point grid, then the lattice t = k 2^-9 in log lambda on the
+    # bracket around the best grid point: parabolas propose points (through
+    # the best point and the two nearest it, else through the best point and
+    # its neighbours, else the best point itself), rounded to the lattice; a
+    # proposal met before gives way to an unevaluated neighbour of the best
+    # lattice point, and the search ends at a best lattice point whose
+    # neighbours are both evaluated; a parabola whose values rise by no more
+    # than rounding proposes nothing
     x = model.basis.forward(np.asarray(y, dtype=float))
     crit = functools.partial(_loop_gcv, model, x)
     grid = np.exp(np.linspace(math.log(selection.LAMBDA_MIN),
                               math.log(selection.LAMBDA_MAX), 60))
     vals = [crit(l) for l in grid]
     j = int(np.argmin(vals))
-    boundary = j in (0, 59)
-    a, b = math.log(grid[max(j - 1, 0)]), math.log(grid[min(j + 1, 59)])
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, dd = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = crit(math.exp(c)), crit(math.exp(dd))
-    while (b - a) > 1e-4 * max(1.0, abs(a), abs(b)):
-        if fc <= fd:
-            b, dd, fd = dd, c, fc
-            c = b - inv_phi * (b - a)
-            fc = crit(math.exp(c))
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + inv_phi * (b - a)
-            fd = crit(math.exp(dd))
-    lam = math.exp(0.5 * (a + b))
-    return e.GcvResult(lambda_f_hat=float(lam), q=model.q, boundary_flag=boundary)
+    h = 2.0 ** -9
+    lo = math.ceil(math.log(grid[max(j - 1, 0)]) / h)
+    hi = math.floor(math.log(grid[min(j + 1, 59)]) / h)
+    i = min(max(j - 1, 0), 57)
+    pts = [(math.log(grid[s]), vals[s]) for s in range(i, i + 3)]  # (t, GCV) in order of t
+    on = {}  # GCV at each lattice index evaluated
+    while True:
+        ts = [t for t, _ in pts]
+        m = min(range(len(pts)), key=lambda s: pts[s][1])  # the first best point
+        a = ts[m - 1] if m > 0 else -math.inf
+        b = ts[m + 1] if m + 1 < len(pts) else math.inf
+        l, r = m - 1, m + 1  # take the nearer of l and r twice, r on a tie
+        for _ in range(2):
+            if r == len(pts) or (l >= 0 and ts[m] - ts[l] < ts[r] - ts[m]):
+                l -= 1
+            else:
+                r += 1
+        u = ts[m]
+        for w in (l + 1, m - 1):
+            if 0 <= w and w + 2 < len(pts):
+                (t0, f0), (t1, f1), (t2, f2) = pts[w:w + 3]
+                den = (t1 - t0) * (f1 - f2) - (t1 - t2) * (f1 - f0)
+                if den < -2.0 ** -46 * f1 * (t2 - t0):  # convex by more than rounding
+                    v = t1 - 0.5 * ((t1 - t0) ** 2 * (f1 - f2) - (t1 - t2) ** 2 * (f1 - f0)) / den
+                    if a < v < b:
+                        u = v
+                        break
+        k = min(max(round(u / h), lo), hi)
+        if k in on:
+            c = min(on, key=on.get)  # the first best lattice point
+            s = 1 if u > c * h else -1
+            free = [n for n in (c + s, c - s) if lo <= n <= hi and n not in on]
+            if not free:
+                return e.GcvResult(lambda_f_hat=math.exp(c * h), q=model.q,
+                                   boundary_flag=j in (0, 59))
+            k = free[0]
+        on[k] = crit(math.exp(k * h))
+        pts.append((k * h, on[k]))
+        pts.sort(key=lambda p: p[0])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -154,6 +185,42 @@ def test_solvers_equal_the_loop_solvers(kind, seed):
         x = m.basis.forward(y)
         assert e.solve_lambda(m, x) == _loop_solve_lambda(m, x)
         assert e.select_lambda_gcv(m, y) == _loop_select_lambda_gcv(m, y)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["f1-spectral", "f2-cosine"])
+def test_gcv_lambda_is_a_lattice_minimum(kind, seed):
+    # the data sets above: the result lies on the lattice log lambda = k 2^-9,
+    # no lattice neighbour in the bracket has a smaller GCV, and at low noise
+    # none of the bracket's lattice points has (the scan's values equal the
+    # loop formula's, see above), unless GCV is flat to rounding across the
+    # bracket, as it is towards either end of the lambda range (6 of 84
+    # cases here), where hundreds of lattice points tie
+    n = (200, 1000, 2000)[seed % 3]
+    sigma = (0.001, 0.01, 0.3, 3.0)[seed % 4]
+    fam = e.ModelFamily(e.design_grid(n))
+    _, y = _data(n, 3.0, seed, kind, sigma)
+    grid = np.exp(np.linspace(math.log(1e-28), 0.0, 60))
+    h = 2.0 ** -9
+    for q in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0):
+        m = fam.model(q)
+        x = m.basis.forward(y)
+        lam = e.select_lambda_gcv(m, y).lambda_f_hat
+        k = round(math.log(lam) / h)
+        assert lam == math.exp(k * h)
+        j = int(np.argmin([_loop_gcv(m, x, l) for l in grid]))
+        lo = math.ceil(math.log(grid[max(j - 1, 0)]) / h)
+        hi = math.floor(math.log(grid[min(j + 1, 59)]) / h)
+        assert lo <= k <= hi
+        for nb in (k - 1, k + 1):
+            if lo <= nb <= hi:
+                assert _loop_gcv(m, x, lam) <= _loop_gcv(m, x, math.exp(nb * h))
+        if sigma <= 0.01:
+            x2, nz = selection._tails(m.eigen, x)
+            ks = np.arange(lo, hi + 1)
+            g, = selection._scan(functools.partial(gcv._crit_rows, n), x2[None], nz,
+                                 np.array([math.exp(c * h) for c in ks.tolist()]))
+            assert ks[np.argmin(g)] == k or g.max() - g.min() < 1e-12 * g.min()
 
 
 def test_scans_stay_within_a_few_rows_of_memory_at_large_n():

@@ -12,7 +12,7 @@ import pytest
 import ebsplines as e
 from ebsplines import credible, simlab
 from ebsplines.errors import EbsplinesError
-from ebsplines.selection import _smooth
+from ebsplines.selection import _shrink, _smooth
 from ebsplines.simlab import _compare_kwargs
 
 F1 = e.Generator(kind="f1-spectral")
@@ -144,6 +144,7 @@ class TestStudyHarness:
         f = F1.values(family.grid)
         rec = simlab._record(family, f, 0.01, 7, 12, samples, orders)
         assert len(rec) == 12
+        theta = family.basis.forward(f)
         for row, stream in zip(rec, np.random.SeedSequence(7).spawn(12)):
             rng = np.random.default_rng(stream)
             y = [f + 0.01 * rng.standard_normal(n) for _ in range(samples)]
@@ -156,11 +157,16 @@ class TestStudyHarness:
                 m = family.model(q)
                 lam = e.select_lambda_gcv(m, y[-1]).lambda_f_hat
                 assert row["gcv_lambda"][j] == lam
-                assert row["gcv_mse"][j] == np.mean(
-                    (_smooth(m, m.basis.forward(y[0]), lam) - f) ** 2)
+                # in coefficient space, which the orthonormal basis equates
+                # with the error of the fitted values up to rounding
+                x = m.basis.forward(y[0])
+                assert row["gcv_mse"][j] == np.mean((_shrink(m, x, lam) - theta) ** 2)
+                assert row["gcv_mse"][j] == pytest.approx(
+                    np.mean((_smooth(m, x, lam) - f) ** 2), rel=1e-12)
 
     def test_one_forward_transform_per_replicate(self, monkeypatch):
-        # the GCV arms select and smooth from the fit's own coefficients
+        # the GCV arms select and smooth from the fit's own coefficients, and
+        # take their errors against the truth's, transformed once per record
         calls = []
         forward = e.BasisHandle.forward
         monkeypatch.setattr(e.BasisHandle, "forward",
@@ -169,7 +175,7 @@ class TestStudyHarness:
         cfg = e.StudyConfig(generator=e.Generator(kind="f1-spectral"), n=64,
                             replicates=3, sigma=0.05, seed=21)
         e.run_study(cfg)
-        assert sum(calls) == 3  # rows transformed, a stack of rows at a time
+        assert sum(calls) == 3 + 1  # rows transformed a stack at a time, and the truth
 
     @pytest.mark.parametrize("experiment", [
         lambda m: e.run_study(e.StudyConfig(generator=F1, n=4000, replicates=m, sigma=0.01,
