@@ -36,12 +36,11 @@ only at a fixed phase c of n*eta = pi^(2q) (i - c)^(2q); it leaves out the
 term -q/(i - c) of the production phase c = (q+1)/2 (ROADMAP item 1).
 ``solve_lambda`` finds the root of T_lam for one q.  ``_fits``, behind
 ``fit``, holds the order selection once: the q-grid checks, every order's
-lambda solves and T_q there (each order on a view of one array of squared
-coefficients), the q rule, one solve of the orders off a refined grid for
-the rows whose q_hat they are, and the rescale of T_q to data units.  Solves
-run as lanes side by side, every order's in one lockstep (``_lockstep``);
-the rows of a round do not see the data, so lanes at one lambda share its
-row (``_scan``).
+lambda solves and T_q there, the q rule (``_q_rule``, once per row), one
+solve of the orders off a refined grid for the rows whose q_hat they are,
+and the rescale of T_q to data units.  Solves run as lanes side by side,
+every order's in one lockstep (``_lockstep``); the rows of a round do not
+see the data, so lanes at one lambda share its row (``_scan``).
 
 ``fit``, ``solve_lambda``, ``gcv.select_lambda_gcv``, a study's GCV arm
 (``simlab._record``) and the numeric oracle lambda guard their data with
@@ -652,8 +651,6 @@ class QDiagnostic:
 
 @dataclass(frozen=True)
 class Selection:
-    q_hat: float
-    q_star: float
     per_q: tuple[QDiagnostic, ...]
     all_nonpositive: bool = False
     all_positive_warning: bool = False
@@ -705,17 +702,33 @@ def _unit_scale(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(a, -ks[:, None]), ks
 
 
+def _q_rule(qgrid: tuple, tvals: np.ndarray) -> tuple[float, float, str]:
+    """The order rule on one row of T_q over the grid orders: (q*, q_hat,
+    branch).  A value is positive above 1e-10 max |T_q|.  q* is the first
+    crossing from non-positive to positive, by linear interpolation
+    (``"crossing"``), else the grid maximum if none is positive
+    (``"all_nonpositive"``: at least as smooth as the largest order) and the
+    minimum if the first is (``"all_positive_warning"``).  q_hat rounds q*
+    half-up, clamped to [ceil(q_1), floor(q_m)]."""
+    pos = tvals > 1e-10 * float(np.max(np.abs(tvals)))
+    if not pos.any():
+        q_star, branch = qgrid[-1], "all_nonpositive"
+    elif pos[0]:
+        q_star, branch = qgrid[0], "all_positive_warning"
+    else:
+        j = int(np.argmax(pos))
+        t0, t1, q0, q1 = float(tvals[j - 1]), float(tvals[j]), qgrid[j - 1], qgrid[j]
+        q_star, branch = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0), "crossing"
+    return q_star, float(min(max(math.floor(q_star + 0.5), math.ceil(qgrid[0])),
+                             math.floor(qgrid[-1]))), branch
+
+
 def fit(family: ModelFamily, y, qgrid=None) -> FitResult:
     """Full adaptive fit: select q, solve for lambda, smooth.
 
-    For each grid order, solve for lambda_hat_q and evaluate T_q there.  q* is
-    the first crossing of T_q from non-positive to positive, by linear
-    interpolation between grid points; all values non-positive
-    (``all_nonpositive``: at least as smooth as the largest order) give the
-    grid maximum, a positive value at the smallest order the grid minimum
-    (``all_positive_warning``).  q_hat rounds q* half-up, clamped to the grid
-    range; lambda_hat is the root solved at q_hat (a fresh solve when q_hat
-    is off a refined grid).
+    For each grid order, solve for lambda_hat_q and evaluate T_q there;
+    ``_q_rule`` reads q* and q_hat off that row.  lambda_hat is the root solved
+    at q_hat (a fresh solve when q_hat is off a refined grid).
 
     The fit runs on y / 2^k (``_unit_scale``): lambda_hat and q_hat do not
     depend on k; fitted values, coefficients, T_q and sigma2_hat are scaled
@@ -747,6 +760,8 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         raise EbsplinesError("q grid must be strictly increasing")
     if qgrid[0] <= 0.5:
         raise EbsplinesError("q grid values must exceed 1/2")
+    if np.ceil(qgrid[0]) > qgrid[-1]:  # q_hat would have no order to round to
+        raise EbsplinesError(f"q grid {qgrid} spans no integer order")
     x = family.basis.forward(x)
 
     # every order's lambda solves, side by side, and T_q there (unit scale), on views of x2
@@ -757,30 +772,17 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
                                  np.array([s.lam for s in sol]), np.arange(len(x)))
                            for (eigen, x2s), sol in zip(problems, sols)])
 
-    picks = []  # per row: the positive T_q, q* and q_hat
-    for tvals in tqs:
-        pos = tvals > 1e-10 * float(np.max(np.abs(tvals)))
-        if not pos.any():
-            q_star = qgrid[-1]
-        elif pos[0]:
-            q_star = qgrid[0]
-        else:
-            j = int(np.argmax(pos))
-            t0, t1 = float(tvals[j - 1]), float(tvals[j])
-            q0, q1 = qgrid[j - 1], qgrid[j]
-            q_star = q0 + (q1 - q0) * (0.0 - t0) / (t1 - t0)
-        picks.append((pos, q_star, float(min(max(math.floor(q_star + 0.5), math.ceil(qgrid[0])),
-                                             math.floor(qgrid[-1])))))
+    picks = [_q_rule(qgrid, tvals) for tvals in tqs]  # per row: q*, q_hat and the branch
     fits, by_q = [], dict(zip(qgrid, sols))
-    off = {q: [r for r, p in enumerate(picks) if p[2] == q]  # off a refined grid
-           for q in sorted({p[2] for p in picks} - by_q.keys())}
+    off = {q: [r for r, p in enumerate(picks) if p[1] == q]  # off a refined grid
+           for q in sorted({p[1] for p in picks} - by_q.keys())}
     if off:  # one solve of them all
         eigens = [family.model(q).eigen for q in off]
         for (q, rows), sol in zip(off.items(), _solve_lambdas(
                 [(eigen, x2[rows, eigen.null_dim:]) for eigen, rows in zip(eigens, off.values())],
                 plans=[family._plans[q] for q in off])):
             by_q[q] = dict(zip(rows, sol))
-    for r, (xk, k, tvals, (pos, q_star, q_hat)) in enumerate(zip(x, ks.tolist(), tqs, picks)):
+    for r, (xk, k, tvals, (q_star, q_hat, branch)) in enumerate(zip(x, ks.tolist(), tqs, picks)):
         model, sol = family.model(q_hat), by_q[q_hat][r]
         s2 = sigma2_hat(model, xk, sol.lam)
         e = math.frexp(s2)[1] + 2 * k
@@ -792,9 +794,9 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         per_q = tuple(QDiagnostic(q=q, lambda_hat=s[r].lam, t_q_value=math.ldexp(t, 2 * k),
                                   boundary=s[r].boundary)
                       for q, s, t in zip(qgrid, sols, tvals.tolist()))
-        sel = Selection(q_hat=q_hat, q_star=float(q_star), per_q=per_q,
-                        all_nonpositive=not pos.any(), all_positive_warning=bool(pos[0]))
-        fits.append(FitResult(lambda_hat=sol.lam, q_hat=q_hat, q_star=sel.q_star,
+        sel = Selection(per_q=per_q, all_nonpositive=branch == "all_nonpositive",
+                        all_positive_warning=branch == "all_positive_warning")
+        fits.append(FitResult(lambda_hat=sol.lam, q_hat=q_hat, q_star=q_star,
                               fitted=np.ldexp(_smooth(model, xk, sol.lam), k),
                               sigma2_hat=math.ldexp(s2, 2 * k), coeffs=np.ldexp(xk, k),
                               model=model, selection=sel, boundary=sol.boundary))

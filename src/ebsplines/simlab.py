@@ -307,12 +307,13 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
             count: int, samples: int = 1, gcv_orders=(), qgrid=None) -> np.ndarray:
     """The experiments' one replicate loop: a structured array with one row per
     replicate.  Its columns are the adaptive fit of the first sample (``q_hat``,
-    ``lambda_hat``, ``sigma2_hat``, its ``mse`` against f_true and ``lambda_q``,
-    the lambda of each grid order) and, one entry per GCV order q,
-    ``gcv_lambda``, the lambda GCV selects on the last sample, and ``gcv_mse``,
-    the error of the order-q fit of the first sample at that lambda, taken in
-    coefficient space against Phi^T f_true (the basis is orthonormal, so it
-    equals the error of the fitted values up to rounding).
+    ``lambda_hat``, ``sigma2_hat``, its ``mse`` against f_true and, per grid
+    order, ``lambda_q``, ``t_q`` at data scale and ``boundary_q`` of
+    ``QDiagnostic``; ``selection._q_rule`` takes ``t_q`` to q_hat) and, one
+    entry per GCV order q, ``gcv_lambda``, the lambda GCV selects on the last
+    sample, and ``gcv_mse``, the error of the order-q fit of the first sample at
+    that lambda, taken in coefficient space against Phi^T f_true (the basis is
+    orthonormal, so it equals the error of the fitted values up to rounding).
 
     Replicate k draws its ``samples`` vectors f_true + sigma * eps, in order,
     from ``default_rng`` on the k-th child of the seed's ``SeedSequence``, so
@@ -327,6 +328,7 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
     width = len(default_q_grid(n) if qgrid is None else qgrid)
     rec = np.empty(count, [("q_hat", float), ("lambda_hat", float), ("sigma2_hat", float),
                            ("mse", float), ("lambda_q", float, (width,)),
+                           ("t_q", float, (width,)), ("boundary_q", bool, (width,)),
                            ("gcv_lambda", float, (len(gcv_orders),)),
                            ("gcv_mse", float, (len(gcv_orders),))])
     streams = np.random.SeedSequence(seed).spawn(count)
@@ -345,6 +347,8 @@ def _record(family: ModelFamily, f_true: np.ndarray, sigma: float, seed: int,
             rows[name] = [getattr(res, name) for res in fits]
         rows["mse"] = [np.mean((res.fitted - f_true) ** 2) for res in fits]
         rows["lambda_q"] = [[dg.lambda_hat for dg in res.selection.per_q] for res in fits]
+        rows["t_q"] = [[dg.t_q_value for dg in res.selection.per_q] for res in fits]
+        rows["boundary_q"] = [[dg.boundary for dg in res.selection.per_q] for res in fits]
         # GCV on the last sample's coefficients at unit scale, as ``select_lambda_gcv``
         gx = _unit_scale(x[-1], "coeffs")[0]
         for j, q in enumerate(gcv_orders):

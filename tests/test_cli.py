@@ -697,6 +697,17 @@ class TestBadConfigs:
             "error: penalty order must be finite and exceed 1/2, got inf\n"
         assert not out.exists()
 
+    def test_a_grid_spanning_no_integer_order_exits_2(self, tmp_path, capsys):
+        # q_hat rounds to an integer in [ceil(q_1), floor(q_m)], empty here; the
+        # fit's grid check refuses the grid when the first block runs
+        p, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
+                                 "replicates": 2, "q_grid": [2.2, 2.4, 2.6, 2.8]}))
+        assert main(["simulate", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: q grid (2.2, 2.4, 2.6, 2.8) spans no integer order\n"
+        assert not out.exists()
+
     def test_valid_orders_are_echoed_as_given(self, tmp_path):
         p, out = tmp_path / "cfg.json", tmp_path / "out.json"
         p.write_text(json.dumps({"generator": {"kind": "f1-spectral", "params": {"beta": 3}},

@@ -70,18 +70,21 @@ def test_public_surface_has_no_unused_options():
     # range, the polynomial generator, fit's --qmin, the Sobolev-ball and rho
     # options of the oracles, the log-power trace variant, the GCV minimum
     # value, the backend error, select_q (a second, unguarded way into fit's
-    # order selection) and the dense eigenvector backend (exact_model and
-    # the basis matrix it carried) were removed; no workflow set or read them
+    # order selection), the dense eigenvector backend (exact_model and
+    # the basis matrix it carried) and Selection's copies of FitResult's q_hat
+    # and q_star were removed; no workflow set or read them
     assert not {"mallows_cp", "fit_design", "ANALYTIC", "EXACT",
                 "UnsupportedBackendError", "select_q",
                 "exact_model"} & set(dir(ebsplines))
     assert not hasattr(selection, "select_q")
     fields = {c: [f.name for f in dataclasses.fields(c)]
               for c in (ebsplines.SignalSpectrum, ebsplines.GcvResult,
-                        ebsplines.BasisHandle)}
+                        ebsplines.BasisHandle, ebsplines.Selection)}
     assert fields == {ebsplines.SignalSpectrum: ["B"],
                       ebsplines.GcvResult: ["lambda_f_hat", "q", "boundary_flag"],
-                      ebsplines.BasisHandle: ["n"]}
+                      ebsplines.BasisHandle: ["n"],
+                      ebsplines.Selection: ["per_q", "all_nonpositive",
+                                            "all_positive_warning"]}
     params = {f: list(inspect.signature(f).parameters) for f in (
         ebsplines.fit, ebsplines.select_lambda_gcv,
         ebsplines.solve_lambda, ebsplines.make_basis, ebsplines.spectral_model,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ebsplines as e
+from ebsplines import selection
 from ebsplines.errors import DegenerateDataError, EbsplinesError
 
 PI2 = math.pi ** 2
@@ -265,30 +266,92 @@ class TestSigma2Hat:
         assert s2 == pytest.approx(sigma ** 2, rel=0.10)
 
 
+class TestQRule:
+    # the order rule on hand-made rows of T_q over the grid orders
+    GRID = (1.0, 2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("tvals,branch,q_star", [
+        ((-3.0, -1.0, 0.0, -2.0), "all_nonpositive", 4.0),
+        ((0.5, -1.0, 2.0, 3.0), "all_positive_warning", 1.0),
+        ((-1.0, -1.0, 3.0, -2.0), "crossing", 2.25),
+    ], ids=["all-nonpositive", "all-positive-warning", "crossing"])
+    def test_each_branch(self, tvals, branch, q_star):
+        got = selection._q_rule(self.GRID, np.array(tvals))
+        assert got == (q_star, float(math.floor(q_star + 0.5)), branch)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_a_crossing_in_each_grid_gap(self, j):
+        # -1 at the orders before j, +3 from j on: q* = q_(j-1) + 1/4
+        tvals = np.array([-1.0] * j + [3.0] * (4 - j))
+        assert selection._q_rule(self.GRID, tvals) == (j + 0.25, float(j), "crossing")
+
+    def test_the_first_crossing_wins(self):
+        tvals = np.array([-1.0, 1.0, -1.0, 1.0])
+        assert selection._q_rule(self.GRID, tvals) == (1.5, 2.0, "crossing")
+
+    def test_a_value_below_the_threshold_is_not_positive(self):
+        # 1e-11 max |T_q| lies below the 1e-10 max |T_q| a positive value
+        # needs, 2e-10 max |T_q| above it
+        assert selection._q_rule(self.GRID, np.array([1e-11, -1.0, -1.0, -1.0])) == \
+            (4.0, 4.0, "all_nonpositive")
+        assert selection._q_rule(self.GRID, np.array([-1.0, 1e-11, -1.0, 1.0])) == \
+            (3.5, 4.0, "crossing")
+        assert selection._q_rule(self.GRID, np.array([-1.0, 2e-10, -1.0, 1.0]))[1:] == \
+            (2.0, "crossing")
+
+    @pytest.mark.parametrize("tvals,q_star,q_hat", [
+        # q* = 1.40625 rounds to 1, below the grid: clamped up to ceil(1.25)
+        ((-1.0, 7.0, 7.0), 1.40625, 2.0),
+        # q* = 3.59375 rounds to 4, above the grid: clamped down to floor(3.75)
+        ((-1.0, -7.0, 1.0), 3.59375, 3.0),
+    ], ids=["low-end", "high-end"])
+    def test_the_clamp_at_both_ends(self, tvals, q_star, q_hat):
+        got = selection._q_rule((1.25, 2.5, 3.75), np.array(tvals))
+        assert got == (q_star, q_hat, "crossing")
+        assert repr(got[1]) == repr(q_hat)
+
+    def test_an_off_grid_q_hat_on_a_refined_grid(self):
+        # orders a half apart off the integers: q* = 2.375 rounds to 2, which
+        # is no grid order (``_fits`` then solves order 2 afresh)
+        grid = (1.25, 1.75, 2.25, 2.75, 3.25)
+        q_star, q_hat, branch = selection._q_rule(grid, np.array([-1.0, -1.0, -1.0, 3.0, 3.0]))
+        assert (q_star, q_hat, branch) == (2.375, 2.0, "crossing") and q_hat not in grid
+        # the default refined grid holds every integer order: q* = 2.875 rounds to 3 on it
+        grid = e.default_q_grid(1000, q_max=3, refine=0.5)
+        assert grid == (1.0, 1.5, 2.0, 2.5, 3.0)
+        assert selection._q_rule(grid, np.array([-1.0, -1.0, -1.0, -3.0, 1.0])) == \
+            (2.875, 3.0, "crossing")
+
+    def test_an_all_zero_row_takes_the_largest_order_without_a_warning(self):
+        # max |T_q| = 0: no value exceeds the threshold 0, and no division runs
+        # (a RuntimeWarning is an error here)
+        assert selection._q_rule(self.GRID, np.zeros(4)) == (4.0, 4.0, "all_nonpositive")
+
+
 class TestSelectQ:
-    # the order selection, as ``fit`` reports it in its ``selection``
+    # the order selection, as ``fit`` reports it
     def test_zero_crossing_interpolation(self, family1000, f1_values):
         y = f1_values + 0.01 * np.random.default_rng(12).standard_normal(1000)
-        sel = e.fit(family1000, y, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)).selection
-        tq = [d.t_q_value for d in sel.per_q]
+        res = e.fit(family1000, y, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        tq = [d.t_q_value for d in res.selection.per_q]
         j = next(i for i in range(1, 6) if tq[i] > 0 and tq[i - 1] <= 0)
-        expected = sel.per_q[j - 1].q + (0.0 - tq[j - 1]) / (tq[j] - tq[j - 1])
-        assert sel.q_star == pytest.approx(expected, rel=1e-12)
-        assert sel.q_hat == math.floor(sel.q_star + 0.5)
+        expected = res.selection.per_q[j - 1].q + (0.0 - tq[j - 1]) / (tq[j] - tq[j - 1])
+        assert res.q_star == pytest.approx(expected, rel=1e-12)
+        assert res.q_hat == math.floor(res.q_star + 0.5)
 
     def test_scale_invariance_of_selection(self, family1000, f1_values):
         y = f1_values + 0.01 * np.random.default_rng(13).standard_normal(1000)
-        s1 = e.fit(family1000, y, (1.0, 2.0, 3.0)).selection
-        s2 = e.fit(family1000, 11.0 * y, (1.0, 2.0, 3.0)).selection
-        assert s1.q_hat == s2.q_hat
-        assert s1.q_star == pytest.approx(s2.q_star, rel=1e-9)
+        r1 = e.fit(family1000, y, (1.0, 2.0, 3.0))
+        r2 = e.fit(family1000, 11.0 * y, (1.0, 2.0, 3.0))
+        assert r1.q_hat == r2.q_hat
+        assert r1.q_star == pytest.approx(r2.q_star, rel=1e-9)
 
     def test_refined_real_order_grid(self, family1000, f1_values):
         # theory-faithful mode: real-valued orders on the shared cosine basis;
         # the refined crossing lands near the integer-grid one
         y = f1_values + 0.01 * np.random.default_rng(21).standard_normal(1000)
-        coarse = e.fit(family1000, y, e.default_q_grid(1000)).selection
-        fine = e.fit(family1000, y, e.default_q_grid(1000, refine=0.5)).selection
+        coarse = e.fit(family1000, y, e.default_q_grid(1000))
+        fine = e.fit(family1000, y, e.default_q_grid(1000, refine=0.5))
         assert abs(fine.q_star - coarse.q_star) < 1.0
         assert fine.q_hat == math.floor(fine.q_star + 0.5)
 
@@ -297,7 +360,8 @@ class TestSelectQ:
         y = f1_values + 3.0 * np.random.default_rng(0).standard_normal(1000)
         res = e.fit(family1000, y, (1.2, 1.7, 2.2, 2.7, 3.2))
         assert res.q_star == 1.2
-        assert repr(res.q_hat) == repr(res.selection.q_hat) == "2.0"
+        assert repr(res.q_hat) == "2.0"
+        assert res.selection.all_positive_warning and not res.selection.all_nonpositive
 
     def test_empty_grid_rejected(self, family1000, f1_values):
         with pytest.raises(EbsplinesError, match="empty q grid"):
@@ -308,9 +372,14 @@ class TestSelectQ:
         ((0.5, 1.0), "q grid values must exceed 1/2"),
         # an order whose eigenvalues overflow returned sigma2_hat = nan
         ((3.0, 60.0), "order-60.0 eigenvalues overflow the float range at n = 1000"),
-    ], ids=["decreasing", "at-one-half", "past-the-float-range"])
+        # q_hat rounds into [ceil(q_1), floor(q_m)], which is empty here, so
+        # it would miss q* (on f1 it read 2 for q* = 2.527 and 1 for q* = 1.8)
+        ((2.2, 2.4, 2.6, 2.8), "q grid (2.2, 2.4, 2.6, 2.8) spans no integer order"),
+        ((1.2, 1.5, 1.8), "q grid (1.2, 1.5, 1.8) spans no integer order"),
+    ], ids=["decreasing", "at-one-half", "past-the-float-range", "no-integer-order",
+            "no-integer-order-below-two"])
     def test_malformed_grid_rejected(self, family1000, f1_values, qgrid, message):
-        with pytest.raises(EbsplinesError, match=message):
+        with pytest.raises(EbsplinesError, match=re.escape(message)):
             e.fit(family1000, f1_values, qgrid)
 
     @pytest.mark.filterwarnings("error")

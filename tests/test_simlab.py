@@ -12,7 +12,7 @@ import pytest
 import ebsplines as e
 from ebsplines import credible, simlab
 from ebsplines.errors import EbsplinesError
-from ebsplines.selection import _shrink, _smooth
+from ebsplines.selection import _q_rule, _shrink, _smooth
 from ebsplines.simlab import _compare_kwargs
 
 F1 = e.Generator(kind="f1-spectral")
@@ -153,6 +153,8 @@ class TestStudyHarness:
             assert row["sigma2_hat"] == res.sigma2_hat
             assert row["mse"] == np.mean((res.fitted - f) ** 2)
             assert row["lambda_q"].tolist() == [d.lambda_hat for d in res.selection.per_q]
+            assert row["t_q"].tolist() == [d.t_q_value for d in res.selection.per_q]
+            assert row["boundary_q"].tolist() == [d.boundary for d in res.selection.per_q]
             for j, q in enumerate(orders):
                 m = family.model(q)
                 lam = e.select_lambda_gcv(m, y[-1]).lambda_f_hat
@@ -163,6 +165,21 @@ class TestStudyHarness:
                 assert row["gcv_mse"][j] == np.mean((_shrink(m, x, lam) - theta) ** 2)
                 assert row["gcv_mse"][j] == pytest.approx(
                     np.mean((_smooth(m, x, lam) - f) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("refine", [None, 0.5], ids=["integer-grid", "half-grid"])
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("kind", ["f1-spectral", "f2-cosine"])
+    def test_the_q_rule_on_a_record_gives_back_its_q_hat(self, kind, n, refine):
+        # the record holds the table q is decided from: the rule on each row's
+        # t_q (at data scale; the rule does not see a power-of-two scale)
+        # returns the fit's q_hat bit for bit, with no refit
+        qgrid = e.default_q_grid(n, refine=refine)
+        family = e.ModelFamily(e.design_grid(n))
+        f = e.Generator(kind=kind).values(family.grid)
+        rec = simlab._record(family, f, 0.01, 5, 20, qgrid=qgrid)
+        assert rec["t_q"].shape == rec["boundary_q"].shape == (20, len(qgrid))
+        for row in rec:
+            assert repr(_q_rule(qgrid, row["t_q"])[1]) == repr(row["q_hat"].item())
 
     def test_one_forward_transform_per_replicate(self, monkeypatch):
         # the GCV arms select and smooth from the fit's own coefficients, and

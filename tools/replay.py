@@ -14,8 +14,8 @@ comparable under one environment, and otherwise names each output that
 moved, appeared or went missing (exit 1 if any did, 0 if none).  The outputs
 are the ``simulate`` report and table of the two acceptance studies and of
 seven more studies (boundary solves at large noise, an odd n, a real-valued
-order grid, one that holds no integer order, so that every q_hat takes a
-fresh lambda solve, small n, a generator not scaled by its range, and one
+order grid, one with no integer among its orders, so that every q_hat takes
+a fresh lambda solve, small n, a generator not scaled by its range, and one
 block of 8 replicates at n = 4096, where a block of scan rows holds 4 rows
 and the lanes at one lambda share its row), two ``compare``
 reports (one at alpha = 0.1 whose config also carries the Monte Carlo
@@ -29,9 +29,11 @@ payload, and the reports of ``coverage_experiment`` and
 ``gcv_ball_experiment`` (JSON and ``repr``, so float bits show), the
 ``repr`` of q_hat, q* and lambda_hat of five library fits on the grid
 (1.2, 1.7, 2.2, 2.7, 3.2) whose q* rounds below it (f1 at n = 128,
-sigma = 0.01 and at n = 1000, sigma = 3), so that the grid clamps q_hat, and a
-sequence of library fits on one warm ``ModelFamily`` per size (6 at
-n = 16,385, 2 at n = 64,000, f1 and f2 in turn): the ``repr`` of lambda_hat,
+sigma = 0.01 and at n = 1000, sigma = 3), so that the grid clamps q_hat, the
+record of an f1 study at n = 128 (sigma = 0.01, 40 replicates, seed 5): per
+replicate q_hat and the per-order lambda, T_q and boundary flag a q rule
+reads, and a sequence of library fits on one warm ``ModelFamily`` per size (6
+at n = 16,385, 2 at n = 64,000, f1 and f2 in turn): the ``repr`` of lambda_hat,
 q_hat, q*, sigma2_hat and the per-order lambda_hat and T_q, and the sha256 of
 the fitted values, the same of two fits at sigma = 1 on a warm family at
 n = 64,000 (roots at large lambda, where the bracketing scan builds its
@@ -66,7 +68,7 @@ import numpy as np
 import scipy
 
 import ebsplines as e
-from ebsplines import cli, gcv, selection
+from ebsplines import cli, gcv, selection, simlab
 
 
 def main(out: str) -> None:
@@ -172,8 +174,17 @@ def main(out: str) -> None:
             for seed in seeds:
                 y = f1.values(family.grid) + sigma * np.random.default_rng(seed).standard_normal(n)
                 res = e.fit(family, y, (1.2, 1.7, 2.2, 2.7, 3.2))
-                fh.write(repr((n, sigma, seed, res.q_hat, res.selection.q_hat, res.q_star,
+                fh.write(repr((n, sigma, seed, res.q_hat, res.q_hat, res.q_star,
                                res.lambda_hat)) + "\n")
+
+    # a study's record of f1 at n = 128, where every order-1 solve is a
+    # boundary: q_hat and the per-order table a q rule reads (lambda, T_q and
+    # the boundary flag of each grid order)
+    family, f, _ = simlab._design(f1, 128, 0.01, 5)
+    with open(path("record-f1-128.txt"), "w") as fh:
+        for row in simlab._record(family, f, 0.01, 5, 40):
+            fh.write(repr((row["q_hat"].item(), row["lambda_q"].tolist(), row["t_q"].tolist(),
+                           row["boundary_q"].tolist())) + "\n")
 
     # later fits on a family reuse what its earlier fits left in it
     rng = np.random.default_rng(2025)
