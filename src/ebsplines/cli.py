@@ -6,13 +6,12 @@ schema ``simlab`` reads; ``oracle`` and ``kappa`` expose the closed-form
 constants.  This module holds only argv handling and file I/O.  Exit codes:
 0 success, 2 input error, 3 numeric failure.  Diagnostics go to stderr;
 every subcommand writes its JSON payload to ``--out``, or to stdout without
-it or with ``--stdout``.  All file outputs are written atomically (temp file
-+ rename), with the mode ``open(path, "w")`` gives a new file; a path that
-cannot be written is an input error, found before any input is read or
-experiment run.  CSV outputs hold
-each value as ``"%.10g" % x`` would, byte for byte: vectorised in blocks of
-about 8k values, the blocks with nan, inf or a nonzero |x| outside [1e-13,
-1e31) through that one ``%``.
+it.  All file outputs are written atomically (temp file + rename), with the
+mode ``open(path, "w")`` gives a new file; a path that cannot be written is
+an input error, found before any input is read or experiment run.  CSV
+outputs hold each value as ``"%.10g" % x`` would, byte for byte: vectorised
+in blocks of about 8k values, the blocks with nan, inf or a nonzero |x|
+outside [1e-13, 1e31) through that one ``%``.
 """
 
 from __future__ import annotations
@@ -225,7 +224,7 @@ def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         _atomic_write(args.out, [(text + "\n").encode()])
-    if args.stdout or not args.out:
+    else:
         print(text)
 
 
@@ -244,8 +243,8 @@ def _fit_payload(res) -> dict:
         "q_star": res.q_star,
         "sigma2_hat": res.sigma2_hat,
         "boundary": bool(res.boundary),
-        "all_nonpositive": bool(res.selection.all_nonpositive),
-        "all_positive_warning": bool(res.selection.all_positive_warning),
+        "all_nonpositive": res.selection.branch == "all_nonpositive",
+        "all_positive_warning": res.selection.branch == "all_positive_warning",
         "per_q": [{"q": d.q, "lambda_hat": d.lambda_hat,
                    "t_q": d.t_q_value, "boundary": bool(d.boundary)}
                   for d in res.selection.per_q],
@@ -308,8 +307,7 @@ def _parse_config(path: str, overrides: dict, parse):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _parse_config(args.config, {"sigma": args.sigma, "seed": args.seed},
-                        StudyConfig.from_dict)
+    cfg = _parse_config(args.config, {"seed": args.seed}, StudyConfig.from_dict)
     report = run_study(cfg)
     _emit(report.to_dict(), args)
     if args.table:
@@ -373,8 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # the JSON payload's destination, the same for every subcommand
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="JSON payload path (default: stdout)")
-    output.add_argument("--stdout", action="store_true",
-                        help="echo the JSON payload to stdout")
 
     def add_fit_args(sp):
         sp.add_argument("input")
@@ -412,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", parents=[experiment],
                         help="run a Monte Carlo study from a JSON config")
     sp.add_argument("--table", default=None, help="comparison table CSV path")
-    sp.add_argument("--sigma", type=float, default=None, help="override config noise level")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("compare", parents=[experiment],

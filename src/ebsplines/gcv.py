@@ -54,7 +54,6 @@ def _crit_rows(n, u, v, w):
 @dataclass(frozen=True)
 class GcvResult:
     lambda_f_hat: float
-    q: float
     boundary_flag: bool
 
 
@@ -83,7 +82,7 @@ def _select_gcvs(model: SpectralModel, x: np.ndarray) -> list[GcvResult]:
     vals = _scan(rows, x2s, nz, _GRID)
     js = np.argmin(vals, axis=1).tolist()
     lams = _lockstep([_lattice(j, f) for j, f in zip(js, vals.tolist())], crit)
-    return [GcvResult(lambda_f_hat=lam, q=model.q, boundary_flag=j in (0, _GRID_POINTS - 1))
+    return [GcvResult(lambda_f_hat=lam, boundary_flag=j in (0, _GRID_POINTS - 1))
             for lam, j in zip(lams, js)]
 
 

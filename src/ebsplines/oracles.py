@@ -85,20 +85,6 @@ class SignalSpectrum:
     def n(self) -> int:
         return len(self.B)
 
-    def derivative_energy(self, q: float) -> float:
-        """(1/n) sum B_i^2 n*eta_{q,i} -- the computable surrogate for the
-        squared q-th derivative norm, on the production (penalty-phase)
-        eigenvalues; ``_energy`` of B / 2^k (``_unit_scale``)."""
-        b, (k,) = _unit_scale(self.B[None], "B")
-        return _energy(b[0] ** 2, penalty_eigenvalues(q, self.n).values, k)[1]
-
-
-def _energy(b2: np.ndarray, values: np.ndarray, k: int) -> tuple[float, float]:
-    """(1/n) sum b2 n*eta of b2 = (B / 2^k)^2, and it times 4^k (``inf`` past floats)."""
-    energy = float(np.dot(b2, values)) / len(b2)
-    with np.errstate(over="ignore"):
-        return energy, float(np.ldexp(energy, 2 * k))
-
 
 def _sigma2(sigma2: float) -> float:
     if not 0 <= sigma2 < math.inf:
@@ -137,8 +123,9 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
     """Oracle smoothing parameter for a fixed order.
 
     closed-form: [ n ||f^(q)||^2 / (sigma^2 kappa_q(0,2)) ]^(-2q/(2q+1)),
-    with the derivative energy estimated from the spectrum; a vanishing
-    energy (signal inside the null space) yields the infinity sentinel.
+    with the derivative energy (1/n) sum B_i^2 n*eta_{q,i} standing in for
+    ||f^(q)||^2; a vanishing energy (signal inside the null space) yields the
+    infinity sentinel.
     numeric-root: the root of E T_lam, by the selector's own lambda solve
     (``selection.solve_lambda``: scan, bisection, tolerance and multi-root
     rule) on the row E X^2 = B^2 + sigma^2; a boundary solve (no interior root,
@@ -150,7 +137,7 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
     b, (k,) = _unit_scale(np.append(spectrum.B, math.sqrt(_sigma2(sigma2)))[None], "B")
     b2, s2 = b[0, :-1] ** 2, float(np.ldexp(sigma2, -2 * k))
     eig = penalty_eigenvalues(q, spectrum.n)
-    energy, scaled = _energy(b2, eig.values, k)
+    energy = float(np.dot(b2, eig.values)) / spectrum.n
     if method == "closed-form":
         if sigma2 == 0:
             raise EbsplinesError("need sigma2 > 0 for the closed form, got 0")
@@ -163,7 +150,8 @@ def oracle_lambda(spectrum: SignalSpectrum, sigma2: float, q: float,
         lam = math.inf if sol.boundary else sol.lam
     else:
         raise EbsplinesError(f"unknown oracle method {method!r}")
-    return OracleResult(lambda_q=lam, derivative_energy=scaled)
+    with np.errstate(over="ignore"):
+        return OracleResult(lambda_q=lam, derivative_energy=float(np.ldexp(energy, 2 * k)))
 
 
 @dataclass(frozen=True)

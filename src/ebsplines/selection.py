@@ -652,8 +652,7 @@ class QDiagnostic:
 @dataclass(frozen=True)
 class Selection:
     per_q: tuple[QDiagnostic, ...]
-    all_nonpositive: bool = False
-    all_positive_warning: bool = False
+    branch: str  # the q rule's branch (``_q_rule``)
 
 
 @dataclass(frozen=True)
@@ -700,6 +699,23 @@ def _unit_scale(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise EbsplinesError(f"{name}[{i}] = {a[r, i]} is not finite")
     ks = np.frexp(top)[1]
     return np.ldexp(a, -ks[:, None]), ks
+
+
+def _q_grid(qgrid) -> tuple:
+    """The orders of ``qgrid`` as floats, checked: a strictly increasing
+    grid of finite orders above 1/2 that spans an integer order."""
+    qgrid = tuple(map(float, qgrid))
+    if not qgrid:
+        raise EbsplinesError("empty q grid")
+    if not all(map(math.isfinite, qgrid)):
+        raise EbsplinesError(f"q grid values must be finite, got {qgrid}")
+    if any(qgrid[j] >= qgrid[j + 1] for j in range(len(qgrid) - 1)):
+        raise EbsplinesError("q grid must be strictly increasing")
+    if qgrid[0] <= 0.5:
+        raise EbsplinesError("q grid values must exceed 1/2")
+    if math.ceil(qgrid[0]) > qgrid[-1]:  # q_hat would have no order to round to
+        raise EbsplinesError(f"q grid {qgrid} spans no integer order")
+    return qgrid
 
 
 def _q_rule(qgrid: tuple, tvals: np.ndarray) -> tuple[float, float, str]:
@@ -753,15 +769,7 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         raise DegenerateDataError(
             "data are constant to rounding: every spectral coefficient beyond "
             "the constant vanishes")
-    qgrid = tuple(float(q) for q in (default_q_grid(n) if qgrid is None else qgrid))
-    if not qgrid:
-        raise EbsplinesError("empty q grid")
-    if any(qgrid[j] >= qgrid[j + 1] for j in range(len(qgrid) - 1)):
-        raise EbsplinesError("q grid must be strictly increasing")
-    if qgrid[0] <= 0.5:
-        raise EbsplinesError("q grid values must exceed 1/2")
-    if np.ceil(qgrid[0]) > qgrid[-1]:  # q_hat would have no order to round to
-        raise EbsplinesError(f"q grid {qgrid} spans no integer order")
+    qgrid = _q_grid(default_q_grid(n) if qgrid is None else qgrid)
     x = family.basis.forward(x)
 
     # every order's lambda solves, side by side, and T_q there (unit scale), on views of x2
@@ -794,8 +802,7 @@ def _fits(family: ModelFamily, y: np.ndarray, qgrid=None) -> list[FitResult]:
         per_q = tuple(QDiagnostic(q=q, lambda_hat=s[r].lam, t_q_value=math.ldexp(t, 2 * k),
                                   boundary=s[r].boundary)
                       for q, s, t in zip(qgrid, sols, tvals.tolist()))
-        sel = Selection(per_q=per_q, all_nonpositive=branch == "all_nonpositive",
-                        all_positive_warning=branch == "all_positive_warning")
+        sel = Selection(per_q=per_q, branch=branch)
         fits.append(FitResult(lambda_hat=sol.lam, q_hat=q_hat, q_star=q_star,
                               fitted=np.ldexp(_smooth(model, xk, sol.lam), k),
                               sigma2_hat=math.ldexp(s2, 2 * k), coeffs=np.ldexp(xk, k),

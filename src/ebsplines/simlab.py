@@ -42,7 +42,7 @@ from .credible import RadiusSpec, _check_inflation, radius
 from .errors import EbsplinesError
 from .gcv import _select_gcvs
 from .oracles import SignalSpectrum, oracle_lambda
-from .selection import ModelFamily, _fits, _shrink, _unit_scale, default_q_grid
+from .selection import ModelFamily, _fits, _q_grid, _shrink, _unit_scale, default_q_grid
 from .spectral import DESIGN_CONVENTIONS, DesignGrid, design_grid, make_basis
 
 GENERATOR_KINDS = ("f1-spectral", "f2-cosine", "custom-spectrum")
@@ -213,6 +213,8 @@ class StudyConfig:
                   (("q_grid", ()), ("gcv_orders", (2.0, 3.0, 4.0, 5.0, 6.0)))}
         for key, values in orders.items():
             _numbers(key, values)
+        if orders["q_grid"]:  # empty: the default grid
+            _q_grid(orders["q_grid"])
         return StudyConfig(**_shared_keys(d), **orders)
 
 

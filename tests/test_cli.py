@@ -511,6 +511,18 @@ class TestCredibleCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_a_larger_alpha_gives_a_smaller_radius(self, tmp_path, sample_csv):
+        # a 90% ball on the same data is smaller than the default 95% ball
+        payloads = {}
+        for alpha in (None, "0.1"):
+            out = tmp_path / f"ball-{alpha}.json"
+            flags = [] if alpha is None else ["--alpha", alpha]
+            assert main(["credible", str(sample_csv), "--out", str(out), *flags]) == 0
+            payloads[alpha] = json.loads(out.read_text())
+        assert payloads["0.1"]["alpha"] == 0.1 and payloads[None]["alpha"] == 0.05
+        assert 0 < payloads["0.1"]["radius"] < payloads[None]["radius"]
+        assert payloads["0.1"]["fit"] == payloads[None]["fit"]
+
     def test_radius_shrinks_when_n_doubles(self, tmp_path):
         radii = {}
         for n in (250, 500):
@@ -584,70 +596,89 @@ class TestCompareCommand:
         assert 0.0 <= rep["coverage_eb_ball"] <= 1.0
 
 
+# bad configs both experiment commands refuse, and their ids
+_BAD_CONFIGS = [
+    ({}, "missing key 'generator'"),
+    ({"generator": {"kind": "f1-spectral"}, "n": "abc"}, "'abc'"),
+    ([1, 2], "config must be a JSON object"),
+    ({"generator": {"kind": "f1-spectral", "params": {"beta": "abc"}}},
+     "generator params 'beta': 'abc' is not a number"),
+    ({"generator": {"kind": "f1-spectral"}, "sigma": -1},
+     "sigma must be finite and >= 0, got -1.0"),
+    ({"generator": {"kind": "f1-spectral"}, "sigma": "nan"},
+     "sigma must be finite and >= 0, got nan"),
+    # the keys both commands share are strict: no value is coerced into
+    # another that runs
+    ({"generator": {"kind": "f1-spectral"}, "n": 64.9}, "n: 64.9 is not an integer"),
+    ({"generator": {"kind": "f1-spectral"}, "n": 64, "replicates": True},
+     "replicates: True is not an integer"),
+    ({"generator": {"kind": "f1-spectral"}, "n": 64, "seed": "7"},
+     "seed: '7' is not an integer"),
+    ({"generator": {"kind": "f1-spectral"}, "n": 64, "sigma": True},
+     "sigma: True is not a number"),
+    ({"generator": {"kind": "f1-spectral", "scale_by_range": "false"}, "n": 64},
+     "generator scale_by_range: 'false' is not a boolean"),
+    # checked when the config is read, before the experiment builds its grid
+    ({"generator": {"kind": "f1-spectral"}, "n": 64, "design_convention": 5},
+     "unknown design convention 5"),
+    # np.random.SeedSequence takes no negative seed
+    ({"generator": {"kind": "f1-spectral"}, "n": 64, "seed": -3},
+     "seed must be >= 0, got -3"),
+    # the raw bytes of a config that is not UTF-8
+    (b'{"generator": {"kind": "f1-spectral\xff"}}', "can't decode byte 0xff"),
+    # generator params: custom-spectrum needs its coeffs, every other param
+    # is one number, and f1's beta is an order
+    ({"generator": {"kind": "custom-spectrum"}, "n": 64, "replicates": 2},
+     "generator params 'coeffs': missing, custom-spectrum needs it"),
+    ({"generator": {"kind": "custom-spectrum", "params": {"coeffs": 3}}, "n": 64},
+     "generator params 'coeffs': 3 is not a list of numbers"),
+    ({"generator": {"kind": "f2-cosine", "params": {"half_periods": [1, 2]}}, "n": 64,
+      "replicates": 2}, "generator params 'half_periods': [1, 2] is not a number"),
+    ({"generator": {"kind": "f1-spectral", "params": {"beta": [3]}}, "n": 64,
+      "replicates": 2}, "generator params 'beta': [3] is not a number"),
+    ({"generator": {"kind": "f1-spectral", "params": {"beta": -1}}, "n": 64,
+      "replicates": 2}, "generator params 'beta': -1 is not an order"),
+    ({"generator": "f1-spectral", "n": 64}, "generator: 'f1-spectral' is not an object"),
+    ({"generator": {"kind": "f1-spectral", "params": [3]}, "n": 64},
+     "generator params: [3] is not an object"),
+    # a non-finite param is the generator's fault, not the data's
+    ({"generator": {"kind": "f2-cosine", "params": {"half_periods": math.inf}}, "n": 64,
+      "replicates": 2}, "generator params 'half_periods': inf is not finite"),
+    ({"generator": {"kind": "custom-spectrum", "params": {"coeffs": [1.0, math.nan]
+                                                          + [0.0] * 62}},
+      "n": 64, "replicates": 2}, "generator params 'coeffs': nan is not finite"),
+    # a JSON integer past the float range
+    ({"generator": {"kind": "f1-spectral"}, "n": 64, "sigma": 10 ** 400},
+     "sigma: an integer near 10^400 is past the float range"),
+    ({"generator": {"kind": "f2-cosine", "params": {"half_periods": 10 ** 400}}, "n": 64,
+      "replicates": 2}, "generator params 'half_periods': an integer near 10^400 is past "
+     "the float range"),
+]
+_BAD_CONFIG_IDS = [
+    "empty", "n-not-a-number", "not-an-object", "param-not-a-number", "negative-sigma",
+    "nan-sigma", "n-float", "replicates-bool", "seed-string", "sigma-bool", "scale-string",
+    "convention-int", "negative-seed", "non-utf8", "coeffs-missing", "coeffs-scalar",
+    "half-periods-list", "beta-list", "beta-negative", "generator-string", "params-list",
+    "half-periods-inf", "coeffs-nan", "sigma-huge-int", "half-periods-huge-int"]
+# q grids only simulate reads, refused when the config is read
+_BAD_GRIDS = [
+    ([3, 2], "q grid must be strictly increasing", "grid-decreasing"),
+    ([0.5, 1], "q grid values must exceed 1/2", "grid-at-one-half"),
+    # q_hat rounds to an integer in [ceil(q_1), floor(q_m)], empty here
+    ([2.2, 2.4, 2.6, 2.8], "q grid (2.2, 2.4, 2.6, 2.8) spans no integer order",
+     "grid-spanning-no-integer-order"),
+    ([1, math.inf], "q grid values must be finite, got (1.0, inf)", "grid-infinite-order"),
+]
+
+
 class TestBadConfigs:
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    @pytest.mark.parametrize("cfg,what", [
-        ({}, "missing key 'generator'"),
-        ({"generator": {"kind": "f1-spectral"}, "n": "abc"}, "'abc'"),
-        ([1, 2], "config must be a JSON object"),
-        ({"generator": {"kind": "f1-spectral", "params": {"beta": "abc"}}},
-         "generator params 'beta': 'abc' is not a number"),
-        ({"generator": {"kind": "f1-spectral"}, "sigma": -1},
-         "sigma must be finite and >= 0, got -1.0"),
-        ({"generator": {"kind": "f1-spectral"}, "sigma": "nan"},
-         "sigma must be finite and >= 0, got nan"),
-        # the keys both commands share are strict: no value is coerced into
-        # another that runs
-        ({"generator": {"kind": "f1-spectral"}, "n": 64.9}, "n: 64.9 is not an integer"),
-        ({"generator": {"kind": "f1-spectral"}, "n": 64, "replicates": True},
-         "replicates: True is not an integer"),
-        ({"generator": {"kind": "f1-spectral"}, "n": 64, "seed": "7"},
-         "seed: '7' is not an integer"),
-        ({"generator": {"kind": "f1-spectral"}, "n": 64, "sigma": True},
-         "sigma: True is not a number"),
-        ({"generator": {"kind": "f1-spectral", "scale_by_range": "false"}, "n": 64},
-         "generator scale_by_range: 'false' is not a boolean"),
-        # checked when the config is read, before the experiment builds its grid
-        ({"generator": {"kind": "f1-spectral"}, "n": 64, "design_convention": 5},
-         "unknown design convention 5"),
-        # np.random.SeedSequence takes no negative seed
-        ({"generator": {"kind": "f1-spectral"}, "n": 64, "seed": -3},
-         "seed must be >= 0, got -3"),
-        # the raw bytes of a config that is not UTF-8
-        (b'{"generator": {"kind": "f1-spectral\xff"}}', "can't decode byte 0xff"),
-        # generator params: custom-spectrum needs its coeffs, every other param
-        # is one number, and f1's beta is an order
-        ({"generator": {"kind": "custom-spectrum"}, "n": 64, "replicates": 2},
-         "generator params 'coeffs': missing, custom-spectrum needs it"),
-        ({"generator": {"kind": "custom-spectrum", "params": {"coeffs": 3}}, "n": 64},
-         "generator params 'coeffs': 3 is not a list of numbers"),
-        ({"generator": {"kind": "f2-cosine", "params": {"half_periods": [1, 2]}}, "n": 64,
-          "replicates": 2}, "generator params 'half_periods': [1, 2] is not a number"),
-        ({"generator": {"kind": "f1-spectral", "params": {"beta": [3]}}, "n": 64,
-          "replicates": 2}, "generator params 'beta': [3] is not a number"),
-        ({"generator": {"kind": "f1-spectral", "params": {"beta": -1}}, "n": 64,
-          "replicates": 2}, "generator params 'beta': -1 is not an order"),
-        ({"generator": "f1-spectral", "n": 64}, "generator: 'f1-spectral' is not an object"),
-        ({"generator": {"kind": "f1-spectral", "params": [3]}, "n": 64},
-         "generator params: [3] is not an object"),
-        # a non-finite param is the generator's fault, not the data's
-        ({"generator": {"kind": "f2-cosine", "params": {"half_periods": math.inf}}, "n": 64,
-          "replicates": 2}, "generator params 'half_periods': inf is not finite"),
-        ({"generator": {"kind": "custom-spectrum", "params": {"coeffs": [1.0, math.nan]
-                                                              + [0.0] * 62}},
-          "n": 64, "replicates": 2}, "generator params 'coeffs': nan is not finite"),
-        # a JSON integer past the float range
-        ({"generator": {"kind": "f1-spectral"}, "n": 64, "sigma": 10 ** 400},
-         "sigma: an integer near 10^400 is past the float range"),
-        ({"generator": {"kind": "f2-cosine", "params": {"half_periods": 10 ** 400}}, "n": 64,
-          "replicates": 2}, "generator params 'half_periods': an integer near 10^400 is past "
-         "the float range"),
-    ], ids=["empty", "n-not-a-number", "not-an-object", "param-not-a-number",
-            "negative-sigma", "nan-sigma", "n-float", "replicates-bool", "seed-string",
-            "sigma-bool", "scale-string", "convention-int", "negative-seed", "non-utf8",
-            "coeffs-missing", "coeffs-scalar", "half-periods-list", "beta-list",
-            "beta-negative", "generator-string", "params-list", "half-periods-inf",
-            "coeffs-nan", "sigma-huge-int", "half-periods-huge-int"])
+    @pytest.mark.parametrize("command,cfg,what", [
+        pytest.param(command, cfg, what, id=f"{name}-{command}")
+        for (cfg, what), name in zip(_BAD_CONFIGS, _BAD_CONFIG_IDS)
+        for command in ("simulate", "compare")] + [
+        pytest.param("simulate", {"generator": {"kind": "f1-spectral"}, "n": 64,
+                                  "replicates": 2, "q_grid": grid}, what, id=f"{name}-simulate")
+        for grid, what, name in _BAD_GRIDS])
     def test_exits_2_naming_the_file(self, tmp_path, capsys, command, cfg, what):
         p = tmp_path / "cfg.json"
         # json writes inf and nan as the Infinity and NaN a config may hold
@@ -687,26 +718,6 @@ class TestBadConfigs:
         p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, key: [2, "x"]}))
         assert main(["simulate", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}: {key}: 'x' is not a number\n"
-
-    def test_infinite_order_in_the_grid_exits_2(self, tmp_path, capsys):
-        p, out = tmp_path / "cfg.json", tmp_path / "out.json"
-        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
-                                 "replicates": 2, "q_grid": [1, math.inf]}))
-        assert main(["simulate", str(p), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            "error: penalty order must be finite and exceed 1/2, got inf\n"
-        assert not out.exists()
-
-    def test_a_grid_spanning_no_integer_order_exits_2(self, tmp_path, capsys):
-        # q_hat rounds to an integer in [ceil(q_1), floor(q_m)], empty here; the
-        # fit's grid check refuses the grid when the first block runs
-        p, out = tmp_path / "cfg.json", tmp_path / "out.json"
-        p.write_text(json.dumps({"generator": {"kind": "f1-spectral"}, "n": 64,
-                                 "replicates": 2, "q_grid": [2.2, 2.4, 2.6, 2.8]}))
-        assert main(["simulate", str(p), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            "error: q grid (2.2, 2.4, 2.6, 2.8) spans no integer order\n"
-        assert not out.exists()
 
     def test_valid_orders_are_echoed_as_given(self, tmp_path):
         p, out = tmp_path / "cfg.json", tmp_path / "out.json"
@@ -776,7 +787,7 @@ class TestBadConfigs:
 
 class TestOracleAndKappa:
     def test_kappa_payload(self, capsys):
-        rc = main(["kappa", "--q", "1", "--m", "0", "--l", "1", "--stdout"])
+        rc = main(["kappa", "--q", "1", "--m", "0", "--l", "1"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kappa"] == pytest.approx(0.5, abs=1e-12)
@@ -805,7 +816,7 @@ class TestOracleAndKappa:
     @pytest.mark.parametrize("q", ["5e307", "1e308", "1.79e308"])
     def test_kappa_near_the_top_of_the_float_range(self, capsys, q):
         # strict JSON: no NaN or Infinity, and kappa_q(0, 1) near its limit 1/pi
-        assert main(["kappa", "--q", q, "--m", "0", "--l", "1", "--stdout"]) == 0
+        assert main(["kappa", "--q", q, "--m", "0", "--l", "1"]) == 0
 
         def refuse(name):
             raise ValueError(f"not strict JSON: {name}")

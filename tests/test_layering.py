@@ -1,6 +1,7 @@
 """Module layering, read from the import statements of the sources, and the
 public surface the package exports."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -71,20 +72,23 @@ def test_public_surface_has_no_unused_options():
     # options of the oracles, the log-power trace variant, the GCV minimum
     # value, the backend error, select_q (a second, unguarded way into fit's
     # order selection), the dense eigenvector backend (exact_model and
-    # the basis matrix it carried) and Selection's copies of FitResult's q_hat
-    # and q_star were removed; no workflow set or read them
+    # the basis matrix it carried), Selection's copies of FitResult's q_hat
+    # and q_star, the --stdout echo, simulate's --sigma override, GcvResult's
+    # copy of the model's q, SignalSpectrum's second path to the oracle's
+    # derivative energy and Selection's two flags for the q rule's branch
+    # were removed; no workflow set or read them
     assert not {"mallows_cp", "fit_design", "ANALYTIC", "EXACT",
                 "UnsupportedBackendError", "select_q",
                 "exact_model"} & set(dir(ebsplines))
     assert not hasattr(selection, "select_q")
+    assert not hasattr(ebsplines.SignalSpectrum, "derivative_energy")
     fields = {c: [f.name for f in dataclasses.fields(c)]
               for c in (ebsplines.SignalSpectrum, ebsplines.GcvResult,
                         ebsplines.BasisHandle, ebsplines.Selection)}
     assert fields == {ebsplines.SignalSpectrum: ["B"],
-                      ebsplines.GcvResult: ["lambda_f_hat", "q", "boundary_flag"],
+                      ebsplines.GcvResult: ["lambda_f_hat", "boundary_flag"],
                       ebsplines.BasisHandle: ["n"],
-                      ebsplines.Selection: ["per_q", "all_nonpositive",
-                                            "all_positive_warning"]}
+                      ebsplines.Selection: ["per_q", "branch"]}
     params = {f: list(inspect.signature(f).parameters) for f in (
         ebsplines.fit, ebsplines.select_lambda_gcv,
         ebsplines.solve_lambda, ebsplines.make_basis, ebsplines.spectral_model,
@@ -104,6 +108,13 @@ def test_public_surface_has_no_unused_options():
     assert "polynomial" not in simlab.GENERATOR_KINDS
     fit_args = vars(cli._build_parser().parse_args(["fit", "data.csv"]))
     assert "qmax" in fit_args and "qmin" not in fit_args
+    # every subcommand's options, from its parser
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               for name, p in sub.choices.items()}
+    assert len(options) == 6 and not any("--stdout" in o for o in options.values())
+    assert "--sigma" not in options["simulate"] and "--seed" in options["simulate"]
 
 
 def test_config_schema_lives_in_simlab():

@@ -163,8 +163,7 @@ def _loop_select_lambda_gcv(model, y):
             s = 1 if u > c * h else -1
             free = [n for n in (c + s, c - s) if lo <= n <= hi and n not in on]
             if not free:
-                return e.GcvResult(lambda_f_hat=math.exp(c * h), q=model.q,
-                                   boundary_flag=j in (0, 59))
+                return e.GcvResult(lambda_f_hat=math.exp(c * h), boundary_flag=j in (0, 59))
             k = free[0]
         on[k] = crit(math.exp(k * h))
         pts.append((k * h, on[k]))

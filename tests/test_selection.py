@@ -361,7 +361,23 @@ class TestSelectQ:
         res = e.fit(family1000, y, (1.2, 1.7, 2.2, 2.7, 3.2))
         assert res.q_star == 1.2
         assert repr(res.q_hat) == "2.0"
-        assert res.selection.all_positive_warning and not res.selection.all_nonpositive
+        assert res.selection.branch == "all_positive_warning"
+
+    def test_the_branch_is_the_q_rule_s_on_the_reported_t_q(self, family1000, f1_values):
+        # f1 crosses; at n = 128 on orders 1 to 3, pure noise never turns T_q
+        # positive and a square wave turns it positive at q = 1
+        g = e.design_grid(128)
+        data = [(family1000, f1_values, e.default_q_grid(1000))] + [
+            (e.ModelFamily(g), signal, (1.0, 2.0, 3.0))
+            for signal in (0.0 * g.x, np.sign(np.sin(6 * np.pi * g.x)))]
+        branches = []
+        for family, signal, qgrid in data:
+            y = signal + 0.05 * np.random.default_rng(1).standard_normal(len(signal))
+            res = e.fit(family, y, qgrid)
+            tq = np.array([d.t_q_value for d in res.selection.per_q])
+            assert res.selection.branch == selection._q_rule(qgrid, tq)[2]
+            branches.append(res.selection.branch)
+        assert branches == ["crossing", "all_nonpositive", "all_positive_warning"]
 
     def test_empty_grid_rejected(self, family1000, f1_values):
         with pytest.raises(EbsplinesError, match="empty q grid"):
@@ -376,8 +392,10 @@ class TestSelectQ:
         # it would miss q* (on f1 it read 2 for q* = 2.527 and 1 for q* = 1.8)
         ((2.2, 2.4, 2.6, 2.8), "q grid (2.2, 2.4, 2.6, 2.8) spans no integer order"),
         ((1.2, 1.5, 1.8), "q grid (1.2, 1.5, 1.8) spans no integer order"),
+        # refused by the grid check, before any order's model is built
+        ((1.0, math.inf), "q grid values must be finite, got (1.0, inf)"),
     ], ids=["decreasing", "at-one-half", "past-the-float-range", "no-integer-order",
-            "no-integer-order-below-two"])
+            "no-integer-order-below-two", "infinite-order"])
     def test_malformed_grid_rejected(self, family1000, f1_values, qgrid, message):
         with pytest.raises(EbsplinesError, match=re.escape(message)):
             e.fit(family1000, f1_values, qgrid)
